@@ -364,17 +364,6 @@ def distance_estimates_check(S: DilatationStructure, x, y, eps: Scale, mu: Scale
 # the valuation counterexample
 # ---------------------------------------------------------------------------
 
-def _exact_cxr_product(a, b):
-    # (x, x')(y, y') = (x + y, x' + y' + Im(x conj(y)) / 2) over Fractions
-    return (a[0] + b[0], a[1] + b[1],
-            a[2] + b[2] + (a[1] * b[0] - a[0] * b[1]) / 2)
-
-
-def _exact_cxr_dilate(mu, a):
-    # real scales only: delta_mu X = (mu x, mu^2 x')
-    return (mu * a[0], mu * a[1], mu * mu * a[2])
-
-
 def counterexample_check(M: ComplexHeisenbergModel, eps: float, Y, probes=None,
                          seed: int = 0, flip: bool = True) -> ConvergenceReport:
     """Composite dilatations on C x R with nu(eps mu) = 1.
@@ -387,12 +376,11 @@ def counterexample_check(M: ComplexHeisenbergModel, eps: float, Y, probes=None,
     the composite *is* that translation and the defect must vanish.
 
     Both scales are real here, so every coordinate stays rational; the two
-    maps are evaluated in exact Fraction arithmetic and only the final gauge
-    distance goes through floating point.  A fourth-root gauge would
-    otherwise inflate coordinate roundoff past any honest tolerance.
+    maps are evaluated on the model's exact points, and only the gap between
+    them is rounded, coordinate by coordinate, before the gauge is taken.
+    A fourth-root gauge would otherwise inflate coordinate roundoff past any
+    honest tolerance.
     """
-    from fractions import Fraction
-
     eps = float(eps)
     if not 0.0 < eps < 1.0:
         raise DomainViolation("the construction needs a real eps in (0,1)")
@@ -400,23 +388,19 @@ def counterexample_check(M: ComplexHeisenbergModel, eps: float, Y, probes=None,
     if probes is None:
         probes = probe_points(M, M.identity(), 1.0, seed)
 
-    e = Fraction(eps)
-    mu = -1 / e if flip else 1 / e
-    y = tuple(Fraction(float(c)) for c in Y)
+    e = M.to_exact_scale(sg.scale(eps))
+    mu = Scale(sg, -1 / e.value if flip else 1 / e.value)
+    y = M.to_exact(Y)
 
     def composite(u):
-        inner = _exact_cxr_product(y, _exact_cxr_dilate(mu, _exact_cxr_product(
-            (-y[0], -y[1], -y[2]), u)))
-        return _exact_cxr_dilate(e, inner)
+        return M.ambient_dilate(e, M.dilate(y, mu, u))
 
-    head = composite((Fraction(0), Fraction(0), Fraction(0)))
+    head = composite(M.to_exact(M.identity()))
     defect = 0.0
     for p in probes:
-        u = tuple(Fraction(float(c)) for c in p)
-        gap = _exact_cxr_product(tuple(-c for c in composite(u)),
-                                 _exact_cxr_product(head, u))
-        defect = max(defect, M.homogeneous_norm(
-            np.array([float(gap[0]), float(gap[1]), float(gap[2])])))
+        u = M.to_exact(p)
+        gap = M.group_product(M.group_inverse(composite(u)), M.group_product(head, u))
+        defect = max(defect, M.homogeneous_norm(gap.to_float()))
     verdict = defect > 1e-6 if flip else defect <= DEFAULTS.exact_identity_tol
     return make_report([sg.scale(complex(eps))], [defect], verdict,
                        {"model": M.name, "quantity": "translation-defect",

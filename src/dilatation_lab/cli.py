@@ -249,9 +249,7 @@ def _cmd_counterexample(model, config):
     return out, flipped.verdict and control.verdict
 
 
-def _make_map(model, desc):
-    if not isinstance(desc, dict) or "type" not in desc:
-        raise ConfigError("map must be an object with a 'type' field")
+def _make_map(model, desc, exact: bool):
     kind = desc["type"]
     if kind == "linear":
         matrix = np.asarray(desc["matrix"], dtype=float)
@@ -259,20 +257,30 @@ def _make_map(model, desc):
         return lambda p: matrix @ p + offset
     if kind == "left_translation":
         w = model.point_from_json(desc["point"])
-        return model.left_translation(w)
+        return model.left_translation(model.to_exact(w) if exact else w)
     if kind == "componentwise_cubic":
         return lambda p: p + p ** 3
     raise ConfigError(f"unknown map type {kind!r}")
 
 
 def _cmd_affinemap(model, config):
-    T = _make_map(model, config["map"])
+    desc = config["map"]
+    if not isinstance(desc, dict) or "type" not in desc:
+        raise ConfigError("map must be an object with a 'type' field")
+    # a left translation is affine on a group model, so its commutation
+    # defect is evaluated exactly: in floats the Cygan fourth root lifts
+    # coordinate roundoff past the tolerance
+    exact = desc["type"] == "left_translation" and model.supports_exact_arithmetic
+    T = _make_map(model, desc, exact)
     rng = np.random.default_rng(int(config["seed"]))
     radius = float(config.get("radius", model.closeness_budget()))
     count = int(config.get("sample_count", 16))
     pts = model.sample_ball(model.origin(), radius, 2 * count, rng)
     samples = list(zip(pts[:count], pts[count:]))
     grid = _grid(model, config, default=[1, 2, 3, 4])
+    if exact:
+        samples = [(model.to_exact(x), model.to_exact(y)) for x, y in samples]
+        grid = [model.to_exact_scale(e) for e in grid]
     tolerance = float(config.get("tolerance", DEFAULTS.exact_identity_tol))
     rep = check_affine_map(model, T, samples, grid, tolerance)
     out = CsvReport(["nu", "defect"])

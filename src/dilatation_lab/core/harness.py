@@ -80,23 +80,25 @@ def verify_axiom(S: DilatationStructure, which: str, region: Ball, eps_grid,
     rng = np.random.default_rng(seed)
     bases, pts, pairs = _tuples(S, region, sample_count, rng)
     mode = None
+    arithmetic = "float"
 
     def exactified(grid):
         # identity-type residuals vanish exactly in rational arithmetic,
         # which sidesteps the roundoff blowup of fractional-power gauges
+        nonlocal arithmetic
         if not S.supports_exact_arithmetic:
-            return bases, pairs, grid, False
+            return bases, pairs, grid
         try:
             egrid = [S.to_exact_scale(e) for e in grid]
         except ValueError:
-            return bases, pairs, grid, False
+            return bases, pairs, grid
+        arithmetic = "exact"
         ebases = [S.to_exact(x) for x in bases]
         epairs = [(S.to_exact(u), S.to_exact(v)) for u, v in pairs]
-        return ebases, epairs, egrid, True
+        return ebases, epairs, egrid
 
     if which == "A1":
-        xb, xp, xg, _ = exactified(eps_grid)
-        defects = _a1_defects(S, xb, xp, xg)
+        defects = _a1_defects(S, *exactified(eps_grid))
     elif which == "A2":
         defects = _a2_defects(S, bases, pts, eps_grid)
     elif which == "A3":
@@ -105,8 +107,7 @@ def verify_axiom(S: DilatationStructure, which: str, region: Ball, eps_grid,
         use_exact = S.has_exact_operators if reference == "auto" else reference == "exact"
         mode = "exact" if use_exact else "cauchy"
         if use_exact:
-            xb, xp, xg, _ = exactified(eps_grid)
-            defects = _a4_defects(S, xb, xp, xg, True)
+            defects = _a4_defects(S, *exactified(eps_grid), True)
         else:
             defects = _a4_defects(S, bases, pairs, eps_grid, False)
     elif which == "Axiom0":
@@ -123,7 +124,8 @@ def verify_axiom(S: DilatationStructure, which: str, region: Ball, eps_grid,
         eps_grid, defects, verdict,
         metadata={"model": S.name, "axiom": which, "seed": seed,
                   "sample_count": sample_count, "tolerance": tol,
-                  "reference": mode, "region_radius": region.radius})
+                  "reference": mode, "arithmetic": arithmetic,
+                  "region_radius": region.radius})
 
 
 def _a1_defects(S, bases, pairs, eps_grid):
@@ -227,22 +229,18 @@ def _cone_defects(S, bases, pairs, eps_grid, cfg):
     if S.has_exact_tangent:
         dx = S.tangent_distance
     else:
-        cache = {}
+        def dx(x, u, v):
+            return estimate_dx(S, x, u, v, eps_grid, cfg)[0]
 
-        def dx(x, u, v, _cache=cache):
-            key = (id(x), id(u), id(v))
-            if key not in _cache:
-                _cache[key], _ = estimate_dx(S, x, u, v, eps_grid, cfg)
-            return _cache[key]
-
+    # the left-hand side does not depend on mu: one value per (base, pair)
+    lhs = [[dx(x, u, v) for u, v in pairs] for x in bases]
     defects = []
     for mu in eps_grid:
         worst = 0.0
-        for x in bases:
-            for u, v in pairs:
-                lhs = dx(x, u, v)
+        for x, row in zip(bases, lhs):
+            for (u, v), left in zip(pairs, row):
                 rhs = dx(x, S.dilate(x, mu, u), S.dilate(x, mu, v)) / mu.nu
-                worst = max(worst, abs(lhs - rhs))
+                worst = max(worst, abs(left - rhs))
         defects.append(worst)
     return defects
 

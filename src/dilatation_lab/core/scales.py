@@ -86,8 +86,8 @@ class Scale:
 class PositiveReals(ScaleGroup):
     """Gamma = (0, +infinity) with nu the identity.
 
-    Values keep their numeric type: floats normally, exact rationals when a
-    caller routes Fraction coordinates through the models.
+    Values keep their numeric type: floats normally, Fractions for the exact
+    arithmetic of the group models.
     """
 
     name = "positive-reals"

@@ -22,6 +22,7 @@ from dilatation_lab.core.structure import (
     DilatationStructure, approx_difference, approx_inverse, approx_sum,
     estimate_dx, rescaled_distance)
 from dilatation_lab.core.scales import Scale
+from dilatation_lab.models.base import ExactPoint
 
 _LIMIT_OPS = {"sum": approx_sum, "difference": approx_difference,
               "inverse": approx_inverse}
@@ -138,7 +139,7 @@ class InducedStructure(DilatationStructure):
 
     def _anchor(self, like):
         """The anchor (x, mu) in the arithmetic of the query points."""
-        if getattr(like, "dtype", None) == object and self.base.supports_exact_arithmetic:
+        if type(like) is ExactPoint:
             return self.base.to_exact(self.x), self.base.to_exact_scale(self.mu)
         return self.x, self.mu
 

@@ -14,6 +14,7 @@ limit Delta^x(u,v) = x . u^-1 . v.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -22,13 +23,74 @@ from dilatation_lab.core.scales import Scale
 from dilatation_lab.core.structure import DilatationStructure, vector_sample_ball
 
 
+class ExactPoint:
+    """A point with rational coordinates ``num[i] / den``.
+
+    The numerators are Python integers over one shared positive denominator,
+    kept in lowest terms by a single gcd per constructed point.  Group models
+    compute on these exactly; a float appears only where a distance or a
+    coordinate gap is read off, and it is the correctly rounded value there.
+    Mixing with numpy float arrays raises instead of degrading to floats.
+    """
+
+    __slots__ = ("num", "den")
+    __array_ufunc__ = None
+
+    def __init__(self, num, den: int = 1):
+        if den <= 0:
+            raise ValueError(f"the denominator must be positive, got {den}")
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = [n // g for n in num]
+            den //= g
+        self.num = tuple(num)
+        self.den = den
+
+    @classmethod
+    def from_floats(cls, coords) -> "ExactPoint":
+        """The exact value of float coordinates (every float is a dyadic rational)."""
+        ratios = [float(c).as_integer_ratio() for c in coords]
+        den = math.lcm(*(d for _, d in ratios))
+        # over the lcm of reduced denominators the numerators share no factor
+        p = cls.__new__(cls)
+        p.num = tuple(n * (den // d) for n, d in ratios)
+        p.den = den
+        return p
+
+    def __neg__(self) -> "ExactPoint":
+        p = ExactPoint.__new__(ExactPoint)
+        p.num = tuple(-n for n in self.num)
+        p.den = self.den
+        return p
+
+    def __eq__(self, other):
+        if type(other) is not ExactPoint:
+            return NotImplemented
+        return self.den == other.den and self.num == other.num
+
+    def __repr__(self):
+        return f"ExactPoint({list(self.num)}, {self.den})"
+
+    def coordinate(self, i: int) -> float:
+        """Coordinate i, correctly rounded."""
+        return self.num[i] / self.den
+
+    def sumsq(self, sl: slice) -> float:
+        """The exact sum of squares of a block of coordinates, rounded once."""
+        return sum(n * n for n in self.num[sl]) / (self.den * self.den)
+
+    def to_float(self) -> np.ndarray:
+        """Every coordinate correctly rounded to a float."""
+        return np.array([n / self.den for n in self.num])
+
+
 class GroupModel(DilatationStructure):
     """Dilatation structure of a normed conical group.
 
-    Group operations are polynomial with rational coefficients, so feeding
-    Fraction coordinates and rational scales through the same code paths
-    evaluates every algebraic identity exactly; ``to_exact`` and
-    ``to_exact_scale`` perform that conversion.
+    Group operations are polynomial with rational coefficients, so they can
+    be evaluated exactly on rational points and rational scales, which makes
+    every algebraic identity come out exactly; ``to_exact`` and
+    ``to_exact_scale`` convert float data to that arithmetic.
     """
 
     @property
@@ -65,13 +127,6 @@ class GroupModel(DilatationStructure):
         raise NotImplementedError
 
     # --- induced structure --------------------------------------------------
-
-    def distance(self, p, q) -> float:
-        return self.homogeneous_norm(self.group_product(self.group_inverse(p), q))
-
-    def dilate(self, x, eps: Scale, y):
-        return self.group_product(
-            x, self.ambient_dilate(eps, self.group_product(self.group_inverse(x), y)))
 
     def origin(self):
         return self.identity()
@@ -130,12 +185,51 @@ class GroupModel(DilatationStructure):
 
 
 class VectorGroupModel(GroupModel):
-    """Group model whose carrier is a flat numpy coordinate vector."""
+    """Group model whose carrier is a flat numpy coordinate vector.
+
+    Subclasses supply the float formulas (``_product``, ``_dilate``,
+    ``_norm``) and the gauge on exact points (``_exact_norm``).  Exact points
+    (``ExactPoint``) take the product and the dilatations from ``_kernel``,
+    the integer BCH kernel of the ``CarnotModel`` with the same structure
+    constants; the group inverse is negation in either arithmetic.
+    """
 
     coordinate_dim: int
+    _kernel: "CarnotModel"
 
     def identity(self):
         return np.zeros(self.coordinate_dim)
+
+    def group_product(self, a, b):
+        if type(a) is ExactPoint:
+            return self._kernel._exact_product(a, b)
+        return self._product(a, b)
+
+    def group_inverse(self, a):
+        return -a
+
+    def ambient_dilate(self, eps: Scale, a):
+        if type(a) is ExactPoint:
+            return self._kernel._exact_dilate(eps.value, a)
+        return self._dilate(eps, a)
+
+    def homogeneous_norm(self, a) -> float:
+        if type(a) is ExactPoint:
+            return self._exact_norm(a)
+        return self._norm(a)
+
+    def distance(self, p, q) -> float:
+        """|p^-1 q|."""
+        if type(p) is ExactPoint:
+            return self.homogeneous_norm(self._kernel._exact_product(-p, q))
+        return self.homogeneous_norm(self._product(-p, q))
+
+    def dilate(self, x, eps: Scale, y):
+        """x . delta_eps(x^-1 y)."""
+        if type(y) is ExactPoint:
+            k = self._kernel
+            return k._exact_product(x, k._exact_dilate(eps.value, k._exact_product(-x, y)))
+        return self._product(x, self._dilate(eps, self._product(-x, y)))
 
     def sample_ball(self, center, radius, count, rng):
         return vector_sample_ball(self, center, radius, count, rng)
@@ -151,7 +245,11 @@ class VectorGroupModel(GroupModel):
         return [float(c) for c in np.asarray(p).ravel()]
 
     def to_exact(self, p):
-        return np.array([Fraction(float(c)) for c in p], dtype=object)
+        if type(p) is ExactPoint:
+            return p
+        return ExactPoint.from_floats(p)
 
     def coordinate_gap(self, p, q) -> float:
+        if type(p) is ExactPoint:
+            p, q = p.to_float(), q.to_float()
         return float(max(abs(float(a) - float(b)) for a, b in zip(p, q)))

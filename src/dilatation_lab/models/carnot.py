@@ -15,17 +15,23 @@ only subadditive up to a constant, which can be estimated empirically.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+import math
 
 import numpy as np
 
 from dilatation_lab.errors import ModelError
 from dilatation_lab.core.scales import POSITIVE_REALS, Scale
-from dilatation_lab.models.base import VectorGroupModel
+from dilatation_lab.models.base import ExactPoint, VectorGroupModel
 
 _JACOBI_TOL = 1e-12
-_HALF = Fraction(1, 2)
-_TWELFTH = Fraction(1, 12)
+
+
+def _scale_ratio(value) -> tuple[int, int]:
+    """A real rational scale as (numerator, positive denominator)."""
+    try:
+        return value.as_integer_ratio()
+    except AttributeError:
+        raise TypeError(f"exact points take a real rational scale, got {value!r}") from None
 
 
 class CarnotModel(VectorGroupModel):
@@ -70,11 +76,17 @@ class CarnotModel(VectorGroupModel):
                     f"({self.layer_of[i]}+{self.layer_of[j]} != {self.layer_of[k]})")
             dense[i, j, k] += c
             dense[j, i, k] -= c
-        # sparse views of the structure constants, one with float and one
-        # with exact rational coefficients, picked by coordinate dtype
         self._entries = [(i, j, k, dense[i, j, k])
                          for i, j, k in zip(*np.nonzero(dense))]
-        self._exact_entries = [(i, j, k, Fraction(c)) for i, j, k, c in self._entries]
+        # the exact kernel's view: one entry per pair i < j, with integer
+        # constants over the common denominator _bracket_den
+        ratios = [(i, j, k, float(c).as_integer_ratio())
+                  for i, j, k, c in self._entries if i < j]
+        self._bracket_den = math.lcm(*(d for *_, (_, d) in ratios))
+        self._int_entries = [(int(i), int(j), int(k), n * (self._bracket_den // d))
+                             for i, j, k, (n, d) in ratios]
+        self._layer_index = [int(i) - 1 for i in self.layer_of]
+        self._kernel = self
         self._check_jacobi()
 
     @property
@@ -91,38 +103,78 @@ class CarnotModel(VectorGroupModel):
                 raise ModelError(f"Jacobi identity fails on basis triple ({i},{j},{k})")
 
     def bracket(self, a, b):
-        exact = a.dtype == object
-        out = np.zeros(self.dim, dtype=object) if exact else np.zeros(self.dim)
-        for i, j, k, c in (self._exact_entries if exact else self._entries):
+        out = np.zeros(self.dim)
+        for i, j, k, c in self._entries:
             out[k] += c * a[i] * b[j]
         return out
 
-    def group_product(self, a, b):
-        exact = a.dtype == object
-        half = _HALF if exact else 0.5
-        twelfth = _TWELFTH if exact else 1.0 / 12.0
+    def _product(self, a, b):
         ab = self.bracket(a, b)
-        out = a + b + ab * half
+        out = a + b + ab * 0.5
         if self.step >= 3:
-            out = out + (self.bracket(a, ab) - self.bracket(b, ab)) * twelfth
+            out = out + (self.bracket(a, ab) - self.bracket(b, ab)) * (1.0 / 12.0)
         return out
 
-    def group_inverse(self, a):
-        return -a
-
-    def ambient_dilate(self, eps: Scale, a):
+    def _dilate(self, eps: Scale, a):
         e = eps.value
         out = a.copy()
         for i, sl in enumerate(self._slices, start=1):
             out[sl] *= e ** i
         return out
 
-    def homogeneous_norm(self, a) -> float:
+    def _norm(self, a) -> float:
         best = 0.0
         for i, sl in enumerate(self._slices, start=1):
             block = a[sl]
             best = max(best, float(np.dot(block, block)) ** (0.5 / i))
         return best
+
+    def _exact_norm(self, a) -> float:
+        best = 0.0
+        for i, sl in enumerate(self._slices, start=1):
+            best = max(best, a.sumsq(sl) ** (0.5 / i))
+        return best
+
+    # --- the exact kernel: integer numerators over one denominator ----------
+
+    def _exact_bracket(self, A, B):
+        out = [0] * self.dim
+        for i, j, k, c in self._int_entries:
+            out[k] += c * (A[i] * B[j] - A[j] * B[i])
+        return out
+
+    def _exact_product(self, a: ExactPoint, b: ExactPoint) -> ExactPoint:
+        A, da, B, db = a.num, a.den, b.num, b.den
+        if self.step == 1:
+            if da == db:
+                return ExactPoint([x + y for x, y in zip(A, B)], da)
+            return ExactPoint([x * db + y * da for x, y in zip(A, B)], da * db)
+        h = self._bracket_den
+        AB = self._exact_bracket(A, B)
+        if self.step == 2:
+            # a + b + [a,b]/2 over the denominator 2 h da db
+            s = 2 * h
+            return ExactPoint([s * (x * db + y * da) + z for x, y, z in zip(A, B, AB)],
+                              s * da * db)
+        # a + b + [a,b]/2 + ([a,[a,b]] - [b,[a,b]])/12 over 12 h^2 da^2 db^2
+        s = 6 * h * da * db
+        t = 2 * h * s
+        return ExactPoint(
+            [t * (x * db + y * da) + s * z + db * p - da * q
+             for x, y, z, p, q in zip(A, B, AB, self._exact_bracket(A, AB),
+                                      self._exact_bracket(B, AB))],
+            t * da * db)
+
+    def _exact_dilate(self, value, a: ExactPoint) -> ExactPoint:
+        p, q = _scale_ratio(value)
+        if p == q:
+            return a
+        if self.step == 1:
+            return ExactPoint([p * n for n in a.num], q * a.den)
+        # layer i scales by p^i / q^i, written over the common q^step
+        factors = [p ** i * q ** (self.step - i) for i in range(1, self.step + 1)]
+        return ExactPoint([factors[i] * n for i, n in zip(self._layer_index, a.num)],
+                          q ** self.step * a.den)
 
     def subadditivity_constant(self, samples: int = 200, seed: int = 0) -> float:
         """Empirical sup of |a.b| / (|a| + |b|) over a seeded sample.

@@ -12,6 +12,7 @@ import numpy as np
 
 from dilatation_lab.core.scales import POSITIVE_REALS, Scale
 from dilatation_lab.models.base import VectorGroupModel
+from dilatation_lab.models.carnot import CarnotModel
 
 
 class EuclideanModel(VectorGroupModel):
@@ -25,21 +26,24 @@ class EuclideanModel(VectorGroupModel):
         self.coordinate_dim = self.n
         self.scale_group = POSITIVE_REALS
         self.name = f"euclidean-{self.n}d" if p == 2.0 else f"euclidean-{self.n}d-p{p:g}"
+        self._kernel = CarnotModel(1, [self.n], [])
 
-    def group_product(self, a, b):
+    def _product(self, a, b):
         return a + b
 
-    def group_inverse(self, a):
-        return -a
-
-    def ambient_dilate(self, eps: Scale, a):
+    def _dilate(self, eps: Scale, a):
         return a * eps.value
 
-    def homogeneous_norm(self, a) -> float:
-        # scalar path keeps exact (object-dtype) coordinates usable; the
-        # final float conversion is the only rounding step
+    def _norm(self, a) -> float:
         if self.p == 2.0:
             return math.sqrt(float(np.dot(a, a)))
         if math.isinf(self.p):
             return float(max(abs(float(c)) for c in a))
         return float(sum(abs(float(c)) ** self.p for c in a)) ** (1.0 / self.p)
+
+    def _exact_norm(self, a) -> float:
+        # the 2-norm rounds the exact sum of squares once; other p-norms
+        # work on the rounded coordinates
+        if self.p == 2.0:
+            return math.sqrt(a.sumsq(slice(None)))
+        return self._norm(a.to_float())

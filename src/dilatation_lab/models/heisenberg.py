@@ -16,6 +16,12 @@ import numpy as np
 
 from dilatation_lab.core.scales import POSITIVE_REALS, Scale
 from dilatation_lab.models.base import VectorGroupModel
+from dilatation_lab.models.carnot import CarnotModel, heisenberg_structure_constants
+
+
+def cygan_gauge(planar: float, center: float) -> float:
+    """(|x|^4 + 16 xbar^2)^{1/4} from the squared planar length and the center."""
+    return (planar * planar + 16.0 * center * center) ** 0.25
 
 
 class HeisenbergModel(VectorGroupModel):
@@ -28,12 +34,13 @@ class HeisenbergModel(VectorGroupModel):
         self.coordinate_dim = 2 * self.n + 1
         self.scale_group = POSITIVE_REALS
         self.name = f"heisenberg-{self.n}"
+        self._kernel = CarnotModel(2, *heisenberg_structure_constants(self.n))
 
     def symplectic(self, x, y):
         n = self.n
         return np.dot(x[:n], y[n:2 * n]) - np.dot(x[n:2 * n], y[:n])
 
-    def group_product(self, a, b):
+    def _product(self, a, b):
         n2 = 2 * self.n
         x, y = a[:n2], b[:n2]
         out = np.empty(self.coordinate_dim, dtype=a.dtype)
@@ -41,21 +48,20 @@ class HeisenbergModel(VectorGroupModel):
         out[n2] = a[n2] + b[n2] + self.symplectic(x, y) / 2
         return out
 
-    def group_inverse(self, a):
-        return -a
-
-    def ambient_dilate(self, eps: Scale, a):
+    def _dilate(self, eps: Scale, a):
         e = eps.value
         out = a.copy()
         out[:2 * self.n] *= e
         out[2 * self.n] *= e * e
         return out
 
-    def homogeneous_norm(self, a) -> float:
+    def _norm(self, a) -> float:
         n2 = 2 * self.n
-        planar = float(np.dot(a[:n2], a[:n2]))
-        center = float(a[n2])
-        return (planar * planar + 16.0 * center * center) ** 0.25
+        return cygan_gauge(float(np.dot(a[:n2], a[:n2])), float(a[n2]))
+
+    def _exact_norm(self, a) -> float:
+        n2 = 2 * self.n
+        return cygan_gauge(a.sumsq(slice(0, n2)), a.coordinate(n2))
 
     def point(self, x, xbar: float):
         """Convenience constructor from the planar part and the center part."""

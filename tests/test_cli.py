@@ -136,6 +136,19 @@ def test_affinemap_command(tmp_path):
     assert run(bad, str(tmp_path / "a2.csv"), quiet=True) == 2
 
 
+def test_affinemap_left_translation_heisenberg_is_exact(tmp_path):
+    cfg = write_config(tmp_path, "c.json", {
+        "model": {"model": "heisenberg", "n": 1},
+        "command": "affinemap", "seed": 17, "sample_count": 16,
+        "map": {"type": "left_translation", "point": [0.3, -0.2, 0.1]},
+    })
+    out = tmp_path / "t.csv"
+    assert run(cfg, str(out), quiet=True) == 0
+    _, rows, meta = read_csv(out)
+    assert [float(r[1]) for r in rows] == [0.0] * 4
+    assert meta["lipschitz_estimate"] == "1.0"
+
+
 def test_tangent_command(tmp_path):
     cfg = write_config(tmp_path, "c.json", {
         "model": {"model": "euclidean", "n": 1},

@@ -115,6 +115,16 @@ def test_induced_heisenberg_passes_a1_to_a3(heis1):
     assert verify_axiom(ind, "A1", region, GRID, 8, 3).defect[-1] <= 1e-9
 
 
+def test_induced_heisenberg_cone_property(heis1):
+    # no exact tangent here, so every tangent distance is estimated along
+    # the grid; each estimate must belong to its own (base, pair)
+    ind = induced_structure(heis1, heis1.origin(), HALF)
+    rep = verify_axiom(ind, "ConeProperty", Ball(heis1.origin(), 0.2),
+                       PR.grid(range(2, 9)), sample_count=4, seed=0)
+    assert rep.metadata["reference"] == "estimated"
+    assert rep.verdict, rep.defect
+
+
 def test_shifted_point_is_fixed(heis1):
     # Sigma^x_mu(u, delta^x_mu u) = u exactly, any model, any contraction
     u = heis1.point([0.25, -0.1], 0.04)

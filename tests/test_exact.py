@@ -1,0 +1,163 @@
+"""Exact points against inline Fraction evaluations of each model's formulas.
+
+Every vector group model computes on ``ExactPoint``s through one integer
+kernel.  The references below are the defining formulas of each model,
+written out over ``Fraction`` so that they share no code with the kernel.
+"""
+
+import math
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dilatation_lab.core.scales import Scale
+from dilatation_lab.models import (
+    CarnotModel, ComplexHeisenbergModel, EuclideanModel, ExactPoint, HeisenbergModel,
+    engel_structure_constants, heisenberg_structure_constants)
+
+
+def _euclid_product(a, b):
+    return [x + y for x, y in zip(a, b)]
+
+
+def _heisenberg_product(n):
+    def product(a, b):
+        omega = sum(a[i] * b[n + i] - a[n + i] * b[i] for i in range(n))
+        return ([x + y for x, y in zip(a[:2 * n], b[:2 * n])]
+                + [a[2 * n] + b[2 * n] + omega / 2])
+    return product
+
+
+def _cxr_product(a, b):
+    im_cross = a[1] * b[0] - a[0] * b[1]
+    return [a[0] + b[0], a[1] + b[1], a[2] + b[2] + im_cross / 2]
+
+
+def _engel_bracket(a, b):
+    # [e0, e1] = e2, [e0, e2] = e3
+    return [F(0), F(0), a[0] * b[1] - a[1] * b[0], a[0] * b[2] - a[2] * b[0]]
+
+
+def _engel_product(a, b):
+    ab = _engel_bracket(a, b)
+    aab = _engel_bracket(a, ab)
+    bab = _engel_bracket(b, ab)
+    return [x + y + z / 2 + (p - q) / 12 for x, y, z, p, q in zip(a, b, ab, aab, bab)]
+
+
+# (model, product reference, homogeneous degree of each coordinate)
+MODELS = [
+    (EuclideanModel(2), _euclid_product, [1, 1]),
+    (EuclideanModel(3), _euclid_product, [1, 1, 1]),
+    (HeisenbergModel(1), _heisenberg_product(1), [1, 1, 2]),
+    (HeisenbergModel(2), _heisenberg_product(2), [1, 1, 1, 1, 2]),
+    (CarnotModel(2, *heisenberg_structure_constants(1)), _heisenberg_product(1), [1, 1, 2]),
+    (CarnotModel(3, *engel_structure_constants()), _engel_product, [1, 1, 2, 3]),
+    (ComplexHeisenbergModel(), _cxr_product, [1, 1, 2]),
+]
+IDS = [m.name for m, _, _ in MODELS]
+
+COORD = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+# non-dyadic fractions, exact images of floats (dyadic) and their inverses
+SCALE = st.one_of(
+    st.fractions(F(-4), F(4), max_denominator=1000),
+    COORD.map(F),
+    st.floats(0.05, 4.0).map(lambda c: 1 / F(c)),
+).filter(lambda f: f != 0)
+# the scales the harness and the collinear triples produce
+SPECIAL_SCALES = [F(0.3), 1 / F(0.3), -1 / F(0.3), 1 / (F(0.3) * F(0.7)), F(1, 12)]
+
+
+def _points(dim, n):
+    return st.lists(st.lists(COORD, min_size=dim, max_size=dim), min_size=n, max_size=n)
+
+
+def _fractions(p: ExactPoint):
+    return [F(n, p.den) for n in p.num]
+
+
+def _check(got: ExactPoint, want):
+    assert _fractions(got) == want
+    assert got.to_float().tolist() == [float(w) for w in want]
+
+
+def _scale(model, value):
+    return Scale(model.scale_group, value)
+
+
+@pytest.mark.parametrize("model,product,degrees", MODELS, ids=IDS)
+def test_special_scales_dilate_exactly(model, product, degrees):
+    a = [F(c) for c in np.linspace(-0.7, 0.9, model.coordinate_dim)]
+    ea = model.to_exact(np.array([float(c) for c in a]))
+    for e in SPECIAL_SCALES:
+        _check(model.ambient_dilate(_scale(model, e), ea),
+               [e ** d * c for d, c in zip(degrees, a)])
+
+
+@pytest.mark.parametrize("model,product,degrees", MODELS, ids=IDS)
+def test_exact_primitives_match_fraction_formulas(model, product, degrees):
+    @settings(max_examples=25, deadline=None)
+    @given(pts=_points(model.coordinate_dim, 2), e=SCALE)
+    def check(pts, e):
+        a, b = ([F(c) for c in p] for p in pts)
+        ea, eb = (model.to_exact(np.array(p)) for p in pts)
+        _check(ea, a)
+        _check(model.group_product(ea, eb), product(a, b))
+        _check(model.group_inverse(ea), [-c for c in a])
+        _check(model.ambient_dilate(_scale(model, e), ea),
+               [e ** d * c for d, c in zip(degrees, a)])
+
+    check()
+
+
+@pytest.mark.parametrize("model,product,degrees", MODELS, ids=IDS)
+def test_exact_group_laws_hold_with_equality(model, product, degrees):
+    @settings(max_examples=25, deadline=None)
+    @given(pts=_points(model.coordinate_dim, 3), e=SCALE)
+    def check(pts, e):
+        a, b, c = (model.to_exact(np.array(p)) for p in pts)
+        prod = model.group_product
+        assert prod(prod(a, b), c) == prod(a, prod(b, c))
+        assert prod(a, model.group_inverse(a)) == model.to_exact(model.identity())
+        delta = lambda p: model.ambient_dilate(_scale(model, e), p)
+        assert delta(prod(a, b)) == prod(delta(a), delta(b))
+
+    check()
+
+
+@pytest.mark.parametrize("model,product,degrees", MODELS, ids=IDS)
+def test_exact_norm_rounds_exact_values(model, product, degrees):
+    # the gauge sees the float of each exact sum of squares of a layer (and
+    # of each single center coordinate), rounded once
+    @settings(max_examples=25, deadline=None)
+    @given(pts=_points(model.coordinate_dim, 2))
+    def check(pts):
+        a = product(*([F(c) for c in p] for p in pts))
+        got = model.homogeneous_norm(model.group_product(
+            *(model.to_exact(np.array(p)) for p in pts)))
+        layers = [[c for c, d in zip(a, degrees) if d == i] for i in (1, 2, 3)]
+        squares = [float(sum(c * c for c in layer)) for layer in layers if layer]
+        if isinstance(model, CarnotModel):
+            want = max(s ** (0.5 / i) for i, s in enumerate(squares, start=1))
+        elif isinstance(model, EuclideanModel):
+            want = math.sqrt(squares[0])
+        else:
+            center = float(a[-1])
+            want = (squares[0] * squares[0] + 16.0 * center * center) ** 0.25
+        assert got == want
+
+    check()
+
+
+def test_exact_points_refuse_floats():
+    H = HeisenbergModel(1)
+    p = H.to_exact(np.array([0.25, -0.5, 0.125]))
+    with pytest.raises(TypeError):
+        np.ones(3) + p
+    with pytest.raises(TypeError):
+        H.group_product(np.ones(3), p)
+    cxr = ComplexHeisenbergModel()
+    with pytest.raises(TypeError):
+        cxr.ambient_dilate(cxr.scale_group.scale(0.5j), cxr.to_exact(np.ones(3)))

@@ -15,6 +15,7 @@ def test_euclid_a1_defect_identically_zero(euclid2):
                        PR.grid(GRID), sample_count=16, seed=1)
     assert rep.verdict
     assert max(rep.defect) == 0.0
+    assert rep.metadata["arithmetic"] == "exact"
 
 
 def test_unknown_axiom_rejected(euclid2):
@@ -62,6 +63,7 @@ def test_pullback_a123_pass_and_a4_decreases(cubic_pullback):
     for ax in ("A1", "A2", "A3"):
         rep = verify_axiom(cubic_pullback, ax, region, grid, sample_count=12, seed=9)
         assert rep.verdict, (ax, rep.defect)
+        assert rep.metadata["arithmetic"] == "float"
     rep4 = verify_axiom(cubic_pullback, "A4", region, grid, sample_count=12, seed=9)
     assert rep4.metadata["reference"] == "cauchy"
     assert rep4.verdict
