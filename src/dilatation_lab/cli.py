@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 
 import numpy as np
@@ -69,17 +68,6 @@ def _validate(config: dict) -> str:
     if command == "barycentric" and "x" not in config and "seed" not in config:
         raise ConfigError("barycentric without explicit points is randomized: seed is mandatory")
     return command
-
-
-def _threads_cap() -> int:
-    raw = os.environ.get("DILATATION_LAB_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"DILATATION_LAB_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise ConfigError("DILATATION_LAB_THREADS must be at least 1")
-    return cap
 
 
 def _grid(model, config, default=None):
@@ -256,6 +244,8 @@ def _make_map(model, desc, exact: bool):
         offset = np.asarray(desc.get("offset", np.zeros(matrix.shape[0])), dtype=float)
         return lambda p: matrix @ p + offset
     if kind == "left_translation":
+        if not isinstance(model, model_factory.GroupModel):
+            raise ConfigError(f"a left_translation map needs a group model, not {model.name}")
         w = model.point_from_json(desc["point"])
         return model.left_translation(model.to_exact(w) if exact else w)
     if kind == "componentwise_cubic":
@@ -316,7 +306,6 @@ def run(config_path: str, out_path: str | None = None, seed_override: int | None
         return 1
 
     try:
-        _threads_cap()  # validated; execution is sequential, which any cap allows
         if seed_override is not None:
             config["seed"] = int(seed_override)
         command = _validate(config)

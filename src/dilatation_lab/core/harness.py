@@ -35,7 +35,7 @@ from dilatation_lab.config import DEFAULTS, Config
 from dilatation_lab.errors import DomainViolation
 from dilatation_lab.core.reports import ConvergenceReport, make_report, nonincreasing
 from dilatation_lab.core.structure import (
-    Ball, DilatationStructure, approx_difference, estimate_dx, rescaled_distance)
+    Ball, DilatationStructure, Rows, approx_difference, estimate_dx, rescaled_distance)
 
 AXIOMS = ("A1", "A2", "A3", "A4", "Axiom0", "ConeProperty")
 
@@ -63,7 +63,16 @@ def _tuples(S, region, sample_count, rng):
     pts = S.sample_ball(region.center, region.radius, sample_count, rng)
     bases = [region.center, pts[1 % len(pts)], pts[2 % len(pts)]]
     pairs = list(zip(pts, pts[1:] + pts[:1]))
-    return bases, pts, pairs
+    return bases, pairs
+
+
+def _rows(bases, pairs, batch=True):
+    """One row (x, u, v) per base x and pair (u, v), bases outermost."""
+    rows = Rows([*bases, *(p for pair in pairs for p in pair)], batch)
+    X = rows.column([x for x in bases for _ in pairs])
+    U = rows.column([u for _ in bases for u, _ in pairs])
+    V = rows.column([v for _ in bases for _, v in pairs])
+    return rows, X, U, V
 
 
 def verify_axiom(S: DilatationStructure, which: str, region: Ball, eps_grid,
@@ -78,7 +87,7 @@ def verify_axiom(S: DilatationStructure, which: str, region: Ball, eps_grid,
     if reference not in ("auto", "exact", "cauchy"):
         raise ValueError(f"unknown reference mode {reference!r}")
     rng = np.random.default_rng(seed)
-    bases, pts, pairs = _tuples(S, region, sample_count, rng)
+    bases, pairs = _tuples(S, region, sample_count, rng)
     mode = None
     arithmetic = "float"
 
@@ -100,7 +109,7 @@ def verify_axiom(S: DilatationStructure, which: str, region: Ball, eps_grid,
     if which == "A1":
         defects = _a1_defects(S, *exactified(eps_grid))
     elif which == "A2":
-        defects = _a2_defects(S, bases, pts, eps_grid)
+        defects = _a2_defects(S, bases, pairs, eps_grid)
     elif which == "A3":
         defects = _a3_defects(S, bases, pairs, eps_grid)
     elif which == "A4":
@@ -132,79 +141,50 @@ def _a1_defects(S, bases, pairs, eps_grid):
     # derive the identity from the grid so exact grids stay exact
     one = eps_grid[0] * eps_grid[0].inverse()
     mu = eps_grid[0]
+    rows, X, Y, _ = _rows(bases, pairs)
+    B = rows.column(bases)
     defects = []
     for eps in eps_grid:
-        worst = 0.0
-        for x in bases:
-            for y, _ in pairs:
-                worst = max(worst, S.distance(S.dilate(x, one, y), y))
-                worst = max(worst, S.distance(S.dilate(x, eps, x), x))
-                composed = S.dilate(x, eps, S.dilate(x, mu, y))
-                worst = max(worst, S.distance(composed, S.dilate(x, eps * mu, y)))
-                back = S.dilate(x, eps.inverse(), S.dilate(x, eps, y))
-                worst = max(worst, S.distance(back, y))
-        defects.append(worst)
+        inv, eps_mu = eps.inverse(), eps * mu
+        defects.append(max(
+            rows.sup(lambda x, y: S.distance(S.dilate(x, one, y), y), X, Y),
+            rows.sup(lambda x: S.distance(S.dilate(x, eps, x), x), B),
+            rows.sup(lambda x, y: S.distance(S.dilate(x, eps, S.dilate(x, mu, y)),
+                                             S.dilate(x, eps_mu, y)), X, Y),
+            rows.sup(lambda x, y: S.distance(S.dilate(x, inv, S.dilate(x, eps, y)), y), X, Y)))
     return defects
 
 
-def _a2_defects(S, bases, pts, eps_grid):
+def _a2_defects(S, bases, pairs, eps_grid):
     ref = _reference_scale(eps_grid)
-    refs = {}
-    for x in bases:
-        for i, y in enumerate(pts):
-            refs[(id(x), i)] = S.distance(x, S.dilate(x, ref, y)) / ref.nu
-    defects = []
-    for eps in eps_grid:
-        worst = 0.0
-        for x in bases:
-            for i, y in enumerate(pts):
-                got = S.distance(x, S.dilate(x, eps, y))
-                worst = max(worst, abs(got - eps.nu * refs[(id(x), i)]))
-        defects.append(worst)
-    return defects
+    rows, X, Y, _ = _rows(bases, pairs)
+    refs = rows.map(lambda x, y: S.distance(x, S.dilate(x, ref, y)) / ref.nu, X, Y)
+    return [rows.sup(lambda x, y, r: abs(S.distance(x, S.dilate(x, eps, y)) - eps.nu * r),
+                     X, Y, refs)
+            for eps in eps_grid]
 
 
 def _a3_defects(S, bases, pairs, eps_grid):
     ref = _reference_scale(eps_grid)
-    refs = {}
-    for x in bases:
-        for i, (u, v) in enumerate(pairs):
-            refs[(id(x), i)] = rescaled_distance(S, x, ref, u, v)
-    defects = []
-    for eps in eps_grid:
-        worst = 0.0
-        for x in bases:
-            for i, (u, v) in enumerate(pairs):
-                worst = max(worst, abs(rescaled_distance(S, x, eps, u, v) - refs[(id(x), i)]))
-        defects.append(worst)
-    return defects
+    rows, X, U, V = _rows(bases, pairs)
+    refs = rows.map(lambda x, u, v: rescaled_distance(S, x, ref, u, v), X, U, V)
+    return [rows.sup(lambda x, u, v, r: abs(rescaled_distance(S, x, eps, u, v) - r),
+                     X, U, V, refs)
+            for eps in eps_grid]
 
 
 def _a4_defects(S, bases, pairs, eps_grid, use_exact):
-    defects = []
+    rows, X, U, V = _rows(bases, pairs)
     if use_exact:
-        for eps in eps_grid:
-            worst = 0.0
-            for x in bases:
-                for u, v in pairs:
-                    got = approx_difference(S, x, eps, u, v)
-                    want = S.exact_operator("difference", x, eps, u, v)
-                    worst = max(worst, S.distance(got, want))
-            defects.append(worst)
-        return defects
+        return [rows.sup(lambda x, u, v: S.distance(approx_difference(S, x, eps, u, v),
+                                                    S.exact_operator("difference", x, eps, u, v)),
+                         X, U, V)
+                for eps in eps_grid]
     ref = _reference_scale(eps_grid)
-    refs = {}
-    for x in bases:
-        for i, (u, v) in enumerate(pairs):
-            refs[(id(x), i)] = approx_difference(S, x, ref, u, v)
-    for eps in eps_grid:
-        worst = 0.0
-        for x in bases:
-            for i, (u, v) in enumerate(pairs):
-                got = approx_difference(S, x, eps, u, v)
-                worst = max(worst, S.coordinate_gap(got, refs[(id(x), i)]))
-        defects.append(worst)
-    return defects
+    refs = rows.map(lambda x, u, v: approx_difference(S, x, ref, u, v), X, U, V)
+    return [rows.sup(lambda x, u, v, r: S.coordinate_gap(approx_difference(S, x, eps, u, v), r),
+                     X, U, V, refs)
+            for eps in eps_grid]
 
 
 def _axiom0_defects(S, bases, eps_grid, sample_count, rng):
@@ -232,17 +212,14 @@ def _cone_defects(S, bases, pairs, eps_grid, cfg):
         def dx(x, u, v):
             return estimate_dx(S, x, u, v, eps_grid, cfg)[0]
 
-    # the left-hand side does not depend on mu: one value per (base, pair)
-    lhs = [[dx(x, u, v) for u, v in pairs] for x in bases]
-    defects = []
-    for mu in eps_grid:
-        worst = 0.0
-        for x, row in zip(bases, lhs):
-            for (u, v), left in zip(pairs, row):
-                rhs = dx(x, S.dilate(x, mu, u), S.dilate(x, mu, v)) / mu.nu
-                worst = max(worst, abs(left - rhs))
-        defects.append(worst)
-    return defects
+    # estimate_dx runs a sweep of its own per point, so it takes rows one at a time
+    rows, X, U, V = _rows(bases, pairs, batch=S.has_exact_tangent)
+    # the left-hand side does not depend on mu: one value per row
+    lhs = rows.map(dx, X, U, V)
+    return [rows.sup(lambda x, u, v, left: abs(left - dx(x, S.dilate(x, mu, u),
+                                                         S.dilate(x, mu, v)) / mu.nu),
+                     X, U, V, lhs)
+            for mu in eps_grid]
 
 
 def verify_all_axioms(S, region, eps_grid, sample_count=DEFAULTS.sample_count,

@@ -45,6 +45,12 @@ class DilatationStructure:
     identity checks come out exactly zero and limit computations
     short-circuit; every capability is cross-validated against the generic
     numeric path in the test-suite.
+
+    On models whose points are float coordinate arrays, ``dilate``,
+    ``distance``, ``coordinate_gap`` and ``tangent_distance`` also take an
+    ``(N, dim)`` batch of rows, and each row of the result equals, bit for
+    bit, the result for that row alone.  ``sample_ball``, the exact
+    conversions and exact points are single-point only.
     """
 
     name: str = "abstract"
@@ -182,6 +188,56 @@ def vector_sample_ball(model, center, radius: float, count: int, rng) -> list:
 
 
 # ---------------------------------------------------------------------------
+# rows of sample tuples
+# ---------------------------------------------------------------------------
+
+def float_points(points) -> bool:
+    """True when there are points and every one is a float coordinate array."""
+    return bool(points) and all(isinstance(p, np.ndarray) and p.dtype.kind == "f"
+                                for p in points)
+
+
+class Rows:
+    """Evaluation of one function over many tuples of points.
+
+    When every point is a float array, each tuple position is stacked into an
+    ``(N, dim)`` batch and the function runs once over all rows; otherwise
+    (exact or dyadic points) it runs once per row.  Either way it is the same
+    function, and a batch row equals the value of its own row.
+    """
+
+    def __init__(self, points, batch: bool = True):
+        self.batched = batch and float_points(points)
+
+    def column(self, points):
+        """The points of one tuple position, stacked when batched."""
+        return np.stack(points) if self.batched else list(points)
+
+    def rotate(self, col):
+        """The column shifted up by one row, the first row moving to the end."""
+        return np.roll(col, -1, axis=0) if self.batched else col[1:] + col[:1]
+
+    def map(self, f, *cols):
+        """f on every row: an array from one call, or a list of per-row values."""
+        if self.batched:
+            return f(*cols)
+        return [f(*row) for row in zip(*cols)]
+
+    def sup(self, f, *cols) -> float:
+        """The largest value of f over the rows and 0.0, NaN values skipped.
+
+        This is the loop ``worst = max(worst, d)`` from ``worst = 0.0``.
+        """
+        values = self.map(f, *cols)
+        if self.batched:
+            return float(np.fmax.reduce(values, initial=0.0))
+        worst = 0.0
+        for d in values:
+            worst = max(worst, d)
+        return worst
+
+
+# ---------------------------------------------------------------------------
 # composite operators
 # ---------------------------------------------------------------------------
 
@@ -194,7 +250,7 @@ def _require_contraction(eps: Scale, strict: bool = False):
 
 
 def approx_difference(S: DilatationStructure, x, eps: Scale, u, v):
-    """Delta^x_eps(u, v), the finite-scale difference composite."""
+    """Delta^x_eps(u, v), the finite-scale difference composite (per row on batches)."""
     _require_contraction(eps)
     a = S.dilate(x, eps, u)
     return S.dilate(a, eps.inverse(), S.dilate(x, eps, v))
@@ -215,7 +271,7 @@ def approx_inverse(S: DilatationStructure, x, eps: Scale, u):
 
 
 def rescaled_distance(S: DilatationStructure, x, mu: Scale, u, v) -> float:
-    """The distance (delta^x, mu): d(delta^x_mu u, delta^x_mu v) / nu(mu)."""
+    """The distance (delta^x, mu): d(delta^x_mu u, delta^x_mu v) / nu(mu), per row on batches."""
     nu = mu.nu
     if not 0.0 < nu <= 1.0:
         raise DomainViolation(f"rescaled distance needs nu(mu) in (0,1], got {nu}")

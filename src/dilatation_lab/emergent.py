@@ -12,6 +12,7 @@ derivatives of maps between structures as conical-group morphisms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from dilatation_lab.config import DEFAULTS, Config
 from dilatation_lab.errors import NonConvergent
 from dilatation_lab.core.reports import ConvergenceReport, make_report, nonincreasing
 from dilatation_lab.core.structure import (
-    DilatationStructure, approx_difference, approx_inverse, approx_sum,
+    DilatationStructure, Rows, approx_difference, approx_inverse, approx_sum,
     estimate_dx, rescaled_distance)
 from dilatation_lab.core.scales import Scale
 from dilatation_lab.models.base import ExactPoint
@@ -140,8 +141,13 @@ class InducedStructure(DilatationStructure):
     def _anchor(self, like):
         """The anchor (x, mu) in the arithmetic of the query points."""
         if type(like) is ExactPoint:
-            return self.base.to_exact(self.x), self.base.to_exact_scale(self.mu)
+            return self._exact_anchor
         return self.x, self.mu
+
+    @cached_property
+    def _exact_anchor(self):
+        # converted on first exact use: bases without exact arithmetic never pay
+        return self.base.to_exact(self.x), self.base.to_exact_scale(self.mu)
 
     def distance(self, p, q) -> float:
         x, mu = self._anchor(p)
@@ -266,13 +272,14 @@ def metric_tangent_scan(S: DilatationStructure, x, eps_grid, sample_count: int =
     rng = np.random.default_rng(seed)
     budget = S.closeness_budget()
     base_pts = S.sample_ball(x, budget, sample_count, rng)
+    rows = Rows(base_pts)
+    X, P = rows.column([x] * len(base_pts)), rows.column(base_pts)
     values = []
     for eps in eps_grid:
-        worst = 0.0
-        moved = [S.dilate(x, eps, p) for p in base_pts]
-        for i, u in enumerate(moved):
-            v = moved[(i + 1) % len(moved)]
-            worst = max(worst, abs(S.distance(u, v) - S.tangent_distance(x, u, v)))
+        # each contracted point against the next one, the last against the first
+        moved = rows.map(lambda x, p: S.dilate(x, eps, p), X, P)
+        worst = rows.sup(lambda x, u, v: abs(S.distance(u, v) - S.tangent_distance(x, u, v)),
+                         X, moved, rows.rotate(moved))
         values.append(worst / eps.nu)
     ok = nonincreasing(values, cfg.jitter_factor, cfg.defect_floor)
     return make_report(eps_grid, values, ok,

@@ -10,6 +10,14 @@ dilatations based at any point,
 All composite operators then have closed forms, exposed through the exact
 capability hooks, e.g. Delta^x_eps(u,v) = delta^x_eps(u) . u^-1 . v and its
 limit Delta^x(u,v) = x . u^-1 . v.
+
+Float primitives take a single ``(dim,)`` point or an ``(N, dim)`` batch of
+rows through the same code, and a batch row comes out bit for bit as the
+single point would.  The helpers below keep that so: products that are
+written coordinate by coordinate run on Python floats for a single point and
+on column views for a batch; dot products of rows go through ``np.vecdot``,
+which matches the one-dimensional ``np.dot``; fractional powers use
+Python's ``**`` per element, which ``np.power`` does not match.
 """
 
 from __future__ import annotations
@@ -21,6 +29,47 @@ import numpy as np
 
 from dilatation_lab.core.scales import Scale
 from dilatation_lab.core.structure import DilatationStructure, vector_sample_ball
+
+
+def columns(a) -> list:
+    """The coordinates of a point as Python floats, or the columns of a batch."""
+    return a.tolist() if a.ndim == 1 else list(a.T)
+
+
+def stack(cols) -> np.ndarray:
+    """The point whose ``columns`` these are, or the C-ordered ``(N, dim)`` batch."""
+    return np.stack(cols, axis=-1) if isinstance(cols[0], np.ndarray) else np.array(cols)
+
+
+def float_or_rows(v):
+    """A single result as a Python float; a batch of results as it is."""
+    return v if isinstance(v, np.ndarray) else float(v)
+
+
+def row_max(v):
+    """The largest entry of a vector, as ``max`` picks it, or of each row of a batch."""
+    return max(v.tolist()) if v.ndim == 1 else v.max(axis=-1)
+
+
+def row_dot(a, b):
+    """The dot product of two vectors, or of each pair of rows of batches.
+
+    ``np.vecdot`` gives each row the value of the 1-D ``np.dot`` bit for bit;
+    two single vectors take ``np.dot``, the cheaper call.
+    """
+    return a.dot(b) if a.ndim == 1 and b.ndim == 1 else np.vecdot(a, b)
+
+
+def row_length(v):
+    """The Euclidean length of a vector or of each row, as ``np.linalg.norm`` gives it."""
+    return np.sqrt(row_dot(v, v))
+
+
+def power(v, exponent: float):
+    """``v ** exponent`` with Python's float power, per element of a batch."""
+    if isinstance(v, np.ndarray):
+        return np.array([c ** exponent for c in v.ravel().tolist()]).reshape(v.shape)
+    return float(v) ** exponent
 
 
 class ExactPoint:
@@ -188,7 +237,8 @@ class VectorGroupModel(GroupModel):
     """Group model whose carrier is a flat numpy coordinate vector.
 
     Subclasses supply the float formulas (``_product``, ``_dilate``,
-    ``_norm``) and the gauge on exact points (``_exact_norm``).  Exact points
+    ``_norm``), each taking a point or an ``(N, dim)`` batch, and the gauge
+    on exact points (``_exact_norm``).  Exact points
     (``ExactPoint``) take the product and the dilatations from ``_kernel``,
     the integer BCH kernel of the ``CarnotModel`` with the same structure
     constants; the group inverse is negation in either arithmetic.
@@ -252,4 +302,4 @@ class VectorGroupModel(GroupModel):
     def coordinate_gap(self, p, q) -> float:
         if type(p) is ExactPoint:
             p, q = p.to_float(), q.to_float()
-        return float(max(abs(float(a) - float(b)) for a, b in zip(p, q)))
+        return row_max(np.abs(p - q))

@@ -21,7 +21,8 @@ import numpy as np
 
 from dilatation_lab.errors import ModelError
 from dilatation_lab.core.scales import POSITIVE_REALS, Scale
-from dilatation_lab.models.base import ExactPoint, VectorGroupModel
+from dilatation_lab.models.base import (
+    ExactPoint, VectorGroupModel, columns, float_or_rows, power, row_dot, stack)
 
 _JACOBI_TOL = 1e-12
 
@@ -76,14 +77,14 @@ class CarnotModel(VectorGroupModel):
                     f"({self.layer_of[i]}+{self.layer_of[j]} != {self.layer_of[k]})")
             dense[i, j, k] += c
             dense[j, i, k] -= c
-        self._entries = [(i, j, k, dense[i, j, k])
+        self._entries = [(int(i), int(j), int(k), float(dense[i, j, k]))
                          for i, j, k in zip(*np.nonzero(dense))]
         # the exact kernel's view: one entry per pair i < j, with integer
         # constants over the common denominator _bracket_den
         ratios = [(i, j, k, float(c).as_integer_ratio())
                   for i, j, k, c in self._entries if i < j]
         self._bracket_den = math.lcm(*(d for *_, (_, d) in ratios))
-        self._int_entries = [(int(i), int(j), int(k), n * (self._bracket_den // d))
+        self._int_entries = [(i, j, k, n * (self._bracket_den // d))
                              for i, j, k, (n, d) in ratios]
         self._layer_index = [int(i) - 1 for i in self.layer_of]
         self._kernel = self
@@ -94,40 +95,46 @@ class CarnotModel(VectorGroupModel):
         return sum(i * d for i, d in enumerate(self.layers, start=1))
 
     def _check_jacobi(self):
-        basis = np.eye(self.dim)
+        basis = np.eye(self.dim).tolist()
+        br = self._bracket
         for i, j, k in itertools.combinations(range(self.dim), 3):
-            res = (self.bracket(basis[i], self.bracket(basis[j], basis[k]))
-                   + self.bracket(basis[j], self.bracket(basis[k], basis[i]))
-                   + self.bracket(basis[k], self.bracket(basis[i], basis[j])))
-            if float(np.max(np.abs(res))) > _JACOBI_TOL:
+            a, b, c = basis[i], basis[j], basis[k]
+            res = [x + y + z for x, y, z in zip(br(a, br(b, c)), br(b, br(c, a)), br(c, br(a, b)))]
+            if max(abs(r) for r in res) > _JACOBI_TOL:
                 raise ModelError(f"Jacobi identity fails on basis triple ({i},{j},{k})")
 
     def bracket(self, a, b):
-        out = np.zeros(self.dim)
+        # on a batch, coordinates without bracket terms stay the scalar 0.0
+        return stack(np.broadcast_arrays(*self._bracket(columns(a), columns(b))))
+
+    def _bracket(self, A, B) -> list:
+        """The bracket on coordinate columns, summed entry by entry from 0.0."""
+        out = [0.0] * self.dim
         for i, j, k, c in self._entries:
-            out[k] += c * a[i] * b[j]
+            out[k] = out[k] + c * A[i] * B[j]
         return out
 
     def _product(self, a, b):
-        ab = self.bracket(a, b)
-        out = a + b + ab * 0.5
+        # coordinate by coordinate: Python floats for a point, columns for a batch
+        A, B = columns(a), columns(b)
+        AB = self._bracket(A, B)
+        out = [x + y + z * 0.5 for x, y, z in zip(A, B, AB)]
         if self.step >= 3:
-            out = out + (self.bracket(a, ab) - self.bracket(b, ab)) * (1.0 / 12.0)
-        return out
+            out = [o + (p - q) * (1.0 / 12.0)
+                   for o, p, q in zip(out, self._bracket(A, AB), self._bracket(B, AB))]
+        return stack(out)
 
     def _dilate(self, eps: Scale, a):
         e = eps.value
-        out = a.copy()
-        for i, sl in enumerate(self._slices, start=1):
-            out[sl] *= e ** i
-        return out
+        return a * np.array([e ** (i + 1) for i in self._layer_index])
 
     def _norm(self, a) -> float:
         best = 0.0
         for i, sl in enumerate(self._slices, start=1):
-            block = a[sl]
-            best = max(best, float(np.dot(block, block)) ** (0.5 / i))
-        return best
+            block = a[..., sl]
+            # np.fmax(best, g) is max(best, g) per row: both skip a NaN g
+            best = np.fmax(best, power(row_dot(block, block), 0.5 / i))
+        return float_or_rows(best)
 
     def _exact_norm(self, a) -> float:
         best = 0.0

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from dilatation_lab.core.scales import COMPLEX_UNITS, Scale
-from dilatation_lab.models.base import VectorGroupModel
+from dilatation_lab.models.base import VectorGroupModel, columns, stack
 from dilatation_lab.models.carnot import CarnotModel
 from dilatation_lab.models.heisenberg import cygan_gauge
 
@@ -34,18 +34,23 @@ class ComplexHeisenbergModel(VectorGroupModel):
         self._kernel = CarnotModel(2, [2, 1], [[0, 1, 2, -1.0]])
 
     def _product(self, a, b):
-        im_cross = a[1] * b[0] - a[0] * b[1]  # Im(x conj(y))
-        return np.array([a[0] + b[0], a[1] + b[1], a[2] + b[2] + im_cross / 2])
+        a0, a1, a2 = columns(a)
+        b0, b1, b2 = columns(b)
+        im_cross = a1 * b0 - a0 * b1  # Im(x conj(y))
+        return stack([a0 + b0, a1 + b1, a2 + b2 + im_cross / 2])
 
     def _dilate(self, eps: Scale, a):
         e = eps.value
+        a0, a1, a2 = columns(a)
         if isinstance(e, complex):
-            x = complex(float(a[0]), float(a[1])) * e
-            return np.array([x.real, x.imag, (e.real * e.real + e.imag * e.imag) * float(a[2])])
-        return np.array([e * a[0], e * a[1], e * e * a[2]])
+            # (a0 + i a1) e, with the parts in the order of Python's complex product
+            er, ei = e.real, e.imag
+            return stack([a0 * er - a1 * ei, a0 * ei + a1 * er, (er * er + ei * ei) * a2])
+        return stack([e * a0, e * a1, e * e * a2])
 
     def _norm(self, a) -> float:
-        return cygan_gauge(float(a[0] * a[0] + a[1] * a[1]), float(a[2]))
+        a0, a1, a2 = columns(a)
+        return cygan_gauge(a0 * a0 + a1 * a1, a2)
 
     def _exact_norm(self, a) -> float:
         return cygan_gauge(a.sumsq(slice(0, 2)), a.coordinate(2))

@@ -11,7 +11,8 @@ import math
 import numpy as np
 
 from dilatation_lab.core.scales import POSITIVE_REALS, Scale
-from dilatation_lab.models.base import VectorGroupModel
+from dilatation_lab.models.base import (
+    VectorGroupModel, columns, float_or_rows, power, row_length, row_max)
 from dilatation_lab.models.carnot import CarnotModel
 
 
@@ -36,10 +37,13 @@ class EuclideanModel(VectorGroupModel):
 
     def _norm(self, a) -> float:
         if self.p == 2.0:
-            return math.sqrt(float(np.dot(a, a)))
+            return float_or_rows(row_length(a))
         if math.isinf(self.p):
-            return float(max(abs(float(c)) for c in a))
-        return float(sum(abs(float(c)) ** self.p for c in a)) ** (1.0 / self.p)
+            return row_max(np.abs(a))
+        total = 0
+        for c in columns(a):
+            total = total + power(abs(c), self.p)
+        return power(total, 1.0 / self.p)
 
     def _exact_norm(self, a) -> float:
         # the 2-norm rounds the exact sum of squares once; other p-norms

@@ -15,13 +15,13 @@ from __future__ import annotations
 import numpy as np
 
 from dilatation_lab.core.scales import POSITIVE_REALS, Scale
-from dilatation_lab.models.base import VectorGroupModel
+from dilatation_lab.models.base import VectorGroupModel, power, row_dot
 from dilatation_lab.models.carnot import CarnotModel, heisenberg_structure_constants
 
 
 def cygan_gauge(planar: float, center: float) -> float:
     """(|x|^4 + 16 xbar^2)^{1/4} from the squared planar length and the center."""
-    return (planar * planar + 16.0 * center * center) ** 0.25
+    return power(planar * planar + 16.0 * center * center, 0.25)
 
 
 class HeisenbergModel(VectorGroupModel):
@@ -38,26 +38,21 @@ class HeisenbergModel(VectorGroupModel):
 
     def symplectic(self, x, y):
         n = self.n
-        return np.dot(x[:n], y[n:2 * n]) - np.dot(x[n:2 * n], y[:n])
+        return row_dot(x[..., :n], y[..., n:2 * n]) - row_dot(x[..., n:2 * n], y[..., :n])
 
     def _product(self, a, b):
-        n2 = 2 * self.n
-        x, y = a[:n2], b[:n2]
-        out = np.empty(self.coordinate_dim, dtype=a.dtype)
-        out[:n2] = x + y
-        out[n2] = a[n2] + b[n2] + self.symplectic(x, y) / 2
+        out = a + b
+        # out.T[k] is coordinate k of a point, or column k of a batch
+        out.T[2 * self.n] += self.symplectic(a, b) / 2
         return out
 
     def _dilate(self, eps: Scale, a):
         e = eps.value
-        out = a.copy()
-        out[:2 * self.n] *= e
-        out[2 * self.n] *= e * e
-        return out
+        return a * np.array([e] * (2 * self.n) + [e * e])
 
     def _norm(self, a) -> float:
         n2 = 2 * self.n
-        return cygan_gauge(float(np.dot(a[:n2], a[:n2])), float(a[n2]))
+        return cygan_gauge(row_dot(a[..., :n2], a[..., :n2]), a.T[n2])
 
     def _exact_norm(self, a) -> float:
         n2 = 2 * self.n

@@ -21,7 +21,9 @@ Two transports of a Euclidean base through a chart phi ship here:
   it stays exactly linear.
 
 Charts apply componentwise and must be bi-Lipschitz on the declared ball;
-arguments outside it raise DomainViolation.
+arguments outside it raise DomainViolation.  Every float primitive takes a
+point or an ``(N, dim)`` batch; a batch raises when any of its rows leaves
+the ball.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import numpy as np
 from dilatation_lab.errors import DomainViolation, ModelError
 from dilatation_lab.core.scales import Scale
 from dilatation_lab.core.structure import DilatationStructure, vector_sample_ball
+from dilatation_lab.models.base import float_or_rows, row_length
 from dilatation_lab.models.euclidean import EuclideanModel
 
 
@@ -91,20 +94,16 @@ class PullbackModel(DilatationStructure):
 
     # --- guards --------------------------------------------------------------
 
-    def _check_offset(self, off, what: str):
-        if float(np.linalg.norm(off)) > self.radius + 1e-12:
-            raise DomainViolation(f"{what} leaves the chart ball of radius {self.radius}")
-
-    def _check_point(self, p, what: str):
-        if float(np.linalg.norm(p)) > self.radius + 1e-12:
+    def _check_ball(self, p, what: str):
+        if np.count_nonzero(row_length(p) > self.radius + 1e-12):
             raise DomainViolation(f"{what} leaves the chart ball of radius {self.radius}")
 
     # --- structure surface ------------------------------------------------------
 
     def distance(self, p, q) -> float:
         if self.transport == "metric":
-            self._check_point(p, "point")
-            self._check_point(q, "point")
+            self._check_ball(p, "point")
+            self._check_ball(q, "point")
             return self.base.distance(self.chart.forward(p), self.chart.forward(q))
         return self.base.distance(p, q)
 
@@ -112,9 +111,9 @@ class PullbackModel(DilatationStructure):
         if self.transport == "metric":
             return self.base.dilate(x, eps, y)
         off = y - x
-        self._check_offset(off, "dilatation argument")
+        self._check_ball(off, "dilatation argument")
         out = self.chart.inverse(eps.value * self.chart.forward(off))
-        self._check_offset(out, "dilatation image")
+        self._check_ball(out, "dilatation image")
         return x + out
 
     def origin(self):
@@ -157,7 +156,6 @@ class PullbackModel(DilatationStructure):
 
     def tangent_distance(self, x, u, v) -> float:
         if self.transport == "metric":
-            w = self.chart.derivative(x) * (u - v)
-            return float(np.linalg.norm(w))
+            return float_or_rows(row_length(self.chart.derivative(x) * (u - v)))
         f = self.chart.forward
-        return float(np.linalg.norm(f(u - x) - f(v - x)))
+        return float_or_rows(row_length(f(u - x) - f(v - x)))

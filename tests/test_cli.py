@@ -149,6 +149,20 @@ def test_affinemap_left_translation_heisenberg_is_exact(tmp_path):
     assert meta["lipschitz_estimate"] == "1.0"
 
 
+def test_affinemap_left_translation_needs_a_group_model(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", {
+        "model": {"model": "pullback", "base": {"model": "euclidean", "n": 2}},
+        "command": "affinemap", "seed": 17,
+        "map": {"type": "left_translation", "point": [0.1, 0.0]},
+    })
+    out = tmp_path / "t.csv"
+    assert run(cfg, str(out), quiet=True) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "ConfigError" in err and "left_translation" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_tangent_command(tmp_path):
     cfg = write_config(tmp_path, "c.json", {
         "model": {"model": "euclidean", "n": 1},
@@ -258,11 +272,16 @@ def test_main_entry_point(tmp_path, capsys):
 
 
 def test_threads_env_validation(tmp_path, monkeypatch):
-    monkeypatch.setenv("DILATATION_LAB_THREADS", "zebra")
+    # the runner is sequential and reads no thread setting: any value is ignored
     cfg = write_config(tmp_path, "c.json", {
         "model": {"model": "euclidean", "n": 1},
         "command": "menelaos", "x": [0.0], "y": [1.0], "eps": 0.5, "mu": 0.5,
     })
-    assert run(cfg, quiet=True) == 1
-    monkeypatch.setenv("DILATATION_LAB_THREADS", "4")
-    assert run(cfg, quiet=True) in (0,)
+    monkeypatch.delenv("DILATATION_LAB_THREADS", raising=False)
+    plain = tmp_path / "plain.csv"
+    assert run(cfg, str(plain), quiet=True) == 0
+    for value in ("zebra", "0", "4"):
+        monkeypatch.setenv("DILATATION_LAB_THREADS", value)
+        out = tmp_path / f"threads-{value}.csv"
+        assert run(cfg, str(out), quiet=True) == 0
+        assert out.read_bytes() == plain.read_bytes()

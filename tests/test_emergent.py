@@ -9,6 +9,7 @@ from dilatation_lab.core.scales import POSITIVE_REALS as PR
 from dilatation_lab.core.harness import verify_axiom
 from dilatation_lab.core.structure import Ball, approx_difference, approx_sum
 from dilatation_lab.errors import NonConvergent
+from dilatation_lab.models import HeisenbergModel
 from dilatation_lab.emergent import (
     check_affine_map, induced_structure, inflin_scan, lin_defect,
     metric_tangent_scan, pansu_derivative, plin1_scan, shift_isometry_defect,
@@ -123,6 +124,20 @@ def test_induced_heisenberg_cone_property(heis1):
                        PR.grid(range(2, 9)), sample_count=4, seed=0)
     assert rep.metadata["reference"] == "estimated"
     assert rep.verdict, rep.defect
+
+
+def test_induced_exact_anchor_is_converted_once(monkeypatch):
+    base = HeisenbergModel(1)
+    x = base.point([0.1, -0.05], 0.02)
+    ind = induced_structure(base, x, PR.scale(0.3))
+    calls = []
+    to_exact = base.to_exact
+    monkeypatch.setattr(base, "to_exact", lambda p: calls.append(1) or to_exact(p))
+    rep = verify_axiom(ind, "A1", Ball(x, 0.2), GRID, sample_count=8, seed=5)
+    assert rep.metadata["arithmetic"] == "exact"
+    assert rep.verdict and rep.defect == [0.0] * len(GRID)
+    # the sweep converts its 3 bases and 8 pairs of points, the anchor once more
+    assert len(calls) == 3 + 2 * 8 + 1
 
 
 def test_shifted_point_is_fixed(heis1):

@@ -6,6 +6,7 @@ import pytest
 from dilatation_lab.core.harness import AXIOMS, verify_all_axioms, verify_axiom
 from dilatation_lab.core.scales import POSITIVE_REALS as PR
 from dilatation_lab.core.structure import Ball
+from dilatation_lab.models import EuclideanModel, PullbackModel
 
 GRID = range(2, 13)
 
@@ -86,6 +87,20 @@ def test_axiom0_inclusion_on_conical_models():
                            sample_count=8, seed=11)
         assert rep.verdict, model.name
         assert max(rep.defect) == 0.0
+
+
+def test_axiom0_cubic_pullback_is_a_documented_failure():
+    # expected failure: the harness samples B(x, nu(eps)) under the paper's
+    # A > 1 normalisation, while the pullback declares A = radius / 2 = 0.25;
+    # pulled back, the targets stay inside the chart ball but land about
+    # 0.42 from x, so each scale reports a defect of about 0.1735
+    pull = PullbackModel(EuclideanModel(2))
+    rep = verify_axiom(pull, "Axiom0", Ball(pull.origin(), 0.05), PR.grid(GRID),
+                       sample_count=8, seed=0)
+    assert not rep.verdict
+    assert all(0.1 < d for d in rep.defect)
+    # a caught DomainViolation would score exactly A
+    assert max(rep.defect) < pull.domain_radius_A
 
 
 def test_composition_identity_all_models():
