@@ -47,8 +47,19 @@ def float_or_rows(v):
 
 
 def row_max(v):
-    """The largest entry of a vector, as ``max`` picks it, or of each row of a batch."""
-    return max(v.tolist()) if v.ndim == 1 else v.max(axis=-1)
+    """The largest entry of a vector, as ``max`` picks it, or of each row of a batch.
+
+    A batch row keeps ``max``'s rule column by column: an entry replaces the
+    best so far only if it is greater, so NaN is kept or passed over just as
+    ``max`` keeps or passes it over, where ``ndarray.max`` would return NaN.
+    """
+    if v.ndim == 1:
+        return max(v.tolist())
+    cols = list(v.T)
+    best = cols[0]
+    for c in cols[1:]:
+        best = np.where(c > best, c, best)
+    return best
 
 
 def row_dot(a, b):

@@ -103,10 +103,6 @@ class CarnotModel(VectorGroupModel):
             if max(abs(r) for r in res) > _JACOBI_TOL:
                 raise ModelError(f"Jacobi identity fails on basis triple ({i},{j},{k})")
 
-    def bracket(self, a, b):
-        # on a batch, coordinates without bracket terms stay the scalar 0.0
-        return stack(np.broadcast_arrays(*self._bracket(columns(a), columns(b))))
-
     def _bracket(self, A, B) -> list:
         """The bracket on coordinate columns, summed entry by entry from 0.0."""
         out = [0.0] * self.dim

@@ -221,6 +221,31 @@ def test_primitives_batch_equals_rows(case):
     check()
 
 
+@pytest.mark.parametrize("case", IDS)
+def test_row_maxima_keep_max_rule_on_nan(case):
+    # max() keeps NaN first in a list and passes over it later; each batch row must agree
+    model = CASES[case][0]
+    dim = model.coordinate_dim
+    X = np.array([[0.5 * (i + 1) for i in range(dim)]] * (dim + 1))
+    for r in range(dim):
+        X[r, r] = math.nan
+    Y = np.zeros_like(X)
+    rows = [model.coordinate_gap(x, y) for x, y in zip(X, Y)]
+    assert math.isnan(rows[0]) and not math.isnan(rows[-1])
+    if dim > 1:
+        assert not math.isnan(rows[1])
+    assert np.array_equal(model.coordinate_gap(X, Y), rows, equal_nan=True)
+
+
+def test_sup_norm_rows_keep_max_rule_on_nan():
+    model = EuclideanModel(3, p=math.inf)
+    X = np.array([[math.nan, 1.0, 2.0], [1.0, math.nan, 2.0], [1.0, 2.0, math.nan]])
+    Y = np.zeros_like(X)
+    rows = [model.distance(x, y) for x, y in zip(X, Y)]
+    assert math.isnan(rows[0]) and rows[1:] == [2.0, 2.0]
+    assert np.array_equal(model.distance(X, Y), rows, equal_nan=True)
+
+
 def _row_at_a_time(monkeypatch, run):
     with monkeypatch.context() as m:
         m.setattr(structure, "float_points", lambda points: False)
