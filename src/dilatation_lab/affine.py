@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from dilatation_lab.config import DEFAULTS
+from dilatation_lab.config import EXACT_IDENTITY_TOL, FIXED_POINT_TOL, MAX_ITER
 from dilatation_lab.errors import DomainViolation, MaxIterExceeded
 from dilatation_lab.core.reports import ConvergenceReport, make_report
 from dilatation_lab.core.scales import Scale
@@ -62,8 +62,8 @@ def _check_contracting(eps: Scale, mu: Scale):
 
 
 def menelaos_iterate(S: DilatationStructure, x, eps: Scale, y, mu: Scale,
-                     tol: float = DEFAULTS.fixed_point_tol,
-                     max_iter: int = DEFAULTS.max_iter,
+                     tol: float = FIXED_POINT_TOL,
+                     max_iter: int = MAX_ITER,
                      check_linearity: bool = True) -> MenelaosResult:
     """Find w with delta^x_eps delta^y_mu = delta^w_{eps mu} by the paired iteration
 
@@ -121,8 +121,8 @@ def menelaos_iterate(S: DilatationStructure, x, eps: Scale, y, mu: Scale,
 
 
 def banach_oracle(S: DilatationStructure, x, eps: Scale, y, mu: Scale, u0,
-                  tol: float = DEFAULTS.fixed_point_tol,
-                  max_iter: int = DEFAULTS.max_iter):
+                  tol: float = FIXED_POINT_TOL,
+                  max_iter: int = MAX_ITER):
     """Independent fixed-point oracle: iterate u -> delta^x_eps delta^y_mu u.
 
     The composite contracts distances by the factor nu(eps mu) < 1, so plain
@@ -260,7 +260,7 @@ def collinear_triple_from_ratio(M: GroupModel, x, y, alpha: float, beta: float,
 
 def check_collinear(S: DilatationStructure, triple: CollinearTriple,
                     probes=None, seed: int = 0,
-                    tolerance: float = DEFAULTS.exact_identity_tol) -> ConvergenceReport:
+                    tolerance: float = EXACT_IDENTITY_TOL) -> ConvergenceReport:
     """Identity defect of delta^x_alpha delta^y_beta delta^z_gamma on probe points."""
     sg = S.scale_group
     a, b, g = sg.scale(triple.alpha), sg.scale(triple.beta), sg.scale(triple.gamma)
@@ -401,7 +401,7 @@ def counterexample_check(M: ComplexHeisenbergModel, eps: float, Y, probes=None,
         u = M.to_exact(p)
         gap = M.group_product(M.group_inverse(composite(u)), M.group_product(head, u))
         defect = max(defect, M.homogeneous_norm(gap.to_float()))
-    verdict = defect > 1e-6 if flip else defect <= DEFAULTS.exact_identity_tol
+    verdict = defect > 1e-6 if flip else defect <= EXACT_IDENTITY_TOL
     return make_report([sg.scale(complex(eps))], [defect], verdict,
                        {"model": M.name, "quantity": "translation-defect",
                         "eps": eps, "eps_mu": -1.0 if flip else 1.0,
@@ -414,7 +414,7 @@ def counterexample_check(M: ComplexHeisenbergModel, eps: float, Y, probes=None,
 
 def geometric_affinity_check(S: DilatationStructure, T, triple_samples,
                              probes=None, seed: int = 0,
-                             tolerance: float = DEFAULTS.exact_identity_tol) -> ConvergenceReport:
+                             tolerance: float = EXACT_IDENTITY_TOL) -> ConvergenceReport:
     """Does T preserve collinear triples with their exponents?
 
     For each sampled triple the image triple ((Tx)^a, (Ty)^b, (Tz)^g) is run

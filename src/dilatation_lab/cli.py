@@ -18,7 +18,8 @@ import sys
 import numpy as np
 
 from dilatation_lab import __version__
-from dilatation_lab.config import DEFAULTS, default_ks
+from dilatation_lab.config import (
+    EXACT_IDENTITY_TOL, FIXED_POINT_TOL, MAX_ITER, SAMPLE_COUNT, default_ks)
 from dilatation_lab.errors import (
     ConfigError, DilatationLabError, DomainViolation, MaxIterExceeded,
     ModelError, NonConvergent, PrecisionExhausted)
@@ -119,7 +120,7 @@ def _cmd_axioms(model, config):
               if "center" in config else model.origin())
     grid = _grid(model, config)
     seed = int(config["seed"])
-    sample_count = int(config.get("sample_count", DEFAULTS.sample_count))
+    sample_count = int(config.get("sample_count", SAMPLE_COUNT))
     out = CsvReport(["axiom", "nu", "defect", "pass"])
     all_ok = True
     for name in names:
@@ -153,8 +154,8 @@ def _cmd_menelaos(model, config):
     eps = model.scale_group.scale(config["eps"])
     mu = model.scale_group.scale(config["mu"])
     result = menelaos_iterate(model, x, eps, y, mu,
-                              tol=float(config.get("tol", DEFAULTS.fixed_point_tol)),
-                              max_iter=int(config.get("max_iter", DEFAULTS.max_iter)))
+                              tol=float(config.get("tol", FIXED_POINT_TOL)),
+                              max_iter=int(config.get("max_iter", MAX_ITER)))
     coords = model.point_to_list(result.w)
     out = CsvReport(["iterations", "residual", "contraction_rate", "probe_defect"]
                     + [f"w{i}" for i in range(len(coords))])
@@ -169,7 +170,7 @@ def _cmd_ratio(model, config):
     eps = model.scale_group.scale(config["eps"])
     mu = model.scale_group.scale(config["mu"])
     N = int(config.get("N", 64))
-    tol = float(config.get("tol", DEFAULTS.fixed_point_tol))
+    tol = float(config.get("tol", FIXED_POINT_TOL))
     answers = {
         "iteration": menelaos_iterate(model, x, eps, y, mu, tol=tol).w,
         "banach": banach_oracle(model, x, eps, y, mu, x, tol=tol),
@@ -187,7 +188,7 @@ def _cmd_ratio(model, config):
             worst = max(worst, d)
             out.add(a, b, d)
     out.meta["max_disagreement"] = repr(worst)
-    return out, worst <= 1e-9
+    return out, worst <= EXACT_IDENTITY_TOL
 
 
 def _cmd_linscan(model, config):
@@ -204,7 +205,7 @@ def _cmd_linscan(model, config):
 
 def _cmd_barycentric(model, config):
     eps = model.scale_group.scale(config["eps"])
-    tolerance = float(config.get("tolerance", DEFAULTS.exact_identity_tol))
+    tolerance = float(config.get("tolerance", EXACT_IDENTITY_TOL))
     out = CsvReport(["sample", "defect"])
     defects = []
     if "x" in config:
@@ -271,7 +272,7 @@ def _cmd_affinemap(model, config):
     if exact:
         samples = [(model.to_exact(x), model.to_exact(y)) for x, y in samples]
         grid = [model.to_exact_scale(e) for e in grid]
-    tolerance = float(config.get("tolerance", DEFAULTS.exact_identity_tol))
+    tolerance = float(config.get("tolerance", EXACT_IDENTITY_TOL))
     rep = check_affine_map(model, T, samples, grid, tolerance)
     out = CsvReport(["nu", "defect"])
     for nu, defect in zip(rep.nus, rep.defect):

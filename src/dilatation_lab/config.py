@@ -1,39 +1,27 @@
-"""Default tolerances and grid parameters used by the harness and the CLI.
+"""Tolerances and grid defaults used by the harness, the sweeps and the CLI.
 
 All numeric acceptance rules in the lab are pinned here so that every entry
 point (tests, CLI, library calls) agrees on what "passes" means.
 """
 
-from dataclasses import dataclass
+# residual of identities that hold exactly, on unit-scale data
+EXACT_IDENTITY_TOL = 1e-9
+# stopping rule for fixed-point iterations
+FIXED_POINT_TOL = 1e-12
+# random sample size for sup-over-compacts approximations
+SAMPLE_COUNT = 64
+# a defect sequence counts as non-increasing if each entry is at most
+# JITTER_FACTOR times the previous one
+JITTER_FACTOR = 1.5
+# limit extrapolation requires successive Cauchy increments to shrink
+# by at least this factor
+CAUCHY_SHRINK = 1.3
+# defects at or below this floor are treated as numerically zero
+DEFECT_FLOOR = 1e-12
+# iteration budget for contractions
+MAX_ITER = 10_000
 
 
-@dataclass(frozen=True)
-class Config:
-    # residual of identities that hold exactly, on unit-scale data
-    exact_identity_tol: float = 1e-9
-    # stopping rule for fixed-point iterations
-    fixed_point_tol: float = 1e-12
-    # scale grids are eps = 2^-k for k in [grid_k_min, grid_k_max]
-    grid_k_min: int = 2
-    grid_k_max: int = 12
-    # random sample size for sup-over-compacts approximations
-    sample_count: int = 64
-    # closeness budget as a fraction of the domain radius A
-    closeness_fraction: float = 0.1
-    # a defect sequence counts as non-increasing if each entry is at most
-    # jitter_factor times the previous one
-    jitter_factor: float = 1.5
-    # limit extrapolation requires successive Cauchy increments to shrink
-    # by at least this factor
-    cauchy_shrink: float = 1.3
-    # defects at or below this floor are treated as numerically zero
-    defect_floor: float = 1e-12
-    # iteration budget for contractions
-    max_iter: int = 10_000
-
-
-DEFAULTS = Config()
-
-
-def default_ks(cfg: Config = DEFAULTS) -> list[int]:
-    return list(range(cfg.grid_k_min, cfg.grid_k_max + 1))
+def default_ks() -> list[int]:
+    """Exponents k of the default scale grid eps = 2^-k."""
+    return list(range(2, 13))

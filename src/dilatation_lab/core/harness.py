@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from dilatation_lab.config import DEFAULTS, Config
+from dilatation_lab.config import DEFECT_FLOOR, EXACT_IDENTITY_TOL, JITTER_FACTOR, SAMPLE_COUNT
 from dilatation_lab.errors import DomainViolation
 from dilatation_lab.core.reports import ConvergenceReport, make_report, nonincreasing
 from dilatation_lab.core.structure import (
@@ -42,13 +42,13 @@ AXIOMS = ("A1", "A2", "A3", "A4", "Axiom0", "ConeProperty")
 # final-defect tolerances; A4 and the cone property depend on whether the
 # model supplies closed forms or the sweep falls back to Cauchy increments
 AXIOM_TOLERANCES = {
-    "A1": 1e-9,
-    "A2": 1e-9,
+    "A1": EXACT_IDENTITY_TOL,
+    "A2": EXACT_IDENTITY_TOL,
     "A3": 1e-6,
-    "A4:exact": 1e-9,
+    "A4:exact": EXACT_IDENTITY_TOL,
     "A4:cauchy": 1e-2,
-    "Axiom0": 1e-9,
-    "ConeProperty:exact": 1e-9,
+    "Axiom0": EXACT_IDENTITY_TOL,
+    "ConeProperty:exact": EXACT_IDENTITY_TOL,
     "ConeProperty:estimated": 1e-6,
 }
 
@@ -76,9 +76,8 @@ def _rows(bases, pairs, batch=True):
 
 
 def verify_axiom(S: DilatationStructure, which: str, region: Ball, eps_grid,
-                 sample_count: int = DEFAULTS.sample_count, seed: int = 0,
-                 tolerance: float | None = None, reference: str = "auto",
-                 cfg: Config = DEFAULTS) -> ConvergenceReport:
+                 sample_count: int = SAMPLE_COUNT, seed: int = 0,
+                 tolerance: float | None = None, reference: str = "auto") -> ConvergenceReport:
     """Certify one axiom of a structure numerically over a scale grid."""
     if which not in AXIOMS:
         raise ValueError(f"unknown axiom {which!r}; expected one of {AXIOMS}")
@@ -123,12 +122,12 @@ def verify_axiom(S: DilatationStructure, which: str, region: Ball, eps_grid,
         defects = _axiom0_defects(S, bases, eps_grid, sample_count, rng)
     else:
         mode = "exact" if S.has_exact_tangent else "estimated"
-        defects = _cone_defects(S, bases, pairs, eps_grid, cfg)
+        defects = _cone_defects(S, bases, pairs, eps_grid)
 
     key = which if mode is None else f"{which}:{mode}"
     tol = AXIOM_TOLERANCES[key] if tolerance is None else tolerance
-    floor = max(cfg.defect_floor, 0.01 * tol)
-    verdict = defects[-1] <= tol and nonincreasing(defects, cfg.jitter_factor, floor)
+    floor = max(DEFECT_FLOOR, 0.01 * tol)
+    verdict = defects[-1] <= tol and nonincreasing(defects, JITTER_FACTOR, floor)
     return make_report(
         eps_grid, defects, verdict,
         metadata={"model": S.name, "axiom": which, "seed": seed,
@@ -177,7 +176,7 @@ def _a4_defects(S, bases, pairs, eps_grid, use_exact):
     rows, X, U, V = _rows(bases, pairs)
     if use_exact:
         return [rows.sup(lambda x, u, v: S.distance(approx_difference(S, x, eps, u, v),
-                                                    S.exact_operator("difference", x, eps, u, v)),
+                                                    S.exact_difference(x, eps, u, v)),
                          X, U, V)
                 for eps in eps_grid]
     ref = _reference_scale(eps_grid)
@@ -205,12 +204,12 @@ def _axiom0_defects(S, bases, eps_grid, sample_count, rng):
     return defects
 
 
-def _cone_defects(S, bases, pairs, eps_grid, cfg):
+def _cone_defects(S, bases, pairs, eps_grid):
     if S.has_exact_tangent:
         dx = S.tangent_distance
     else:
         def dx(x, u, v):
-            return estimate_dx(S, x, u, v, eps_grid, cfg)[0]
+            return estimate_dx(S, x, u, v, eps_grid)[0]
 
     # estimate_dx runs a sweep of its own per point, so it takes rows one at a time
     rows, X, U, V = _rows(bases, pairs, batch=S.has_exact_tangent)
@@ -222,7 +221,7 @@ def _cone_defects(S, bases, pairs, eps_grid, cfg):
             for mu in eps_grid]
 
 
-def verify_all_axioms(S, region, eps_grid, sample_count=DEFAULTS.sample_count,
-                      seed=0, cfg: Config = DEFAULTS) -> dict[str, ConvergenceReport]:
-    return {w: verify_axiom(S, w, region, eps_grid, sample_count, seed, cfg=cfg)
+def verify_all_axioms(S, region, eps_grid, sample_count=SAMPLE_COUNT,
+                      seed=0) -> dict[str, ConvergenceReport]:
+    return {w: verify_axiom(S, w, region, eps_grid, sample_count, seed)
             for w in AXIOMS}

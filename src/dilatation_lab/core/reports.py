@@ -5,11 +5,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from dilatation_lab.config import DEFAULTS
+from dilatation_lab.config import DEFECT_FLOOR, JITTER_FACTOR
 from dilatation_lab.core.scales import Scale
 
 
-def fit_loglog_rate(nus, defects, floor: float = DEFAULTS.defect_floor) -> float:
+def fit_loglog_rate(nus, defects, floor: float = DEFECT_FLOOR) -> float:
     """Least-squares slope of log(defect) against log(nu).
 
     Entries at or below the floor are dropped; with fewer than two usable
@@ -32,8 +32,8 @@ def fit_loglog_rate(nus, defects, floor: float = DEFAULTS.defect_floor) -> float
     return sxy / sxx
 
 
-def nonincreasing(defects, jitter: float = DEFAULTS.jitter_factor,
-                  floor: float = DEFAULTS.defect_floor) -> bool:
+def nonincreasing(defects, jitter: float = JITTER_FACTOR,
+                  floor: float = DEFECT_FLOOR) -> bool:
     """True if the sequence never grows by more than the jitter factor.
 
     Values at or below the floor are treated as zero, so roundoff wiggle in

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from dilatation_lab.config import DEFAULTS, Config
+from dilatation_lab.config import DEFECT_FLOOR, EXACT_IDENTITY_TOL, JITTER_FACTOR
 from dilatation_lab.errors import DomainViolation, NonConvergent
 from dilatation_lab.core.reports import ConvergenceReport, make_report, nonincreasing
 from dilatation_lab.core.scales import Scale, ScaleGroup
@@ -57,7 +57,6 @@ class DilatationStructure:
     scale_group: ScaleGroup
     domain_radius_A: float = 2.0
     codomain_radius_B: float = 4.0
-    closeness_fraction: float = DEFAULTS.closeness_fraction
 
     # --- required surface -------------------------------------------------
 
@@ -76,16 +75,10 @@ class DilatationStructure:
 
     # --- defaults ---------------------------------------------------------
 
-    def closeness_budget(self, region: Ball | None = None) -> float:
-        """Radius below which tuples of points count as sufficiently closed.
-
-        Defaults to a fixed fraction of the domain radius; models or callers
-        may override ``closeness_fraction`` on an instance.
-        """
-        return self.closeness_fraction * self.domain_radius_A
-
-    def points_close(self, p, q, tol: float = DEFAULTS.exact_identity_tol) -> bool:
-        return self.distance(p, q) <= tol
+    def closeness_budget(self) -> float:
+        """Radius below which tuples of points count as sufficiently closed:
+        one tenth of the domain radius A."""
+        return 0.1 * self.domain_radius_A
 
     def coordinate_gap(self, p, q) -> float:
         """Carrier-coordinate disagreement, the right yardstick for oracle
@@ -117,7 +110,8 @@ class DilatationStructure:
         """True if the finite-scale composites have a closed form here."""
         return False
 
-    def exact_operator(self, kind: str, x, eps: Scale, u, v=None):
+    def exact_difference(self, x, eps: Scale, u, v):
+        """Delta^x_eps(u, v) in closed form."""
         raise NotImplementedError(f"{self.name} has no exact operator forms")
 
     @property
@@ -161,21 +155,23 @@ def vector_sample_ball(model, center, radius: float, count: int, rng) -> list:
 
     Starts from a fixed lattice of directions, then fills with seeded random
     offsets; every candidate is halved until it lands inside the ball, which
-    keeps the procedure deterministic for a fixed seed and total for any
-    homogeneous-norm geometry.
+    keeps the procedure deterministic for a fixed seed.  A candidate still
+    outside after 60 halvings raises DomainViolation: the model's distance
+    does not shrink with the offset there, as a homogeneous norm would.
     """
     center = np.asarray(center, dtype=float)
     dim = center.shape[0]
     pts = []
 
     def shrink(offset):
-        p = center + offset
         for _ in range(60):
+            p = center + offset
             if model.distance(center, p) <= radius:
                 return p
             offset = offset * 0.5
-            p = center + offset
-        return center.copy()
+        raise DomainViolation(
+            f"no candidate inside the ball of radius {radius} on {model.name} "
+            f"after 60 halvings")
 
     for off in _lattice_offsets(dim):
         if len(pts) >= count:
@@ -278,8 +274,7 @@ def rescaled_distance(S: DilatationStructure, x, mu: Scale, u, v) -> float:
     return S.distance(S.dilate(x, mu, u), S.dilate(x, mu, v)) / nu
 
 
-def estimate_dx(S: DilatationStructure, x, u, v, eps_grid,
-                cfg: Config = DEFAULTS) -> tuple[float, ConvergenceReport]:
+def estimate_dx(S: DilatationStructure, x, u, v, eps_grid) -> tuple[float, ConvergenceReport]:
     """Estimate the tangent distance d^x(u, v) along a decreasing scale grid.
 
     The estimate is the finest-grid rescaled distance; the report records the
@@ -294,12 +289,12 @@ def estimate_dx(S: DilatationStructure, x, u, v, eps_grid,
         raise ValueError("scale grid must be strictly decreasing in nu")
     values = [rescaled_distance(S, x, e, u, v) for e in eps_grid]
     diffs = [abs(a - b) for a, b in zip(values, values[1:])]
-    if not nonincreasing(diffs, cfg.jitter_factor, cfg.defect_floor):
+    if not nonincreasing(diffs, JITTER_FACTOR, DEFECT_FLOOR):
         raise NonConvergent(
             f"rescaled distances do not settle on {S.name}: diffs={diffs}")
     estimate = values[-1]
-    degenerate = (estimate <= cfg.defect_floor
-                  and S.coordinate_gap(u, v) > cfg.exact_identity_tol)
+    degenerate = (estimate <= DEFECT_FLOOR
+                  and S.coordinate_gap(u, v) > EXACT_IDENTITY_TOL)
     defects = [abs(val - estimate) for val in values]
     report = make_report(
         eps_grid, defects, verdict=not degenerate,

@@ -16,7 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from dilatation_lab.config import DEFAULTS, Config
+from dilatation_lab.config import (
+    CAUCHY_SHRINK, DEFECT_FLOOR, EXACT_IDENTITY_TOL, JITTER_FACTOR, default_ks)
 from dilatation_lab.errors import NonConvergent
 from dilatation_lab.core.reports import ConvergenceReport, make_report, nonincreasing
 from dilatation_lab.core.structure import (
@@ -29,8 +30,8 @@ _LIMIT_OPS = {"sum": approx_sum, "difference": approx_difference,
               "inverse": approx_inverse}
 
 
-def tangent_limit(S: DilatationStructure, x, u, v, which: str, eps_grid,
-                  cfg: Config = DEFAULTS) -> tuple[object, ConvergenceReport]:
+def tangent_limit(S: DilatationStructure, x, u, v, which: str,
+                  eps_grid) -> tuple[object, ConvergenceReport]:
     """Limit of the sum/difference/inverse composite along a scale grid.
 
     The limit is taken as the finest-grid composite after a Cauchy check:
@@ -47,9 +48,8 @@ def tangent_limit(S: DilatationStructure, x, u, v, which: str, eps_grid,
     else:
         points = [op(S, x, e, u, v) for e in eps_grid]
     increments = [S.distance(a, b) for a, b in zip(points, points[1:])]
-    floor = cfg.defect_floor
     for a, b in zip(increments, increments[1:]):
-        if b > floor and b > a / cfg.cauchy_shrink + floor:
+        if b > DEFECT_FLOOR and b > a / CAUCHY_SHRINK + DEFECT_FLOOR:
             raise NonConvergent(
                 f"tangent {which} composites do not settle on {S.name}: {increments}")
     if S.has_exact_tangent:
@@ -108,15 +108,10 @@ class TangentSpace:
         return self.sum(u, moved)
 
 
-def tangent_space(S, x, eps_grid=None, cfg: Config = DEFAULTS) -> TangentSpace:
+def tangent_space(S, x, eps_grid=None) -> TangentSpace:
     if eps_grid is None:
-        from dilatation_lab.config import default_ks
-        eps_grid = S.scale_group.grid(default_ks(cfg))
+        eps_grid = S.scale_group.grid(default_ks())
     return TangentSpace(S, x, list(eps_grid))
-
-
-def tangent_dilate(T: TangentSpace, u, eps: Scale, y):
-    return T.dilate(u, eps, y)
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +180,6 @@ class InducedStructure(DilatationStructure):
         return self.base.to_exact_scale(eps)
 
 
-def induced_structure(S: DilatationStructure, x, mu: Scale) -> InducedStructure:
-    return InducedStructure(S, x, mu)
-
-
 def shift_isometry_defect(S: DilatationStructure, x, mu: Scale, u, pairs) -> float:
     """How far Sigma^x_mu(u, .) is from an isometry between induced distances.
 
@@ -222,8 +213,7 @@ def lin_defect(S: DilatationStructure, x, y, z, eps: Scale, mu: Scale) -> float:
     return S.distance(lhs, rhs)
 
 
-def inflin_scan(S: DilatationStructure, x, y, z, eps_grid,
-                cfg: Config = DEFAULTS) -> ConvergenceReport:
+def inflin_scan(S: DilatationStructure, x, y, z, eps_grid) -> ConvergenceReport:
     """Second-order vanishing of nonlinearity: Lin(x, delta^x_eps y, z; eps, eps) / eps^2.
 
     Passes when the rescaled defects decrease (within jitter) to below one
@@ -233,15 +223,14 @@ def inflin_scan(S: DilatationStructure, x, y, z, eps_grid,
     for eps in eps_grid:
         nu = eps.nu
         values.append(lin_defect(S, x, S.dilate(x, eps, y), z, eps, eps) / (nu * nu))
-    ok = nonincreasing(values, cfg.jitter_factor, cfg.defect_floor)
-    if values[0] > cfg.defect_floor:
+    ok = nonincreasing(values, JITTER_FACTOR, DEFECT_FLOOR)
+    if values[0] > DEFECT_FLOOR:
         ok = ok and values[-1] < 0.1 * values[0]
     return make_report(eps_grid, values, ok,
                        {"model": S.name, "quantity": "lin-over-eps-squared"})
 
 
-def plin1_scan(S: DilatationStructure, x, y, v, eps_grid,
-               cfg: Config = DEFAULTS) -> ConvergenceReport:
+def plin1_scan(S: DilatationStructure, x, y, v, eps_grid) -> ConvergenceReport:
     """First-order agreement of true and induced dilatations near delta^x_eps y.
 
     Sweeps (1/eps) (delta^x, eps)(delta^{delta^x_eps y}_eps v, delta-hat v)
@@ -254,15 +243,15 @@ def plin1_scan(S: DilatationStructure, x, y, v, eps_grid,
         true_point = S.dilate(u, eps, v)
         hat = InducedStructure(S, x, eps).dilate(u, eps, v)
         values.append(rescaled_distance(S, x, eps, true_point, hat) / eps.nu)
-    ok = nonincreasing(values, cfg.jitter_factor, cfg.defect_floor)
-    if values[0] > cfg.defect_floor:
+    ok = nonincreasing(values, JITTER_FACTOR, DEFECT_FLOOR)
+    if values[0] > DEFECT_FLOOR:
         ok = ok and values[-1] < 0.1 * values[0]
     return make_report(eps_grid, values, ok,
                        {"model": S.name, "quantity": "induced-dilatation-gap"})
 
 
 def metric_tangent_scan(S: DilatationStructure, x, eps_grid, sample_count: int = 16,
-                        seed: int = 0, cfg: Config = DEFAULTS) -> ConvergenceReport:
+                        seed: int = 0) -> ConvergenceReport:
     """Quality of the tangent distance on shrinking balls.
 
     Sweeps sup |d(u, v) - d^x(u, v)| / nu(eps) over points at distance
@@ -281,7 +270,7 @@ def metric_tangent_scan(S: DilatationStructure, x, eps_grid, sample_count: int =
         worst = rows.sup(lambda x, u, v: abs(S.distance(u, v) - S.tangent_distance(x, u, v)),
                          X, moved, rows.rotate(moved))
         values.append(worst / eps.nu)
-    ok = nonincreasing(values, cfg.jitter_factor, cfg.defect_floor)
+    ok = nonincreasing(values, JITTER_FACTOR, DEFECT_FLOOR)
     return make_report(eps_grid, values, ok,
                        {"model": S.name, "quantity": "metric-tangent-gap",
                         "seed": seed, "sample_count": sample_count})
@@ -292,7 +281,7 @@ def metric_tangent_scan(S: DilatationStructure, x, eps_grid, sample_count: int =
 # ---------------------------------------------------------------------------
 
 def check_affine_map(S: DilatationStructure, T, samples, eps_set,
-                     tolerance: float = DEFAULTS.exact_identity_tol) -> ConvergenceReport:
+                     tolerance: float = EXACT_IDENTITY_TOL) -> ConvergenceReport:
     """Largest commutation defect d(T delta^x_eps y, delta^{Tx}_eps T y).
 
     samples is a list of (x, y) pairs; the report also carries an empirical
@@ -318,8 +307,7 @@ def check_affine_map(S: DilatationStructure, T, samples, eps_set,
 
 
 def pansu_derivative(Ssrc: DilatationStructure, Sdst: DilatationStructure, f, x, u,
-                     eps_grid, cfg: Config = DEFAULTS,
-                     tolerance: float = 1e-4) -> tuple[object, ConvergenceReport]:
+                     eps_grid, tolerance: float = 1e-4) -> tuple[object, ConvergenceReport]:
     """Derivative of f at x along u as a tangent-group morphism value.
 
     Estimates Q^x(u) = lim delta^{f(x)}_{eps^-1} f(delta^x_eps u) over the
@@ -332,9 +320,8 @@ def pansu_derivative(Ssrc: DilatationStructure, Sdst: DilatationStructure, f, x,
     candidates = [Sdst.dilate(fx, eps.inverse(), f(Ssrc.dilate(x, eps, u)))
                   for eps in eps_grid]
     increments = [Sdst.distance(a, b) for a, b in zip(candidates, candidates[1:])]
-    floor = cfg.defect_floor
     for a, b in zip(increments, increments[1:]):
-        if b > floor and b > a / cfg.cauchy_shrink + floor:
+        if b > DEFECT_FLOOR and b > a / CAUCHY_SHRINK + DEFECT_FLOOR:
             raise NonConvergent(
                 f"derivative candidates do not settle along u: {increments}")
     # estimate at one refinement past the grid so every residual row,
@@ -344,7 +331,7 @@ def pansu_derivative(Ssrc: DilatationStructure, Sdst: DilatationStructure, f, x,
     residuals = [Sdst.distance(f(Ssrc.dilate(x, eps, u)), Sdst.dilate(fx, eps, q)) / eps.nu
                  for eps in eps_grid]
     verdict = (residuals[-1] <= tolerance
-               and nonincreasing(residuals, cfg.jitter_factor, cfg.defect_floor))
+               and nonincreasing(residuals, JITTER_FACTOR, DEFECT_FLOOR))
     report = make_report(eps_grid, residuals, verdict,
                          {"model": f"{Ssrc.name}->{Sdst.name}",
                           "quantity": "derivative-residual", "tolerance": tolerance})

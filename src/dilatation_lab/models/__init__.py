@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dilatation_lab.errors import ModelError
-from dilatation_lab.models.base import ExactPoint, GroupModel, VectorGroupModel
+from dilatation_lab.models.base import ExactPoint, GroupModel
 from dilatation_lab.models.carnot import (
     CarnotModel, engel_structure_constants, heisenberg_structure_constants)
 from dilatation_lab.models.complexheis import ComplexHeisenbergModel
@@ -58,7 +58,7 @@ def from_json(desc: dict):
 __all__ = [
     "CarnotModel", "ComplexHeisenbergModel", "CubicChart", "DyadicBoundaryModel",
     "DyadicPoint", "EuclideanModel", "ExactPoint", "GroupModel", "HeisenbergModel",
-    "PullbackModel", "VectorGroupModel", "engel_structure_constants",
+    "PullbackModel", "engel_structure_constants",
     "from_json", "heisenberg_structure_constants", "identity_isometries",
     "w_dilatation", "w_smoothness_defect", "xor_mask_isometries",
 ]

@@ -11,6 +11,10 @@ All composite operators then have closed forms, exposed through the exact
 capability hooks, e.g. Delta^x_eps(u,v) = delta^x_eps(u) . u^-1 . v and its
 limit Delta^x(u,v) = x . u^-1 . v.
 
+``GroupModel`` holds what follows from the group law alone.  Its
+implementations are the dyadic tree boundary and ``CarnotModel``, which every
+model on a numpy coordinate vector (Euclidean, H(n), C x R, Engel) is.
+
 Float primitives take a single ``(dim,)`` point or an ``(N, dim)`` batch of
 rows through the same code, and a batch row comes out bit for bit as the
 single point would.  The helpers below keep that so: products that are
@@ -28,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from dilatation_lab.core.scales import Scale
-from dilatation_lab.core.structure import DilatationStructure, vector_sample_ball
+from dilatation_lab.core.structure import DilatationStructure
 
 
 def columns(a) -> list:
@@ -213,19 +217,10 @@ class GroupModel(DilatationStructure):
     def has_exact_operators(self) -> bool:
         return True
 
-    def exact_operator(self, kind: str, x, eps: Scale, u, v=None):
-        inv = self.group_inverse
+    def exact_difference(self, x, eps: Scale, u, v):
+        """Delta^x_eps(u, v) in closed form, delta^x_eps(u) . u^-1 . v."""
         prod = self.group_product
-        if kind == "difference":
-            a = self.dilate(x, eps, u)
-            return prod(prod(a, inv(u)), v)
-        if kind == "sum":
-            a = self.dilate(u, eps, x)
-            return prod(prod(a, inv(x)), v)
-        if kind == "inverse":
-            a = self.dilate(x, eps, u)
-            return prod(prod(a, inv(u)), x)
-        raise ValueError(f"unknown operator kind {kind!r}")
+        return prod(prod(self.dilate(x, eps, u), self.group_inverse(u)), v)
 
     @property
     def has_exact_tangent(self) -> bool:
@@ -242,75 +237,3 @@ class GroupModel(DilatationStructure):
 
     def tangent_distance(self, x, u, v) -> float:
         return self.distance(u, v)
-
-
-class VectorGroupModel(GroupModel):
-    """Group model whose carrier is a flat numpy coordinate vector.
-
-    Subclasses supply the float formulas (``_product``, ``_dilate``,
-    ``_norm``), each taking a point or an ``(N, dim)`` batch, and the gauge
-    on exact points (``_exact_norm``).  Exact points
-    (``ExactPoint``) take the product and the dilatations from ``_kernel``,
-    the integer BCH kernel of the ``CarnotModel`` with the same structure
-    constants; the group inverse is negation in either arithmetic.
-    """
-
-    coordinate_dim: int
-    _kernel: "CarnotModel"
-
-    def identity(self):
-        return np.zeros(self.coordinate_dim)
-
-    def group_product(self, a, b):
-        if type(a) is ExactPoint:
-            return self._kernel._exact_product(a, b)
-        return self._product(a, b)
-
-    def group_inverse(self, a):
-        return -a
-
-    def ambient_dilate(self, eps: Scale, a):
-        if type(a) is ExactPoint:
-            return self._kernel._exact_dilate(eps.value, a)
-        return self._dilate(eps, a)
-
-    def homogeneous_norm(self, a) -> float:
-        if type(a) is ExactPoint:
-            return self._exact_norm(a)
-        return self._norm(a)
-
-    def distance(self, p, q) -> float:
-        """|p^-1 q|."""
-        if type(p) is ExactPoint:
-            return self.homogeneous_norm(self._kernel._exact_product(-p, q))
-        return self.homogeneous_norm(self._product(-p, q))
-
-    def dilate(self, x, eps: Scale, y):
-        """x . delta_eps(x^-1 y)."""
-        if type(y) is ExactPoint:
-            k = self._kernel
-            return k._exact_product(x, k._exact_dilate(eps.value, k._exact_product(-x, y)))
-        return self._product(x, self._dilate(eps, self._product(-x, y)))
-
-    def sample_ball(self, center, radius, count, rng):
-        return vector_sample_ball(self, center, radius, count, rng)
-
-    def point_from_json(self, obj):
-        p = np.asarray(obj, dtype=float)
-        if p.shape != (self.coordinate_dim,):
-            raise ValueError(
-                f"{self.name} expects {self.coordinate_dim} coordinates, got {obj!r}")
-        return p
-
-    def point_to_list(self, p) -> list:
-        return [float(c) for c in np.asarray(p).ravel()]
-
-    def to_exact(self, p):
-        if type(p) is ExactPoint:
-            return p
-        return ExactPoint.from_floats(p)
-
-    def coordinate_gap(self, p, q) -> float:
-        if type(p) is ExactPoint:
-            p, q = p.to_float(), q.to_float()
-        return row_max(np.abs(p - q))

@@ -10,6 +10,12 @@ nilpotent brackets; through step three it is exactly
 Dilatations act as eps^i on the i-th layer.  The shipped homogeneous gauge
 is the max-type quasi-norm max_i |a_i|^{1/i}; it is exactly homogeneous but
 only subadditive up to a constant, which can be estimated empirically.
+
+Every vector group model of the lab is a ``CarnotModel``: Euclidean space is
+step 1 with no brackets, H(n) and C x R are step 2.  Those subclasses keep
+their own gauge and their own closed-form float product and dilatation,
+which are faster than the generic ones and round differently; on exact
+points all of them share the integer kernel below.
 """
 
 from __future__ import annotations
@@ -21,8 +27,9 @@ import numpy as np
 
 from dilatation_lab.errors import ModelError
 from dilatation_lab.core.scales import POSITIVE_REALS, Scale
+from dilatation_lab.core.structure import vector_sample_ball
 from dilatation_lab.models.base import (
-    ExactPoint, VectorGroupModel, columns, float_or_rows, power, row_dot, stack)
+    ExactPoint, GroupModel, columns, float_or_rows, power, row_dot, row_max, stack)
 
 _JACOBI_TOL = 1e-12
 
@@ -35,12 +42,19 @@ def _scale_ratio(value) -> tuple[int, int]:
         raise TypeError(f"exact points take a real rational scale, got {value!r}") from None
 
 
-class CarnotModel(VectorGroupModel):
+class CarnotModel(GroupModel):
     """Graded nilpotent group from layer dimensions and bracket constants.
 
     brackets is a list of entries [i, j, k, c] declaring [e_i, e_j] = ... + c e_k
     with 0-based indices into the full graded basis; the reversed pairs are
     filled in antisymmetrically.
+
+    Points are flat numpy coordinate vectors.  The float formulas
+    (``_product``, ``_dilate``, ``_norm``) each take a point or an
+    ``(N, dim)`` batch; exact points (``ExactPoint``) take the integer kernel
+    (``_exact_product``, ``_exact_dilate``) and the gauge ``_exact_norm``.
+    The group inverse is negation in either arithmetic.  Subclasses override
+    the float formulas and the gauges, never the kernel.
     """
 
     def __init__(self, step: int, layers, brackets):
@@ -87,12 +101,72 @@ class CarnotModel(VectorGroupModel):
         self._int_entries = [(i, j, k, n * (self._bracket_den // d))
                              for i, j, k, (n, d) in ratios]
         self._layer_index = [int(i) - 1 for i in self.layer_of]
-        self._kernel = self
         self._check_jacobi()
 
     @property
     def homogeneous_dimension(self) -> int:
         return sum(i * d for i, d in enumerate(self.layers, start=1))
+
+    # --- group surface: one type check picks the arithmetic ------------------
+
+    def identity(self):
+        return np.zeros(self.coordinate_dim)
+
+    def group_product(self, a, b):
+        if type(a) is ExactPoint:
+            return self._exact_product(a, b)
+        return self._product(a, b)
+
+    def group_inverse(self, a):
+        return -a
+
+    def ambient_dilate(self, eps: Scale, a):
+        if type(a) is ExactPoint:
+            return self._exact_dilate(eps.value, a)
+        return self._dilate(eps, a)
+
+    def homogeneous_norm(self, a) -> float:
+        if type(a) is ExactPoint:
+            return self._exact_norm(a)
+        return self._norm(a)
+
+    def distance(self, p, q) -> float:
+        """|p^-1 q|."""
+        if type(p) is ExactPoint:
+            return self.homogeneous_norm(self._exact_product(-p, q))
+        return self.homogeneous_norm(self._product(-p, q))
+
+    def dilate(self, x, eps: Scale, y):
+        """x . delta_eps(x^-1 y)."""
+        if type(y) is ExactPoint:
+            return self._exact_product(
+                x, self._exact_dilate(eps.value, self._exact_product(-x, y)))
+        return self._product(x, self._dilate(eps, self._product(-x, y)))
+
+    def sample_ball(self, center, radius, count, rng):
+        return vector_sample_ball(self, center, radius, count, rng)
+
+    def point_from_json(self, obj):
+        p = np.asarray(obj, dtype=float)
+        if p.shape != (self.coordinate_dim,):
+            raise ValueError(
+                f"{self.name} expects {self.coordinate_dim} coordinates, got {obj!r}")
+        return p
+
+    def point_to_list(self, p) -> list:
+        return [float(c) for c in np.asarray(p).ravel()]
+
+    def to_exact(self, p):
+        if type(p) is ExactPoint:
+            return p
+        return ExactPoint.from_floats(p)
+
+    def coordinate_gap(self, p, q) -> float:
+        if type(p) is ExactPoint:
+            p, q = p.to_float(), q.to_float()
+        return row_max(np.abs(p - q))
+
+    # --- the bracket, the float formulas and the gauges ---------------------
 
     def _check_jacobi(self):
         basis = np.eye(self.dim).tolist()

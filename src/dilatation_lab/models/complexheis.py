@@ -17,21 +17,20 @@ from __future__ import annotations
 import numpy as np
 
 from dilatation_lab.core.scales import COMPLEX_UNITS, Scale
-from dilatation_lab.models.base import VectorGroupModel, columns, stack
+from dilatation_lab.models.base import columns, stack
 from dilatation_lab.models.carnot import CarnotModel
 from dilatation_lab.models.heisenberg import cygan_gauge
 
 
-class ComplexHeisenbergModel(VectorGroupModel):
+class ComplexHeisenbergModel(CarnotModel):
     """C x R, coordinates [Re x, Im x, x']."""
 
     def __init__(self):
-        self.coordinate_dim = 3
-        self.scale_group = COMPLEX_UNITS
-        self.name = "complex-heisenberg"
         # Im(x conj(y)) = a1 b0 - a0 b1 is the bracket [e0, e1] = -e2;
         # exact points take real scales only
-        self._kernel = CarnotModel(2, [2, 1], [[0, 1, 2, -1.0]])
+        super().__init__(2, [2, 1], [[0, 1, 2, -1.0]])
+        self.scale_group = COMPLEX_UNITS
+        self.name = "complex-heisenberg"
 
     def _product(self, a, b):
         a0, a1, a2 = columns(a)

@@ -10,24 +10,21 @@ import math
 
 import numpy as np
 
-from dilatation_lab.core.scales import POSITIVE_REALS, Scale
-from dilatation_lab.models.base import (
-    VectorGroupModel, columns, float_or_rows, power, row_length, row_max)
+from dilatation_lab.core.scales import Scale
+from dilatation_lab.models.base import columns, float_or_rows, power, row_length, row_max
 from dilatation_lab.models.carnot import CarnotModel
 
 
-class EuclideanModel(VectorGroupModel):
-    """R^n with a p-norm distance and linear dilatations."""
+class EuclideanModel(CarnotModel):
+    """R^n with a p-norm distance and linear dilatations: the step-1 Carnot group."""
 
     def __init__(self, n: int, p: float = 2.0):
         if n < 1:
             raise ValueError("dimension must be at least 1")
+        super().__init__(1, [n], [])
         self.n = int(n)
         self.p = float(p)
-        self.coordinate_dim = self.n
-        self.scale_group = POSITIVE_REALS
         self.name = f"euclidean-{self.n}d" if p == 2.0 else f"euclidean-{self.n}d-p{p:g}"
-        self._kernel = CarnotModel(1, [self.n], [])
 
     def _product(self, a, b):
         return a + b

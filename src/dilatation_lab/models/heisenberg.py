@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from dilatation_lab.core.scales import POSITIVE_REALS, Scale
-from dilatation_lab.models.base import VectorGroupModel, power, row_dot
+from dilatation_lab.core.scales import Scale
+from dilatation_lab.models.base import power, row_dot
 from dilatation_lab.models.carnot import CarnotModel, heisenberg_structure_constants
 
 
@@ -24,17 +24,15 @@ def cygan_gauge(planar: float, center: float) -> float:
     return power(planar * planar + 16.0 * center * center, 0.25)
 
 
-class HeisenbergModel(VectorGroupModel):
-    """H(n) on R^{2n+1}, coordinates [x_1..x_{2n}, xbar]."""
+class HeisenbergModel(CarnotModel):
+    """H(n) on R^{2n+1}, coordinates [x_1..x_{2n}, xbar], with the Cygan gauge."""
 
     def __init__(self, n: int = 1):
         if n < 1:
             raise ValueError("Heisenberg index n must be at least 1")
         self.n = int(n)
-        self.coordinate_dim = 2 * self.n + 1
-        self.scale_group = POSITIVE_REALS
+        super().__init__(2, *heisenberg_structure_constants(self.n))
         self.name = f"heisenberg-{self.n}"
-        self._kernel = CarnotModel(2, *heisenberg_structure_constants(self.n))
 
     def symplectic(self, x, y):
         n = self.n

@@ -11,7 +11,7 @@ from dilatation_lab.core.structure import Ball, approx_difference, approx_sum
 from dilatation_lab.errors import NonConvergent
 from dilatation_lab.models import HeisenbergModel
 from dilatation_lab.emergent import (
-    check_affine_map, induced_structure, inflin_scan, lin_defect,
+    InducedStructure, check_affine_map, inflin_scan, lin_defect,
     metric_tangent_scan, pansu_derivative, plin1_scan, shift_isometry_defect,
     tangent_limit, tangent_space)
 
@@ -98,7 +98,7 @@ def test_tangent_dilate_matches_conical_dilate(heis1):
 # --- induced structures ----------------------------------------------------------
 
 def test_induced_equals_original_on_euclid(euclid2):
-    ind = induced_structure(euclid2, np.zeros(2), HALF)
+    ind = InducedStructure(euclid2, np.zeros(2), HALF)
     rng = np.random.default_rng(4)
     for _ in range(10):
         u, v = rng.uniform(-1, 1, (2, 2))
@@ -108,7 +108,7 @@ def test_induced_equals_original_on_euclid(euclid2):
 
 
 def test_induced_heisenberg_passes_a1_to_a3(heis1):
-    ind = induced_structure(heis1, heis1.origin(), HALF)
+    ind = InducedStructure(heis1, heis1.origin(), HALF)
     region = Ball(heis1.origin(), 0.2)
     for ax in ("A1", "A2", "A3"):
         rep = verify_axiom(ind, ax, region, GRID, sample_count=8, seed=3)
@@ -119,7 +119,7 @@ def test_induced_heisenberg_passes_a1_to_a3(heis1):
 def test_induced_heisenberg_cone_property(heis1):
     # no exact tangent here, so every tangent distance is estimated along
     # the grid; each estimate must belong to its own (base, pair)
-    ind = induced_structure(heis1, heis1.origin(), HALF)
+    ind = InducedStructure(heis1, heis1.origin(), HALF)
     rep = verify_axiom(ind, "ConeProperty", Ball(heis1.origin(), 0.2),
                        PR.grid(range(2, 9)), sample_count=4, seed=0)
     assert rep.metadata["reference"] == "estimated"
@@ -129,7 +129,7 @@ def test_induced_heisenberg_cone_property(heis1):
 def test_induced_exact_anchor_is_converted_once(monkeypatch):
     base = HeisenbergModel(1)
     x = base.point([0.1, -0.05], 0.02)
-    ind = induced_structure(base, x, PR.scale(0.3))
+    ind = InducedStructure(base, x, PR.scale(0.3))
     calls = []
     to_exact = base.to_exact
     monkeypatch.setattr(base, "to_exact", lambda p: calls.append(1) or to_exact(p))

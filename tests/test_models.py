@@ -8,8 +8,8 @@ import pytest
 from dilatation_lab.core.scales import COMPLEX_UNITS, POSITIVE_REALS as PR
 from dilatation_lab.errors import ModelError
 from dilatation_lab.models import (
-    CarnotModel, EuclideanModel, HeisenbergModel, PullbackModel, from_json,
-    heisenberg_structure_constants)
+    CarnotModel, ComplexHeisenbergModel, EuclideanModel, HeisenbergModel, PullbackModel,
+    from_json, heisenberg_structure_constants)
 from dilatation_lab.errors import DomainViolation
 
 HALF = PR.scale(0.5)
@@ -268,3 +268,20 @@ def test_sample_ball_stays_inside():
         for radius in (0.5, 0.05):
             for p in model.sample_ball(center, radius, 16, rng):
                 assert model.distance(center, p) <= radius + 1e-12
+
+
+def test_sample_ball_raises_when_no_candidate_lands_inside():
+    # a distance that does not shrink with the offset: halving never helps
+    class Far(EuclideanModel):
+        def distance(self, p, q):
+            return 1.0
+
+    with pytest.raises(DomainViolation):
+        Far(2).sample_ball(np.zeros(2), 0.5, 4, np.random.default_rng(0))
+
+
+def test_every_model_is_a_carnot_model_with_its_own_name():
+    models = {EuclideanModel(2): "euclidean-2d", HeisenbergModel(2): "heisenberg-2",
+              ComplexHeisenbergModel(): "complex-heisenberg"}
+    for model, name in models.items():
+        assert isinstance(model, CarnotModel) and model.name == name
