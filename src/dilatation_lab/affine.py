@@ -19,24 +19,26 @@ from typing import NamedTuple
 
 import numpy as np
 
-from dilatation_lab.config import EXACT_IDENTITY_TOL, FIXED_POINT_TOL, MAX_ITER
+from dilatation_lab.config import (
+    COUNTEREXAMPLE_SEPARATION, ENVELOPE_ABS_SLACK, ENVELOPE_SLACK, EXACT_IDENTITY_TOL,
+    FIXED_POINT_TOL, LINEARITY_WARN_TOL, MAX_ITER, RATE_FLOOR, RATE_FLOOR_FACTOR)
 from dilatation_lab.errors import DomainViolation, MaxIterExceeded
 from dilatation_lab.core.reports import ConvergenceReport, make_report
 from dilatation_lab.core.scales import Scale
-from dilatation_lab.core.structure import DilatationStructure
+from dilatation_lab.core.structure import DilatationStructure, exactify
 from dilatation_lab.emergent import check_affine_map, lin_defect
-from dilatation_lab.models.base import GroupModel
+from dilatation_lab.models.base import ExactPoint, GroupModel
 from dilatation_lab.models.complexheis import ComplexHeisenbergModel
 from dilatation_lab.models.heisenberg import HeisenbergModel
 
-_RATE_FLOOR = 1e-8
 
-
-def probe_points(S: DilatationStructure, center, radius: float, seed: int = 0,
-                 lattice: int = 7, random: int = 9) -> list:
-    """The standard identity-test probe set: a fixed lattice plus seeded fill."""
+def probe_points(S: DilatationStructure, center, radius: float, seed: int = 0) -> list:
+    """The standard identity-test probe set, 16 points of the ball: the model's
+    fixed lattice, then seeded fill.  An exact center gives exact probes."""
     rng = np.random.default_rng(seed)
-    return S.sample_ball(center, radius, lattice + random, rng)
+    if type(center) is not ExactPoint:
+        return S.sample_ball(center, radius, 16, rng)
+    return [S.to_exact(p) for p in S.sample_ball(center.to_float(), radius, 16, rng)]
 
 
 # ---------------------------------------------------------------------------
@@ -71,12 +73,14 @@ def menelaos_iterate(S: DilatationStructure, x, eps: Scale, y, mu: Scale,
 
     whose two strands contract toward the common fixed point at the exact
     per-step rate nu(eps mu).  The result records the step rates, and the
-    dilatation identity is spot-checked on three probe points.
+    dilatation identity is spot-checked on three probe points.  The linearity
+    warning is computed in exact arithmetic where the model has one.
     """
     _check_contracting(eps, mu)
     if check_linearity:
-        defect = lin_defect(S, x, y, x, eps, mu)
-        if defect > 1e-6:
+        (ex, ey), (e_eps, e_mu), _ = exactify(S, [x, y], [eps, mu])
+        defect = lin_defect(S, ex, ey, ex, e_eps, e_mu)
+        if defect > LINEARITY_WARN_TOL:
             warnings.warn(
                 f"{S.name} looks nonlinear near the inputs (defect {defect:.3g}); "
                 "the composite may not be a dilatation", stacklevel=2)
@@ -86,7 +90,7 @@ def menelaos_iterate(S: DilatationStructure, x, eps: Scale, y, mu: Scale,
     d_metric = S.distance(x, y)
     # contraction rates are read from metric distances, but only while they
     # sit safely above the resolution floor of the gauge
-    rate_floor = max(_RATE_FLOOR, 1e-5 * max(1.0, d_metric))
+    rate_floor = max(RATE_FLOOR, RATE_FLOOR_FACTOR * max(1.0, d_metric))
     rates: list[float] = []
     stall = 0
     iterations = 0
@@ -111,9 +115,8 @@ def menelaos_iterate(S: DilatationStructure, x, eps: Scale, y, mu: Scale,
 
     w = xn
     observed = float(np.median(rates)) if rates else float("nan")
-    probes = probe_points(S, w, S.closeness_budget(), seed=0, lattice=3, random=0)
     probe_defect = 0.0
-    for p in probes[:3]:
+    for p in S.sample_ball(w, S.closeness_budget(), 3, np.random.default_rng(0)):
         lhs = S.dilate(x, eps, S.dilate(y, mu, p))
         rhs = S.dilate(w, eps * mu, p)
         probe_defect = max(probe_defect, S.coordinate_gap(lhs, rhs))
@@ -259,8 +262,7 @@ def collinear_triple_from_ratio(M: GroupModel, x, y, alpha: float, beta: float,
 
 
 def check_collinear(S: DilatationStructure, triple: CollinearTriple,
-                    probes=None, seed: int = 0,
-                    tolerance: float = EXACT_IDENTITY_TOL) -> ConvergenceReport:
+                    probes=None, seed: int = 0) -> ConvergenceReport:
     """Identity defect of delta^x_alpha delta^y_beta delta^z_gamma on probe points."""
     sg = S.scale_group
     a, b, g = sg.scale(triple.alpha), sg.scale(triple.beta), sg.scale(triple.gamma)
@@ -273,11 +275,10 @@ def check_collinear(S: DilatationStructure, triple: CollinearTriple,
     worst = max(defects)
     # reports are scale-indexed; an identity check is scale-free, so wrap the
     # probe defects in a single-scale report carrying the sup
-    report = make_report([sg.contraction(1)], [worst], worst <= tolerance,
-                         {"model": S.name, "quantity": "collinear-identity",
-                          "ratio_norm": triple.ratio_norm, "probe_count": len(probes),
-                          "probe_defects": defects, "tolerance": tolerance})
-    return report
+    return make_report([sg.contraction(1)], [worst], worst <= EXACT_IDENTITY_TOL,
+                       {"model": S.name, "quantity": "collinear-identity",
+                        "ratio_norm": triple.ratio_norm, "probe_count": len(probes),
+                        "probe_defects": defects, "tolerance": EXACT_IDENTITY_TOL})
 
 
 def reversed_collinear_search(M: HeisenbergModel, X, Y, Z, grid_lo: float = 1.01,
@@ -339,15 +340,15 @@ def collinearity_defect(S: GroupModel, u, v, eps: Scale) -> float:
     return S.distance(inv_u, u) + S.distance(u, mid) - S.distance(inv_u, mid)
 
 
-def distance_estimates_check(S: DilatationStructure, x, y, eps: Scale, mu: Scale,
-                             slack: float = 1e-9) -> tuple[float, float, bool]:
+def distance_estimates_check(S: DilatationStructure, x, y, eps: Scale,
+                             mu: Scale) -> tuple[float, float, bool]:
     """Envelopes of the composite's base point:
 
         d(x, w) <= nu(eps) / (1 - nu(eps mu)) d(x, delta^y_mu x)
         d(y, w) <= 1 / (1 - nu(eps mu)) d(y, delta^x_eps y)
 
     Returns the two left-hand sides and whether both inequalities hold with
-    multiplicative slack 1 + slack.
+    multiplicative slack 1 + ENVELOPE_SLACK and absolute slack ENVELOPE_ABS_SLACK.
     """
     _check_contracting(eps, mu)
     w = menelaos_iterate(S, x, eps, y, mu, check_linearity=False).w
@@ -356,7 +357,8 @@ def distance_estimates_check(S: DilatationStructure, x, y, eps: Scale, mu: Scale
     bound1 = eps.nu / (1.0 - q) * S.distance(x, S.dilate(y, mu, x))
     lhs2 = S.distance(y, w)
     bound2 = 1.0 / (1.0 - q) * S.distance(y, S.dilate(x, eps, y))
-    ok = lhs1 <= bound1 * (1.0 + slack) + 1e-15 and lhs2 <= bound2 * (1.0 + slack) + 1e-15
+    ok = (lhs1 <= bound1 * (1.0 + ENVELOPE_SLACK) + ENVELOPE_ABS_SLACK
+          and lhs2 <= bound2 * (1.0 + ENVELOPE_SLACK) + ENVELOPE_ABS_SLACK)
     return lhs1, lhs2, ok
 
 
@@ -372,8 +374,9 @@ def counterexample_check(M: ComplexHeisenbergModel, eps: float, Y, probes=None,
     X the neutral element, is an isometry but *not* the left translation by
     its value at the neutral element: the report's defect is the probe-sup
     distance between the two maps, and it passes when the defect exceeds
-    1e-6.  With flip=False the control case mu = +1/eps runs instead, where
-    the composite *is* that translation and the defect must vanish.
+    COUNTEREXAMPLE_SEPARATION.  With flip=False the control case mu = +1/eps
+    runs instead, where the composite *is* that translation and the defect
+    must vanish.
 
     Both scales are real here, so every coordinate stays rational; the two
     maps are evaluated on the model's exact points, and only the gap between
@@ -401,7 +404,7 @@ def counterexample_check(M: ComplexHeisenbergModel, eps: float, Y, probes=None,
         u = M.to_exact(p)
         gap = M.group_product(M.group_inverse(composite(u)), M.group_product(head, u))
         defect = max(defect, M.homogeneous_norm(gap.to_float()))
-    verdict = defect > 1e-6 if flip else defect <= EXACT_IDENTITY_TOL
+    verdict = defect > COUNTEREXAMPLE_SEPARATION if flip else defect <= EXACT_IDENTITY_TOL
     return make_report([sg.scale(complex(eps))], [defect], verdict,
                        {"model": M.name, "quantity": "translation-defect",
                         "eps": eps, "eps_mu": -1.0 if flip else 1.0,
@@ -413,30 +416,29 @@ def counterexample_check(M: ComplexHeisenbergModel, eps: float, Y, probes=None,
 # ---------------------------------------------------------------------------
 
 def geometric_affinity_check(S: DilatationStructure, T, triple_samples,
-                             probes=None, seed: int = 0,
-                             tolerance: float = EXACT_IDENTITY_TOL) -> ConvergenceReport:
+                             probes=None, seed: int = 0) -> ConvergenceReport:
     """Does T preserve collinear triples with their exponents?
 
     For each sampled triple the image triple ((Tx)^a, (Ty)^b, (Tz)^g) is run
     through the identity check; the report passes when every image defect
-    stays below tolerance.  The metadata carries the commutation defect of T
-    with dilatations on the same points, the equivalent characterization.
+    stays below EXACT_IDENTITY_TOL.  The metadata carries the commutation
+    defect of T with dilatations on the same points, the equivalent
+    characterization.
     """
     defects = []
     pts = []
     for triple in triple_samples:
         image = CollinearTriple(T(triple.x), T(triple.y), T(triple.z),
                                 triple.alpha, triple.beta)
-        rep = check_collinear(S, image, probes=probes, seed=seed, tolerance=tolerance)
+        rep = check_collinear(S, image, probes=probes, seed=seed)
         defects.append(rep.defect[0])
         pts.append((triple.x, triple.y))
     sg = S.scale_group
-    commutation = check_affine_map(S, T, pts, [sg.contraction(k) for k in (1, 2, 3)],
-                                   tolerance)
+    commutation = check_affine_map(S, T, pts, [sg.contraction(k) for k in (1, 2, 3)])
     worst = max(defects)
-    return make_report([sg.contraction(1)], [worst], worst <= tolerance,
+    return make_report([sg.contraction(1)], [worst], worst <= EXACT_IDENTITY_TOL,
                        {"model": S.name, "quantity": "geometric-affinity",
                         "triple_defects": defects,
                         "commutation_defect": max(commutation.defect),
                         "commutation_pass": commutation.verdict,
-                        "tolerance": tolerance})
+                        "tolerance": EXACT_IDENTITY_TOL})

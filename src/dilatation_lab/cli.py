@@ -19,12 +19,13 @@ import numpy as np
 
 from dilatation_lab import __version__
 from dilatation_lab.config import (
-    EXACT_IDENTITY_TOL, FIXED_POINT_TOL, MAX_ITER, SAMPLE_COUNT, default_ks)
+    EXACT_IDENTITY_TOL, FIXED_POINT_TOL, MAX_ITER, MENELAOS_PROBE_TOL, SAMPLE_COUNT,
+    default_ks)
 from dilatation_lab.errors import (
     ConfigError, DilatationLabError, DomainViolation, MaxIterExceeded,
     ModelError, NonConvergent, PrecisionExhausted)
 from dilatation_lab.core.harness import AXIOMS, verify_axiom
-from dilatation_lab.core.structure import Ball
+from dilatation_lab.core.structure import Ball, exactify
 from dilatation_lab import models as model_factory
 from dilatation_lab.emergent import check_affine_map, inflin_scan, tangent_limit
 from dilatation_lab.affine import (
@@ -161,7 +162,7 @@ def _cmd_menelaos(model, config):
                     + [f"w{i}" for i in range(len(coords))])
     out.add(result.iterations, result.residual, result.contraction_rate,
             result.probe_defect, *coords)
-    return out, result.probe_defect <= 1e-8
+    return out, result.probe_defect <= MENELAOS_PROBE_TOL
 
 
 def _cmd_ratio(model, config):
@@ -238,7 +239,7 @@ def _cmd_counterexample(model, config):
     return out, flipped.verdict and control.verdict
 
 
-def _make_map(model, desc, exact: bool):
+def _make_map(model, desc):
     kind = desc["type"]
     if kind == "linear":
         matrix = np.asarray(desc["matrix"], dtype=float)
@@ -247,8 +248,7 @@ def _make_map(model, desc, exact: bool):
     if kind == "left_translation":
         if not isinstance(model, model_factory.GroupModel):
             raise ConfigError(f"a left_translation map needs a group model, not {model.name}")
-        w = model.point_from_json(desc["point"])
-        return model.left_translation(model.to_exact(w) if exact else w)
+        return model.left_translation(model.to_exact(model.point_from_json(desc["point"])))
     if kind == "componentwise_cubic":
         return lambda p: p + p ** 3
     raise ConfigError(f"unknown map type {kind!r}")
@@ -258,20 +258,18 @@ def _cmd_affinemap(model, config):
     desc = config["map"]
     if not isinstance(desc, dict) or "type" not in desc:
         raise ConfigError("map must be an object with a 'type' field")
-    # a left translation is affine on a group model, so its commutation
-    # defect is evaluated exactly: in floats the Cygan fourth root lifts
-    # coordinate roundoff past the tolerance
-    exact = desc["type"] == "left_translation" and model.supports_exact_arithmetic
-    T = _make_map(model, desc, exact)
+    T = _make_map(model, desc)
     rng = np.random.default_rng(int(config["seed"]))
     radius = float(config.get("radius", model.closeness_budget()))
     count = int(config.get("sample_count", 16))
     pts = model.sample_ball(model.origin(), radius, 2 * count, rng)
-    samples = list(zip(pts[:count], pts[count:]))
     grid = _grid(model, config, default=[1, 2, 3, 4])
-    if exact:
-        samples = [(model.to_exact(x), model.to_exact(y)) for x, y in samples]
-        grid = [model.to_exact_scale(e) for e in grid]
+    if desc["type"] == "left_translation":
+        # a left translation is affine on a group model, so its commutation
+        # defect is evaluated exactly: in floats the Cygan fourth root lifts
+        # coordinate roundoff past the tolerance
+        pts, grid, _ = exactify(model, pts, grid)
+    samples = list(zip(pts[:count], pts[count:]))
     tolerance = float(config.get("tolerance", EXACT_IDENTITY_TOL))
     rep = check_affine_map(model, T, samples, grid, tolerance)
     out = CsvReport(["nu", "defect"])

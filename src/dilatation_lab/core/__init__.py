@@ -9,10 +9,10 @@ from dilatation_lab.core.structure import (
     Ball, DilatationStructure, approx_difference, approx_inverse, approx_sum,
     estimate_dx, rescaled_distance, vector_sample_ball)
 from dilatation_lab.core.harness import (
-    AXIOMS, AXIOM_TOLERANCES, verify_all_axioms, verify_axiom)
+    AXIOMS, verify_all_axioms, verify_axiom)
 
 __all__ = [
-    "AXIOMS", "AXIOM_TOLERANCES", "Ball", "COMPLEX_UNITS", "ComplexUnits",
+    "AXIOMS", "Ball", "COMPLEX_UNITS", "ComplexUnits",
     "ConvergenceReport", "DYADIC_POWERS", "DilatationStructure", "DyadicPowers",
     "POSITIVE_REALS", "PositiveReals", "Scale", "ScaleGroup",
     "approx_difference", "approx_inverse", "approx_sum", "estimate_dx",

@@ -24,46 +24,26 @@ limit report a decreasing sequence:
           d^x(u,v) = d^x(delta^x_mu u, delta^x_mu v) / nu(mu).
 
 A report passes when its defects are non-increasing (within the jitter
-factor) and the final defect is below the axiom's tolerance.
+factor) and the final defect is below the axiom's tolerance: LIMIT_TOL for
+A3 and the estimated cone property, CAUCHY_DIFFERENCE_TOL for A4 in cauchy
+mode and EXACT_IDENTITY_TOL for the rest (all in config.py).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from dilatation_lab.config import DEFECT_FLOOR, EXACT_IDENTITY_TOL, JITTER_FACTOR, SAMPLE_COUNT
+from dilatation_lab.config import (
+    CAUCHY_DIFFERENCE_TOL, DEFECT_FLOOR, EXACT_IDENTITY_TOL, LIMIT_TOL, SAMPLE_COUNT,
+    TOLERANCE_FLOOR_FRACTION)
 from dilatation_lab.errors import DomainViolation
 from dilatation_lab.core.reports import ConvergenceReport, make_report, nonincreasing
+from dilatation_lab.core.scales import reference_scale
 from dilatation_lab.core.structure import (
-    Ball, DilatationStructure, Rows, approx_difference, estimate_dx, rescaled_distance)
+    Ball, DilatationStructure, Rows, approx_difference, estimate_dx, exactify,
+    rescaled_distance)
 
 AXIOMS = ("A1", "A2", "A3", "A4", "Axiom0", "ConeProperty")
-
-# final-defect tolerances; A4 and the cone property depend on whether the
-# model supplies closed forms or the sweep falls back to Cauchy increments
-AXIOM_TOLERANCES = {
-    "A1": EXACT_IDENTITY_TOL,
-    "A2": EXACT_IDENTITY_TOL,
-    "A3": 1e-6,
-    "A4:exact": EXACT_IDENTITY_TOL,
-    "A4:cauchy": 1e-2,
-    "Axiom0": EXACT_IDENTITY_TOL,
-    "ConeProperty:exact": EXACT_IDENTITY_TOL,
-    "ConeProperty:estimated": 1e-6,
-}
-
-
-def _reference_scale(eps_grid):
-    """One refinement past the end of the grid, reusing the last grid ratio."""
-    last, prev = eps_grid[-1], eps_grid[-2]
-    return last * (last * prev.inverse())
-
-
-def _tuples(S, region, sample_count, rng):
-    pts = S.sample_ball(region.center, region.radius, sample_count, rng)
-    bases = [region.center, pts[1 % len(pts)], pts[2 % len(pts)]]
-    pairs = list(zip(pts, pts[1:] + pts[:1]))
-    return bases, pairs
 
 
 def _rows(bases, pairs, batch=True):
@@ -85,54 +65,48 @@ def verify_axiom(S: DilatationStructure, which: str, region: Ball, eps_grid,
         raise ValueError("sample_count must be at least 1")
     if reference not in ("auto", "exact", "cauchy"):
         raise ValueError(f"unknown reference mode {reference!r}")
-    rng = np.random.default_rng(seed)
-    bases, pairs = _tuples(S, region, sample_count, rng)
     mode = None
-    arithmetic = "float"
-
-    def exactified(grid):
-        # identity-type residuals vanish exactly in rational arithmetic,
-        # which sidesteps the roundoff blowup of fractional-power gauges
-        nonlocal arithmetic
-        if not S.supports_exact_arithmetic:
-            return bases, pairs, grid
-        try:
-            egrid = [S.to_exact_scale(e) for e in grid]
-        except ValueError:
-            return bases, pairs, grid
-        arithmetic = "exact"
-        ebases = [S.to_exact(x) for x in bases]
-        epairs = [(S.to_exact(u), S.to_exact(v)) for u, v in pairs]
-        return ebases, epairs, egrid
-
-    if which == "A1":
-        defects = _a1_defects(S, *exactified(eps_grid))
-    elif which == "A2":
-        defects = _a2_defects(S, bases, pairs, eps_grid)
-    elif which == "A3":
-        defects = _a3_defects(S, bases, pairs, eps_grid)
-    elif which == "A4":
+    if which == "A4":
         use_exact = S.has_exact_operators if reference == "auto" else reference == "exact"
         mode = "exact" if use_exact else "cauchy"
-        if use_exact:
-            defects = _a4_defects(S, *exactified(eps_grid), True)
-        else:
-            defects = _a4_defects(S, bases, pairs, eps_grid, False)
-    elif which == "Axiom0":
-        defects = _axiom0_defects(S, bases, eps_grid, sample_count, rng)
-    else:
+    elif which == "ConeProperty":
         mode = "exact" if S.has_exact_tangent else "estimated"
-        defects = _cone_defects(S, bases, pairs, eps_grid)
+    rng = np.random.default_rng(seed)
+    center = region.center
+    pts = S.sample_ball(center, region.radius, sample_count, rng)
+    grid, exact = eps_grid, False
+    # identities, and the estimated tangent's rescaled distances, are
+    # evaluated in the model's exact arithmetic where it has one
+    if which == "A1" or (which, mode) in (("A4", "exact"), ("ConeProperty", "estimated")):
+        (center, *pts), grid, exact = exactify(S, [center, *pts], eps_grid)
+    bases = [center, pts[1 % len(pts)], pts[2 % len(pts)]]
+    pairs = list(zip(pts, pts[1:] + pts[:1]))
 
-    key = which if mode is None else f"{which}:{mode}"
-    tol = AXIOM_TOLERANCES[key] if tolerance is None else tolerance
-    floor = max(DEFECT_FLOOR, 0.01 * tol)
-    verdict = defects[-1] <= tol and nonincreasing(defects, JITTER_FACTOR, floor)
+    if which == "A1":
+        defects = _a1_defects(S, bases, pairs, grid)
+    elif which == "A2":
+        defects = _a2_defects(S, bases, pairs, grid)
+    elif which == "A3":
+        defects = _a3_defects(S, bases, pairs, grid)
+    elif which == "A4":
+        defects = _a4_defects(S, bases, pairs, grid, mode == "exact")
+    elif which == "Axiom0":
+        defects = _axiom0_defects(S, bases, grid, sample_count, rng)
+    else:
+        defects = _cone_defects(S, bases, pairs, grid)
+
+    if tolerance is None:
+        # limits read off a finite grid meet the limit tolerance, identities
+        # the exact-identity one
+        tolerance = (LIMIT_TOL if which == "A3" or mode == "estimated"
+                     else CAUCHY_DIFFERENCE_TOL if mode == "cauchy" else EXACT_IDENTITY_TOL)
+    floor = max(DEFECT_FLOOR, TOLERANCE_FLOOR_FRACTION * tolerance)
+    verdict = defects[-1] <= tolerance and nonincreasing(defects, floor=floor)
     return make_report(
         eps_grid, defects, verdict,
         metadata={"model": S.name, "axiom": which, "seed": seed,
-                  "sample_count": sample_count, "tolerance": tol,
-                  "reference": mode, "arithmetic": arithmetic,
+                  "sample_count": sample_count, "tolerance": tolerance,
+                  "reference": mode, "arithmetic": "exact" if exact else "float",
                   "region_radius": region.radius})
 
 
@@ -155,7 +129,7 @@ def _a1_defects(S, bases, pairs, eps_grid):
 
 
 def _a2_defects(S, bases, pairs, eps_grid):
-    ref = _reference_scale(eps_grid)
+    ref = reference_scale(eps_grid)
     rows, X, Y, _ = _rows(bases, pairs)
     refs = rows.map(lambda x, y: S.distance(x, S.dilate(x, ref, y)) / ref.nu, X, Y)
     return [rows.sup(lambda x, y, r: abs(S.distance(x, S.dilate(x, eps, y)) - eps.nu * r),
@@ -164,7 +138,7 @@ def _a2_defects(S, bases, pairs, eps_grid):
 
 
 def _a3_defects(S, bases, pairs, eps_grid):
-    ref = _reference_scale(eps_grid)
+    ref = reference_scale(eps_grid)
     rows, X, U, V = _rows(bases, pairs)
     refs = rows.map(lambda x, u, v: rescaled_distance(S, x, ref, u, v), X, U, V)
     return [rows.sup(lambda x, u, v, r: abs(rescaled_distance(S, x, eps, u, v) - r),
@@ -179,7 +153,7 @@ def _a4_defects(S, bases, pairs, eps_grid, use_exact):
                                                     S.exact_difference(x, eps, u, v)),
                          X, U, V)
                 for eps in eps_grid]
-    ref = _reference_scale(eps_grid)
+    ref = reference_scale(eps_grid)
     refs = rows.map(lambda x, u, v: approx_difference(S, x, ref, u, v), X, U, V)
     return [rows.sup(lambda x, u, v, r: S.coordinate_gap(approx_difference(S, x, eps, u, v), r),
                      X, U, V, refs)

@@ -5,11 +5,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from dilatation_lab.config import DEFECT_FLOOR, JITTER_FACTOR
+from dilatation_lab.config import DECAY_FACTOR, DEFECT_FLOOR, JITTER_FACTOR
 from dilatation_lab.core.scales import Scale
 
 
-def fit_loglog_rate(nus, defects, floor: float = DEFECT_FLOOR) -> float:
+def fit_loglog_rate(nus, defects) -> float:
     """Least-squares slope of log(defect) against log(nu).
 
     Entries at or below the floor are dropped; with fewer than two usable
@@ -17,7 +17,7 @@ def fit_loglog_rate(nus, defects, floor: float = DEFECT_FLOOR) -> float:
     """
     xs, ys = [], []
     for nu, d in zip(nus, defects):
-        if d > floor:
+        if d > DEFECT_FLOOR:
             xs.append(math.log(nu))
             ys.append(math.log(d))
     if len(xs) < 2:
@@ -32,8 +32,7 @@ def fit_loglog_rate(nus, defects, floor: float = DEFECT_FLOOR) -> float:
     return sxy / sxx
 
 
-def nonincreasing(defects, jitter: float = JITTER_FACTOR,
-                  floor: float = DEFECT_FLOOR) -> bool:
+def nonincreasing(defects, floor: float = DEFECT_FLOOR) -> bool:
     """True if the sequence never grows by more than the jitter factor.
 
     Values at or below the floor are treated as zero, so roundoff wiggle in
@@ -42,10 +41,19 @@ def nonincreasing(defects, jitter: float = JITTER_FACTOR,
     prev = None
     for d in defects:
         d = 0.0 if d <= floor else d
-        if prev is not None and d > jitter * max(prev, floor):
+        if prev is not None and d > JITTER_FACTOR * max(prev, floor):
             return False
         prev = d
     return True
+
+
+def dies_out(values) -> bool:
+    """True if the sequence is non-increasing and ends below DECAY_FACTOR times
+    its first value; a sequence starting at or below the floor need only stay flat."""
+    ok = nonincreasing(values)
+    if values[0] > DEFECT_FLOOR:
+        ok = ok and values[-1] < DECAY_FACTOR * values[0]
+    return ok
 
 
 @dataclass

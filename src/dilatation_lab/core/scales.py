@@ -179,3 +179,9 @@ class ComplexUnits(ScaleGroup):
 POSITIVE_REALS = PositiveReals()
 DYADIC_POWERS = DyadicPowers()
 COMPLEX_UNITS = ComplexUnits()
+
+
+def reference_scale(eps_grid) -> Scale:
+    """One refinement past the end of a grid, reusing its last ratio."""
+    last, prev = eps_grid[-1], eps_grid[-2]
+    return last * (last * prev.inverse())

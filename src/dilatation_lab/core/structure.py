@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from dilatation_lab.config import DEFECT_FLOOR, EXACT_IDENTITY_TOL, JITTER_FACTOR
+from dilatation_lab.config import DEFECT_FLOOR, EXACT_IDENTITY_TOL
 from dilatation_lab.errors import DomainViolation, NonConvergent
 from dilatation_lab.core.reports import ConvergenceReport, make_report, nonincreasing
 from dilatation_lab.core.scales import Scale, ScaleGroup
@@ -133,6 +133,22 @@ class DilatationStructure:
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}>"
+
+
+def exactify(S: DilatationStructure, points, scales) -> tuple[list, list, bool]:
+    """The points and scales in the exact arithmetic of S, and True; else as given, and False.
+
+    Identity-type residuals vanish exactly in rational arithmetic, which
+    sidesteps the roundoff blowup of fractional-power gauges.  A model
+    without exact arithmetic, or a complex scale, leaves them in floats.
+    """
+    if S.supports_exact_arithmetic:
+        try:
+            exact_scales = [S.to_exact_scale(e) for e in scales]
+        except ValueError:
+            return points, scales, False
+        return [S.to_exact(p) for p in points], exact_scales, True
+    return points, scales, False
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +305,7 @@ def estimate_dx(S: DilatationStructure, x, u, v, eps_grid) -> tuple[float, Conve
         raise ValueError("scale grid must be strictly decreasing in nu")
     values = [rescaled_distance(S, x, e, u, v) for e in eps_grid]
     diffs = [abs(a - b) for a, b in zip(values, values[1:])]
-    if not nonincreasing(diffs, JITTER_FACTOR, DEFECT_FLOOR):
+    if not nonincreasing(diffs):
         raise NonConvergent(
             f"rescaled distances do not settle on {S.name}: diffs={diffs}")
     estimate = values[-1]

@@ -17,17 +17,27 @@ from functools import cached_property
 import numpy as np
 
 from dilatation_lab.config import (
-    CAUCHY_SHRINK, DEFECT_FLOOR, EXACT_IDENTITY_TOL, JITTER_FACTOR, default_ks)
+    CAUCHY_SHRINK, DEFECT_FLOOR, DERIVATIVE_TOL, EXACT_IDENTITY_TOL, default_ks)
 from dilatation_lab.errors import NonConvergent
-from dilatation_lab.core.reports import ConvergenceReport, make_report, nonincreasing
+from dilatation_lab.core.reports import ConvergenceReport, dies_out, make_report, nonincreasing
 from dilatation_lab.core.structure import (
     DilatationStructure, Rows, approx_difference, approx_inverse, approx_sum,
     estimate_dx, rescaled_distance)
-from dilatation_lab.core.scales import Scale
+from dilatation_lab.core.scales import Scale, reference_scale
 from dilatation_lab.models.base import ExactPoint
 
 _LIMIT_OPS = {"sum": approx_sum, "difference": approx_difference,
               "inverse": approx_inverse}
+
+
+def _settled_increments(S: DilatationStructure, points, failure: str) -> list[float]:
+    """Distances between successive points; above the floor each must shrink by
+    CAUCHY_SHRINK, else NonConvergent is raised with the failure message."""
+    increments = [S.distance(a, b) for a, b in zip(points, points[1:])]
+    for a, b in zip(increments, increments[1:]):
+        if b > DEFECT_FLOOR and b > a / CAUCHY_SHRINK + DEFECT_FLOOR:
+            raise NonConvergent(f"{failure}: {increments}")
+    return increments
 
 
 def tangent_limit(S: DilatationStructure, x, u, v, which: str,
@@ -47,11 +57,8 @@ def tangent_limit(S: DilatationStructure, x, u, v, which: str,
         points = [op(S, x, e, u) for e in eps_grid]
     else:
         points = [op(S, x, e, u, v) for e in eps_grid]
-    increments = [S.distance(a, b) for a, b in zip(points, points[1:])]
-    for a, b in zip(increments, increments[1:]):
-        if b > DEFECT_FLOOR and b > a / CAUCHY_SHRINK + DEFECT_FLOOR:
-            raise NonConvergent(
-                f"tangent {which} composites do not settle on {S.name}: {increments}")
+    increments = _settled_increments(
+        S, points, f"tangent {which} composites do not settle on {S.name}")
     if S.has_exact_tangent:
         exact = {"sum": S.tangent_sum, "difference": S.tangent_difference}
         limit = exact[which](x, u, v) if which != "inverse" else S.tangent_inverse(x, u)
@@ -216,17 +223,13 @@ def lin_defect(S: DilatationStructure, x, y, z, eps: Scale, mu: Scale) -> float:
 def inflin_scan(S: DilatationStructure, x, y, z, eps_grid) -> ConvergenceReport:
     """Second-order vanishing of nonlinearity: Lin(x, delta^x_eps y, z; eps, eps) / eps^2.
 
-    Passes when the rescaled defects decrease (within jitter) to below one
-    tenth of their initial value; identically-flat zero sequences pass.
+    Passes when the rescaled defects die out (``dies_out``).
     """
     values = []
     for eps in eps_grid:
         nu = eps.nu
         values.append(lin_defect(S, x, S.dilate(x, eps, y), z, eps, eps) / (nu * nu))
-    ok = nonincreasing(values, JITTER_FACTOR, DEFECT_FLOOR)
-    if values[0] > DEFECT_FLOOR:
-        ok = ok and values[-1] < 0.1 * values[0]
-    return make_report(eps_grid, values, ok,
+    return make_report(eps_grid, values, dies_out(values),
                        {"model": S.name, "quantity": "lin-over-eps-squared"})
 
 
@@ -235,7 +238,7 @@ def plin1_scan(S: DilatationStructure, x, y, v, eps_grid) -> ConvergenceReport:
 
     Sweeps (1/eps) (delta^x, eps)(delta^{delta^x_eps y}_eps v, delta-hat v)
     where delta-hat is the induced dilatation at scale eps anchored at the
-    same point; the quantity must decrease to zero.
+    same point; the quantity must die out (``dies_out``).
     """
     values = []
     for eps in eps_grid:
@@ -243,10 +246,7 @@ def plin1_scan(S: DilatationStructure, x, y, v, eps_grid) -> ConvergenceReport:
         true_point = S.dilate(u, eps, v)
         hat = InducedStructure(S, x, eps).dilate(u, eps, v)
         values.append(rescaled_distance(S, x, eps, true_point, hat) / eps.nu)
-    ok = nonincreasing(values, JITTER_FACTOR, DEFECT_FLOOR)
-    if values[0] > DEFECT_FLOOR:
-        ok = ok and values[-1] < 0.1 * values[0]
-    return make_report(eps_grid, values, ok,
+    return make_report(eps_grid, values, dies_out(values),
                        {"model": S.name, "quantity": "induced-dilatation-gap"})
 
 
@@ -270,8 +270,7 @@ def metric_tangent_scan(S: DilatationStructure, x, eps_grid, sample_count: int =
         worst = rows.sup(lambda x, u, v: abs(S.distance(u, v) - S.tangent_distance(x, u, v)),
                          X, moved, rows.rotate(moved))
         values.append(worst / eps.nu)
-    ok = nonincreasing(values, JITTER_FACTOR, DEFECT_FLOOR)
-    return make_report(eps_grid, values, ok,
+    return make_report(eps_grid, values, nonincreasing(values),
                        {"model": S.name, "quantity": "metric-tangent-gap",
                         "seed": seed, "sample_count": sample_count})
 
@@ -307,7 +306,7 @@ def check_affine_map(S: DilatationStructure, T, samples, eps_set,
 
 
 def pansu_derivative(Ssrc: DilatationStructure, Sdst: DilatationStructure, f, x, u,
-                     eps_grid, tolerance: float = 1e-4) -> tuple[object, ConvergenceReport]:
+                     eps_grid) -> tuple[object, ConvergenceReport]:
     """Derivative of f at x along u as a tangent-group morphism value.
 
     Estimates Q^x(u) = lim delta^{f(x)}_{eps^-1} f(delta^x_eps u) over the
@@ -319,20 +318,15 @@ def pansu_derivative(Ssrc: DilatationStructure, Sdst: DilatationStructure, f, x,
     fx = f(x)
     candidates = [Sdst.dilate(fx, eps.inverse(), f(Ssrc.dilate(x, eps, u)))
                   for eps in eps_grid]
-    increments = [Sdst.distance(a, b) for a, b in zip(candidates, candidates[1:])]
-    for a, b in zip(increments, increments[1:]):
-        if b > DEFECT_FLOOR and b > a / CAUCHY_SHRINK + DEFECT_FLOOR:
-            raise NonConvergent(
-                f"derivative candidates do not settle along u: {increments}")
+    _settled_increments(Sdst, candidates, "derivative candidates do not settle along u")
     # estimate at one refinement past the grid so every residual row,
     # including the last, measures the estimate against fresh data
-    ref = eps_grid[-1] * (eps_grid[-1] * eps_grid[-2].inverse())
+    ref = reference_scale(eps_grid)
     q = Sdst.dilate(fx, ref.inverse(), f(Ssrc.dilate(x, ref, u)))
     residuals = [Sdst.distance(f(Ssrc.dilate(x, eps, u)), Sdst.dilate(fx, eps, q)) / eps.nu
                  for eps in eps_grid]
-    verdict = (residuals[-1] <= tolerance
-               and nonincreasing(residuals, JITTER_FACTOR, DEFECT_FLOOR))
+    verdict = residuals[-1] <= DERIVATIVE_TOL and nonincreasing(residuals)
     report = make_report(eps_grid, residuals, verdict,
                          {"model": f"{Ssrc.name}->{Sdst.name}",
-                          "quantity": "derivative-residual", "tolerance": tolerance})
+                          "quantity": "derivative-residual", "tolerance": DERIVATIVE_TOL})
     return q, report

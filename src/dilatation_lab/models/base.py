@@ -195,17 +195,9 @@ class GroupModel(DilatationStructure):
     def origin(self):
         return self.identity()
 
-    def left_translation(self, w, base=None):
-        """The map v -> w . base^-1 . v, translation in the group re-zeroed at base.
-
-        With the default base (the neutral element) this is plain left
-        translation by w; it is an isometry of the model's distance.
-        """
-        if base is None:
-            head = w
-        else:
-            head = self.group_product(w, self.group_inverse(base))
-        return lambda v: self.group_product(head, v)
+    def left_translation(self, w):
+        """The map v -> w . v, an isometry of the model's distance."""
+        return lambda v: self.group_product(w, v)
 
     def base_inverse(self, u, x):
         """inv^u(x) = u . x^-1 . u, the inverse of x in the group re-zeroed at u."""

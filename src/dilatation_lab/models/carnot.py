@@ -25,13 +25,12 @@ import math
 
 import numpy as np
 
+from dilatation_lab.config import JACOBI_TOL
 from dilatation_lab.errors import ModelError
 from dilatation_lab.core.scales import POSITIVE_REALS, Scale
 from dilatation_lab.core.structure import vector_sample_ball
 from dilatation_lab.models.base import (
     ExactPoint, GroupModel, columns, float_or_rows, power, row_dot, row_max, stack)
-
-_JACOBI_TOL = 1e-12
 
 
 def _scale_ratio(value) -> tuple[int, int]:
@@ -174,7 +173,7 @@ class CarnotModel(GroupModel):
         for i, j, k in itertools.combinations(range(self.dim), 3):
             a, b, c = basis[i], basis[j], basis[k]
             res = [x + y + z for x, y, z in zip(br(a, br(b, c)), br(b, br(c, a)), br(c, br(a, b)))]
-            if max(abs(r) for r in res) > _JACOBI_TOL:
+            if max(abs(r) for r in res) > JACOBI_TOL:
                 raise ModelError(f"Jacobi identity fails on basis triple ({i},{j},{k})")
 
     def _bracket(self, A, B) -> list:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from dilatation_lab.config import CHART_BALL_SLACK
 from dilatation_lab.errors import DomainViolation, ModelError
 from dilatation_lab.core.scales import Scale
 from dilatation_lab.core.structure import DilatationStructure, vector_sample_ball
@@ -95,7 +96,7 @@ class PullbackModel(DilatationStructure):
     # --- guards --------------------------------------------------------------
 
     def _check_ball(self, p, what: str):
-        if np.count_nonzero(row_length(p) > self.radius + 1e-12):
+        if np.count_nonzero(row_length(p) > self.radius + CHART_BALL_SLACK):
             raise DomainViolation(f"{what} leaves the chart ball of radius {self.radius}")
 
     # --- structure surface ------------------------------------------------------

@@ -1,6 +1,7 @@
 """Menelaos fixed points, the h/g inversion, collinear triples, diagnostics."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -55,6 +56,17 @@ def test_menelaos_warns_on_nonlinear_structure(cubic_pullback):
     with pytest.warns(UserWarning):
         menelaos_iterate(cubic_pullback, np.zeros(2), HALF,
                          np.array([0.2, 0.1]), HALF)
+
+
+def test_menelaos_does_not_warn_on_engel(engel):
+    # dilatations of a Carnot group commute exactly; in floats the cube root
+    # of the max gauge read third-layer roundoff as a 1e-6 linearity defect
+    rng = np.random.default_rng(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(20):
+            x, y = rng.uniform(-0.5, 0.5, 4), rng.uniform(-0.5, 0.5, 4)
+            menelaos_iterate(engel, x, HALF, y, PR.scale(0.25))
 
 
 def test_banach_oracle_agrees(euclid1, heis1):
@@ -223,6 +235,17 @@ def test_check_collinear_heisenberg_exact(heis1):
     rep = check_collinear(heis1, t, probes=probes)
     assert rep.verdict
     assert rep.defect[0] <= 1e-9
+
+
+def test_check_collinear_exact_triple_default_probes(heis1):
+    X = heis1.to_exact(heis1.point([1.0, 0.0], 0.0))
+    Y = heis1.to_exact(heis1.point([0.0, 1.0], 0.0))
+    t = collinear_triple_from_ratio(heis1, X, Y, Fraction(1, 2), Fraction(1, 2))
+    rep = check_collinear(heis1, t)
+    assert rep.metadata["probe_count"] == 16
+    assert rep.verdict and rep.defect[0] <= 1e-9
+    T = heis1.left_translation(heis1.to_exact(heis1.point([0.2, -0.1], 0.05)))
+    assert geometric_affinity_check(heis1, T, [t]).verdict
 
 
 def test_reversed_collinear_impossible_heisenberg(heis1):

@@ -126,6 +126,18 @@ def test_induced_heisenberg_cone_property(heis1):
     assert rep.verdict, rep.defect
 
 
+def test_induced_cone_property_off_origin_is_exact(heis1):
+    # in floats, roundoff in the rescaled distances (8e-15 rising to 2.8e-12)
+    # crossed the defect floor and broke the jitter rule: NonConvergent
+    x = heis1.point([0.1, -0.05], 0.02)
+    ind = InducedStructure(heis1, x, PR.scale(0.3))
+    rep = verify_axiom(ind, "ConeProperty", Ball(x, 0.2), PR.grid(range(2, 9)),
+                       sample_count=4, seed=0)
+    assert rep.metadata["reference"] == "estimated"
+    assert rep.metadata["arithmetic"] == "exact"
+    assert rep.verdict and rep.defect == [0.0] * 7
+
+
 def test_induced_exact_anchor_is_converted_once(monkeypatch):
     base = HeisenbergModel(1)
     x = base.point([0.1, -0.05], 0.02)
@@ -136,8 +148,9 @@ def test_induced_exact_anchor_is_converted_once(monkeypatch):
     rep = verify_axiom(ind, "A1", Ball(x, 0.2), GRID, sample_count=8, seed=5)
     assert rep.metadata["arithmetic"] == "exact"
     assert rep.verdict and rep.defect == [0.0] * len(GRID)
-    # the sweep converts its 3 bases and 8 pairs of points, the anchor once more
-    assert len(calls) == 3 + 2 * 8 + 1
+    # the sweep converts its center and its 8 sample points once each, the
+    # anchor once more
+    assert len(calls) == 1 + 8 + 1
 
 
 def test_shifted_point_is_fixed(heis1):
