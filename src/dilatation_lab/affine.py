@@ -27,7 +27,7 @@ from dilatation_lab.core.reports import ConvergenceReport, make_report
 from dilatation_lab.core.scales import Scale
 from dilatation_lab.core.structure import DilatationStructure, exactify
 from dilatation_lab.emergent import check_affine_map, lin_defect
-from dilatation_lab.models.base import ExactPoint, GroupModel
+from dilatation_lab.models.base import GroupModel
 from dilatation_lab.models.complexheis import ComplexHeisenbergModel
 from dilatation_lab.models.heisenberg import HeisenbergModel
 
@@ -35,10 +35,7 @@ from dilatation_lab.models.heisenberg import HeisenbergModel
 def probe_points(S: DilatationStructure, center, radius: float, seed: int = 0) -> list:
     """The standard identity-test probe set, 16 points of the ball: the model's
     fixed lattice, then seeded fill.  An exact center gives exact probes."""
-    rng = np.random.default_rng(seed)
-    if type(center) is not ExactPoint:
-        return S.sample_ball(center, radius, 16, rng)
-    return [S.to_exact(p) for p in S.sample_ball(center.to_float(), radius, 16, rng)]
+    return S.sample_ball(center, radius, 16, np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,7 @@ import numpy as np
 
 from dilatation_lab import __version__
 from dilatation_lab.config import (
-    EXACT_IDENTITY_TOL, FIXED_POINT_TOL, MAX_ITER, MENELAOS_PROBE_TOL, SAMPLE_COUNT,
-    default_ks)
+    EXACT_IDENTITY_TOL, MAX_ITER, MENELAOS_PROBE_TOL, SAMPLE_COUNT, default_ks)
 from dilatation_lab.errors import (
     ConfigError, DilatationLabError, DomainViolation, MaxIterExceeded,
     ModelError, NonConvergent, PrecisionExhausted)
@@ -32,17 +31,17 @@ from dilatation_lab.affine import (
     banach_oracle, barycentric_defect, counterexample_check,
     heisenberg_ratio_closed_form, menelaos_iterate, probe_points, ratio_point)
 
-_COMMON_FIELDS = {"model", "command", "output"}
+_COMMON_FIELDS = {"model", "command"}
 
 _COMMAND_FIELDS = {
-    "axioms": {"which", "seed", "radius", "center", "ks", "sample_count", "tolerance"},
+    "axioms": {"which", "seed", "ks", "sample_count"},
     "tangent": {"which", "x", "u", "v", "ks"},
-    "menelaos": {"x", "y", "eps", "mu", "tol", "max_iter"},
-    "ratio": {"x", "y", "eps", "mu", "N", "tol"},
+    "menelaos": {"x", "y", "eps", "mu", "max_iter"},
+    "ratio": {"x", "y", "eps", "mu", "N"},
     "linscan": {"x", "y", "z", "ks"},
-    "barycentric": {"eps", "x", "y", "seed", "sample_count", "radius", "tolerance"},
+    "barycentric": {"eps", "x", "y", "seed", "sample_count"},
     "counterexample": {"eps", "Y", "seed"},
-    "affinemap": {"map", "seed", "sample_count", "radius", "ks", "tolerance"},
+    "affinemap": {"map", "seed", "sample_count", "ks"},
 }
 
 
@@ -78,6 +77,14 @@ def _grid(model, config, default=None):
             or any(not isinstance(k, int) for k in ks)):
         raise ConfigError(f"ks must be a list of at least two integers, got {ks!r}")
     return model.scale_group.grid(ks)
+
+
+def _seeded_pairs(model, config) -> list:
+    """sample_count seeded pairs from the ball of radius closeness_budget() at the origin."""
+    rng = np.random.default_rng(int(config["seed"]))
+    count = int(config.get("sample_count", 16))
+    pts = model.sample_ball(model.origin(), model.closeness_budget(), 2 * count, rng)
+    return list(zip(pts[:count], pts[count:]))
 
 
 def _fmt(value) -> str:
@@ -116,18 +123,14 @@ def _cmd_axioms(model, config):
     for name in names:
         if name not in AXIOMS:
             raise ConfigError(f"unknown axiom {name!r}")
-    radius = float(config.get("radius", model.closeness_budget()))
-    center = (model.point_from_json(config["center"])
-              if "center" in config else model.origin())
+    region = Ball(model.origin(), model.closeness_budget())
     grid = _grid(model, config)
     seed = int(config["seed"])
     sample_count = int(config.get("sample_count", SAMPLE_COUNT))
     out = CsvReport(["axiom", "nu", "defect", "pass"])
     all_ok = True
     for name in names:
-        rep = verify_axiom(model, name, Ball(center, radius), grid,
-                           sample_count=sample_count, seed=seed,
-                           tolerance=config.get("tolerance"))
+        rep = verify_axiom(model, name, region, grid, sample_count=sample_count, seed=seed)
         all_ok = all_ok and rep.verdict
         for nu, defect in zip(rep.nus, rep.defect):
             out.add(name, nu, defect, "pass" if rep.verdict else "fail")
@@ -155,7 +158,6 @@ def _cmd_menelaos(model, config):
     eps = model.scale_group.scale(config["eps"])
     mu = model.scale_group.scale(config["mu"])
     result = menelaos_iterate(model, x, eps, y, mu,
-                              tol=float(config.get("tol", FIXED_POINT_TOL)),
                               max_iter=int(config.get("max_iter", MAX_ITER)))
     coords = model.point_to_list(result.w)
     out = CsvReport(["iterations", "residual", "contraction_rate", "probe_defect"]
@@ -171,10 +173,9 @@ def _cmd_ratio(model, config):
     eps = model.scale_group.scale(config["eps"])
     mu = model.scale_group.scale(config["mu"])
     N = int(config.get("N", 64))
-    tol = float(config.get("tol", FIXED_POINT_TOL))
     answers = {
-        "iteration": menelaos_iterate(model, x, eps, y, mu, tol=tol).w,
-        "banach": banach_oracle(model, x, eps, y, mu, x, tol=tol),
+        "iteration": menelaos_iterate(model, x, eps, y, mu).w,
+        "banach": banach_oracle(model, x, eps, y, mu, x),
         "hg": ratio_point(model, x, y, eps, mu, N),
     }
     if isinstance(model, model_factory.HeisenbergModel):
@@ -206,22 +207,17 @@ def _cmd_linscan(model, config):
 
 def _cmd_barycentric(model, config):
     eps = model.scale_group.scale(config["eps"])
-    tolerance = float(config.get("tolerance", EXACT_IDENTITY_TOL))
     out = CsvReport(["sample", "defect"])
     defects = []
     if "x" in config:
         pairs = [(model.point_from_json(config["x"]), model.point_from_json(config["y"]))]
     else:
-        rng = np.random.default_rng(int(config["seed"]))
-        radius = float(config.get("radius", model.closeness_budget()))
-        count = int(config.get("sample_count", 16))
-        pts = model.sample_ball(model.origin(), radius, 2 * count, rng)
-        pairs = list(zip(pts[:count], pts[count:]))
+        pairs = _seeded_pairs(model, config)
     for i, (x, y) in enumerate(pairs):
         d = barycentric_defect(model, x, y, eps)
         defects.append(d)
         out.add(i, d)
-    return out, max(defects) <= tolerance
+    return out, max(defects) <= EXACT_IDENTITY_TOL
 
 
 def _cmd_counterexample(model, config):
@@ -250,7 +246,7 @@ def _make_map(model, desc):
             raise ConfigError(f"a left_translation map needs a group model, not {model.name}")
         return model.left_translation(model.to_exact(model.point_from_json(desc["point"])))
     if kind == "componentwise_cubic":
-        return lambda p: p + p ** 3
+        return model_factory.CubicChart().forward
     raise ConfigError(f"unknown map type {kind!r}")
 
 
@@ -259,19 +255,15 @@ def _cmd_affinemap(model, config):
     if not isinstance(desc, dict) or "type" not in desc:
         raise ConfigError("map must be an object with a 'type' field")
     T = _make_map(model, desc)
-    rng = np.random.default_rng(int(config["seed"]))
-    radius = float(config.get("radius", model.closeness_budget()))
-    count = int(config.get("sample_count", 16))
-    pts = model.sample_ball(model.origin(), radius, 2 * count, rng)
+    samples = _seeded_pairs(model, config)
     grid = _grid(model, config, default=[1, 2, 3, 4])
     if desc["type"] == "left_translation":
         # a left translation is affine on a group model, so its commutation
         # defect is evaluated exactly: in floats the Cygan fourth root lifts
         # coordinate roundoff past the tolerance
-        pts, grid, _ = exactify(model, pts, grid)
-    samples = list(zip(pts[:count], pts[count:]))
-    tolerance = float(config.get("tolerance", EXACT_IDENTITY_TOL))
-    rep = check_affine_map(model, T, samples, grid, tolerance)
+        pts, grid, _ = exactify(model, [p for pair in samples for p in pair], grid)
+        samples = list(zip(pts[::2], pts[1::2]))
+    rep = check_affine_map(model, T, samples, grid)
     out = CsvReport(["nu", "defect"])
     for nu, defect in zip(rep.nus, rep.defect):
         out.add(nu, defect)
@@ -332,12 +324,11 @@ def run(config_path: str, out_path: str | None = None, seed_override: int | None
     report.meta["config_sha256"] = _config_hash(config)
     text = report.render()
 
-    target = out_path or config.get("output")
-    if target:
-        with open(target, "w", newline="") as fh:
+    if out_path:
+        with open(out_path, "w", newline="") as fh:
             fh.write(text)
         if not quiet:
-            print(f"{command}: {'pass' if verdict else 'fail'} -> {target}")
+            print(f"{command}: {'pass' if verdict else 'fail'} -> {out_path}")
     elif not quiet:
         sys.stdout.write(text)
     return 0 if verdict else 2

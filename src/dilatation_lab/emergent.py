@@ -31,9 +31,10 @@ _LIMIT_OPS = {"sum": approx_sum, "difference": approx_difference,
 
 
 def _settled_increments(S: DilatationStructure, points, failure: str) -> list[float]:
-    """Distances between successive points; above the floor each must shrink by
-    CAUCHY_SHRINK, else NonConvergent is raised with the failure message."""
-    increments = [S.distance(a, b) for a, b in zip(points, points[1:])]
+    """Coordinate gaps between successive points, which a fractional-power gauge
+    cannot slow; above the floor each must shrink by CAUCHY_SHRINK, else
+    NonConvergent is raised with the failure message."""
+    increments = [S.coordinate_gap(a, b) for a, b in zip(points, points[1:])]
     for a, b in zip(increments, increments[1:]):
         if b > DEFECT_FLOOR and b > a / CAUCHY_SHRINK + DEFECT_FLOOR:
             raise NonConvergent(f"{failure}: {increments}")
@@ -45,7 +46,7 @@ def tangent_limit(S: DilatationStructure, x, u, v, which: str,
     """Limit of the sum/difference/inverse composite along a scale grid.
 
     The limit is taken as the finest-grid composite after a Cauchy check:
-    successive increments must shrink by the configured factor.  Models with
+    successive coordinate gaps must shrink by CAUCHY_SHRINK.  Models with
     exact tangent operations supply the reference instead, in which case the
     defect column records the genuine distance-to-limit and the numeric path
     double-checks the closed form.
@@ -279,12 +280,11 @@ def metric_tangent_scan(S: DilatationStructure, x, eps_grid, sample_count: int =
 # affine maps and derivatives
 # ---------------------------------------------------------------------------
 
-def check_affine_map(S: DilatationStructure, T, samples, eps_set,
-                     tolerance: float = EXACT_IDENTITY_TOL) -> ConvergenceReport:
+def check_affine_map(S: DilatationStructure, T, samples, eps_set) -> ConvergenceReport:
     """Largest commutation defect d(T delta^x_eps y, delta^{Tx}_eps T y).
 
-    samples is a list of (x, y) pairs; the report also carries an empirical
-    Lipschitz constant of T over the sampled pairs.
+    samples is a list of (x, y) pairs; the report passes when every defect is
+    within EXACT_IDENTITY_TOL, and carries an empirical Lipschitz constant.
     """
     lip = 0.0
     for x, y in samples:
@@ -299,10 +299,10 @@ def check_affine_map(S: DilatationStructure, T, samples, eps_set,
             want = S.dilate(T(x), eps, T(y))
             worst = max(worst, S.distance(got, want))
         defects.append(worst)
-    verdict = max(defects) <= tolerance
+    verdict = max(defects) <= EXACT_IDENTITY_TOL
     return make_report(eps_set, defects, verdict,
                        {"model": S.name, "quantity": "affine-commutation",
-                        "lipschitz_estimate": lip, "tolerance": tolerance})
+                        "lipschitz_estimate": lip, "tolerance": EXACT_IDENTITY_TOL})
 
 
 def pansu_derivative(Ssrc: DilatationStructure, Sdst: DilatationStructure, f, x, u,

@@ -20,7 +20,7 @@ _KNOWN_FIELDS = {
     "carnot": {"model", "step", "layers", "brackets"},
     "dyadic": {"model", "precision"},
     "complex_heisenberg": {"model"},
-    "pullback": {"model", "base", "chart", "transport", "radius"},
+    "pullback": {"model", "base", "chart", "transport"},
 }
 
 
@@ -47,8 +47,7 @@ def from_json(desc: dict):
             return ComplexHeisenbergModel()
         base = from_json(desc["base"])
         return PullbackModel(base, desc.get("chart", "cubic"),
-                             desc.get("transport", "dilatation"),
-                             float(desc.get("radius", 0.5)))
+                             desc.get("transport", "dilatation"))
     except KeyError as missing:
         raise ModelError(f"model {kind!r} is missing required field {missing}") from None
     except (TypeError, ValueError) as bad:

@@ -143,7 +143,11 @@ class CarnotModel(GroupModel):
         return self._product(x, self._dilate(eps, self._product(-x, y)))
 
     def sample_ball(self, center, radius, count, rng):
-        return vector_sample_ball(self, center, radius, count, rng)
+        """Around an exact center: the samples around its float value, as exact points."""
+        if type(center) is not ExactPoint:
+            return vector_sample_ball(self, center, radius, count, rng)
+        return [ExactPoint.from_floats(p)
+                for p in vector_sample_ball(self, center.to_float(), radius, count, rng)]
 
     def point_from_json(self, obj):
         p = np.asarray(obj, dtype=float)

@@ -20,10 +20,10 @@ Two transports of a Euclidean base through a chart phi ship here:
   it the model of choice for tangent-distance oracles; as a family of maps
   it stays exactly linear.
 
-Charts apply componentwise and must be bi-Lipschitz on the declared ball;
-arguments outside it raise DomainViolation.  Every float primitive takes a
-point or an ``(N, dim)`` batch; a batch raises when any of its rows leaves
-the ball.
+The chart is the cubic t + t^3, applied componentwise on the ball of radius
+0.5, where it is bi-Lipschitz; arguments outside it raise DomainViolation.
+Every float primitive takes a point or an ``(N, dim)`` batch; a batch raises
+when any of its rows leaves the ball.
 """
 
 from __future__ import annotations
@@ -62,36 +62,29 @@ class CubicChart:
         return 1.0 + 3.0 * v * v
 
 
-CHARTS = {"cubic": CubicChart}
-
-
 class PullbackModel(DilatationStructure):
-    """A Euclidean base seen through a chart, in one of the two transports."""
+    """A Euclidean base seen through the cubic chart, in one of the two transports."""
 
-    def __init__(self, base: EuclideanModel, chart="cubic", transport: str = "dilatation",
-                 radius: float = 0.5):
+    # the chart ball; the domain constants are inherited from it, not from
+    # the usual normalization A > 1
+    radius = 0.5
+    domain_radius_A = radius / 2.0
+    codomain_radius_B = radius
+
+    def __init__(self, base: EuclideanModel, chart: str = "cubic",
+                 transport: str = "dilatation"):
         if not isinstance(base, EuclideanModel):
             raise ModelError("chart transport is implemented over Euclidean bases")
-        if isinstance(chart, str):
-            try:
-                chart = CHARTS[chart]()
-            except KeyError:
-                raise ModelError(f"unknown chart {chart!r}") from None
+        if chart != CubicChart.name:
+            raise ModelError(f"unknown chart {chart!r}")
         if transport not in ("dilatation", "metric"):
             raise ModelError(f"unknown transport {transport!r}")
-        if radius <= 0:
-            raise ModelError("chart ball radius must be positive")
         self.base = base
-        self.chart = chart
+        self.chart = CubicChart()
         self.transport = transport
-        self.radius = float(radius)
         self.scale_group = base.scale_group
         self.coordinate_dim = base.coordinate_dim
-        # domain constants are inherited from the chart's validity ball, not
-        # from the usual normalization A > 1
-        self.domain_radius_A = self.radius / 2.0
-        self.codomain_radius_B = self.radius
-        self.name = f"pullback-{chart.name}-{transport}-{base.n}d"
+        self.name = f"pullback-{chart}-{transport}-{base.n}d"
 
     # --- guards --------------------------------------------------------------
 

@@ -10,6 +10,7 @@ import pytest
 from dilatation_lab.core.scales import POSITIVE_REALS as PR
 from dilatation_lab.core.structure import approx_difference, approx_sum
 from dilatation_lab.errors import DomainViolation, MaxIterExceeded
+from dilatation_lab.models import ExactPoint
 from dilatation_lab.affine import (
     CollinearTriple, banach_oracle, barycentric_defect, check_collinear,
     collinear_triple_from_ratio, collinearity_defect, counterexample_check,
@@ -67,6 +68,21 @@ def test_menelaos_does_not_warn_on_engel(engel):
         for _ in range(20):
             x, y = rng.uniform(-0.5, 0.5, 4), rng.uniform(-0.5, 0.5, 4)
             menelaos_iterate(engel, x, HALF, y, PR.scale(0.25))
+
+
+def test_menelaos_on_exact_inputs(heis1):
+    # the probe step samples around the exact fixed point and probes exactly
+    rng = np.random.default_rng(5)
+    x, y = rng.uniform(-0.3, 0.3, 3), rng.uniform(-0.3, 0.3, 3)
+    eps, mu = HALF, PR.scale(0.25)
+    floats = menelaos_iterate(heis1, x, eps, y, mu)
+    exact = menelaos_iterate(heis1, heis1.to_exact(x), heis1.to_exact_scale(eps),
+                             heis1.to_exact(y), heis1.to_exact_scale(mu))
+    assert type(exact.w) is ExactPoint
+    assert exact.iterations == floats.iterations
+    assert heis1.coordinate_gap(exact.w.to_float(), floats.w) <= 1e-12
+    assert exact.probe_defect <= 1e-12
+    assert all(r == 0.125 for r in exact.step_rates)
 
 
 def test_banach_oracle_agrees(euclid1, heis1):

@@ -1,10 +1,14 @@
 """The experiment runner: configs, CSV schema, exit codes, determinism."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from dilatation_lab.cli import main, run
+from dilatation_lab.cli import _COMMAND_FIELDS, main, run
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_config(tmp_path, name, config):
@@ -181,6 +185,35 @@ def test_unknown_field_rejected(tmp_path):
         "command": "axioms", "seed": 1, "bogus": True,
     })
     assert run(cfg, quiet=True) == 1
+    # the fields the runner no longer takes: a verdict tolerance, a stopping
+    # rule, a sampling radius and center, and an output path
+    valid = {
+        "axioms": {"seed": 1, "ks": [2, 3], "sample_count": 2},
+        "menelaos": {"x": [0.0, 0.0], "y": [1.0, 0.0], "eps": 0.5, "mu": 0.5},
+        "ratio": {"x": [0.0, 0.0], "y": [1.0, 0.0], "eps": 0.5, "mu": 0.5},
+        "barycentric": {"eps": 0.5, "seed": 1, "sample_count": 2},
+        "affinemap": {"seed": 1, "sample_count": 2,
+                      "map": {"type": "linear", "matrix": [[1.0, 0.0], [0.0, 1.0]]}},
+    }
+    deleted = [("axioms", "tolerance", 1.0), ("barycentric", "tolerance", 1.0),
+               ("affinemap", "tolerance", 1.0), ("menelaos", "tol", 1e-3),
+               ("ratio", "tol", 1e-3), ("axioms", "radius", 0.1),
+               ("barycentric", "radius", 0.1), ("affinemap", "radius", 0.1),
+               ("axioms", "center", [0.0, 0.0]), ("menelaos", "output", "o.csv")]
+    for command, field, value in deleted:
+        config = {"model": {"model": "euclidean", "n": 2}, "command": command,
+                  **valid[command]}
+        assert run(write_config(tmp_path, "ok.json", config), quiet=True) == 0
+        config[field] = value
+        assert run(write_config(tmp_path, "c.json", config), quiet=True) == 1, field
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_readme_lists_each_commands_fields():
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]*) \|", README.read_text(), re.MULTILINE)
+    documented = {command: set(re.findall(r"`(\w+)`", fields)) for command, fields in rows
+                  if command in _COMMAND_FIELDS}
+    assert documented == _COMMAND_FIELDS
 
 
 def test_missing_seed_rejected_for_randomized(tmp_path):

@@ -44,6 +44,20 @@ def test_tangent_sum_heisenberg_is_group_product(heis1):
     assert rep.defect[-1] < rep.defect[0]
 
 
+def test_float_tangent_limits_settle_on_heisenberg(heis1):
+    # the Cauchy rule reads coordinate gaps, which halve with the scale; the
+    # Cygan fourth root would show them shrinking by less than CAUCHY_SHRINK
+    rng = np.random.default_rng(5)
+    x, u, v = (rng.uniform(-0.3, 0.3, 3) for _ in range(3))
+    grid = PR.grid(range(3, 11))
+    for which, exact in (("sum", heis1.tangent_sum),
+                         ("difference", heis1.tangent_difference)):
+        lim, rep = tangent_limit(heis1, x, u, v, which, grid)
+        assert heis1.coordinate_gap(lim, exact(x, u, v)) == 0.0
+        increments = rep.metadata["cauchy_increments"]
+        assert all(b < a for a, b in zip(increments, increments[1:]))
+
+
 def test_tangent_group_laws_via_exact_ops(heis1, engel, cubic_pullback):
     rng = np.random.default_rng(3)
     for model, scalebox in ((heis1, 0.3), (engel, 0.3), (cubic_pullback, 0.1)):

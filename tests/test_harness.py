@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dilatation_lab.config import EXACT_IDENTITY_TOL, LIMIT_TOL
 from dilatation_lab.core.harness import AXIOMS, verify_all_axioms, verify_axiom
 from dilatation_lab.core.scales import POSITIVE_REALS as PR
 from dilatation_lab.core.structure import Ball
@@ -77,6 +78,43 @@ def test_exact_reference_used_for_group_models(heis1):
                        heis1.scale_group.grid(GRID), sample_count=8, seed=2)
     assert rep.metadata["reference"] == "exact"
     assert max(rep.defect) == 0.0
+
+
+def test_reference_modes_are_auto_and_cauchy(heis1):
+    region, grid = Ball(heis1.origin(), 0.2), heis1.scale_group.grid(GRID)
+    rep = verify_axiom(heis1, "A4", region, grid, sample_count=4, reference="cauchy")
+    assert rep.metadata["reference"] == "cauchy"
+    with pytest.raises(ValueError):
+        verify_axiom(heis1, "A4", region, grid, sample_count=4, reference="exact")
+
+
+def test_engel_float_cone_property_passes_at_its_tolerance(engel):
+    # the Engel group has an exact tangent but the cone property runs in
+    # floats: roundoff grows as mu shrinks and breaks the decay rule, yet
+    # every defect stays within the identity tolerance, where it must pass
+    grid = engel.scale_group.grid(GRID)
+    for seed in range(10):
+        rep = verify_axiom(engel, "ConeProperty", Ball(engel.origin(), 0.5), grid,
+                           sample_count=64, seed=seed)
+        assert rep.metadata["arithmetic"] == "float"
+        assert rep.metadata["tolerance"] == EXACT_IDENTITY_TOL
+        assert max(rep.defect) <= EXACT_IDENTITY_TOL
+        assert rep.verdict, seed
+
+
+def test_only_identity_sweeps_pass_on_defects_within_tolerance(euclid2, monkeypatch):
+    # the same rising run of defects, scaled to sit within each tolerance:
+    # the identity A2 holds at every scale, the limit A3 shows no decay
+    from dilatation_lab.core import harness
+    rising = [0.0] * 8 + [0.02, 0.1, 0.5]
+    grid = PR.grid(GRID)
+    region = Ball(euclid2.origin(), 0.2)
+    for which, tol, expected in (("A2", EXACT_IDENTITY_TOL, True), ("A3", LIMIT_TOL, False)):
+        monkeypatch.setattr(harness, f"_{which.lower()}_defects",
+                            lambda *args, tol=tol: [d * tol for d in rising])
+        rep = verify_axiom(euclid2, which, region, grid, sample_count=4)
+        assert rep.metadata["tolerance"] == tol
+        assert rep.verdict is expected, which
 
 
 def test_axiom0_inclusion_on_conical_models():

@@ -8,8 +8,8 @@ import pytest
 from dilatation_lab.core.scales import COMPLEX_UNITS, POSITIVE_REALS as PR
 from dilatation_lab.errors import ModelError
 from dilatation_lab.models import (
-    CarnotModel, ComplexHeisenbergModel, EuclideanModel, HeisenbergModel, PullbackModel,
-    from_json, heisenberg_structure_constants)
+    CarnotModel, ComplexHeisenbergModel, CubicChart, EuclideanModel, ExactPoint,
+    HeisenbergModel, PullbackModel, from_json, heisenberg_structure_constants)
 from dilatation_lab.errors import DomainViolation
 
 HALF = PR.scale(0.5)
@@ -258,6 +258,14 @@ def test_factory_rejects_unknown_fields():
     with pytest.raises(ModelError):
         from_json({"model": "pullback", "base": {"model": "euclidean", "n": 2},
                    "chart": "quartic"})
+    with pytest.raises(ModelError):
+        from_json({"model": "pullback", "base": {"model": "euclidean", "n": 2},
+                   "radius": 0.5})
+
+
+def test_pullback_takes_only_the_cubic_chart_by_name(euclid2):
+    with pytest.raises(ModelError):
+        PullbackModel(euclid2, CubicChart())
 
 
 def test_sample_ball_stays_inside():
@@ -268,6 +276,19 @@ def test_sample_ball_stays_inside():
         for radius in (0.5, 0.05):
             for p in model.sample_ball(center, radius, 16, rng):
                 assert model.distance(center, p) <= radius + 1e-12
+
+
+def test_sample_ball_around_an_exact_center_is_exact():
+    from conftest import conical_models
+    for model in conical_models():
+        if not isinstance(model, CarnotModel):
+            continue
+        center = model.origin() + 0.01
+        floats = model.sample_ball(center, 0.2, 12, np.random.default_rng(4))
+        exact = model.sample_ball(model.to_exact(center), 0.2, 12,
+                                  np.random.default_rng(4))
+        assert all(type(p) is ExactPoint for p in exact), model.name
+        assert exact == [model.to_exact(p) for p in floats], model.name
 
 
 def test_sample_ball_raises_when_no_candidate_lands_inside():
