@@ -5,15 +5,22 @@ harness operation, and writes a CSV report with a fixed schema: one header
 row, data rows, then '#'-prefixed metadata lines carrying the model name,
 seed, verdict, tool version and the config hash.  Identical configs produce
 byte-identical files.  Exit codes: 0 when the verdict passes, 2 when it
-fails, 1 on configuration or execution errors.
+fails, 1 on configuration or model errors; any other exception propagates.
+
+A command's handler declares its config fields as keyword parameters after
+``model``, which a model class annotation may restrict; a parameter without
+a default is a required field.  Each value, given or default, is parsed once
+by the ``_PARSERS`` entry of its field name before the handler runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import sys
+from itertools import combinations
 
 import numpy as np
 
@@ -21,28 +28,16 @@ from dilatation_lab import __version__
 from dilatation_lab.config import (
     EXACT_IDENTITY_TOL, MAX_ITER, MENELAOS_PROBE_TOL, SAMPLE_COUNT, default_ks)
 from dilatation_lab.errors import (
-    ConfigError, DilatationLabError, DomainViolation, MaxIterExceeded,
-    ModelError, NonConvergent, PrecisionExhausted)
+    ConfigError, DomainViolation, MaxIterExceeded, ModelError, NonConvergent,
+    PrecisionExhausted)
 from dilatation_lab.core.harness import AXIOMS, verify_axiom
 from dilatation_lab.core.structure import Ball, exactify
 from dilatation_lab import models as model_factory
-from dilatation_lab.emergent import check_affine_map, inflin_scan, tangent_limit
+from dilatation_lab.emergent import (
+    LIMIT_OPS, check_affine_map, inflin_scan, tangent_limit)
 from dilatation_lab.affine import (
     banach_oracle, barycentric_defect, counterexample_check,
     heisenberg_ratio_closed_form, menelaos_iterate, probe_points, ratio_point)
-
-_COMMON_FIELDS = {"model", "command"}
-
-_COMMAND_FIELDS = {
-    "axioms": {"which", "seed", "ks", "sample_count"},
-    "tangent": {"which", "x", "u", "v", "ks"},
-    "menelaos": {"x", "y", "eps", "mu", "max_iter"},
-    "ratio": {"x", "y", "eps", "mu", "N"},
-    "linscan": {"x", "y", "z", "ks"},
-    "barycentric": {"eps", "x", "y", "seed", "sample_count"},
-    "counterexample": {"eps", "Y", "seed"},
-    "affinemap": {"map", "seed", "sample_count", "ks"},
-}
 
 
 def _config_hash(config: dict) -> str:
@@ -50,47 +45,104 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _validate(config: dict) -> str:
-    if not isinstance(config, dict):
-        raise ConfigError("config must be a JSON object")
-    command = config.get("command")
-    if command not in _COMMAND_FIELDS:
-        raise ConfigError(f"unknown or missing command {command!r}; "
-                          f"expected one of {sorted(_COMMAND_FIELDS)}")
-    if "model" not in config:
-        raise ConfigError("config must declare a model")
-    allowed = _COMMON_FIELDS | _COMMAND_FIELDS[command]
-    unknown = set(config) - allowed
-    if unknown:
-        raise ConfigError(f"unknown fields for command {command!r}: {sorted(unknown)}")
-    randomized = {"axioms", "affinemap", "counterexample"}
-    if command in randomized and "seed" not in config:
-        raise ConfigError(f"command {command!r} runs a randomized sweep: seed is mandatory")
-    if command == "barycentric" and "x" not in config and "seed" not in config:
-        raise ConfigError("barycentric without explicit points is randomized: seed is mandatory")
-    return command
+# field parsers, keyed by field name: each takes (model, value)
+
+def _at_least(least):
+    def parse(model, value):
+        n = int(value)
+        if n < least:
+            raise ValueError(f"must be at least {least}, got {value!r}")
+        return n
+    return parse
 
 
-def _grid(model, config, default=None):
-    ks = config.get("ks", default if default is not None else default_ks())
-    if (not isinstance(ks, list) or len(ks) < 2
-            or any(not isinstance(k, int) for k in ks)):
-        raise ConfigError(f"ks must be a list of at least two integers, got {ks!r}")
+def _grid(model, ks):
+    if (not isinstance(ks, (list, tuple)) or len(ks) < 2
+            or any(not isinstance(k, int) or k < 1 for k in ks)
+            or any(a >= b for a, b in zip(ks, ks[1:]))):
+        raise ValueError(f"ks must be a strictly increasing list of at least two "
+                         f"positive integers, got {ks!r}")
     return model.scale_group.grid(ks)
 
 
-def _seeded_pairs(model, config) -> list:
-    """sample_count seeded pairs from the ball of radius closeness_budget() at the origin."""
-    rng = np.random.default_rng(int(config["seed"]))
-    count = int(config.get("sample_count", 16))
+def _map(model, desc):
+    """A map description as a callable; a left translation is marked exact."""
+    if not isinstance(desc, dict):
+        raise ValueError("map must be an object with a 'type' field")
+    kind = desc.get("type")
+    shape = np.shape(model.origin())
+    if kind in ("linear", "componentwise_cubic") and len(shape) != 1:
+        raise ValueError(f"a {kind} map needs coordinate points, not those of {model.name}")
+    if kind == "linear":
+        matrix = np.asarray(desc["matrix"], dtype=float)
+        offset = np.asarray(desc.get("offset", np.zeros(shape)), dtype=float)
+        if matrix.shape != shape * 2 or offset.shape != shape:
+            raise ValueError(f"a linear map on {model.name} needs a {shape[0]}x{shape[0]} "
+                             f"matrix and an offset of length {shape[0]}")
+        return lambda p: matrix @ p + offset
+    if kind == "left_translation":
+        if not isinstance(model, model_factory.GroupModel):
+            raise ConfigError(f"a left_translation map needs a group model, not {model.name}")
+        T = model.left_translation(model.to_exact(model.point_from_json(desc["point"])))
+        T.exact = True
+        return T
+    if kind == "componentwise_cubic":
+        return model_factory.CubicChart().forward
+    raise ValueError(f"unknown map type {kind!r}")
+
+
+_PARSERS = {
+    **dict.fromkeys(("x", "y", "z", "u", "v", "Y"), lambda model, obj: model.point_from_json(obj)),
+    **dict.fromkeys(("eps", "mu"), lambda model, value: model.scale_group.scale(value)),
+    "seed": _at_least(0),
+    **dict.fromkeys(("sample_count", "N"), _at_least(1)),
+    "max_iter": lambda model, value: int(value),
+    "ks": _grid,
+    "map": _map,
+}
+
+
+def _parameters(handler) -> dict:
+    return dict(inspect.signature(handler, eval_str=True).parameters)
+
+
+def _parse(config: dict):
+    """The command's handler, its model and its keyword arguments."""
+    command = config.get("command")
+    if not isinstance(command, str) or command not in _COMMANDS:
+        raise ConfigError(f"unknown or missing command {command!r}; "
+                          f"expected one of {sorted(_COMMANDS)}")
+    handler = _COMMANDS[command]
+    fields = _parameters(handler)
+    if unknown := set(config) - {"command"} - set(fields):
+        raise ConfigError(f"unknown fields for command {command!r}: {sorted(unknown)}")
+    model = model_factory.from_json(config.get("model"))
+    need = fields.pop("model").annotation
+    if need is not inspect.Parameter.empty and not isinstance(model, need):
+        raise ConfigError(f"command {command!r} needs a {need.__name__}, not {model.name}")
+    args = {}
+    for name, param in fields.items():
+        value = config.get(name, param.default)
+        if value is param.empty:
+            raise ConfigError(f"command {command!r} needs the field {name!r}")
+        if value is None and name not in config:
+            continue  # an optional field left out
+        try:
+            args[name] = _PARSERS[name](model, value) if name in _PARSERS else value
+        except (ValueError, TypeError, KeyError) as err:
+            raise ConfigError(f"bad value for {name!r}: {err!r}") from None
+    return handler, model, args
+
+
+def _seeded_pairs(model, seed: int, count: int) -> list:
+    """count seeded pairs from the ball of radius closeness_budget() at the origin."""
+    rng = np.random.default_rng(seed)
     pts = model.sample_ball(model.origin(), model.closeness_budget(), 2 * count, rng)
     return list(zip(pts[:count], pts[count:]))
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 class CsvReport:
@@ -113,24 +165,24 @@ class CsvReport:
         return "\n".join(lines) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# command implementations: each returns (report: CsvReport, verdict: bool)
-# ---------------------------------------------------------------------------
+def _per_scale(rep, column: str = "defect") -> CsvReport:
+    """One "nu, value" row per scale of a sweep report."""
+    out = CsvReport(["nu", column])
+    for nu, value in zip(rep.nus, rep.defect):
+        out.add(nu, value)
+    return out
 
-def _cmd_axioms(model, config):
-    which = config.get("which", "all")
-    names = list(AXIOMS) if which == "all" else [which]
-    for name in names:
-        if name not in AXIOMS:
-            raise ConfigError(f"unknown axiom {name!r}")
+
+# command implementations: each returns (report: CsvReport, verdict: bool)
+
+def _cmd_axioms(model, *, seed, which="all", ks=default_ks(), sample_count=SAMPLE_COUNT):
+    if which != "all" and which not in AXIOMS:
+        raise ConfigError(f"unknown axiom {which!r}")
     region = Ball(model.origin(), model.closeness_budget())
-    grid = _grid(model, config)
-    seed = int(config["seed"])
-    sample_count = int(config.get("sample_count", SAMPLE_COUNT))
     out = CsvReport(["axiom", "nu", "defect", "pass"])
     all_ok = True
-    for name in names:
-        rep = verify_axiom(model, name, region, grid, sample_count=sample_count, seed=seed)
+    for name in AXIOMS if which == "all" else [which]:
+        rep = verify_axiom(model, name, region, ks, sample_count=sample_count, seed=seed)
         all_ok = all_ok and rep.verdict
         for nu, defect in zip(rep.nus, rep.defect):
             out.add(name, nu, defect, "pass" if rep.verdict else "fail")
@@ -138,27 +190,19 @@ def _cmd_axioms(model, config):
     return out, all_ok
 
 
-def _cmd_tangent(model, config):
-    which = config.get("which", "sum")
-    x = model.point_from_json(config["x"])
-    u = model.point_from_json(config["u"])
-    v = model.point_from_json(config["v"]) if which != "inverse" else None
-    grid = _grid(model, config)
-    limit, rep = tangent_limit(model, x, u, v, which, grid)
-    out = CsvReport(["nu", "defect"])
-    for nu, defect in zip(rep.nus, rep.defect):
-        out.add(nu, defect)
+def _cmd_tangent(model, *, x, u, v=None, which="sum", ks=default_ks()):
+    if not isinstance(which, str) or which not in LIMIT_OPS:
+        raise ConfigError(f"which must be one of {sorted(LIMIT_OPS)}, got {which!r}")
+    if which != "inverse" and v is None:
+        raise ConfigError(f"the tangent {which} needs a second point v")
+    limit, rep = tangent_limit(model, x, u, v, which, ks)
+    out = _per_scale(rep)
     out.meta["limit"] = " ".join(_fmt(c) for c in model.point_to_list(limit))
     return out, rep.verdict
 
 
-def _cmd_menelaos(model, config):
-    x = model.point_from_json(config["x"])
-    y = model.point_from_json(config["y"])
-    eps = model.scale_group.scale(config["eps"])
-    mu = model.scale_group.scale(config["mu"])
-    result = menelaos_iterate(model, x, eps, y, mu,
-                              max_iter=int(config.get("max_iter", MAX_ITER)))
+def _cmd_menelaos(model, *, x, y, eps, mu, max_iter=MAX_ITER):
+    result = menelaos_iterate(model, x, eps, y, mu, max_iter=max_iter)
     coords = model.point_to_list(result.w)
     out = CsvReport(["iterations", "residual", "contraction_rate", "probe_defect"]
                     + [f"w{i}" for i in range(len(coords))])
@@ -167,12 +211,7 @@ def _cmd_menelaos(model, config):
     return out, result.probe_defect <= MENELAOS_PROBE_TOL
 
 
-def _cmd_ratio(model, config):
-    x = model.point_from_json(config["x"])
-    y = model.point_from_json(config["y"])
-    eps = model.scale_group.scale(config["eps"])
-    mu = model.scale_group.scale(config["mu"])
-    N = int(config.get("N", 64))
+def _cmd_ratio(model: model_factory.GroupModel, *, x, y, eps, mu, N=64):
     answers = {
         "iteration": menelaos_iterate(model, x, eps, y, mu).w,
         "banach": banach_oracle(model, x, eps, y, mu, x),
@@ -181,92 +220,55 @@ def _cmd_ratio(model, config):
     if isinstance(model, model_factory.HeisenbergModel):
         answers["closed_form"] = heisenberg_ratio_closed_form(
             model, x, y, eps.value, mu.value)
-    names = list(answers)
     out = CsvReport(["oracle_a", "oracle_b", "disagreement"])
     worst = 0.0
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            d = model.coordinate_gap(answers[a], answers[b])
-            worst = max(worst, d)
-            out.add(a, b, d)
+    for a, b in combinations(answers, 2):
+        d = model.coordinate_gap(answers[a], answers[b])
+        worst = max(worst, d)
+        out.add(a, b, d)
     out.meta["max_disagreement"] = repr(worst)
     return out, worst <= EXACT_IDENTITY_TOL
 
 
-def _cmd_linscan(model, config):
-    x = model.point_from_json(config["x"])
-    y = model.point_from_json(config["y"])
-    z = model.point_from_json(config["z"])
-    grid = _grid(model, config, default=list(range(3, 11)))
-    rep = inflin_scan(model, x, y, z, grid)
-    out = CsvReport(["nu", "lin_over_eps_sq"])
-    for nu, val in zip(rep.nus, rep.defect):
-        out.add(nu, val)
-    return out, rep.verdict
+def _cmd_linscan(model, *, x, y, z, ks=tuple(range(3, 11))):
+    rep = inflin_scan(model, x, y, z, ks)
+    return _per_scale(rep, "lin_over_eps_sq"), rep.verdict
 
 
-def _cmd_barycentric(model, config):
-    eps = model.scale_group.scale(config["eps"])
+def _cmd_barycentric(model, *, eps, x=None, y=None, seed=None, sample_count=16):
+    if (x is None) != (y is None):
+        raise ConfigError("barycentric takes both points x and y, or neither")
+    if x is None and seed is None:
+        raise ConfigError("barycentric without explicit points is randomized: seed is mandatory")
+    pairs = [(x, y)] if x is not None else _seeded_pairs(model, seed, sample_count)
+    defects = [barycentric_defect(model, p, q, eps) for p, q in pairs]
     out = CsvReport(["sample", "defect"])
-    defects = []
-    if "x" in config:
-        pairs = [(model.point_from_json(config["x"]), model.point_from_json(config["y"]))]
-    else:
-        pairs = _seeded_pairs(model, config)
-    for i, (x, y) in enumerate(pairs):
-        d = barycentric_defect(model, x, y, eps)
-        defects.append(d)
+    for i, d in enumerate(defects):
         out.add(i, d)
     return out, max(defects) <= EXACT_IDENTITY_TOL
 
 
-def _cmd_counterexample(model, config):
-    if not isinstance(model, model_factory.ComplexHeisenbergModel):
-        raise ConfigError("the counterexample command needs the complex_heisenberg model")
-    eps = float(config.get("eps", 0.5))
-    Y = model.point_from_json(config.get("Y", [1.0, 0.0, 1.0]))
-    seed = int(config["seed"])
+def _cmd_counterexample(model: model_factory.ComplexHeisenbergModel, *, seed, eps=0.5,
+                        Y=(1.0, 0.0, 1.0)):
     probes = probe_points(model, model.identity(), 1.0, seed)
-    flipped = counterexample_check(model, eps, Y, probes, flip=True)
-    control = counterexample_check(model, eps, Y, probes, flip=False)
+    flipped = counterexample_check(model, eps.value, Y, probes, flip=True)
+    control = counterexample_check(model, eps.value, Y, probes, flip=False)
     out = CsvReport(["case", "defect", "pass"])
     out.add("eps_mu_minus_one", flipped.defect[0], "pass" if flipped.verdict else "fail")
     out.add("eps_mu_plus_one", control.defect[0], "pass" if control.verdict else "fail")
     return out, flipped.verdict and control.verdict
 
 
-def _make_map(model, desc):
-    kind = desc["type"]
-    if kind == "linear":
-        matrix = np.asarray(desc["matrix"], dtype=float)
-        offset = np.asarray(desc.get("offset", np.zeros(matrix.shape[0])), dtype=float)
-        return lambda p: matrix @ p + offset
-    if kind == "left_translation":
-        if not isinstance(model, model_factory.GroupModel):
-            raise ConfigError(f"a left_translation map needs a group model, not {model.name}")
-        return model.left_translation(model.to_exact(model.point_from_json(desc["point"])))
-    if kind == "componentwise_cubic":
-        return model_factory.CubicChart().forward
-    raise ConfigError(f"unknown map type {kind!r}")
-
-
-def _cmd_affinemap(model, config):
-    desc = config["map"]
-    if not isinstance(desc, dict) or "type" not in desc:
-        raise ConfigError("map must be an object with a 'type' field")
-    T = _make_map(model, desc)
-    samples = _seeded_pairs(model, config)
-    grid = _grid(model, config, default=[1, 2, 3, 4])
-    if desc["type"] == "left_translation":
+def _cmd_affinemap(model, *, map, seed, sample_count=16, ks=(1, 2, 3, 4)):
+    samples = _seeded_pairs(model, seed, sample_count)
+    if getattr(map, "exact", False):
         # a left translation is affine on a group model, so its commutation
         # defect is evaluated exactly: in floats the Cygan fourth root lifts
         # coordinate roundoff past the tolerance
-        pts, grid, _ = exactify(model, [p for pair in samples for p in pair], grid)
+        pts, ks, _ = exactify(model, [p for pair in samples for p in pair], ks)
         samples = list(zip(pts[::2], pts[1::2]))
-    rep = check_affine_map(model, T, samples, grid)
-    out = CsvReport(["nu", "defect"])
-    for nu, defect in zip(rep.nus, rep.defect):
-        out.add(nu, defect)
+    rep = check_affine_map(model, map, samples, ks)
+    out = _per_scale(rep)
     out.meta["lipschitz_estimate"] = repr(rep.metadata["lipschitz_estimate"])
     return out, rep.verdict
 
@@ -282,6 +284,10 @@ _COMMANDS = {
     "affinemap": _cmd_affinemap,
 }
 
+# each command's config fields besides model and command, read off its handler
+_COMMAND_FIELDS = {name: set(_parameters(handler)) - {"model"}
+                   for name, handler in _COMMANDS.items()}
+
 
 def run(config_path: str, out_path: str | None = None, seed_override: int | None = None,
         quiet: bool = False) -> int:
@@ -289,21 +295,18 @@ def run(config_path: str, out_path: str | None = None, seed_override: int | None
     try:
         with open(config_path) as fh:
             config = json.load(fh)
-    except OSError as err:
-        print(f"error: cannot read config: {err}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as err:
-        print(f"error: malformed JSON config: {err}", file=sys.stderr)
+    except (OSError, json.JSONDecodeError) as err:
+        print(f"error: cannot read a JSON config: {err}", file=sys.stderr)
         return 1
 
     try:
+        if not isinstance(config, dict):
+            raise ConfigError("config must be a JSON object")
         if seed_override is not None:
             config["seed"] = int(seed_override)
-        command = _validate(config)
-        model = model_factory.from_json(config["model"])
-        report, verdict = _COMMANDS[command](model, config)
-    except (ConfigError, ModelError, ValueError, KeyError, TypeError) as err:
-        # bad parameter values surface as validation failures, not tracebacks
+        handler, model, args = _parse(config)
+        report, verdict = handler(model, **args)
+    except (ConfigError, ModelError) as err:
         print(f"error: {err!r}", file=sys.stderr)
         return 1
     except (NonConvergent, DomainViolation, MaxIterExceeded, PrecisionExhausted) as err:
@@ -311,17 +314,11 @@ def run(config_path: str, out_path: str | None = None, seed_override: int | None
         report = CsvReport(["finding"])
         report.add(f"{type(err).__name__}: {err}")
         verdict = False
-        command = config.get("command", "?")
-    except DilatationLabError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
 
-    report.meta["model"] = config["model"].get("model", "?") if isinstance(
-        config.get("model"), dict) else "?"
-    report.meta["command"] = command
-    report.meta["verdict"] = "pass" if verdict else "fail"
-    report.meta["version"] = __version__
-    report.meta["config_sha256"] = _config_hash(config)
+    command = config["command"]
+    report.meta.update(model=config["model"]["model"], command=command,
+                       verdict="pass" if verdict else "fail", version=__version__,
+                       config_sha256=_config_hash(config))
     text = report.render()
 
     if out_path:

@@ -169,12 +169,13 @@ def _axiom0_defects(S, bases, eps_grid, sample_count, rng):
         for x in bases:
             targets = S.sample_ball(x, 0.999 * eps.nu, inner, rng)
             for t in targets:
+                # a pull-back that leaves the domain scores A, whether the
+                # dilatation or the distance finds it out
                 try:
-                    u = S.dilate(x, eps.inverse(), t)
+                    excess = S.distance(x, S.dilate(x, eps.inverse(), t)) - S.domain_radius_A
                 except DomainViolation:
-                    worst = max(worst, S.domain_radius_A)
-                    continue
-                worst = max(worst, max(0.0, S.distance(x, u) - S.domain_radius_A))
+                    excess = S.domain_radius_A
+                worst = max(worst, excess)
         defects.append(worst)
     return defects
 

@@ -13,6 +13,7 @@ ship with the lab:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Number, Real
 from typing import Any
 
 
@@ -94,8 +95,8 @@ class PositiveReals(ScaleGroup):
     identity_value = 1.0
 
     def validate(self, value):
-        if not float(value) > 0.0:
-            raise ValueError(f"scale must be a positive real, got {value}")
+        if not value > 0:  # a string or any other non-real raises TypeError here
+            raise ValueError(f"scale must be a positive real, got {value!r}")
         return value
 
     def nu_of(self, value) -> float:
@@ -144,7 +145,7 @@ class ComplexUnits(ScaleGroup):
     """Gamma = C^* with nu(eps) = |eps|.  The valuation is not injective.
 
     Real values (including exact rationals) are kept as given so that the
-    real slice of the group supports exact arithmetic; everything else is
+    real slice of the group supports exact arithmetic; other numbers are
     coerced to complex.
     """
 
@@ -152,16 +153,9 @@ class ComplexUnits(ScaleGroup):
     identity_value = complex(1.0)
 
     def validate(self, value):
-        if not isinstance(value, complex):
-            try:
-                if float(value) != 0:
-                    return value
-            except TypeError:
-                pass
-        value = complex(value)
-        if value == 0:
-            raise ValueError("scale must be a nonzero complex number")
-        return value
+        if not isinstance(value, Number) or value == 0:
+            raise ValueError(f"scale must be a nonzero complex number, got {value!r}")
+        return value if isinstance(value, Real) else complex(value)
 
     def nu_of(self, value) -> float:
         return float(abs(value))

@@ -26,8 +26,8 @@ from dilatation_lab.core.structure import (
 from dilatation_lab.core.scales import Scale, reference_scale
 from dilatation_lab.models.base import ExactPoint
 
-_LIMIT_OPS = {"sum": approx_sum, "difference": approx_difference,
-              "inverse": approx_inverse}
+LIMIT_OPS = {"sum": approx_sum, "difference": approx_difference,
+             "inverse": approx_inverse}
 
 
 def _settled_increments(S: DilatationStructure, points, failure: str) -> list[float]:
@@ -51,9 +51,9 @@ def tangent_limit(S: DilatationStructure, x, u, v, which: str,
     defect column records the genuine distance-to-limit and the numeric path
     double-checks the closed form.
     """
-    if which not in _LIMIT_OPS:
-        raise ValueError(f"which must be one of {sorted(_LIMIT_OPS)}, got {which!r}")
-    op = _LIMIT_OPS[which]
+    if which not in LIMIT_OPS:
+        raise ValueError(f"which must be one of {sorted(LIMIT_OPS)}, got {which!r}")
+    op = LIMIT_OPS[which]
     if which == "inverse":
         points = [op(S, x, e, u) for e in eps_grid]
     else:

@@ -29,7 +29,7 @@ def from_json(desc: dict):
     if not isinstance(desc, dict) or "model" not in desc:
         raise ModelError(f"model description must be an object with a 'model' field, got {desc!r}")
     kind = desc["model"]
-    if kind not in _KNOWN_FIELDS:
+    if not isinstance(kind, str) or kind not in _KNOWN_FIELDS:
         raise ModelError(f"unknown model kind {kind!r}")
     extra = set(desc) - _KNOWN_FIELDS[kind]
     if extra:

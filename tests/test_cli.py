@@ -1,14 +1,17 @@
 """The experiment runner: configs, CSV schema, exit codes, determinism."""
 
+import hashlib
 import json
 import re
 from pathlib import Path
 
 import pytest
 
+from dilatation_lab import cli
 from dilatation_lab.cli import _COMMAND_FIELDS, main, run
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def write_config(tmp_path, name, config):
@@ -207,6 +210,10 @@ def test_unknown_field_rejected(tmp_path):
         config[field] = value
         assert run(write_config(tmp_path, "c.json", config), quiet=True) == 1, field
     assert not (tmp_path / "o.csv").exists()
+    # a seed override is a seed field, which only seeded commands take
+    config = {"model": {"model": "euclidean", "n": 2}, "command": "menelaos",
+              **valid["menelaos"]}
+    assert run(write_config(tmp_path, "m.json", config), seed_override=3, quiet=True) == 1
 
 
 def test_readme_lists_each_commands_fields():
@@ -318,3 +325,65 @@ def test_threads_env_validation(tmp_path, monkeypatch):
         out = tmp_path / f"threads-{value}.csv"
         assert run(cfg, str(out), quiet=True) == 0
         assert out.read_bytes() == plain.read_bytes()
+
+
+def test_shipped_configs_write_their_recorded_csv_bytes(tmp_path):
+    # every shipped config passes, and each CSV with a recorded digest matches it
+    digests = json.loads((ROOT / "perfbench" / "expected_sha256.json").read_text())
+    paths = sorted((ROOT / "configs").glob("*.json")) + sorted(
+        (ROOT / "perfbench" / "configs").glob("*.json"))
+    assert len(paths) == 9 and set(digests) <= {p.stem for p in paths}
+    for path in paths:
+        out = tmp_path / f"{path.stem}.csv"
+        assert run(str(path), str(out), quiet=True) == 0, path.name
+        if path.stem in digests:
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[path.stem], path.name
+
+
+def test_internal_errors_propagate(tmp_path, monkeypatch):
+    # only config and model errors exit 1; a bug inside a command is a traceback
+    def broken(*args, **kwargs):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(cli, "verify_axiom", broken)
+    cfg = write_config(tmp_path, "c.json", {
+        "model": {"model": "euclidean", "n": 2},
+        "command": "axioms", "which": "A1", "seed": 1, "ks": [2, 3], "sample_count": 2,
+    })
+    with pytest.raises(ValueError, match="internal failure"):
+        run(cfg, quiet=True)
+
+
+@pytest.mark.parametrize("config", [
+    {"command": "axioms", "seed": 1, "ks": [3, 2]},
+    {"command": "axioms", "seed": 1, "sample_count": 0},
+    {"command": "ratio", "x": [0.0, 0.0], "y": [1.0, 0.0], "eps": 0.5, "mu": 0.5, "N": 0},
+    {"command": "menelaos", "x": [0.0, 0.0], "y": [1.0, 0.0], "eps": "0.5", "mu": 0.5},
+    {"command": "linscan", "x": [0.0, 0.0], "y": [0.2, 0.0], "z": [0.0, 0.2], "ks": [-1, 2]},
+    {"command": "tangent", "which": "product", "x": [0.0, 0.0], "u": [1.0, 0.0],
+     "v": [0.0, 1.0]},
+    {"command": "tangent", "x": [0.0, 0.0], "u": [1.0, 0.0]},
+    {"command": "barycentric", "eps": 0.5, "x": [0.0, 0.0], "seed": 1},
+    {"command": "affinemap", "seed": 1,
+     "map": {"type": "linear", "matrix": [[1.0, 0.0, 0.0]] * 3}},
+    {"command": "affinemap", "seed": 1, "map": {"type": "rotation"}},
+    {"command": "counterexample", "seed": 1},
+    {"model": {"model": "pullback", "base": {"model": "euclidean", "n": 2}},
+     "command": "ratio", "x": [0.0, 0.0], "y": [0.2, 0.0], "eps": 0.5, "mu": 0.5},
+])
+def test_bad_values_exit_one_with_a_one_line_error(tmp_path, capsys, config):
+    cfg = write_config(tmp_path, "c.json", {"model": {"model": "euclidean", "n": 2}, **config})
+    assert run(cfg, quiet=True) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "ConfigError" in err
+
+
+def test_required_fields_are_the_parameters_without_defaults():
+    required = {name: {field for field, param in cli._parameters(handler).items()
+                       if param.default is param.empty} - {"model"}
+                for name, handler in cli._COMMANDS.items()}
+    assert required == {
+        "axioms": {"seed"}, "tangent": {"x", "u"}, "menelaos": {"x", "y", "eps", "mu"},
+        "ratio": {"x", "y", "eps", "mu"}, "linscan": {"x", "y", "z"}, "barycentric": {"eps"},
+        "counterexample": {"seed"}, "affinemap": {"map", "seed"}}
+    assert sum(len(fields) for fields in _COMMAND_FIELDS.values()) == 35

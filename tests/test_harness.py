@@ -141,6 +141,20 @@ def test_axiom0_cubic_pullback_is_a_documented_failure():
     assert max(rep.defect) < pull.domain_radius_A
 
 
+def test_axiom0_metric_pullback_is_a_documented_failure():
+    # expected failure, as above: A = 0.25 is below the normalisation 1 < A,
+    # and the chart ball of radius 0.5 cannot hold the pulled-back ball of
+    # radius about 1.  This transport finds a point outside the chart in its
+    # distance, not in its dilatation, and that scores A like any other exit;
+    # the largest defects, about 0.374, come from points that stay inside
+    pull = PullbackModel(EuclideanModel(2), "cubic", "metric")
+    for sample_count in (8, 64):
+        rep = verify_axiom(pull, "Axiom0", Ball(pull.origin(), 0.05), PR.grid(GRID),
+                           sample_count=sample_count, seed=0)
+        assert not rep.verdict
+        assert all(0.37 < d < 0.38 for d in rep.defect)
+
+
 def test_composition_identity_all_models():
     # d(dilate(x, eps, dilate(x, mu, y)), dilate(x, eps mu, y)) stays at
     # roundoff relative to 1 + d(x, y) on every shipped model
