@@ -40,11 +40,13 @@ class DilatationStructure:
     """Abstract interface: a distance plus a field of dilatations.
 
     Concrete models supply the carrier, the distance, the dilatation map and
-    sampling.  The optional capabilities (exact rational arithmetic, closed
-    forms for the finite-scale composites and for the tangent operations) let
-    identity checks come out exactly zero and limit computations
-    short-circuit; every capability is cross-validated against the generic
-    numeric path in the test-suite.
+    sampling.  A model has an optional capability exactly when it defines the
+    method, which callers look up by name: exact rational arithmetic
+    (``to_exact``, ``to_exact_scale``), the difference composite in closed
+    form (``exact_difference``), the tangent operations in closed form
+    (``tangent_sum``, ``tangent_difference``, ``tangent_inverse``,
+    ``tangent_distance``) and ``barycentric_pair``.  Each is cross-validated
+    against the generic numeric path in the test-suite.
 
     On models whose points are float coordinate arrays, ``dilate``,
     ``distance``, ``coordinate_gap`` and ``tangent_distance`` also take an
@@ -92,45 +94,6 @@ class DilatationStructure:
     def point_to_list(self, p) -> list:
         raise NotImplementedError
 
-    # --- optional capabilities ---------------------------------------------
-
-    @property
-    def supports_exact_arithmetic(self) -> bool:
-        """True when the model's operations stay exact on rational inputs."""
-        return False
-
-    def to_exact(self, p):
-        raise NotImplementedError(f"{self.name} has no exact arithmetic")
-
-    def to_exact_scale(self, eps: "Scale") -> "Scale":
-        raise NotImplementedError(f"{self.name} has no exact arithmetic")
-
-    @property
-    def has_exact_operators(self) -> bool:
-        """True if the finite-scale composites have a closed form here."""
-        return False
-
-    def exact_difference(self, x, eps: Scale, u, v):
-        """Delta^x_eps(u, v) in closed form."""
-        raise NotImplementedError(f"{self.name} has no exact operator forms")
-
-    @property
-    def has_exact_tangent(self) -> bool:
-        """True if the tangent group operations have a closed form here."""
-        return False
-
-    def tangent_sum(self, x, u, v):
-        raise NotImplementedError(f"{self.name} has no exact tangent operations")
-
-    def tangent_difference(self, x, u, v):
-        raise NotImplementedError(f"{self.name} has no exact tangent operations")
-
-    def tangent_inverse(self, x, u):
-        raise NotImplementedError(f"{self.name} has no exact tangent operations")
-
-    def tangent_distance(self, x, u, v) -> float:
-        raise NotImplementedError(f"{self.name} has no exact tangent distance")
-
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}>"
 
@@ -140,15 +103,16 @@ def exactify(S: DilatationStructure, points, scales) -> tuple[list, list, bool]:
 
     Identity-type residuals vanish exactly in rational arithmetic, which
     sidesteps the roundoff blowup of fractional-power gauges.  A model
-    without exact arithmetic, or a complex scale, leaves them in floats.
+    without exact arithmetic (no ``to_exact``), or a complex scale, leaves
+    them in floats.
     """
-    if S.supports_exact_arithmetic:
-        try:
-            exact_scales = [S.to_exact_scale(e) for e in scales]
-        except ValueError:
-            return points, scales, False
-        return [S.to_exact(p) for p in points], exact_scales, True
-    return points, scales, False
+    if not hasattr(S, "to_exact"):
+        return points, scales, False
+    try:
+        exact_scales = [S.to_exact_scale(e) for e in scales]
+    except ValueError:
+        return points, scales, False
+    return [S.to_exact(p) for p in points], exact_scales, True
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +217,9 @@ class Rows:
 # composite operators
 # ---------------------------------------------------------------------------
 
-def _require_contraction(eps: Scale, strict: bool = False):
+def _require_contraction(eps: Scale):
     nu = eps.nu
-    if strict and not nu < 1.0:
-        raise DomainViolation(f"scale must contract, nu={nu}")
-    if not strict and nu > 1.0:
+    if nu > 1.0:
         raise DomainViolation(f"scale must satisfy nu <= 1, nu={nu}")
 
 

@@ -54,21 +54,16 @@ def tangent_limit(S: DilatationStructure, x, u, v, which: str,
     if which not in LIMIT_OPS:
         raise ValueError(f"which must be one of {sorted(LIMIT_OPS)}, got {which!r}")
     op = LIMIT_OPS[which]
-    if which == "inverse":
-        points = [op(S, x, e, u) for e in eps_grid]
-    else:
-        points = [op(S, x, e, u, v) for e in eps_grid]
+    args = (u,) if which == "inverse" else (u, v)
+    points = [op(S, x, e, *args) for e in eps_grid]
     increments = _settled_increments(
         S, points, f"tangent {which} composites do not settle on {S.name}")
-    if S.has_exact_tangent:
-        exact = {"sum": S.tangent_sum, "difference": S.tangent_difference}
-        limit = exact[which](x, u, v) if which != "inverse" else S.tangent_inverse(x, u)
-    else:
-        limit = points[-1]
+    exact = getattr(S, f"tangent_{which}", None)
+    limit = points[-1] if exact is None else exact(x, *args)
     defects = [S.distance(p, limit) for p in points]
     report = make_report(eps_grid, defects, True,
                          {"model": S.name, "quantity": f"tangent-{which}",
-                          "exact_reference": S.has_exact_tangent,
+                          "exact_reference": exact is not None,
                           "cauchy_increments": increments})
     return limit, report
 
@@ -77,36 +72,35 @@ def tangent_limit(S: DilatationStructure, x, u, v, which: str,
 class TangentSpace:
     """The tangent conical group at a base point.
 
-    Operations route through the model's closed forms when present and fall
-    back to grid limits otherwise; ``eps_grid`` parametrizes the fallback.
+    Operations route through the model's closed forms ``tangent_<op>`` when
+    it defines them and fall back to grid limits otherwise; ``eps_grid``
+    parametrizes the fallback.
     """
 
     structure: DilatationStructure
     x: object
     eps_grid: list
 
-    def _limit(self, u, v, which):
+    def _op(self, which, u, v=None):
+        exact = getattr(self.structure, f"tangent_{which}", None)
+        if exact is not None:
+            return exact(self.x, u) if which == "inverse" else exact(self.x, u, v)
         value, _ = tangent_limit(self.structure, self.x, u, v, which, self.eps_grid)
         return value
 
     def sum(self, u, v):
-        if self.structure.has_exact_tangent:
-            return self.structure.tangent_sum(self.x, u, v)
-        return self._limit(u, v, "sum")
+        return self._op("sum", u, v)
 
     def difference(self, u, v):
-        if self.structure.has_exact_tangent:
-            return self.structure.tangent_difference(self.x, u, v)
-        return self._limit(u, v, "difference")
+        return self._op("difference", u, v)
 
     def inverse(self, u):
-        if self.structure.has_exact_tangent:
-            return self.structure.tangent_inverse(self.x, u)
-        return self._limit(u, None, "inverse")
+        return self._op("inverse", u)
 
     def distance(self, u, v) -> float:
-        if self.structure.has_exact_tangent:
-            return self.structure.tangent_distance(self.x, u, v)
+        exact = getattr(self.structure, "tangent_distance", None)
+        if exact is not None:
+            return exact(self.x, u, v)
         value, _ = estimate_dx(self.structure, self.x, u, v, self.eps_grid)
         return value
 
@@ -177,15 +171,12 @@ class InducedStructure(DilatationStructure):
     def coordinate_gap(self, p, q) -> float:
         return self.base.coordinate_gap(p, q)
 
-    @property
-    def supports_exact_arithmetic(self) -> bool:
-        return self.base.supports_exact_arithmetic
-
-    def to_exact(self, p):
-        return self.base.to_exact(p)
-
-    def to_exact_scale(self, eps: Scale) -> Scale:
-        return self.base.to_exact_scale(eps)
+    def __getattr__(self, name):
+        # the exact arithmetic is the base's, looked up at each use, and
+        # there only when the base has it
+        if name in ("to_exact", "to_exact_scale"):
+            return getattr(self.base, name)
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
 
 def shift_isometry_defect(S: DilatationStructure, x, mu: Scale, u, pairs) -> float:

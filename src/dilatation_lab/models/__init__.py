@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 from dilatation_lab.errors import ModelError
 from dilatation_lab.models.base import ExactPoint, GroupModel
 from dilatation_lab.models.carnot import (
@@ -14,43 +16,43 @@ from dilatation_lab.models.euclidean import EuclideanModel
 from dilatation_lab.models.heisenberg import HeisenbergModel
 from dilatation_lab.models.pullback import CubicChart, PullbackModel
 
-_KNOWN_FIELDS = {
-    "euclidean": {"model", "n", "p"},
-    "heisenberg": {"model", "n"},
-    "carnot": {"model", "step", "layers", "brackets"},
-    "dyadic": {"model", "precision"},
-    "complex_heisenberg": {"model"},
-    "pullback": {"model", "base", "chart", "transport"},
+_KINDS = {
+    "euclidean": EuclideanModel,
+    "heisenberg": HeisenbergModel,
+    "carnot": CarnotModel,
+    "dyadic": DyadicBoundaryModel,
+    "complex_heisenberg": ComplexHeisenbergModel,
+    "pullback": PullbackModel,
 }
 
 
 def from_json(desc: dict):
-    """Build a model from its JSON description; unknown fields are rejected."""
+    """Build a model from its JSON description.
+
+    Besides ``model``, a description's fields are the keyword arguments of
+    the kind's constructor: a parameter without a default is a required
+    field, and no other field is accepted.  A pullback's ``base`` is itself
+    a description; every other value goes to the constructor as it is, and
+    the constructor validates it.
+    """
     if not isinstance(desc, dict) or "model" not in desc:
         raise ModelError(f"model description must be an object with a 'model' field, got {desc!r}")
     kind = desc["model"]
-    if not isinstance(kind, str) or kind not in _KNOWN_FIELDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ModelError(f"unknown model kind {kind!r}")
-    extra = set(desc) - _KNOWN_FIELDS[kind]
-    if extra:
+    cls = _KINDS[kind]
+    fields = inspect.signature(cls).parameters
+    args = {name: value for name, value in desc.items() if name != "model"}
+    if extra := set(args) - set(fields):
         raise ModelError(f"unknown fields for model {kind!r}: {sorted(extra)}")
+    for name, param in fields.items():
+        if param.default is param.empty and name not in args:
+            raise ModelError(f"model {kind!r} is missing required field {name!r}")
+    if "base" in args:
+        args["base"] = from_json(args["base"])
     try:
-        if kind == "euclidean":
-            return EuclideanModel(int(desc["n"]), float(desc.get("p", 2.0)))
-        if kind == "heisenberg":
-            return HeisenbergModel(int(desc["n"]))
-        if kind == "carnot":
-            return CarnotModel(int(desc["step"]), desc["layers"], desc["brackets"])
-        if kind == "dyadic":
-            return DyadicBoundaryModel(int(desc.get("precision", 64)))
-        if kind == "complex_heisenberg":
-            return ComplexHeisenbergModel()
-        base = from_json(desc["base"])
-        return PullbackModel(base, desc.get("chart", "cubic"),
-                             desc.get("transport", "dilatation"))
-    except KeyError as missing:
-        raise ModelError(f"model {kind!r} is missing required field {missing}") from None
-    except (TypeError, ValueError) as bad:
+        return cls(**args)
+    except (KeyError, TypeError, ValueError) as bad:
         raise ModelError(f"invalid model description for {kind!r}: {bad}") from None
 
 

@@ -7,8 +7,8 @@ dilatations based at any point,
 
     delta^x_eps u = x . delta_eps(x^-1 u).
 
-All composite operators then have closed forms, exposed through the exact
-capability hooks, e.g. Delta^x_eps(u,v) = delta^x_eps(u) . u^-1 . v and its
+All composite operators then have closed forms, exposed as the optional
+capability methods, e.g. Delta^x_eps(u,v) = delta^x_eps(u) . u^-1 . v and its
 limit Delta^x(u,v) = x . u^-1 . v.
 
 ``GroupModel`` holds what follows from the group law alone.  Its
@@ -153,16 +153,11 @@ class GroupModel(DilatationStructure):
 
     Group operations are polynomial with rational coefficients, so they can
     be evaluated exactly on rational points and rational scales, which makes
-    every algebraic identity come out exactly; ``to_exact`` and
-    ``to_exact_scale`` convert float data to that arithmetic.
+    every algebraic identity come out exactly; ``to_exact``, which each
+    subclass supplies, and ``to_exact_scale`` convert float data to that
+    arithmetic.  The closed forms of the composites and of the tangent
+    operations follow from the group law.
     """
-
-    @property
-    def supports_exact_arithmetic(self) -> bool:
-        return True
-
-    def to_exact(self, p):
-        raise NotImplementedError
 
     def to_exact_scale(self, eps: Scale) -> Scale:
         value = eps.value
@@ -203,20 +198,12 @@ class GroupModel(DilatationStructure):
         """inv^u(x) = u . x^-1 . u, the inverse of x in the group re-zeroed at u."""
         return self.group_product(self.group_product(u, self.group_inverse(x)), u)
 
-    # --- exact capability hooks ----------------------------------------------
-
-    @property
-    def has_exact_operators(self) -> bool:
-        return True
+    # --- closed forms ----------------------------------------------------------
 
     def exact_difference(self, x, eps: Scale, u, v):
         """Delta^x_eps(u, v) in closed form, delta^x_eps(u) . u^-1 . v."""
         prod = self.group_product
         return prod(prod(self.dilate(x, eps, u), self.group_inverse(u)), v)
-
-    @property
-    def has_exact_tangent(self) -> bool:
-        return True
 
     def tangent_sum(self, x, u, v):
         return self.group_product(self.group_product(u, self.group_inverse(x)), v)

@@ -58,7 +58,7 @@ class CarnotModel(GroupModel):
 
     def __init__(self, step: int, layers, brackets):
         if step not in (1, 2, 3):
-            raise ModelError(f"step must be 1, 2 or 3, got {step}")
+            raise ModelError(f"step must be 1, 2 or 3, got {step!r}")
         if len(layers) != step or any(int(d) < 1 for d in layers):
             raise ModelError(f"need {step} positive layer dimensions, got {layers}")
         self.step = int(step)

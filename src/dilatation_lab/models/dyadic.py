@@ -88,9 +88,6 @@ class DyadicBoundaryModel(GroupModel):
     def to_exact_scale(self, eps: Scale) -> Scale:
         return eps
 
-    def coordinate_gap(self, p, q) -> float:
-        return self.distance(p, q)
-
     # --- metric ---------------------------------------------------------------
 
     def distance(self, p: DyadicPoint, q: DyadicPoint) -> float:

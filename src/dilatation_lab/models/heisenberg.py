@@ -27,7 +27,7 @@ def cygan_gauge(planar: float, center: float) -> float:
 class HeisenbergModel(CarnotModel):
     """H(n) on R^{2n+1}, coordinates [x_1..x_{2n}, xbar], with the Cygan gauge."""
 
-    def __init__(self, n: int = 1):
+    def __init__(self, n: int):
         if n < 1:
             raise ValueError("Heisenberg index n must be at least 1")
         self.n = int(n)

@@ -127,10 +127,6 @@ class PullbackModel(DilatationStructure):
 
     # --- exact tangent operations --------------------------------------------------
 
-    @property
-    def has_exact_tangent(self) -> bool:
-        return True
-
     def tangent_sum(self, x, u, v):
         if self.transport == "metric":
             return u - x + v

@@ -1,11 +1,16 @@
 """Group laws, norms, dilatations and the JSON factory of the concrete models."""
 
+import inspect
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dilatation_lab.core.scales import COMPLEX_UNITS, POSITIVE_REALS as PR
+from dilatation_lab import models
 from dilatation_lab.errors import ModelError
 from dilatation_lab.models import (
     CarnotModel, ComplexHeisenbergModel, CubicChart, EuclideanModel, ExactPoint,
@@ -13,6 +18,7 @@ from dilatation_lab.models import (
 from dilatation_lab.errors import DomainViolation
 
 HALF = PR.scale(0.5)
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 # --- Heisenberg -------------------------------------------------------------
@@ -261,6 +267,18 @@ def test_factory_rejects_unknown_fields():
     with pytest.raises(ModelError):
         from_json({"model": "pullback", "base": {"model": "euclidean", "n": 2},
                    "radius": 0.5})
+    with pytest.raises(ModelError):
+        from_json({"model": "euclidean", "n": 2, "p": 2})
+    with pytest.raises(ModelError):
+        from_json({"model": "dyadic", "precision": "64"})
+
+
+def test_readme_lists_each_models_fields():
+    # every example description names exactly its kind's constructor parameters
+    lines = re.findall(r'^\{"model": .*\}$', README.read_text(), re.MULTILINE)
+    documented = {desc["model"]: set(desc) - {"model"} for desc in map(json.loads, lines)}
+    assert documented == {kind: set(inspect.signature(cls).parameters)
+                          for kind, cls in models._KINDS.items()}
 
 
 def test_pullback_takes_only_the_cubic_chart_by_name(euclid2):
