@@ -24,7 +24,7 @@ from dilatation_lab.config import (
     FIXED_POINT_TOL, LINEARITY_WARN_TOL, MAX_ITER, RATE_FLOOR, RATE_FLOOR_FACTOR)
 from dilatation_lab.errors import DomainViolation, MaxIterExceeded
 from dilatation_lab.core.reports import ConvergenceReport, make_report
-from dilatation_lab.core.scales import Scale
+from dilatation_lab.core.scales import Scale, contraction
 from dilatation_lab.core.structure import DilatationStructure, exactify
 from dilatation_lab.emergent import check_affine_map, lin_defect
 from dilatation_lab.models.base import GroupModel
@@ -54,12 +54,6 @@ class MenelaosResult:
     probe_defect: float = 0.0
 
 
-def _check_contracting(eps: Scale, mu: Scale):
-    if not (0.0 < eps.nu < 1.0 and 0.0 < mu.nu < 1.0):
-        raise DomainViolation(
-            f"Menelaos composites need nu in (0,1); got {eps.nu} and {mu.nu}")
-
-
 def menelaos_iterate(S: DilatationStructure, x, eps: Scale, y, mu: Scale,
                      tol: float = FIXED_POINT_TOL,
                      max_iter: int = MAX_ITER,
@@ -73,7 +67,7 @@ def menelaos_iterate(S: DilatationStructure, x, eps: Scale, y, mu: Scale,
     dilatation identity is spot-checked on three probe points.  The linearity
     warning is computed in exact arithmetic where the model has one.
     """
-    _check_contracting(eps, mu)
+    contraction("the Menelaos composite", eps, mu)
     if check_linearity:
         (ex, ey), (e_eps, e_mu), _ = exactify(S, [x, y], [eps, mu])
         defect = lin_defect(S, ex, ey, ex, e_eps, e_mu)
@@ -128,8 +122,7 @@ def banach_oracle(S: DilatationStructure, x, eps: Scale, y, mu: Scale, u0,
     The composite contracts distances by the factor nu(eps mu) < 1, so plain
     iteration converges to the same w as the paired iteration.
     """
-    if not eps.nu * mu.nu < 1.0:
-        raise DomainViolation("the composite must contract: nu(eps mu) < 1")
+    contraction("Banach iteration of the composite", eps * mu)
     u = u0
     for _ in range(max_iter):
         nxt = S.dilate(x, eps, S.dilate(y, mu, u))
@@ -145,8 +138,7 @@ def banach_oracle(S: DilatationStructure, x, eps: Scale, y, mu: Scale, u0,
 
 def h_map(M: GroupModel, eps: Scale, x):
     """h_eps(x) = x . delta_eps(x^-1) = delta^x_eps e."""
-    if not 0.0 < eps.nu < 1.0:
-        raise DomainViolation(f"h needs nu(eps) in (0,1), got {eps.nu}")
+    contraction("h_eps", eps)
     return M.group_product(x, M.ambient_dilate(eps, M.group_inverse(x)))
 
 
@@ -162,8 +154,7 @@ def g_map(M: GroupModel, eps: Scale, y, N: int) -> GMapResult:
     at most nu(eps)^{N+1} / (1 - nu(eps)) times |y|, which is attached to the
     result as its error bound.
     """
-    if not 0.0 < eps.nu < 1.0:
-        raise DomainViolation(f"g needs nu(eps) in (0,1), got {eps.nu}")
+    contraction("g_eps", eps)
     if N < 1:
         raise ValueError("truncation order N must be at least 1")
     out = y
@@ -182,7 +173,6 @@ def ratio_point(M: GroupModel, x, y, eps: Scale, mu: Scale, N: int = 64):
     Solves h_eps(x) . delta_eps(h_mu(y)) = h_{eps mu}(w) for w, which is the
     base point of the composite dilatation; agrees with both iterations.
     """
-    _check_contracting(eps, mu)
     rhs = M.group_product(h_map(M, eps, x), h_map(M, mu, M.ambient_dilate(eps, y)))
     return g_map(M, eps * mu, rhs, N).point
 
@@ -316,9 +306,7 @@ def barycentric_defect(S: DilatationStructure, x, y, eps: Scale) -> float:
     if hasattr(S, "barycentric_pair"):
         left, right = S.barycentric_pair(x, y, eps)
         return S.distance(left, right)
-    nu = eps.nu
-    if not 0.0 < nu < 1.0:
-        raise DomainViolation(f"barycentric comparison needs nu(eps) in (0,1), got {nu}")
+    contraction("the barycentric comparison", eps)
     one_minus = S.scale_group.scale(1.0 - eps.value)
     return S.distance(S.dilate(x, eps, y), S.dilate(y, one_minus, x))
 
@@ -330,8 +318,7 @@ def collinearity_defect(S: GroupModel, u, v, eps: Scale) -> float:
     nonnegative and vanishes when the three points sit on a geodesic, which
     the barycentric condition forces.
     """
-    if not 0.0 < eps.nu < 1.0:
-        raise DomainViolation("collinearity diagnostic needs a contraction")
+    contraction("the collinearity diagnostic", eps)
     inv_u = S.base_inverse(u, v)
     mid = S.dilate(u, eps, v)
     return S.distance(inv_u, u) + S.distance(u, mid) - S.distance(inv_u, mid)
@@ -347,7 +334,6 @@ def distance_estimates_check(S: DilatationStructure, x, y, eps: Scale,
     Returns the two left-hand sides and whether both inequalities hold with
     multiplicative slack 1 + ENVELOPE_SLACK and absolute slack ENVELOPE_ABS_SLACK.
     """
-    _check_contracting(eps, mu)
     w = menelaos_iterate(S, x, eps, y, mu, check_linearity=False).w
     q = eps.nu * mu.nu
     lhs1 = S.distance(x, w)

@@ -16,8 +16,10 @@ by the ``_PARSERS`` entry of its field name before the handler runs.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import inspect
+import io
 import json
 import sys
 from itertools import combinations
@@ -31,8 +33,10 @@ from dilatation_lab.errors import (
     ConfigError, DomainViolation, MaxIterExceeded, ModelError, NonConvergent,
     PrecisionExhausted)
 from dilatation_lab.core.harness import AXIOMS, verify_axiom
+from dilatation_lab.core.scales import contraction
 from dilatation_lab.core.structure import Ball, exactify
 from dilatation_lab import models as model_factory
+from dilatation_lab.models.base import is_integer
 from dilatation_lab.emergent import (
     LIMIT_OPS, check_affine_map, inflin_scan, tangent_limit)
 from dilatation_lab.affine import (
@@ -47,18 +51,30 @@ def _config_hash(config: dict) -> str:
 
 # field parsers, keyed by field name: each takes (model, value)
 
+def _integer(model, value):
+    if not is_integer(value):
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
 def _at_least(least):
     def parse(model, value):
-        n = int(value)
+        n = _integer(model, value)
         if n < least:
             raise ValueError(f"must be at least {least}, got {value!r}")
         return n
     return parse
 
 
+def _contraction(model, value):
+    eps = model.scale_group.scale(value)
+    contraction("the command", eps)
+    return eps
+
+
 def _grid(model, ks):
     if (not isinstance(ks, (list, tuple)) or len(ks) < 2
-            or any(not isinstance(k, int) or k < 1 for k in ks)
+            or any(not is_integer(k) or k < 1 for k in ks)
             or any(a >= b for a, b in zip(ks, ks[1:]))):
         raise ValueError(f"ks must be a strictly increasing list of at least two "
                          f"positive integers, got {ks!r}")
@@ -93,10 +109,10 @@ def _map(model, desc):
 
 _PARSERS = {
     **dict.fromkeys(("x", "y", "z", "u", "v", "Y"), lambda model, obj: model.point_from_json(obj)),
-    **dict.fromkeys(("eps", "mu"), lambda model, value: model.scale_group.scale(value)),
+    **dict.fromkeys(("eps", "mu"), _contraction),
     "seed": _at_least(0),
     **dict.fromkeys(("sample_count", "N"), _at_least(1)),
-    "max_iter": lambda model, value: int(value),
+    "max_iter": _integer,
     "ks": _grid,
     "map": _map,
 }
@@ -129,7 +145,7 @@ def _parse(config: dict):
             continue  # an optional field left out
         try:
             args[name] = _PARSERS[name](model, value) if name in _PARSERS else value
-        except (ValueError, TypeError, KeyError) as err:
+        except (ValueError, TypeError, KeyError, DomainViolation) as err:
             raise ConfigError(f"bad value for {name!r}: {err!r}") from None
     return handler, model, args
 
@@ -159,10 +175,12 @@ class CsvReport:
         self.rows.append(list(row))
 
     def render(self) -> str:
-        lines = [",".join(self.columns)]
-        lines += [",".join(_fmt(c) for c in row) for row in self.rows]
-        lines += [f"# {key}={val}" for key, val in self.meta.items()]
-        return "\n".join(lines) + "\n"
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(self.columns)
+        writer.writerows([_fmt(c) for c in row] for row in self.rows)
+        text.writelines(f"# {key}={val}\n" for key, val in self.meta.items())
+        return text.getvalue()
 
 
 def _per_scale(rep, column: str = "defect") -> CsvReport:

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from numbers import Number, Real
 from typing import Any
 
+from dilatation_lab.errors import DomainViolation
+
 
 class ScaleGroup:
     """Abstract commutative scale group with valuation nu."""
@@ -179,3 +181,19 @@ def reference_scale(eps_grid) -> Scale:
     """One refinement past the end of a grid, reusing its last ratio."""
     last, prev = eps_grid[-1], eps_grid[-2]
     return last * (last * prev.inverse())
+
+
+def contraction(what: str, *scales: Scale) -> None:
+    """Raise DomainViolation, naming the operation, unless every scale has 0 < nu < 1."""
+    for eps in scales:
+        nu = eps.nu
+        if not 0.0 < nu < 1.0:
+            raise DomainViolation(f"{what} needs a contraction, 0 < nu < 1; got nu={nu}")
+
+
+def not_expanding(what: str, *scales: Scale) -> None:
+    """Raise DomainViolation, naming the operation, unless every scale has 0 < nu <= 1."""
+    for eps in scales:
+        nu = eps.nu
+        if not 0.0 < nu <= 1.0:
+            raise DomainViolation(f"{what} needs a scale with 0 < nu <= 1; got nu={nu}")

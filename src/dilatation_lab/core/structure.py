@@ -20,7 +20,7 @@ import numpy as np
 from dilatation_lab.config import DEFECT_FLOOR, EXACT_IDENTITY_TOL
 from dilatation_lab.errors import DomainViolation, NonConvergent
 from dilatation_lab.core.reports import ConvergenceReport, make_report, nonincreasing
-from dilatation_lab.core.scales import Scale, ScaleGroup
+from dilatation_lab.core.scales import Scale, ScaleGroup, not_expanding
 
 
 class Ball:
@@ -217,39 +217,31 @@ class Rows:
 # composite operators
 # ---------------------------------------------------------------------------
 
-def _require_contraction(eps: Scale):
-    nu = eps.nu
-    if nu > 1.0:
-        raise DomainViolation(f"scale must satisfy nu <= 1, nu={nu}")
-
-
 def approx_difference(S: DilatationStructure, x, eps: Scale, u, v):
     """Delta^x_eps(u, v), the finite-scale difference composite (per row on batches)."""
-    _require_contraction(eps)
+    not_expanding("a finite-scale composite", eps)
     a = S.dilate(x, eps, u)
     return S.dilate(a, eps.inverse(), S.dilate(x, eps, v))
 
 
 def approx_sum(S: DilatationStructure, x, eps: Scale, u, v):
     """Sigma^x_eps(u, v), the finite-scale sum composite."""
-    _require_contraction(eps)
+    not_expanding("a finite-scale composite", eps)
     a = S.dilate(x, eps, u)
     return S.dilate(x, eps.inverse(), S.dilate(a, eps, v))
 
 
 def approx_inverse(S: DilatationStructure, x, eps: Scale, u):
     """inv^x_eps(u), the finite-scale inverse composite."""
-    _require_contraction(eps)
+    not_expanding("a finite-scale composite", eps)
     a = S.dilate(x, eps, u)
     return S.dilate(a, eps.inverse(), x)
 
 
 def rescaled_distance(S: DilatationStructure, x, mu: Scale, u, v) -> float:
     """The distance (delta^x, mu): d(delta^x_mu u, delta^x_mu v) / nu(mu), per row on batches."""
-    nu = mu.nu
-    if not 0.0 < nu <= 1.0:
-        raise DomainViolation(f"rescaled distance needs nu(mu) in (0,1], got {nu}")
-    return S.distance(S.dilate(x, mu, u), S.dilate(x, mu, v)) / nu
+    not_expanding("the rescaled distance", mu)
+    return S.distance(S.dilate(x, mu, u), S.dilate(x, mu, v)) / mu.nu
 
 
 def estimate_dx(S: DilatationStructure, x, u, v, eps_grid) -> tuple[float, ConvergenceReport]:

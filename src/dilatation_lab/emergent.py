@@ -23,7 +23,7 @@ from dilatation_lab.core.reports import ConvergenceReport, dies_out, make_report
 from dilatation_lab.core.structure import (
     DilatationStructure, Rows, approx_difference, approx_inverse, approx_sum,
     estimate_dx, rescaled_distance)
-from dilatation_lab.core.scales import Scale, reference_scale
+from dilatation_lab.core.scales import Scale, contraction, not_expanding, reference_scale
 from dilatation_lab.models.base import ExactPoint
 
 LIMIT_OPS = {"sum": approx_sum, "difference": approx_difference,
@@ -125,8 +125,7 @@ class InducedStructure(DilatationStructure):
     dilatations delta^x_{mu^-1} delta^{delta^x_mu u}_eps delta^x_mu."""
 
     def __init__(self, base: DilatationStructure, x, mu: Scale):
-        if not 0.0 < mu.nu < 1.0:
-            raise ValueError(f"induced structures need nu(mu) in (0,1), got {mu.nu}")
+        contraction("an induced structure", mu)
         self.base = base
         self.x = x
         self.mu = mu
@@ -205,8 +204,7 @@ def lin_defect(S: DilatationStructure, x, y, z, eps: Scale, mu: Scale) -> float:
     Zero exactly when dilatations based at different points commute the way
     conical-group ones do; the raw measure of nonlinearity otherwise.
     """
-    if eps.nu > 1.0 or mu.nu > 1.0:
-        raise ValueError("linearity defect expects contracting scales")
+    not_expanding("the linearity defect", eps, mu)
     lhs = S.dilate(x, eps, S.dilate(y, mu, z))
     rhs = S.dilate(S.dilate(x, eps, y), mu, S.dilate(x, eps, z))
     return S.distance(lhs, rhs)

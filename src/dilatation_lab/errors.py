@@ -6,7 +6,8 @@ class DilatationLabError(Exception):
 
 
 class DomainViolation(DilatationLabError):
-    """A point left the domain of the dilatation asked to move it."""
+    """A point left the domain of the dilatation asked to move it, or a scale
+    lies outside the domain of an operation (``core.scales.contraction``)."""
 
 
 class NonConvergent(DilatationLabError):

@@ -28,11 +28,17 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from numbers import Integral
 
 import numpy as np
 
 from dilatation_lab.core.scales import Scale
 from dilatation_lab.core.structure import DilatationStructure
+
+
+def is_integer(value) -> bool:
+    """True for an integer; False for a bool, a float, a string or anything else."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def columns(a) -> list:
@@ -186,6 +192,15 @@ class GroupModel(DilatationStructure):
         raise NotImplementedError
 
     # --- induced structure --------------------------------------------------
+
+    def distance(self, p, q) -> float:
+        """|p^-1 q|."""
+        return self.homogeneous_norm(self.group_product(self.group_inverse(p), q))
+
+    def dilate(self, x, eps: Scale, y):
+        """x . delta_eps(x^-1 y)."""
+        return self.group_product(
+            x, self.ambient_dilate(eps, self.group_product(self.group_inverse(x), y)))
 
     def origin(self):
         return self.identity()

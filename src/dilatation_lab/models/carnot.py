@@ -30,7 +30,7 @@ from dilatation_lab.errors import ModelError
 from dilatation_lab.core.scales import POSITIVE_REALS, Scale
 from dilatation_lab.core.structure import vector_sample_ball
 from dilatation_lab.models.base import (
-    ExactPoint, GroupModel, columns, float_or_rows, power, row_dot, row_max, stack)
+    ExactPoint, GroupModel, columns, float_or_rows, is_integer, power, row_dot, row_max, stack)
 
 
 def _scale_ratio(value) -> tuple[int, int]:
@@ -57,10 +57,10 @@ class CarnotModel(GroupModel):
     """
 
     def __init__(self, step: int, layers, brackets):
-        if step not in (1, 2, 3):
+        if not is_integer(step) or step not in (1, 2, 3):
             raise ModelError(f"step must be 1, 2 or 3, got {step!r}")
-        if len(layers) != step or any(int(d) < 1 for d in layers):
-            raise ModelError(f"need {step} positive layer dimensions, got {layers}")
+        if len(layers) != step or any(not is_integer(d) or d < 1 for d in layers):
+            raise ModelError(f"need {step} positive integer layer dimensions, got {layers}")
         self.step = int(step)
         self.layers = [int(d) for d in layers]
         self.dim = sum(self.layers)
@@ -80,10 +80,10 @@ class CarnotModel(GroupModel):
         for entry in brackets:
             if len(entry) != 4:
                 raise ModelError(f"bracket entry must be [i, j, k, c], got {entry}")
+            for idx in entry[:3]:
+                if not is_integer(idx) or not 0 <= idx < self.dim:
+                    raise ModelError(f"bracket index {idx!r} is not an integer in [0, {self.dim})")
             i, j, k, c = int(entry[0]), int(entry[1]), int(entry[2]), float(entry[3])
-            for idx in (i, j, k):
-                if not 0 <= idx < self.dim:
-                    raise ModelError(f"bracket index {idx} out of range for dim {self.dim}")
             if self.layer_of[k] != self.layer_of[i] + self.layer_of[j]:
                 raise ModelError(
                     f"bracket [{i},{j}]->{k} violates the grading "
@@ -128,19 +128,6 @@ class CarnotModel(GroupModel):
         if type(a) is ExactPoint:
             return self._exact_norm(a)
         return self._norm(a)
-
-    def distance(self, p, q) -> float:
-        """|p^-1 q|."""
-        if type(p) is ExactPoint:
-            return self.homogeneous_norm(self._exact_product(-p, q))
-        return self.homogeneous_norm(self._product(-p, q))
-
-    def dilate(self, x, eps: Scale, y):
-        """x . delta_eps(x^-1 y)."""
-        if type(y) is ExactPoint:
-            return self._exact_product(
-                x, self._exact_dilate(eps.value, self._exact_product(-x, y)))
-        return self._product(x, self._dilate(eps, self._product(-x, y)))
 
     def sample_ball(self, center, radius, count, rng):
         """Around an exact center: the samples around its float value, as exact points."""

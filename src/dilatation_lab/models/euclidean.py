@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 
 from dilatation_lab.core.scales import Scale
-from dilatation_lab.models.base import float_or_rows, row_length
+from dilatation_lab.models.base import float_or_rows, is_integer, row_length
 from dilatation_lab.models.carnot import CarnotModel
 
 
@@ -17,8 +17,8 @@ class EuclideanModel(CarnotModel):
     """R^n with the Euclidean distance and linear dilatations: the step-1 Carnot group."""
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("dimension must be at least 1")
+        if not is_integer(n) or n < 1:
+            raise ValueError(f"dimension must be an integer of at least 1, got {n!r}")
         super().__init__(1, [n], [])
         self.n = int(n)
         self.name = f"euclidean-{self.n}d"

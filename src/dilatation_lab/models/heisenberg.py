@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from dilatation_lab.core.scales import Scale
-from dilatation_lab.models.base import power, row_dot
+from dilatation_lab.models.base import is_integer, power, row_dot
 from dilatation_lab.models.carnot import CarnotModel, heisenberg_structure_constants
 
 
@@ -28,8 +28,8 @@ class HeisenbergModel(CarnotModel):
     """H(n) on R^{2n+1}, coordinates [x_1..x_{2n}, xbar], with the Cygan gauge."""
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("Heisenberg index n must be at least 1")
+        if not is_integer(n) or n < 1:
+            raise ValueError(f"Heisenberg index n must be an integer of at least 1, got {n!r}")
         self.n = int(n)
         super().__init__(2, *heisenberg_structure_constants(self.n))
         self.name = f"heisenberg-{self.n}"

@@ -53,6 +53,16 @@ def test_menelaos_rejects_expanding_scales(euclid1):
         menelaos_iterate(euclid1, np.zeros(1), PR.scale(1.5), np.ones(1), HALF)
 
 
+def test_menelaos_stops_a_contraction_that_stalls(euclid1):
+    class Stalled(type(euclid1)):
+        def coordinate_gap(self, p, q):
+            return 1.0  # never shrinks
+
+    with pytest.raises(MaxIterExceeded, match="contraction stalled"):
+        menelaos_iterate(Stalled(1), np.zeros(1), HALF, np.ones(1), HALF,
+                         check_linearity=False)
+
+
 def test_menelaos_warns_on_nonlinear_structure(cubic_pullback):
     with pytest.warns(UserWarning):
         menelaos_iterate(cubic_pullback, np.zeros(2), HALF,

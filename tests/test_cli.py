@@ -1,5 +1,6 @@
 """The experiment runner: configs, CSV schema, exit codes, determinism."""
 
+import csv
 import hashlib
 import json
 import re
@@ -370,12 +371,40 @@ def test_internal_errors_propagate(tmp_path, monkeypatch):
     {"command": "counterexample", "seed": 1},
     {"model": {"model": "pullback", "base": {"model": "euclidean", "n": 2}},
      "command": "ratio", "x": [0.0, 0.0], "y": [0.2, 0.0], "eps": 0.5, "mu": 0.5},
+    {"command": "axioms", "seed": 1, "sample_count": 2.5},
+    {"command": "axioms", "seed": 1, "sample_count": "16"},
+    {"command": "axioms", "seed": True},
+    {"command": "axioms", "seed": 1.9},
+    {"command": "axioms", "seed": 1, "ks": [2, 3.0]},
+    {"command": "axioms", "seed": 1, "ks": [True, 2]},
+    {"command": "ratio", "x": [0.0, 0.0], "y": [1.0, 0.0], "eps": 0.5, "mu": 0.5, "N": 8.5},
+    {"command": "menelaos", "x": [0.0, 0.0], "y": [1.0, 0.0], "eps": 0.5, "mu": 0.5,
+     "max_iter": 100.0},
+    {"command": "menelaos", "x": [0.0, 0.0], "y": [1.0, 0.0], "eps": 1.5, "mu": 0.5},
+    {"command": "ratio", "x": [0.0, 0.0], "y": [1.0, 0.0], "eps": 0.5, "mu": 1.0},
+    {"model": {"model": "dyadic"}, "command": "barycentric", "eps": 0, "seed": 1},
+    {"model": {"model": "complex_heisenberg"}, "command": "counterexample", "seed": 1,
+     "eps": 2.0},
 ])
 def test_bad_values_exit_one_with_a_one_line_error(tmp_path, capsys, config):
     cfg = write_config(tmp_path, "c.json", {"model": {"model": "euclidean", "n": 2}, **config})
     assert run(cfg, quiet=True) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "ConfigError" in err
+
+
+def test_a_finding_is_one_csv_field(tmp_path):
+    # the NonConvergent message lists the increments, commas and all
+    cfg = write_config(tmp_path, "c.json", {
+        "model": {"model": "heisenberg", "n": 1}, "command": "tangent", "which": "sum",
+        "x": [0.1, 0.2, 0.05], "u": [0.3, -0.1, 0.2], "v": [-0.2, 0.25, 0.1],
+        "ks": list(range(2, 31))})
+    out = tmp_path / "r.csv"
+    assert run(cfg, str(out), quiet=True) == 2
+    rows = [row for row in csv.reader(out.open(newline="")) if not row[0].startswith("#")]
+    assert rows[0] == ["finding"]
+    assert len(rows) == 2 and len(rows[1]) == 1
+    assert rows[1][0].startswith("NonConvergent: ") and rows[1][0].count(",") > 1
 
 
 def test_required_fields_are_the_parameters_without_defaults():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dilatation_lab.core.scales import DYADIC_POWERS as DP
+from dilatation_lab.affine import barycentric_defect
 from dilatation_lab.errors import DomainViolation, PrecisionExhausted
 from dilatation_lab.models import DyadicBoundaryModel
 from dilatation_lab.models.dyadic import (
@@ -109,6 +110,16 @@ def test_barycentric_identity_exact_in_ring_arithmetic(dyadic):
         y = dyadic.point(int(rng.integers(0, 1 << 62)))
         left, right = dyadic.barycentric_pair(x, y, DP.scale(2))
         assert dyadic.distance(left, right) == 0.0
+
+
+def test_barycentric_defect_vanishes_on_the_commutative_dyadic_group(dyadic):
+    # barycentric_defect takes the model's ring arithmetic, barycentric_pair
+    rng = np.random.default_rng(4)
+    for p in (1, 2, 5):
+        x, y = (dyadic.point(int(rng.integers(0, 1 << 62))) for _ in range(2))
+        assert barycentric_defect(dyadic, x, y, DP.scale(p)) == 0.0
+    with pytest.raises(DomainViolation):
+        barycentric_defect(dyadic, x, y, DP.scale(0))
 
 
 # --- prefix-surgery dilatations ------------------------------------------------

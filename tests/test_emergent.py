@@ -7,9 +7,9 @@ import pytest
 
 from dilatation_lab.core.scales import POSITIVE_REALS as PR
 from dilatation_lab.core.harness import verify_axiom
-from dilatation_lab.core.structure import Ball, approx_difference, approx_sum
-from dilatation_lab.errors import NonConvergent
-from dilatation_lab.models import HeisenbergModel
+from dilatation_lab.core.structure import Ball, approx_difference, approx_sum, estimate_dx
+from dilatation_lab.errors import DomainViolation, NonConvergent
+from dilatation_lab.models import EuclideanModel, HeisenbergModel, PullbackModel
 from dilatation_lab.emergent import (
     InducedStructure, check_affine_map, inflin_scan, lin_defect,
     metric_tangent_scan, pansu_derivative, plin1_scan, shift_isometry_defect,
@@ -110,6 +110,26 @@ def test_tangent_dilate_matches_conical_dilate(heis1):
 
 
 # --- induced structures ----------------------------------------------------------
+
+def test_tangent_space_without_closed_forms_takes_grid_limits():
+    # an induced structure has no tangent_<op>: every operation is a grid limit
+    x = np.array([0.01, -0.02])
+    u, v = np.array([0.015, 0.005]), np.array([-0.01, 0.02])
+    S = InducedStructure(PullbackModel(EuclideanModel(2)), x, HALF)
+    grid = PR.grid(range(2, 9))
+    T = tangent_space(S, x, grid)
+    for which, got in (("sum", T.sum(u, v)), ("difference", T.difference(u, v)),
+                       ("inverse", T.inverse(u))):
+        assert np.array_equal(got, tangent_limit(S, x, u, v, which, grid)[0])
+    assert T.distance(u, v) == estimate_dx(S, x, u, v, grid)[0]
+
+
+def test_induced_structures_and_lin_defect_need_small_scales(euclid2):
+    with pytest.raises(DomainViolation):
+        InducedStructure(euclid2, np.zeros(2), PR.one)
+    with pytest.raises(DomainViolation):
+        lin_defect(euclid2, np.zeros(2), np.ones(2), np.ones(2), HALF, PR.scale(2.0))
+
 
 def test_induced_equals_original_on_euclid(euclid2):
     ind = InducedStructure(euclid2, np.zeros(2), HALF)

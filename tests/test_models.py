@@ -271,6 +271,18 @@ def test_factory_rejects_unknown_fields():
         from_json({"model": "euclidean", "n": 2, "p": 2})
     with pytest.raises(ModelError):
         from_json({"model": "dyadic", "precision": "64"})
+    # integer fields take integers only: no bool, float or string
+    layers, brackets = heisenberg_structure_constants(1)
+    for desc in ({"model": "euclidean", "n": 2.5}, {"model": "euclidean", "n": 2.0},
+                 {"model": "heisenberg", "n": True}, {"model": "dyadic", "precision": 64.9},
+                 {"model": "carnot", "step": 2.0, "layers": layers, "brackets": brackets},
+                 {"model": "carnot", "step": 2, "layers": [2.7, 1], "brackets": brackets},
+                 {"model": "carnot", "step": 2, "layers": layers,
+                  "brackets": [[0.9, 1, 2, 1.0]]},
+                 {"model": "carnot", "step": 2, "layers": layers,
+                  "brackets": [[0, 1, "2", 1.0]]}):
+        with pytest.raises(ModelError):
+            from_json(desc)
 
 
 def test_readme_lists_each_models_fields():

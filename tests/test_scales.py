@@ -1,11 +1,17 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import dilatation_lab
 from dilatation_lab.core.scales import (
-    COMPLEX_UNITS, DYADIC_POWERS, POSITIVE_REALS)
+    COMPLEX_UNITS, DYADIC_POWERS, POSITIVE_REALS, contraction, not_expanding)
+from dilatation_lab.errors import DomainViolation
+
+PACKAGE = Path(dilatation_lab.__file__).parent
 
 
 def test_positive_reals_basics():
@@ -47,6 +53,43 @@ def test_complex_units_valuation_not_injective():
     assert abs(e.nu - rotated.nu) < 1e-15
     with pytest.raises(ValueError):
         COMPLEX_UNITS.scale(0.0)
+
+
+def test_contraction_needs_nu_below_one_and_not_expanding_up_to_one():
+    contraction("op", POSITIVE_REALS.scale(0.5), DYADIC_POWERS.scale(1),
+                COMPLEX_UNITS.scale(0.5j))
+    not_expanding("op", POSITIVE_REALS.one, DYADIC_POWERS.one, COMPLEX_UNITS.scale(-1.0))
+    for eps in (POSITIVE_REALS.one, DYADIC_POWERS.scale(0), COMPLEX_UNITS.scale(1j)):
+        with pytest.raises(DomainViolation, match=r"^op needs .*nu=1\.0$"):
+            contraction("op", POSITIVE_REALS.scale(0.5), eps)
+    for eps in (POSITIVE_REALS.scale(1.5), DYADIC_POWERS.scale(-1), COMPLEX_UNITS.scale(2j)):
+        with pytest.raises(DomainViolation, match=r"^op needs .*nu=(1\.5|2\.0)$"):
+            not_expanding("op", eps)
+
+
+def _nu_literal_comparisons(path):
+    def names_nu(node):
+        return any(isinstance(n, ast.Name) and n.id == "nu"
+                   or isinstance(n, ast.Attribute) and n.attr == "nu"
+                   for n in ast.walk(node))
+
+    def literal(node):
+        return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+            for operands in [[node.left, *node.comparators]]
+            if any(map(names_nu, operands)) and any(map(literal, operands))]
+
+
+def test_no_valuation_bound_outside_scales():
+    # whether a scale contracts is decided by contraction and not_expanding;
+    # no other module compares a valuation with 0 or 1 itself
+    found = {str(path.relative_to(PACKAGE)): lines
+             for path in sorted(PACKAGE.rglob("*.py")) if path.name != "scales.py"
+             for lines in [_nu_literal_comparisons(path)] if lines}
+    assert found == {}
+    assert _nu_literal_comparisons(PACKAGE / "core" / "scales.py")
 
 
 def test_grid_is_strictly_decreasing():
