@@ -25,7 +25,7 @@ from dilatation_lab.config import (
 from dilatation_lab.errors import DomainViolation, MaxIterExceeded
 from dilatation_lab.core.reports import ConvergenceReport, make_report
 from dilatation_lab.core.scales import Scale, contraction
-from dilatation_lab.core.structure import DilatationStructure, exactify
+from dilatation_lab.core.structure import DilatationStructure, Rows, exactify
 from dilatation_lab.emergent import check_affine_map, lin_defect
 from dilatation_lab.models.base import GroupModel
 from dilatation_lab.models.complexheis import ComplexHeisenbergModel
@@ -276,24 +276,33 @@ def reversed_collinear_search(M: HeisenbergModel, X, Y, Z, grid_lo: float = 1.01
     Scans a resolution x resolution grid of (a', b') and returns the smallest
     probe-sup defect; a large minimum certifies that reversing the first two
     legs of a collinear triple is impossible for the given configuration.
+
+    For each a' the rows are every (b', probe) pair, b' by b', with b' and
+    g' = 1/(a' b') as per-row scales: one call of each primitive over all of
+    them on float probes, one row at a time on exact ones.  Each pair's sup
+    over its probes is the loop ``worst = max(worst, d)`` from 0.0, and the
+    minimum over pairs is taken in grid order.
     """
     sg = M.scale_group
     if probes is None:
         probes = probe_points(M, X, M.closeness_budget(), seed)
-    alphas = np.linspace(grid_lo, grid_hi, resolution)
+    alphas = np.linspace(grid_lo, grid_hi, resolution).tolist()
+    rows = Rows(probes)
+
+    def per_pair(scales):
+        """One scale per (b', probe) row, from one scale per b'."""
+        return rows.scale_column([s for s in scales for _ in probes])
+
+    P = rows.column([p for _ in alphas for p in probes])
+    B = per_pair([sg.scale(b) for b in alphas])
     best = float("inf")
     for a in alphas:
-        sa = sg.scale(float(a))
-        for b in alphas:
-            sb = sg.scale(float(b))
-            sc = sg.scale(1.0 / (float(a) * float(b)))
-            worst = 0.0
-            for p in probes:
-                moved = M.dilate(Y, sb, M.dilate(X, sa, M.dilate(Z, sc, p)))
-                worst = max(worst, M.distance(moved, p))
-                if worst >= best:
-                    break
-            best = min(best, worst)
+        sa = sg.scale(a)
+        C = per_pair([sg.scale(1.0 / (a * b)) for b in alphas])
+        moved = rows.map(lambda p, sb, sc: M.dilate(Y, sb, M.dilate(X, sa, M.dilate(Z, sc, p))),
+                         P, B, C)
+        d = np.reshape(rows.map(M.distance, moved, P), (resolution, len(probes)))
+        best = min(best, *np.fmax.reduce(d, axis=1, initial=0.0).tolist())
     return best
 
 

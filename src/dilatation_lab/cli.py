@@ -36,7 +36,7 @@ from dilatation_lab.core.harness import AXIOMS, verify_axiom
 from dilatation_lab.core.scales import contraction
 from dilatation_lab.core.structure import Ball, exactify
 from dilatation_lab import models as model_factory
-from dilatation_lab.models.base import is_integer
+from dilatation_lab.models.base import is_integer, is_real, real_array
 from dilatation_lab.emergent import (
     LIMIT_OPS, check_affine_map, inflin_scan, tangent_limit)
 from dilatation_lab.affine import (
@@ -90,8 +90,8 @@ def _map(model, desc):
     if kind in ("linear", "componentwise_cubic") and len(shape) != 1:
         raise ValueError(f"a {kind} map needs coordinate points, not those of {model.name}")
     if kind == "linear":
-        matrix = np.asarray(desc["matrix"], dtype=float)
-        offset = np.asarray(desc.get("offset", np.zeros(shape)), dtype=float)
+        matrix = real_array(desc["matrix"])
+        offset = real_array(desc.get("offset", np.zeros(shape)))
         if matrix.shape != shape * 2 or offset.shape != shape:
             raise ValueError(f"a linear map on {model.name} needs a {shape[0]}x{shape[0]} "
                              f"matrix and an offset of length {shape[0]}")
@@ -268,6 +268,8 @@ def _cmd_barycentric(model, *, eps, x=None, y=None, seed=None, sample_count=16):
 
 def _cmd_counterexample(model: model_factory.ComplexHeisenbergModel, *, seed, eps=0.5,
                         Y=(1.0, 0.0, 1.0)):
+    if not (is_real(eps.value) and 0 < eps.value < 1):
+        raise ConfigError(f"counterexample needs a real eps in (0, 1), got {eps.value!r}")
     probes = probe_points(model, model.identity(), 1.0, seed)
     flipped = counterexample_check(model, eps.value, Y, probes, flip=True)
     control = counterexample_check(model, eps.value, Y, probes, flip=False)

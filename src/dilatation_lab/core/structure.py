@@ -189,6 +189,18 @@ class Rows:
         """The points of one tuple position, stacked when batched."""
         return np.stack(points) if self.batched else list(points)
 
+    def scale_column(self, scales: list[Scale]):
+        """The scales of one tuple position, one validated ``Scale`` per row.
+
+        When batched, one per-row scale: a ``Scale`` of their group holding
+        their values as an ``(N, 1)`` float array, which the float
+        ``_dilate`` of Euclidean space, H(n) and the generic Carnot group
+        apply row by row; otherwise the scales as they are.
+        """
+        if not self.batched:
+            return list(scales)
+        return Scale(scales[0].group, np.array([s.value for s in scales]).reshape(-1, 1))
+
     def rotate(self, col):
         """The column shifted up by one row, the first row moving to the end."""
         return np.roll(col, -1, axis=0) if self.batched else col[1:] + col[:1]

@@ -20,15 +20,16 @@ rows through the same code, and a batch row comes out bit for bit as the
 single point would.  The helpers below keep that so: products that are
 written coordinate by coordinate run on Python floats for a single point and
 on column views for a batch; dot products of rows go through ``np.vecdot``,
-which matches the one-dimensional ``np.dot``; fractional powers use
-Python's ``**`` per element, which ``np.power`` does not match.
+which matches the one-dimensional ``np.dot``; fractional powers, and the
+integer powers of a per-row scale, use Python's ``**`` per element, which
+``np.power`` does not match.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -39,6 +40,19 @@ from dilatation_lab.core.structure import DilatationStructure
 def is_integer(value) -> bool:
     """True for an integer; False for a bool, a float, a string or anything else."""
     return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """True for a real number; False for a bool, a string or anything else."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def real_array(obj) -> np.ndarray:
+    """Nested lists of real numbers as a float array; ValueError for any other entry."""
+    entries = np.asarray(obj, dtype=object)
+    if not all(map(is_real, entries.flat)):
+        raise ValueError(f"expected real numbers, got {obj!r}")
+    return entries.astype(float)
 
 
 def columns(a) -> list:

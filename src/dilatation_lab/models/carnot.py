@@ -30,7 +30,8 @@ from dilatation_lab.errors import ModelError
 from dilatation_lab.core.scales import POSITIVE_REALS, Scale
 from dilatation_lab.core.structure import vector_sample_ball
 from dilatation_lab.models.base import (
-    ExactPoint, GroupModel, columns, float_or_rows, is_integer, power, row_dot, row_max, stack)
+    ExactPoint, GroupModel, columns, float_or_rows, is_integer, is_real, power, real_array, row_dot,
+    row_max, stack)
 
 
 def _scale_ratio(value) -> tuple[int, int]:
@@ -50,7 +51,8 @@ class CarnotModel(GroupModel):
 
     Points are flat numpy coordinate vectors.  The float formulas
     (``_product``, ``_dilate``, ``_norm``) each take a point or an
-    ``(N, dim)`` batch; exact points (``ExactPoint``) take the integer kernel
+    ``(N, dim)`` batch, and ``_dilate`` also a per-row scale, whose value is
+    an ``(N, 1)`` array; exact points (``ExactPoint``) take the integer kernel
     (``_exact_product``, ``_exact_dilate``) and the gauge ``_exact_norm``.
     The group inverse is negation in either arithmetic.  Subclasses override
     the float formulas and the gauges, never the kernel.
@@ -83,6 +85,8 @@ class CarnotModel(GroupModel):
             for idx in entry[:3]:
                 if not is_integer(idx) or not 0 <= idx < self.dim:
                     raise ModelError(f"bracket index {idx!r} is not an integer in [0, {self.dim})")
+            if not is_real(entry[3]):
+                raise ModelError(f"bracket constant {entry[3]!r} is not a real number")
             i, j, k, c = int(entry[0]), int(entry[1]), int(entry[2]), float(entry[3])
             if self.layer_of[k] != self.layer_of[i] + self.layer_of[j]:
                 raise ModelError(
@@ -137,7 +141,7 @@ class CarnotModel(GroupModel):
                 for p in vector_sample_ball(self, center.to_float(), radius, count, rng)]
 
     def point_from_json(self, obj):
-        p = np.asarray(obj, dtype=float)
+        p = real_array(obj)
         if p.shape != (self.coordinate_dim,):
             raise ValueError(
                 f"{self.name} expects {self.coordinate_dim} coordinates, got {obj!r}")
@@ -186,6 +190,8 @@ class CarnotModel(GroupModel):
 
     def _dilate(self, eps: Scale, a):
         e = eps.value
+        if isinstance(e, np.ndarray):  # an (N, 1) per-row scale
+            return a * np.concatenate([power(e, i + 1) for i in self._layer_index], axis=1)
         return a * np.array([e ** (i + 1) for i in self._layer_index])
 
     def _norm(self, a) -> float:

@@ -68,7 +68,7 @@ class DyadicBoundaryModel(GroupModel):
         return DyadicPoint(int(value), self.precision)
 
     def point_from_json(self, obj) -> DyadicPoint:
-        if not isinstance(obj, int):
+        if not is_integer(obj):
             raise ValueError(f"dyadic points are integers, got {obj!r}")
         return self.point(obj)
 

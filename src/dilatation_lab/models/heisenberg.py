@@ -46,6 +46,8 @@ class HeisenbergModel(CarnotModel):
 
     def _dilate(self, eps: Scale, a):
         e = eps.value
+        if isinstance(e, np.ndarray):  # an (N, 1) per-row scale
+            return a * np.concatenate([e] * (2 * self.n) + [e * e], axis=1)
         return a * np.array([e] * (2 * self.n) + [e * e])
 
     def _norm(self, a) -> float:

@@ -10,7 +10,7 @@ import pytest
 from dilatation_lab.core.scales import POSITIVE_REALS as PR
 from dilatation_lab.core.structure import approx_difference, approx_sum
 from dilatation_lab.errors import DomainViolation, MaxIterExceeded
-from dilatation_lab.models import ExactPoint
+from dilatation_lab.models import ExactPoint, HeisenbergModel
 from dilatation_lab.affine import (
     CollinearTriple, banach_oracle, barycentric_defect, check_collinear,
     collinear_triple_from_ratio, collinearity_defect, counterexample_check,
@@ -280,6 +280,67 @@ def test_reversed_collinear_impossible_heisenberg(heis1):
     Z = heisenberg_ratio_closed_form(heis1, X, Y, 0.5, 0.5)
     best = reversed_collinear_search(heis1, X, Y, Z, resolution=12)
     assert best > 1e-3
+
+
+def _scalar_reversed_search(M, X, Y, Z, probes, grid_lo=1.01, grid_hi=4.0, resolution=50):
+    """The search as it ran before batches: one probe at a time, with the early exit."""
+    sg = M.scale_group
+    alphas = np.linspace(grid_lo, grid_hi, resolution)
+    best = float("inf")
+    for a in alphas:
+        sa = sg.scale(float(a))
+        for b in alphas:
+            sb = sg.scale(float(b))
+            sc = sg.scale(1.0 / (float(a) * float(b)))
+            worst = 0.0
+            for p in probes:
+                moved = M.dilate(Y, sb, M.dilate(X, sa, M.dilate(Z, sc, p)))
+                worst = max(worst, M.distance(moved, p))
+                if worst >= best:
+                    break
+            best = min(best, worst)
+    return best
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_reversed_collinear_search_equals_the_scalar_loop(n):
+    M = HeisenbergModel(n)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        X, Y = rng.uniform(-1.0, 1.0, (2, M.coordinate_dim))
+        probes = probe_points(M, X, M.closeness_budget(), seed)
+        for eps, mu in ((0.5, 0.5), (0.3, 0.7)):
+            Z = heisenberg_ratio_closed_form(M, X, Y, eps, mu)
+            best = reversed_collinear_search(M, X, Y, Z, resolution=24, probes=probes)
+            assert best == _scalar_reversed_search(M, X, Y, Z, probes, resolution=24)
+
+
+def test_reversed_collinear_search_on_exact_probes(heis1):
+    X = heis1.point([1.0, 0.0], 0.0)
+    Y = heis1.point([0.0, 1.0], 0.0)
+    eX, eY, eZ = (heis1.to_exact(p) for p in
+                  (X, Y, heisenberg_ratio_closed_form(heis1, X, Y, 0.5, 0.5)))
+    probes = probe_points(heis1, eX, heis1.closeness_budget())
+    assert all(type(p) is ExactPoint for p in probes)
+    # the values the one-probe-at-a-time search gave
+    for lo, hi, resolution, value in ((1.01, 4.0, 3, 0.1589918406173096),
+                                      (0.3, 3.0, 4, 0.6869698851913195)):
+        best = reversed_collinear_search(heis1, eX, eY, eZ, lo, hi, resolution, probes)
+        assert best == value
+        assert best == _scalar_reversed_search(heis1, eX, eY, eZ, probes, lo, hi, resolution)
+
+
+def test_reversed_collinear_search_makes_one_distance_call_per_exponent(heis1, monkeypatch):
+    X = heis1.point([1.0, 0.0], 0.0)
+    Y = heis1.point([0.0, 1.0], 0.0)
+    Z = heisenberg_ratio_closed_form(heis1, X, Y, 0.5, 0.5)
+    probes = probe_points(heis1, X, heis1.closeness_budget())
+    rows = []
+    distance = heis1.distance
+    monkeypatch.setattr(heis1, "distance", lambda p, q: rows.append(len(q)) or distance(p, q))
+    reversed_collinear_search(heis1, X, Y, Z, resolution=7, probes=probes)
+    # one call per exponent a', over every (b', probe) row
+    assert rows == [7 * 16] * 7
 
 
 # --- diagnostics ---------------------------------------------------------------------

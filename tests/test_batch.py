@@ -283,3 +283,20 @@ def test_float_sweeps_run_as_batches(monkeypatch):
     verify_axiom(model, "A3", Ball(model.origin(), 0.2), model.scale_group.grid(range(2, 6)),
                  sample_count=4, seed=0)
     assert seen and set(seen) == {2}
+
+
+@pytest.mark.parametrize("case", ["euclidean-2d", "heisenberg-1", "heisenberg-2", "engel"])
+def test_per_row_scale_equals_its_rows(case):
+    # row i under the per-row scale is row i under the scalar scale vs[i], bit for bit;
+    # Engel's layers 2 and 3 take Python's ``**`` per element, which np.power does not match
+    model = CASES[case][0]
+    rng = np.random.default_rng(7)
+    n, dim = 64, model.coordinate_dim
+    X, Y = rng.uniform(-4.0, 4.0, (2, n, dim))
+    vs = rng.uniform(0.01, 4.0, n).tolist()
+    scales = [model.scale_group.scale(v) for v in vs]
+    per_row = structure.Rows(list(Y)).scale_column(scales)
+    assert per_row.value.shape == (n, 1)
+    _same(model.dilate(X[0], per_row, Y), [model.dilate(X[0], s, y) for s, y in zip(scales, Y)])
+    _same(model.dilate(X, per_row, Y),
+          [model.dilate(x, s, y) for x, s, y in zip(X, scales, Y)])

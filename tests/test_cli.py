@@ -385,6 +385,15 @@ def test_internal_errors_propagate(tmp_path, monkeypatch):
     {"model": {"model": "dyadic"}, "command": "barycentric", "eps": 0, "seed": 1},
     {"model": {"model": "complex_heisenberg"}, "command": "counterexample", "seed": 1,
      "eps": 2.0},
+    {"model": {"model": "complex_heisenberg"}, "command": "counterexample", "seed": 1,
+     "eps": -0.5},
+    {"command": "menelaos", "x": ["0.1", "0"], "y": [1.0, 0.0], "eps": 0.5, "mu": 0.5},
+    {"command": "menelaos", "x": [True, 0.0], "y": [1.0, 0.0], "eps": 0.5, "mu": 0.5},
+    {"model": {"model": "dyadic"}, "command": "barycentric", "eps": 1, "x": True, "y": 3},
+    {"command": "affinemap", "seed": 1,
+     "map": {"type": "linear", "matrix": [["1", 0.0], [0.0, 1.0]]}},
+    {"command": "affinemap", "seed": 1,
+     "map": {"type": "linear", "matrix": [[1.0, 0.0], [0.0, 1.0]], "offset": [False, 0.0]}},
 ])
 def test_bad_values_exit_one_with_a_one_line_error(tmp_path, capsys, config):
     cfg = write_config(tmp_path, "c.json", {"model": {"model": "euclidean", "n": 2}, **config})

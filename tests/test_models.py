@@ -280,7 +280,12 @@ def test_factory_rejects_unknown_fields():
                  {"model": "carnot", "step": 2, "layers": layers,
                   "brackets": [[0.9, 1, 2, 1.0]]},
                  {"model": "carnot", "step": 2, "layers": layers,
-                  "brackets": [[0, 1, "2", 1.0]]}):
+                  "brackets": [[0, 1, "2", 1.0]]},
+                 # and a bracket constant is a real number: no string or bool
+                 {"model": "carnot", "step": 2, "layers": layers,
+                  "brackets": [[0, 1, 2, "1.0"]]},
+                 {"model": "carnot", "step": 2, "layers": layers,
+                  "brackets": [[0, 1, 2, True]]}):
         with pytest.raises(ModelError):
             from_json(desc)
 
