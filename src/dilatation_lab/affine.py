@@ -23,7 +23,7 @@ from dilatation_lab.config import (
     COUNTEREXAMPLE_SEPARATION, ENVELOPE_ABS_SLACK, ENVELOPE_SLACK, EXACT_IDENTITY_TOL,
     FIXED_POINT_TOL, LINEARITY_WARN_TOL, MAX_ITER, RATE_FLOOR, RATE_FLOOR_FACTOR)
 from dilatation_lab.errors import DomainViolation, MaxIterExceeded
-from dilatation_lab.core.reports import ConvergenceReport, make_report
+from dilatation_lab.core.reports import ConvergenceReport, make_report, sup
 from dilatation_lab.core.scales import Scale, contraction
 from dilatation_lab.core.structure import DilatationStructure, Rows, exactify
 from dilatation_lab.emergent import check_affine_map, lin_defect
@@ -106,11 +106,9 @@ def menelaos_iterate(S: DilatationStructure, x, eps: Scale, y, mu: Scale,
 
     w = xn
     observed = float(np.median(rates)) if rates else float("nan")
-    probe_defect = 0.0
-    for p in S.sample_ball(w, S.closeness_budget(), 3, np.random.default_rng(0)):
-        lhs = S.dilate(x, eps, S.dilate(y, mu, p))
-        rhs = S.dilate(w, eps * mu, p)
-        probe_defect = max(probe_defect, S.coordinate_gap(lhs, rhs))
+    probe_defect = sup(
+        S.coordinate_gap(S.dilate(x, eps, S.dilate(y, mu, p)), S.dilate(w, eps * mu, p))
+        for p in S.sample_ball(w, S.closeness_budget(), 3, np.random.default_rng(0)))
     return MenelaosResult(w, iterations, gap, observed, rates, probe_defect)
 
 
@@ -279,9 +277,9 @@ def reversed_collinear_search(M: HeisenbergModel, X, Y, Z, grid_lo: float = 1.01
 
     For each a' the rows are every (b', probe) pair, b' by b', with b' and
     g' = 1/(a' b') as per-row scales: one call of each primitive over all of
-    them on float probes, one row at a time on exact ones.  Each pair's sup
-    over its probes is the loop ``worst = max(worst, d)`` from 0.0, and the
-    minimum over pairs is taken in grid order.
+    them on float probes, one row at a time on exact ones.  Each pair's
+    ``sup`` over its probes is one row of ``sup(d, axis=1)``, and the minimum
+    over pairs is taken in grid order.
     """
     sg = M.scale_group
     if probes is None:
@@ -302,7 +300,7 @@ def reversed_collinear_search(M: HeisenbergModel, X, Y, Z, grid_lo: float = 1.01
         moved = rows.map(lambda p, sb, sc: M.dilate(Y, sb, M.dilate(X, sa, M.dilate(Z, sc, p))),
                          P, B, C)
         d = np.reshape(rows.map(M.distance, moved, P), (resolution, len(probes)))
-        best = min(best, *np.fmax.reduce(d, axis=1, initial=0.0).tolist())
+        best = min(best, *sup(d, axis=1).tolist())
     return best
 
 
@@ -391,11 +389,12 @@ def counterexample_check(M: ComplexHeisenbergModel, eps: float, Y, probes=None,
         return M.ambient_dilate(e, M.dilate(y, mu, u))
 
     head = composite(M.to_exact(M.identity()))
-    defect = 0.0
-    for p in probes:
+
+    def gap(p):
         u = M.to_exact(p)
-        gap = M.group_product(M.group_inverse(composite(u)), M.group_product(head, u))
-        defect = max(defect, M.homogeneous_norm(gap.to_float()))
+        return M.group_product(M.group_inverse(composite(u)), M.group_product(head, u))
+
+    defect = sup(M.homogeneous_norm(gap(p).to_float()) for p in probes)
     verdict = defect > COUNTEREXAMPLE_SEPARATION if flip else defect <= EXACT_IDENTITY_TOL
     return make_report([sg.scale(complex(eps))], [defect], verdict,
                        {"model": M.name, "quantity": "translation-defect",

@@ -38,7 +38,7 @@ from dilatation_lab.config import (
     CAUCHY_DIFFERENCE_TOL, DEFECT_FLOOR, EXACT_IDENTITY_TOL, LIMIT_TOL, SAMPLE_COUNT,
     TOLERANCE_FLOOR_FRACTION)
 from dilatation_lab.errors import DomainViolation
-from dilatation_lab.core.reports import ConvergenceReport, make_report, nonincreasing
+from dilatation_lab.core.reports import ConvergenceReport, make_report, nonincreasing, sup
 from dilatation_lab.core.scales import reference_scale
 from dilatation_lab.core.structure import (
     Ball, DilatationStructure, Rows, approx_difference, estimate_dx, exactify,
@@ -163,21 +163,18 @@ def _a4_defects(S, bases, pairs, eps_grid, use_exact):
 
 def _axiom0_defects(S, bases, eps_grid, sample_count, rng):
     inner = max(4, sample_count // 4)
-    defects = []
-    for eps in eps_grid:
-        worst = 0.0
-        for x in bases:
-            targets = S.sample_ball(x, 0.999 * eps.nu, inner, rng)
-            for t in targets:
-                # a pull-back that leaves the domain scores A, whether the
-                # dilatation or the distance finds it out
-                try:
-                    excess = S.distance(x, S.dilate(x, eps.inverse(), t)) - S.domain_radius_A
-                except DomainViolation:
-                    excess = S.domain_radius_A
-                worst = max(worst, excess)
-        defects.append(worst)
-    return defects
+
+    def excess(x, eps, t):
+        # a pull-back that leaves the domain scores A, whether the
+        # dilatation or the distance finds it out
+        try:
+            return S.distance(x, S.dilate(x, eps.inverse(), t)) - S.domain_radius_A
+        except DomainViolation:
+            return S.domain_radius_A
+
+    return [sup(excess(x, eps, t)
+                for x in bases for t in S.sample_ball(x, 0.999 * eps.nu, inner, rng))
+            for eps in eps_grid]
 
 
 def _cone_defects(S, bases, pairs, eps_grid, use_exact):

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+
+import numpy as np
 
 from dilatation_lab.config import DECAY_FACTOR, DEFECT_FLOOR, JITTER_FACTOR
 from dilatation_lab.core.scales import Scale
@@ -30,6 +33,21 @@ def fit_loglog_rate(nus, defects) -> float:
         return 0.0
     sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
     return sxy / sxx
+
+
+def sup(values, axis=None):
+    """The largest of the values and 0.0, NaN values skipped: the sup behind
+    every sampled verdict, 0.0 on an empty sample.
+
+    An iterable folds as ``worst = max(worst, d)`` from ``worst = 0.0``;
+    ``max`` keeps ``worst`` against a NaN ``d``.  An array reduces with
+    ``np.fmax``, which also skips NaN: over ``axis``, or to a float over the
+    whole array when ``axis`` is None.
+    """
+    if isinstance(values, np.ndarray):
+        out = np.fmax.reduce(values, axis=axis, initial=0.0)
+        return float(out) if axis is None else out
+    return reduce(max, values, 0.0)
 
 
 def nonincreasing(defects, floor: float = DEFECT_FLOOR) -> bool:

@@ -126,7 +126,8 @@ class DyadicPowers(ScaleGroup):
     identity_value = 0
 
     def validate(self, value):
-        if not isinstance(value, int):
+        # a bool is an int to Python, not an exponent
+        if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"dyadic scale exponent must be an int, got {value!r}")
         return value
 

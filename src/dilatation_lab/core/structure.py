@@ -19,7 +19,7 @@ import numpy as np
 
 from dilatation_lab.config import DEFECT_FLOOR, EXACT_IDENTITY_TOL
 from dilatation_lab.errors import DomainViolation, NonConvergent
-from dilatation_lab.core.reports import ConvergenceReport, make_report, nonincreasing
+from dilatation_lab.core.reports import ConvergenceReport, make_report, nonincreasing, sup
 from dilatation_lab.core.scales import Scale, ScaleGroup, not_expanding
 
 
@@ -212,17 +212,8 @@ class Rows:
         return [f(*row) for row in zip(*cols)]
 
     def sup(self, f, *cols) -> float:
-        """The largest value of f over the rows and 0.0, NaN values skipped.
-
-        This is the loop ``worst = max(worst, d)`` from ``worst = 0.0``.
-        """
-        values = self.map(f, *cols)
-        if self.batched:
-            return float(np.fmax.reduce(values, initial=0.0))
-        worst = 0.0
-        for d in values:
-            worst = max(worst, d)
-        return worst
+        """``core.reports.sup`` of f over the rows."""
+        return sup(self.map(f, *cols))
 
 
 # ---------------------------------------------------------------------------

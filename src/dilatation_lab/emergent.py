@@ -19,7 +19,7 @@ import numpy as np
 from dilatation_lab.config import (
     CAUCHY_SHRINK, DEFECT_FLOOR, DERIVATIVE_TOL, EXACT_IDENTITY_TOL, default_ks)
 from dilatation_lab.errors import NonConvergent
-from dilatation_lab.core.reports import ConvergenceReport, dies_out, make_report, nonincreasing
+from dilatation_lab.core.reports import ConvergenceReport, dies_out, make_report, nonincreasing, sup
 from dilatation_lab.core.structure import (
     DilatationStructure, Rows, approx_difference, approx_inverse, approx_sum,
     estimate_dx, rescaled_distance)
@@ -185,13 +185,10 @@ def shift_isometry_defect(S: DilatationStructure, x, mu: Scale, u, pairs) -> flo
     shifted points, the sup taken over the supplied (v, w) pairs.
     """
     a = S.dilate(x, mu, u)
-    worst = 0.0
-    for v, w in pairs:
-        lhs = rescaled_distance(S, a, mu, v, w)
-        rhs = rescaled_distance(S, x, mu, approx_sum(S, x, mu, u, v),
-                                approx_sum(S, x, mu, u, w))
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    return sup(abs(rescaled_distance(S, a, mu, v, w)
+                   - rescaled_distance(S, x, mu, approx_sum(S, x, mu, u, v),
+                                       approx_sum(S, x, mu, u, w)))
+               for v, w in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -275,19 +272,10 @@ def check_affine_map(S: DilatationStructure, T, samples, eps_set) -> Convergence
     samples is a list of (x, y) pairs; the report passes when every defect is
     within EXACT_IDENTITY_TOL, and carries an empirical Lipschitz constant.
     """
-    lip = 0.0
-    for x, y in samples:
-        d = S.distance(x, y)
-        if d > 0:
-            lip = max(lip, S.distance(T(x), T(y)) / d)
-    defects = []
-    for eps in eps_set:
-        worst = 0.0
-        for x, y in samples:
-            got = T(S.dilate(x, eps, y))
-            want = S.dilate(T(x), eps, T(y))
-            worst = max(worst, S.distance(got, want))
-        defects.append(worst)
+    lip = sup(S.distance(T(x), T(y)) / d for x, y in samples if (d := S.distance(x, y)) > 0)
+    defects = [sup(S.distance(T(S.dilate(x, eps, y)), S.dilate(T(x), eps, T(y)))
+                   for x, y in samples)
+               for eps in eps_set]
     verdict = max(defects) <= EXACT_IDENTITY_TOL
     return make_report(eps_set, defects, verdict,
                        {"model": S.name, "quantity": "affine-commutation",

@@ -27,6 +27,7 @@ import numpy as np
 
 from dilatation_lab.config import JACOBI_TOL
 from dilatation_lab.errors import ModelError
+from dilatation_lab.core.reports import sup
 from dilatation_lab.core.scales import POSITIVE_REALS, Scale
 from dilatation_lab.core.structure import vector_sample_ball
 from dilatation_lab.models.base import (
@@ -203,10 +204,7 @@ class CarnotModel(GroupModel):
         return float_or_rows(best)
 
     def _exact_norm(self, a) -> float:
-        best = 0.0
-        for i, sl in enumerate(self._slices, start=1):
-            best = max(best, a.sumsq(sl) ** (0.5 / i))
-        return best
+        return sup(a.sumsq(sl) ** (0.5 / i) for i, sl in enumerate(self._slices, start=1))
 
     # --- the exact kernel: integer numerators over one denominator ----------
 
@@ -256,14 +254,10 @@ class CarnotModel(GroupModel):
         subadditive on the sampled range instead of asserting the constant 1.
         """
         rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(samples):
-            a = rng.uniform(-1.0, 1.0, self.dim)
-            b = rng.uniform(-1.0, 1.0, self.dim)
-            denom = self.homogeneous_norm(a) + self.homogeneous_norm(b)
-            if denom > 0:
-                worst = max(worst, self.homogeneous_norm(self.group_product(a, b)) / denom)
-        return worst
+        pairs = ((rng.uniform(-1.0, 1.0, self.dim), rng.uniform(-1.0, 1.0, self.dim))
+                 for _ in range(samples))
+        return sup(self.homogeneous_norm(self.group_product(a, b)) / denom for a, b in pairs
+                   if (denom := self.homogeneous_norm(a) + self.homogeneous_norm(b)) > 0)
 
 
 def heisenberg_structure_constants(n: int = 1):

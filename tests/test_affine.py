@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dilatation_lab.core.scales import POSITIVE_REALS as PR
+from dilatation_lab.core.scales import DYADIC_POWERS as DP, POSITIVE_REALS as PR
 from dilatation_lab.core.structure import approx_difference, approx_sum
 from dilatation_lab.errors import DomainViolation, MaxIterExceeded
 from dilatation_lab.models import ExactPoint, HeisenbergModel
@@ -202,6 +202,18 @@ def test_ratio_point_of_equal_points(heis1):
     X = heis1.point([0.3, 0.2], 0.1)
     got = ratio_point(heis1, X, X.copy(), HALF, PR.scale(0.25), 64)
     assert heis1.coordinate_gap(got, X) < 1e-12
+
+
+def test_ratio_point_on_dyadic_words_is_the_menelaos_point(dyadic):
+    # the h/g product runs the dyadic ambient_dilate; g_map's bound its homogeneous_norm
+    rng = np.random.default_rng(3)
+    for _ in range(4):
+        x, y = (dyadic.point(int.from_bytes(rng.bytes(8), "little")) for _ in range(2))
+        for e, m in ((1, 1), (1, 2), (2, 3)):
+            eps, mu = DP.scale(e), DP.scale(m)
+            w = menelaos_iterate(dyadic, x, eps, y, mu, tol=0.0).w
+            assert ratio_point(dyadic, x, y, eps, mu, 64) == w
+        assert 0.0 < g_map(dyadic, DP.scale(1), y, 64).truncation_bound < math.inf
 
 
 def test_heisenberg_closed_form_abelian_reduction(heis1):

@@ -394,6 +394,13 @@ def test_internal_errors_propagate(tmp_path, monkeypatch):
      "map": {"type": "linear", "matrix": [["1", 0.0], [0.0, 1.0]]}},
     {"command": "affinemap", "seed": 1,
      "map": {"type": "linear", "matrix": [[1.0, 0.0], [0.0, 1.0]], "offset": [False, 0.0]}},
+    {"model": {"model": "dyadic"}, "command": "barycentric", "eps": True, "seed": 1},
+    {"command": "affinemap", "seed": 1,
+     "map": {"type": "linear", "matrix": [[2.0, 1.0], [0.0, 1.0]], "ofset": [0.5, -0.25]}},
+    {"command": "affinemap", "seed": 1,
+     "map": {"type": "componentwise_cubic", "matrix": [[1.0, 0.0], [0.0, 1.0]]}},
+    {"model": {"model": "heisenberg", "n": 1}, "command": "affinemap", "seed": 1,
+     "map": {"type": "left_translation", "point": [0.1, 0.0, 0.0], "offset": [0.0, 0.0, 0.0]}},
 ])
 def test_bad_values_exit_one_with_a_one_line_error(tmp_path, capsys, config):
     cfg = write_config(tmp_path, "c.json", {"model": {"model": "euclidean", "n": 2}, **config})

@@ -44,6 +44,8 @@ def test_dyadic_powers_valuation():
     assert (two * two).value == 2
     with pytest.raises(ValueError):
         DYADIC_POWERS.scale(0.5)
+    with pytest.raises(ValueError):
+        DYADIC_POWERS.scale(True)
 
 
 def test_complex_units_valuation_not_injective():
