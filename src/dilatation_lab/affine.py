@@ -23,7 +23,7 @@ from dilatation_lab.config import (
     COUNTEREXAMPLE_SEPARATION, ENVELOPE_ABS_SLACK, ENVELOPE_SLACK, EXACT_IDENTITY_TOL,
     FIXED_POINT_TOL, LINEARITY_WARN_TOL, MAX_ITER, RATE_FLOOR, RATE_FLOOR_FACTOR)
 from dilatation_lab.errors import DomainViolation, MaxIterExceeded
-from dilatation_lab.core.reports import ConvergenceReport, make_report, sup
+from dilatation_lab.core.reports import ConvergenceReport, make_report, sup, worst_defect
 from dilatation_lab.core.scales import Scale, contraction
 from dilatation_lab.core.structure import DilatationStructure, Rows, exactify
 from dilatation_lab.emergent import check_affine_map, lin_defect
@@ -257,7 +257,7 @@ def check_collinear(S: DilatationStructure, triple: CollinearTriple,
     for p in probes:
         moved = S.dilate(triple.x, a, S.dilate(triple.y, b, S.dilate(triple.z, g, p)))
         defects.append(S.distance(moved, p))
-    worst = max(defects)
+    worst = worst_defect(defects)
     # reports are scale-indexed; an identity check is scale-free, so wrap the
     # probe defects in a single-scale report carrying the sup
     return make_report([sg.contraction(1)], [worst], worst <= EXACT_IDENTITY_TOL,
@@ -426,7 +426,7 @@ def geometric_affinity_check(S: DilatationStructure, T, triple_samples,
         pts.append((triple.x, triple.y))
     sg = S.scale_group
     commutation = check_affine_map(S, T, pts, [sg.contraction(k) for k in (1, 2, 3)])
-    worst = max(defects)
+    worst = worst_defect(defects)
     return make_report([sg.contraction(1)], [worst], worst <= EXACT_IDENTITY_TOL,
                        {"model": S.name, "quantity": "geometric-affinity",
                         "triple_defects": defects,

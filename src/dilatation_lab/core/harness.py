@@ -39,10 +39,10 @@ from dilatation_lab.config import (
     TOLERANCE_FLOOR_FRACTION)
 from dilatation_lab.errors import DomainViolation
 from dilatation_lab.core.reports import ConvergenceReport, make_report, nonincreasing, sup
-from dilatation_lab.core.scales import reference_scale
+from dilatation_lab.core.scales import not_expanding, reference_scale
 from dilatation_lab.core.structure import (
-    Ball, DilatationStructure, Rows, approx_difference, estimate_dx, exactify,
-    rescaled_distance)
+    Ball, DilatationStructure, Rows, approx_difference, difference_after, estimate_dx,
+    exactify, rescaled_distance)
 
 AXIOMS = ("A1", "A2", "A3", "A4", "Axiom0", "ConeProperty")
 
@@ -117,14 +117,17 @@ def _a1_defects(S, bases, pairs, eps_grid):
     mu = eps_grid[0]
     rows, X, Y, _ = _rows(bases, pairs)
     B = rows.column(bases)
+    # delta^x_1 y = y and delta^x_mu y do not depend on eps: each is evaluated once
+    unit = rows.sup(lambda x, y: S.distance(S.dilate(x, one, y), y), X, Y)
+    MY = rows.map(lambda x, y: S.dilate(x, mu, y), X, Y)
     defects = []
     for eps in eps_grid:
         inv, eps_mu = eps.inverse(), eps * mu
         defects.append(max(
-            rows.sup(lambda x, y: S.distance(S.dilate(x, one, y), y), X, Y),
+            unit,
             rows.sup(lambda x: S.distance(S.dilate(x, eps, x), x), B),
-            rows.sup(lambda x, y: S.distance(S.dilate(x, eps, S.dilate(x, mu, y)),
-                                             S.dilate(x, eps_mu, y)), X, Y),
+            rows.sup(lambda x, y, my: S.distance(S.dilate(x, eps, my), S.dilate(x, eps_mu, y)),
+                     X, Y, MY),
             rows.sup(lambda x, y: S.distance(S.dilate(x, inv, S.dilate(x, eps, y)), y), X, Y)))
     return defects
 
@@ -150,10 +153,15 @@ def _a3_defects(S, bases, pairs, eps_grid):
 def _a4_defects(S, bases, pairs, eps_grid, use_exact):
     rows, X, U, V = _rows(bases, pairs)
     if use_exact:
-        return [rows.sup(lambda x, u, v: S.distance(approx_difference(S, x, eps, u, v),
-                                                    S.exact_difference(x, eps, u, v)),
-                         X, U, V)
-                for eps in eps_grid]
+        # approx_difference against exact_difference, sharing a = delta^x_eps u
+        not_expanding("a finite-scale composite", *eps_grid)
+
+        def gap(x, eps, u, v):
+            a = S.dilate(x, eps, u)
+            return S.distance(difference_after(S, x, eps, a, v),
+                              S.exact_difference_after(a, u, v))
+
+        return [rows.sup(lambda x, u, v: gap(x, eps, u, v), X, U, V) for eps in eps_grid]
     ref = reference_scale(eps_grid)
     refs = rows.map(lambda x, u, v: approx_difference(S, x, ref, u, v), X, U, V)
     return [rows.sup(lambda x, u, v, r: S.coordinate_gap(approx_difference(S, x, eps, u, v), r),

@@ -50,6 +50,12 @@ def sup(values, axis=None):
     return reduce(max, values, 0.0)
 
 
+def worst_defect(defects) -> float:
+    """The largest defect, NaN when any is: a NaN residual fails an every-sample
+    verdict wherever it falls, where ``max`` keeps a NaN only in first place."""
+    return math.nan if any(math.isnan(d) for d in defects) else max(defects)
+
+
 def nonincreasing(defects, floor: float = DEFECT_FLOOR) -> bool:
     """True if the sequence never grows by more than the jitter factor.
 

@@ -223,7 +223,11 @@ class Rows:
 def approx_difference(S: DilatationStructure, x, eps: Scale, u, v):
     """Delta^x_eps(u, v), the finite-scale difference composite (per row on batches)."""
     not_expanding("a finite-scale composite", eps)
-    a = S.dilate(x, eps, u)
+    return difference_after(S, x, eps, S.dilate(x, eps, u), v)
+
+
+def difference_after(S: DilatationStructure, x, eps: Scale, a, v):
+    """Delta^x_eps(u, v) from a = delta^x_eps u, for a caller that has a already."""
     return S.dilate(a, eps.inverse(), S.dilate(x, eps, v))
 
 

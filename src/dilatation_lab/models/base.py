@@ -208,7 +208,9 @@ class GroupModel(DilatationStructure):
     # --- induced structure --------------------------------------------------
 
     def distance(self, p, q) -> float:
-        """|p^-1 q|."""
+        """|p^-1 q|; 0.0, the norm of the identity, for equal exact points."""
+        if type(p) is ExactPoint and p == q:
+            return 0.0
         return self.homogeneous_norm(self.group_product(self.group_inverse(p), q))
 
     def dilate(self, x, eps: Scale, y):
@@ -231,8 +233,12 @@ class GroupModel(DilatationStructure):
 
     def exact_difference(self, x, eps: Scale, u, v):
         """Delta^x_eps(u, v) in closed form, delta^x_eps(u) . u^-1 . v."""
+        return self.exact_difference_after(self.dilate(x, eps, u), u, v)
+
+    def exact_difference_after(self, a, u, v):
+        """``exact_difference`` from a = delta^x_eps u, for a caller that has a already."""
         prod = self.group_product
-        return prod(prod(self.dilate(x, eps, u), self.group_inverse(u)), v)
+        return prod(prod(a, self.group_inverse(u)), v)
 
     def tangent_sum(self, x, u, v):
         return self.group_product(self.group_product(u, self.group_inverse(x)), v)

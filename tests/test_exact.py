@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dilatation_lab.core.harness import verify_axiom
 from dilatation_lab.core.scales import Scale
+from dilatation_lab.core.structure import Ball
 from dilatation_lab.models import (
     CarnotModel, ComplexHeisenbergModel, EuclideanModel, ExactPoint, HeisenbergModel,
     engel_structure_constants, heisenberg_structure_constants)
@@ -161,3 +163,33 @@ def test_exact_points_refuse_floats():
     cxr = ComplexHeisenbergModel()
     with pytest.raises(TypeError):
         cxr.ambient_dilate(cxr.scale_group.scale(0.5j), cxr.to_exact(np.ones(3)))
+
+
+@pytest.mark.parametrize("model,product,degrees", MODELS, ids=IDS)
+def test_equal_points_are_at_the_norm_of_the_identity(model, product, degrees):
+    # equal exact points read 0.0 without a product; floats still take the formula
+    zero = model.homogeneous_norm(model.to_exact(model.identity()))
+    assert repr(zero) == "0.0"
+    for p in np.random.default_rng(0).uniform(-1.0, 1.0, (4, model.coordinate_dim)):
+        assert repr(model.distance(model.to_exact(p), model.to_exact(p.copy()))) == repr(zero)
+        assert model.distance(p, p.copy()) == model.homogeneous_norm(
+            model.group_product(model.group_inverse(p), p))
+
+
+@pytest.mark.parametrize("model", [HeisenbergModel(1),
+                                   CarnotModel(3, *engel_structure_constants())],
+                         ids=["heisenberg-1", "engel"])
+def test_exact_sweeps_see_an_exact_dilatation_off_by_one(model, monkeypatch):
+    # the shortcuts of the exact sweeps must not hide a wrong exact result
+    dilate = CarnotModel._exact_dilate
+
+    def off_by_one(self, value, a):
+        out = dilate(self, value, a)
+        return ExactPoint([out.num[0] + 1, *out.num[1:]], out.den)
+
+    monkeypatch.setattr(CarnotModel, "_exact_dilate", off_by_one)
+    for axiom in ("A1", "A4"):
+        rep = verify_axiom(model, axiom, Ball(model.origin(), 0.5),
+                           model.scale_group.grid(range(2, 7)), 8)
+        assert rep.metadata["arithmetic"] == "exact"
+        assert not rep.verdict, axiom

@@ -7,7 +7,7 @@ from dilatation_lab.config import EXACT_IDENTITY_TOL, LIMIT_TOL
 from dilatation_lab.core.harness import AXIOMS, verify_all_axioms, verify_axiom
 from dilatation_lab.core.scales import POSITIVE_REALS as PR
 from dilatation_lab.core.structure import Ball
-from dilatation_lab.models import EuclideanModel, PullbackModel
+from dilatation_lab.models import EuclideanModel, ExactPoint, PullbackModel
 
 GRID = range(2, 13)
 
@@ -170,3 +170,21 @@ def test_composition_identity_all_models():
                 rhs = model.dilate(x, eps * mu, y)
                 bound = 1e-9 * (1.0 + model.distance(x, y))
                 assert model.coordinate_gap(lhs, rhs) <= bound, model.name
+
+
+def test_exact_a1_and_a4_construct_few_exact_points(engel, monkeypatch):
+    # A1 evaluates its eps-independent terms once, exact A4 shares delta^x_eps u
+    # between the composite and the closed form, and equal exact points are at
+    # distance 0.0 without a product
+    init = ExactPoint.__init__
+    made = [0]
+
+    def counting(self, *args, **kwargs):
+        made[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExactPoint, "__init__", counting)
+    for axiom, ceiling in (("A1", 26_403), ("A4", 23_232)):
+        made[0] = 0
+        verify_axiom(engel, axiom, Ball(engel.origin(), 0.5), PR.grid(GRID), 64, seed=0)
+        assert made[0] <= ceiling, axiom

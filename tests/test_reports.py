@@ -1,13 +1,22 @@
-"""core.reports.sup is the one sup rule behind every sampled verdict."""
+"""core.reports.sup is the one sup rule behind every sampled verdict, and
+core.reports.worst_defect the one NaN rule behind every every-sample verdict."""
 
 import ast
+import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 import dilatation_lab
-from dilatation_lab.core.reports import sup
+from dilatation_lab import affine, cli
+from dilatation_lab.affine import CollinearTriple, check_collinear, geometric_affinity_check
+from dilatation_lab.config import EXACT_IDENTITY_TOL
+from dilatation_lab.core.reports import sup, worst_defect
+from dilatation_lab.core.scales import POSITIVE_REALS as PR
+from dilatation_lab.models import EuclideanModel
 
 PACKAGE = Path(dilatation_lab.__file__).parent
 NAN = float("nan")
@@ -75,3 +84,48 @@ def test_no_sup_rule_outside_reports():
 
 def test_reports_holds_the_sup_rule():
     assert _own_sup_rules(PACKAGE / "core" / "reports.py")
+
+
+# --- a NaN defect fails an every-sample verdict, in whichever place it falls ----
+
+NAN_ORDERS = [[NAN, 1e-20], [1e-20, NAN]]
+
+
+def _returning(values):
+    """A stub residual that returns the values in turn, whatever it is asked."""
+    it = iter(values)
+    return lambda *args, **kwargs: next(it)
+
+
+@pytest.mark.parametrize("defects", NAN_ORDERS)
+def test_worst_defect_is_nan_when_any_defect_is(defects):
+    assert math.isnan(worst_defect(defects))
+    assert not worst_defect(defects) <= EXACT_IDENTITY_TOL
+
+
+def test_worst_defect_is_the_largest_without_nan():
+    assert worst_defect([1e-20, 3.0, -1.0, 2.0]) == 3.0
+
+
+@pytest.mark.parametrize("defects", NAN_ORDERS)
+def test_check_collinear_fails_on_a_nan_probe_defect(defects, monkeypatch):
+    E = EuclideanModel(1)
+    monkeypatch.setattr(E, "distance", _returning(defects))
+    triple = CollinearTriple(np.array([0.0]), np.array([1.0]), np.array([1.0 / 3.0]), 0.5, 0.5)
+    assert not check_collinear(E, triple, probes=[np.array([0.1]), np.array([0.2])]).verdict
+
+
+@pytest.mark.parametrize("defects", NAN_ORDERS)
+def test_geometric_affinity_fails_on_a_nan_triple_defect(defects, monkeypatch):
+    collinear = _returning([SimpleNamespace(defect=[d]) for d in defects])
+    monkeypatch.setattr(affine, "check_collinear", collinear)
+    triple = CollinearTriple(np.array([0.0]), np.array([1.0]), np.array([1.0 / 3.0]), 0.5, 0.5)
+    assert not geometric_affinity_check(EuclideanModel(1), lambda p: p, [triple] * 2).verdict
+
+
+@pytest.mark.parametrize("defects", NAN_ORDERS)
+def test_barycentric_command_fails_on_a_nan_pair_defect(defects, monkeypatch):
+    monkeypatch.setattr(cli, "barycentric_defect", _returning(defects))
+    _, verdict = cli._cmd_barycentric(EuclideanModel(2), eps=PR.scale(0.5), seed=0,
+                                      sample_count=2)
+    assert not verdict
