@@ -106,8 +106,11 @@ def menelaos_iterate(S: DilatationStructure, x, eps: Scale, y, mu: Scale,
 
     w = xn
     observed = float(np.median(rates)) if rates else float("nan")
+    # one probe at a time: a 3-row batch of the coordinate-wise C x R and Engel
+    # products costs more than three single points, and this check runs on both
+    em = eps * mu
     probe_defect = sup(
-        S.coordinate_gap(S.dilate(x, eps, S.dilate(y, mu, p)), S.dilate(w, eps * mu, p))
+        S.coordinate_gap(S.dilate(x, eps, S.dilate(y, mu, p)), S.dilate(w, em, p))
         for p in S.sample_ball(w, S.closeness_budget(), 3, np.random.default_rng(0)))
     return MenelaosResult(w, iterations, gap, observed, rates, probe_defect)
 
@@ -150,16 +153,19 @@ def g_map(M: GroupModel, eps: Scale, y, N: int) -> GMapResult:
 
     Extending the truncation from N to any longer product moves the result by
     at most nu(eps)^{N+1} / (1 - nu(eps)) times |y|, which is attached to the
-    result as its error bound.
+    result as its error bound.  On a float y the N dilatations are one
+    ``ambient_dilate`` call, the powers eps^k a per-row scale (``Rows``).
     """
     contraction("g_eps", eps)
     if N < 1:
         raise ValueError("truncation order N must be at least 1")
+    powers = [eps]
+    for _ in range(N - 1):
+        powers.append(powers[-1] * eps)
+    rows = Rows([y])
     out = y
-    power = eps
-    for _ in range(N):
-        out = M.group_product(out, M.ambient_dilate(power, y))
-        power = power * eps
+    for term in rows.map(lambda e: M.ambient_dilate(e, y), rows.scale_column(powers)):
+        out = M.group_product(out, term)
     nu = eps.nu
     bound = nu ** (N + 1) / (1.0 - nu) * M.homogeneous_norm(y)
     return GMapResult(out, bound)

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from numbers import Number, Real
 from typing import Any
 
+import numpy as np
+
 from dilatation_lab.errors import DomainViolation
 
 
@@ -84,6 +86,32 @@ class Scale:
 
     def __repr__(self):
         return f"Scale({self.group.name}, {self.value!r})"
+
+
+class RowScale(Scale):
+    """One scale per row of a batch, its values an ``(N, 1)`` array.  ``nu``, ``inverse``
+    and ``*`` apply the group's scalar rule to each row in Python, which numpy's
+    complex reciprocal, product and modulus do not match."""
+
+    @classmethod
+    def of(cls, scales: list[Scale]) -> "RowScale":
+        return cls(scales[0].group, np.array([s.value for s in scales]).reshape(-1, 1))
+
+    def rows(self) -> list[Scale]:
+        return [Scale(self.group, v) for v in self.value[:, 0].tolist()]
+
+    @property
+    def nu(self) -> np.ndarray:
+        return np.array([s.nu for s in self.rows()])
+
+    def __mul__(self, other: Scale) -> "RowScale":
+        others = other.rows() if type(other) is RowScale else [other] * len(self.value)
+        return RowScale.of([s * o for s, o in zip(self.rows(), others)])
+
+    __rmul__ = __mul__  # the groups are commutative, and so is each row's product
+
+    def inverse(self) -> "RowScale":
+        return RowScale.of([s.inverse() for s in self.rows()])
 
 
 class PositiveReals(ScaleGroup):
@@ -185,16 +213,18 @@ def reference_scale(eps_grid) -> Scale:
 
 
 def contraction(what: str, *scales: Scale) -> None:
-    """Raise DomainViolation, naming the operation, unless every scale has 0 < nu < 1."""
+    """Raise DomainViolation, naming the operation, unless every scale (row) has 0 < nu < 1."""
     for eps in scales:
-        nu = eps.nu
-        if not 0.0 < nu < 1.0:
+        if type(eps) is RowScale:
+            contraction(what, *eps.rows())
+        elif not 0.0 < (nu := eps.nu) < 1.0:
             raise DomainViolation(f"{what} needs a contraction, 0 < nu < 1; got nu={nu}")
 
 
 def not_expanding(what: str, *scales: Scale) -> None:
-    """Raise DomainViolation, naming the operation, unless every scale has 0 < nu <= 1."""
+    """Raise DomainViolation, naming the operation, unless every scale (row) has 0 < nu <= 1."""
     for eps in scales:
-        nu = eps.nu
-        if not 0.0 < nu <= 1.0:
+        if type(eps) is RowScale:
+            not_expanding(what, *eps.rows())
+        elif not 0.0 < (nu := eps.nu) <= 1.0:
             raise DomainViolation(f"{what} needs a scale with 0 < nu <= 1; got nu={nu}")

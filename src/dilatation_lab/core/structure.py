@@ -20,7 +20,7 @@ import numpy as np
 from dilatation_lab.config import DEFECT_FLOOR, EXACT_IDENTITY_TOL
 from dilatation_lab.errors import DomainViolation, NonConvergent
 from dilatation_lab.core.reports import ConvergenceReport, make_report, nonincreasing, sup
-from dilatation_lab.core.scales import Scale, ScaleGroup, not_expanding
+from dilatation_lab.core.scales import RowScale, Scale, ScaleGroup, not_expanding
 
 
 class Ball:
@@ -192,14 +192,16 @@ class Rows:
     def scale_column(self, scales: list[Scale]):
         """The scales of one tuple position, one validated ``Scale`` per row.
 
-        When batched, one per-row scale: a ``Scale`` of their group holding
-        their values as an ``(N, 1)`` float array, which the float
-        ``_dilate`` of Euclidean space, H(n) and the generic Carnot group
-        apply row by row; otherwise the scales as they are.
+        When batched, one per-row scale: a ``RowScale`` holding their values,
+        of one type, as an ``(N, 1)`` array, which the float ``_dilate`` of
+        every coordinate model (C x R with real or complex values) applies row
+        by row; otherwise the scales as they are.
         """
-        if not self.batched:
-            return list(scales)
-        return Scale(scales[0].group, np.array([s.value for s in scales]).reshape(-1, 1))
+        return RowScale.of(scales) if self.batched else list(scales)
+
+    def row(self, col, i: int):
+        """Row i of a column, as a point of its own rather than a view into the batch."""
+        return col[i].copy() if self.batched else col[i]
 
     def rotate(self, col):
         """The column shifted up by one row, the first row moving to the end."""
@@ -210,6 +212,11 @@ class Rows:
         if self.batched:
             return f(*cols)
         return [f(*row) for row in zip(*cols)]
+
+    def floats(self, f, *cols) -> list[float]:
+        """f on every row, as a list of Python floats."""
+        out = self.map(f, *cols)
+        return out.tolist() if self.batched else out
 
     def sup(self, f, *cols) -> float:
         """``core.reports.sup`` of f over the rows."""

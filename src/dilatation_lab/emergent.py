@@ -30,11 +30,11 @@ LIMIT_OPS = {"sum": approx_sum, "difference": approx_difference,
              "inverse": approx_inverse}
 
 
-def _settled_increments(S: DilatationStructure, points, failure: str) -> list[float]:
-    """Coordinate gaps between successive points, which a fractional-power gauge
-    cannot slow; above the floor each must shrink by CAUCHY_SHRINK, else
-    NonConvergent is raised with the failure message."""
-    increments = [S.coordinate_gap(a, b) for a, b in zip(points, points[1:])]
+def _settled_increments(S: DilatationStructure, rows: Rows, points, failure: str) -> list[float]:
+    """Coordinate gaps between successive points, which a fractional-power
+    gauge cannot slow; above the floor each must shrink by CAUCHY_SHRINK,
+    else NonConvergent is raised with the failure message."""
+    increments = rows.floats(S.coordinate_gap, points[:-1], points[1:])
     for a, b in zip(increments, increments[1:]):
         if b > DEFECT_FLOOR and b > a / CAUCHY_SHRINK + DEFECT_FLOOR:
             raise NonConvergent(f"{failure}: {increments}")
@@ -49,18 +49,25 @@ def tangent_limit(S: DilatationStructure, x, u, v, which: str,
     successive coordinate gaps must shrink by CAUCHY_SHRINK.  Models with
     exact tangent operations supply the reference instead, in which case the
     defect column records the genuine distance-to-limit and the numeric path
-    double-checks the closed form.
+    double-checks the closed form.  A grid of fewer than two scales raises
+    ValueError.  On float points one composite call covers the whole grid, as
+    a per-row scale over the single x, u, v, and the gaps and the defects are
+    one call each (``Rows``); each value is the one its scale alone gives.
     """
     if which not in LIMIT_OPS:
         raise ValueError(f"which must be one of {sorted(LIMIT_OPS)}, got {which!r}")
+    if len(eps_grid) < 2:
+        raise ValueError("tangent_limit needs a grid of at least 2 scales")
     op = LIMIT_OPS[which]
     args = (u,) if which == "inverse" else (u, v)
-    points = [op(S, x, e, *args) for e in eps_grid]
+    # a per-row scale holds one value type; a mixed grid goes one scale at a time
+    rows = Rows([x, *args], batch=len({type(e.value) for e in eps_grid}) == 1)
+    points = rows.map(lambda e: op(S, x, e, *args), rows.scale_column(eps_grid))
     increments = _settled_increments(
-        S, points, f"tangent {which} composites do not settle on {S.name}")
+        S, rows, points, f"tangent {which} composites do not settle on {S.name}")
     exact = getattr(S, f"tangent_{which}", None)
-    limit = points[-1] if exact is None else exact(x, *args)
-    defects = [S.distance(p, limit) for p in points]
+    limit = rows.row(points, -1) if exact is None else exact(x, *args)
+    defects = rows.floats(lambda p: S.distance(p, limit), points)
     report = make_report(eps_grid, defects, True,
                          {"model": S.name, "quantity": f"tangent-{which}",
                           "exact_reference": exact is not None,
@@ -295,7 +302,8 @@ def pansu_derivative(Ssrc: DilatationStructure, Sdst: DilatationStructure, f, x,
     fx = f(x)
     candidates = [Sdst.dilate(fx, eps.inverse(), f(Ssrc.dilate(x, eps, u)))
                   for eps in eps_grid]
-    _settled_increments(Sdst, candidates, "derivative candidates do not settle along u")
+    _settled_increments(Sdst, Rows(candidates, batch=False), candidates,
+                        "derivative candidates do not settle along u")
     # estimate at one refinement past the grid so every residual row,
     # including the last, measures the estimate against fresh data
     ref = reference_scale(eps_grid)

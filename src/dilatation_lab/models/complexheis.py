@@ -40,8 +40,10 @@ class ComplexHeisenbergModel(CarnotModel):
 
     def _dilate(self, eps: Scale, a):
         e = eps.value
+        if isinstance(e, np.ndarray):  # an (N, 1) per-row scale, as one value per row
+            e = e[:, 0]
         a0, a1, a2 = columns(a)
-        if isinstance(e, complex):
+        if isinstance(e, complex) or isinstance(e, np.ndarray) and e.dtype.kind == "c":
             # (a0 + i a1) e, with the parts in the order of Python's complex product
             er, ei = e.real, e.imag
             return stack([a0 * er - a1 * ei, a0 * ei + a1 * er, (er * er + ei * ei) * a2])

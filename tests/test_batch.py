@@ -5,7 +5,9 @@ single point, and every row of its result must equal (``==``, not approx)
 the result for that row alone, which in turn must equal the model's
 single-point reference formula below.  The harness sweeps evaluate their rows as
 batches; forcing row-at-a-time evaluation on the same tuples must give the
-same defect lists and verdicts.
+same defect lists and verdicts.  A per-row scale gives each row what its own
+scale gives, and the single-point chains that now batch (``tangent_limit``
+and ``g_map``) give what their one-at-a-time loops gave.
 """
 
 import cmath
@@ -15,14 +17,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dilatation_lab.affine import g_map
 from dilatation_lab.core import structure
 from dilatation_lab.core.harness import verify_axiom
-from dilatation_lab.core.scales import COMPLEX_UNITS
+from dilatation_lab.core.scales import COMPLEX_UNITS, POSITIVE_REALS as PR, RowScale
 from dilatation_lab.core.structure import Ball
-from dilatation_lab.emergent import metric_tangent_scan
+from dilatation_lab.emergent import LIMIT_OPS, InducedStructure, metric_tangent_scan, tangent_limit
 from dilatation_lab.models import (
-    CarnotModel, ComplexHeisenbergModel, EuclideanModel, HeisenbergModel, PullbackModel,
-    engel_structure_constants)
+    CarnotModel, ComplexHeisenbergModel, DyadicBoundaryModel, EuclideanModel, HeisenbergModel,
+    PullbackModel, engel_structure_constants)
 
 
 def _rotated_grid(ks, turn=0.7):
@@ -285,18 +288,197 @@ def test_float_sweeps_run_as_batches(monkeypatch):
     assert seen and set(seen) == {2}
 
 
-@pytest.mark.parametrize("case", ["euclidean-2d", "heisenberg-1", "heisenberg-2", "engel"])
+def _row_scale_values(case, rng, n):
+    """n scale values for a case's per-row scale: complex ones that are not
+    powers of two on C x R, contracting ones on the pullbacks' chart ball."""
+    if case == "cxr-complex":
+        turns = rng.uniform(0.05, 4.0, n // 2) * np.exp(1j * rng.uniform(-3.1, 3.1, n // 2))
+        return [(0.3 + 0.4j) * 2.0 ** -k for k in range(n - n // 2)] + turns.tolist()
+    return rng.uniform(0.01, 1.0 if case.startswith("pullback") else 4.0, n).tolist()
+
+
+@pytest.mark.parametrize("case", IDS)
 def test_per_row_scale_equals_its_rows(case):
     # row i under the per-row scale is row i under the scalar scale vs[i], bit for bit;
     # Engel's layers 2 and 3 take Python's ``**`` per element, which np.power does not match
-    model = CASES[case][0]
+    model, bound = CASES[case][:2]
     rng = np.random.default_rng(7)
     n, dim = 64, model.coordinate_dim
-    X, Y = rng.uniform(-4.0, 4.0, (2, n, dim))
-    vs = rng.uniform(0.01, 4.0, n).tolist()
-    scales = [model.scale_group.scale(v) for v in vs]
+    X, Y = rng.uniform(-bound, bound, (2, n, dim))
+    scales = [model.scale_group.scale(v) for v in _row_scale_values(case, rng, n)]
     per_row = structure.Rows(list(Y)).scale_column(scales)
     assert per_row.value.shape == (n, 1)
     _same(model.dilate(X[0], per_row, Y), [model.dilate(X[0], s, y) for s, y in zip(scales, Y)])
     _same(model.dilate(X, per_row, Y),
           [model.dilate(x, s, y) for x, s, y in zip(X, scales, Y)])
+    _same(model.dilate(X[0], per_row, Y[0]), [model.dilate(X[0], s, Y[0]) for s in scales])
+
+
+def _exact_values(values):
+    """Scale values as exact strings, so -0.0 and 0.0 differ."""
+    return [v.hex() if isinstance(v, float) else (v.real.hex(), v.imag.hex()) for v in values]
+
+
+@pytest.mark.parametrize("case", ["positive-reals", "complex-real", "complex"])
+def test_per_row_scale_arithmetic_is_the_scalar_rule_per_row(case):
+    # numpy's complex reciprocal, product and modulus round differently from
+    # Python's on about a third of random inputs; each row must take Python's
+    rng = np.random.default_rng(11)
+    n = 200
+    group = PR if case == "positive-reals" else COMPLEX_UNITS
+    values = _row_scale_values("cxr-complex" if case == "complex" else case, rng, n)
+    scales = [group.scale(v) for v in values]
+    others = scales[1:] + scales[:1]
+    fixed = group.scale(0.3 + 0.4j if case == "complex" else 0.7)
+    per_row = RowScale.of(scales)
+    checks = [
+        (per_row.inverse(), [s.inverse() for s in scales]),
+        (per_row * RowScale.of(others), [s * o for s, o in zip(scales, others)]),
+        (per_row * fixed, [s * fixed for s in scales]),
+        (fixed * per_row, [fixed * s for s in scales]),
+        (per_row ** 3, [s ** 3 for s in scales]),
+    ]
+    for got, want in checks:
+        assert type(got) is RowScale and got.value.shape == (n, 1)
+        assert _exact_values(got.value[:, 0].tolist()) == _exact_values([s.value for s in want])
+    assert _exact_values(per_row.nu.tolist()) == _exact_values([s.nu for s in scales])
+    assert [s.value for s in per_row.rows()] == values
+
+
+# --- the single-point chains, batched --------------------------------------------
+# Inline copies of the loops that computed them one scale, one power and one
+# probe at a time; the batched paths must give the same bits.
+
+def _bits(v):
+    if isinstance(v, np.ndarray):
+        return v.shape, v.dtype.str, v.tobytes()
+    if isinstance(v, float):
+        return v.hex()
+    if isinstance(v, (list, tuple)):
+        return [_bits(a) for a in v]
+    return v
+
+
+def _tangent_limit_one_scale_at_a_time(S, x, u, v, which, grid):
+    op = LIMIT_OPS[which]
+    args = (u,) if which == "inverse" else (u, v)
+    points = [op(S, x, e, *args) for e in grid]
+    increments = [S.coordinate_gap(a, b) for a, b in zip(points, points[1:])]
+    exact = getattr(S, f"tangent_{which}", None)
+    limit = points[-1] if exact is None else exact(x, *args)
+    return limit, [S.distance(p, limit) for p in points], increments
+
+
+def _complex_grid(ks):
+    return [COMPLEX_UNITS.scale((0.3 + 0.4j) * 2.0 ** -k) for k in ks]
+
+
+H1 = HeisenbergModel(1)
+# (structure, grid or None for the default one, sampling radius)
+TANGENT_CASES = {
+    **{case: (CASES[case][0], None, CASES[case][4])
+       for case in ("euclidean-2d", "heisenberg-1", "heisenberg-2", "engel", "cxr-real",
+                    "pullback-dilatation", "pullback-metric")},
+    "cxr-complex-grid": (ComplexHeisenbergModel(), _complex_grid(range(2, 13)), 0.2),
+    "cxr-rotated-grid": (ComplexHeisenbergModel(), _rotated_grid(range(2, 13)), 0.2),
+    # real and complex values in one grid: no one per-row array holds both
+    "cxr-mixed-grid": (ComplexHeisenbergModel(), [COMPLEX_UNITS.scale(2.0 ** -k * (1j if k % 2 else 1.0))
+                                                  for k in range(2, 13)], 0.2),
+    "induced-heisenberg-1": (InducedStructure(H1, H1.origin(), PR.scale(0.5)), None, 0.2),
+    "heisenberg-1-exact": (H1, None, 0.2),
+}
+
+
+@pytest.mark.parametrize("case", list(TANGENT_CASES))
+def test_tangent_limit_is_the_one_scale_at_a_time_loop(case):
+    S, grid, radius = TANGENT_CASES[case]
+    grid = grid or S.scale_group.grid(range(2, 13))
+    for seed in range(3):
+        pts = S.sample_ball(S.origin(), radius, 10, np.random.default_rng(seed))[7:]
+        if case.endswith("exact"):
+            pts = [S.to_exact(p) for p in pts]
+        for which in LIMIT_OPS:
+            limit, report = tangent_limit(S, *pts, which, grid)
+            want = _tangent_limit_one_scale_at_a_time(S, *pts, which, grid)
+            got = limit, report.defect, report.metadata["cauchy_increments"]
+            assert _bits(got) == _bits(want), (seed, which)
+            # the limit is a point of its own, not a view into the batch
+            assert not isinstance(limit, np.ndarray) or limit.base is None
+
+
+def _g_map_one_power_at_a_time(M, eps, y, N):
+    out, power = y, eps
+    for _ in range(N):
+        out = M.group_product(out, M.ambient_dilate(power, y))
+        power = power * eps
+    return out
+
+
+def _chain_inputs(M, seed):
+    """A point y and a contracting scale eps for the model, complex on C x R at odd seeds."""
+    y = M.sample_ball(M.origin(), 0.2, 8, np.random.default_rng(seed))[7]
+    sg = M.scale_group
+    if isinstance(M, DyadicBoundaryModel):
+        return y, sg.scale(3)
+    if isinstance(M, ComplexHeisenbergModel) and seed % 2:
+        return y, sg.scale(0.3 + 0.4j) * sg.scale(0.6j)
+    return y, sg.scale(0.35 + 0.1 * seed) * sg.scale(0.6)
+
+
+@pytest.mark.parametrize("index", range(7))
+def test_g_map_is_the_one_power_at_a_time_loop(index):
+    from conftest import conical_models
+    exact = index == 6  # exact H(1) points and scales
+    M = conical_models()[1 if exact else index]
+    for seed in range(3):
+        y, eps = _chain_inputs(M, seed)
+        if exact:
+            y, eps = M.to_exact(y), M.to_exact_scale(eps)
+        for N in (1, 2, 7, 64):
+            got = g_map(M, eps, y, N).point
+            assert _bits(got) == _bits(_g_map_one_power_at_a_time(M, eps, y, N)), (seed, N)
+
+
+def _counting(monkeypatch, S, name):
+    calls = []
+    method = getattr(S, name)
+    monkeypatch.setattr(S, name, lambda *a: calls.append(1) or method(*a))
+    return calls
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_g_map_makes_one_ambient_dilate_call_on_floats(index, monkeypatch):
+    from conftest import conical_models
+    M = conical_models()[index]
+    y, eps = _chain_inputs(M, 1)
+    calls = _counting(monkeypatch, M, "ambient_dilate")
+    g_map(M, eps, y, 64)
+    assert len(calls) == 1
+
+
+def test_tangent_limit_calls_do_not_grow_with_the_grid(monkeypatch):
+    model = CASES["pullback-dilatation"][0]
+    x, u, v = model.sample_ball(model.origin(), 0.05, 10, np.random.default_rng(0))[7:]
+    counts = []
+    for ks in (range(2, 7), range(2, 13)):
+        with monkeypatch.context() as m:
+            calls = _counting(m, model, "dilate")
+            for which in LIMIT_OPS:
+                tangent_limit(model, x, u, v, which, model.scale_group.grid(ks))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == 3 + 3 + 2
+
+
+def test_a_grid_mixing_value_types_runs_one_scale_at_a_time(monkeypatch):
+    # C x R dilates by a real value and by a complex one through different
+    # formulas, which can differ in the sign of a zero; one per-row array
+    # cannot hold both types, so tangent_limit does not stack such a grid
+    model = ComplexHeisenbergModel()
+    a = np.array([-0.0, -1.0, 0.0])
+    assert (model.ambient_dilate(COMPLEX_UNITS.scale(0.5), a).tobytes()
+            != model.ambient_dilate(COMPLEX_UNITS.scale(0.5 + 0j), a).tobytes())
+    grid = TANGENT_CASES["cxr-mixed-grid"][1]
+    x, u, v = model.sample_ball(model.origin(), 0.2, 10, np.random.default_rng(0))[7:]
+    calls = _counting(monkeypatch, model, "dilate")
+    tangent_limit(model, x, u, v, "sum", grid)
+    assert len(calls) == 3 * len(grid)

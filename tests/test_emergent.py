@@ -34,6 +34,16 @@ def test_tangent_inverse_euclid(euclid1):
     assert np.allclose(lim, [-3.0])
 
 
+def test_tangent_limit_needs_two_scales(heis1):
+    # one composite, or none, shows no limit: there is no increment to settle
+    u, v = heis1.point([0.1, 0.0], 0.0), heis1.point([0.0, 0.1], 0.0)
+    for ks in ([3], []):
+        with pytest.raises(ValueError, match="at least 2 scales"):
+            tangent_limit(heis1, heis1.identity(), u, v, "sum", PR.grid(ks))
+    _, rep = tangent_limit(heis1, heis1.identity(), u, v, "sum", PR.grid([3, 4]))
+    assert len(rep.defect) == 2 and len(rep.metadata["cauchy_increments"]) == 1
+
+
 def test_tangent_sum_heisenberg_is_group_product(heis1):
     u = heis1.point([1.0, 0.0], 0.0)
     v = heis1.point([0.0, 1.0], 0.0)

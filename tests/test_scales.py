@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 import dilatation_lab
 from dilatation_lab.core.scales import (
-    COMPLEX_UNITS, DYADIC_POWERS, POSITIVE_REALS, contraction, not_expanding)
+    COMPLEX_UNITS, DYADIC_POWERS, POSITIVE_REALS, RowScale, contraction, not_expanding)
 from dilatation_lab.errors import DomainViolation
 
 PACKAGE = Path(dilatation_lab.__file__).parent
@@ -67,6 +67,18 @@ def test_contraction_needs_nu_below_one_and_not_expanding_up_to_one():
     for eps in (POSITIVE_REALS.scale(1.5), DYADIC_POWERS.scale(-1), COMPLEX_UNITS.scale(2j)):
         with pytest.raises(DomainViolation, match=r"^op needs .*nu=(1\.5|2\.0)$"):
             not_expanding("op", eps)
+
+
+def test_per_row_scales_are_checked_row_by_row():
+    ok = RowScale.of([POSITIVE_REALS.scale(v) for v in (0.5, 0.25, 0.75)])
+    contraction("op", ok)
+    not_expanding("op", ok, RowScale.of([COMPLEX_UNITS.scale(1j), COMPLEX_UNITS.scale(0.5)]))
+    # the first row outside is the one named, as a loop over the scales names it
+    bad = RowScale.of([POSITIVE_REALS.scale(v) for v in (0.5, 1.0, 1.5, 0.25)])
+    with pytest.raises(DomainViolation, match=r"^op needs .*nu=1\.0$"):
+        contraction("op", POSITIVE_REALS.scale(0.5), bad)
+    with pytest.raises(DomainViolation, match=r"^op needs .*nu=1\.5$"):
+        not_expanding("op", bad)
 
 
 def _nu_literal_comparisons(path):
