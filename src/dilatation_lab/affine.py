@@ -13,6 +13,7 @@ and the valuation counterexample on C x R.
 
 from __future__ import annotations
 
+import statistics
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -23,7 +24,7 @@ from dilatation_lab.config import (
     COUNTEREXAMPLE_SEPARATION, ENVELOPE_ABS_SLACK, ENVELOPE_SLACK, EXACT_IDENTITY_TOL,
     FIXED_POINT_TOL, LINEARITY_WARN_TOL, MAX_ITER, RATE_FLOOR, RATE_FLOOR_FACTOR)
 from dilatation_lab.errors import DomainViolation, MaxIterExceeded
-from dilatation_lab.core.reports import ConvergenceReport, make_report, sup, worst_defect
+from dilatation_lab.core.reports import ConvergenceReport, make_report, sup
 from dilatation_lab.core.scales import Scale, contraction
 from dilatation_lab.core.structure import DilatationStructure, Rows, exactify
 from dilatation_lab.emergent import check_affine_map, lin_defect
@@ -105,7 +106,7 @@ def menelaos_iterate(S: DilatationStructure, x, eps: Scale, y, mu: Scale,
         iterations += 1
 
     w = xn
-    observed = float(np.median(rates)) if rates else float("nan")
+    observed = statistics.median(rates) if rates else float("nan")
     # one probe at a time: a 3-row batch of the coordinate-wise C x R and Engel
     # products costs more than three single points, and this check runs on both
     em = eps * mu
@@ -259,11 +260,11 @@ def check_collinear(S: DilatationStructure, triple: CollinearTriple,
     a, b, g = sg.scale(triple.alpha), sg.scale(triple.beta), sg.scale(triple.gamma)
     if probes is None:
         probes = probe_points(S, triple.x, S.closeness_budget(), seed)
-    defects = []
-    for p in probes:
-        moved = S.dilate(triple.x, a, S.dilate(triple.y, b, S.dilate(triple.z, g, p)))
-        defects.append(S.distance(moved, p))
-    worst = worst_defect(defects)
+    defects = [S.distance(S.dilate(triple.x, a, S.dilate(triple.y, b, S.dilate(triple.z, g, p))), p)
+               for p in probes]
+    if not defects:
+        raise ValueError("check_collinear needs at least one probe point")
+    worst = sup(defects)
     # reports are scale-indexed; an identity check is scale-free, so wrap the
     # probe defects in a single-scale report carrying the sup
     return make_report([sg.contraction(1)], [worst], worst <= EXACT_IDENTITY_TOL,
@@ -284,8 +285,8 @@ def reversed_collinear_search(M: HeisenbergModel, X, Y, Z, grid_lo: float = 1.01
     For each a' the rows are every (b', probe) pair, b' by b', with b' and
     g' = 1/(a' b') as per-row scales: one call of each primitive over all of
     them on float probes, one row at a time on exact ones.  Each pair's
-    ``sup`` over its probes is one row of ``sup(d, axis=1)``, and the minimum
-    over pairs is taken in grid order.
+    ``sup`` over its probes is one row of ``sup(d, axis=1)``; the minimum
+    over pairs is NaN when any pair's sup is.
     """
     sg = M.scale_group
     if probes is None:
@@ -306,8 +307,8 @@ def reversed_collinear_search(M: HeisenbergModel, X, Y, Z, grid_lo: float = 1.01
         moved = rows.map(lambda p, sb, sc: M.dilate(Y, sb, M.dilate(X, sa, M.dilate(Z, sc, p))),
                          P, B, C)
         d = np.reshape(rows.map(M.distance, moved, P), (resolution, len(probes)))
-        best = min(best, *sup(d, axis=1).tolist())
-    return best
+        best = np.minimum.reduce(sup(d, axis=1), initial=best)
+    return float(best)
 
 
 # ---------------------------------------------------------------------------
@@ -430,12 +431,14 @@ def geometric_affinity_check(S: DilatationStructure, T, triple_samples,
         rep = check_collinear(S, image, probes=probes, seed=seed)
         defects.append(rep.defect[0])
         pts.append((triple.x, triple.y))
+    if not defects:
+        raise ValueError("geometric_affinity_check needs at least one triple")
     sg = S.scale_group
     commutation = check_affine_map(S, T, pts, [sg.contraction(k) for k in (1, 2, 3)])
-    worst = worst_defect(defects)
+    worst = sup(defects)
     return make_report([sg.contraction(1)], [worst], worst <= EXACT_IDENTITY_TOL,
                        {"model": S.name, "quantity": "geometric-affinity",
                         "triple_defects": defects,
-                        "commutation_defect": max(commutation.defect),
+                        "commutation_defect": sup(commutation.defect),
                         "commutation_pass": commutation.verdict,
                         "tolerance": EXACT_IDENTITY_TOL})

@@ -33,7 +33,7 @@ from dilatation_lab.errors import (
     ConfigError, DomainViolation, MaxIterExceeded, ModelError, NonConvergent,
     PrecisionExhausted)
 from dilatation_lab.core.harness import AXIOMS, verify_axiom
-from dilatation_lab.core.reports import sup, worst_defect
+from dilatation_lab.core.reports import sup
 from dilatation_lab.core.scales import contraction
 from dilatation_lab.core.structure import Ball, exactify
 from dilatation_lab import models as model_factory
@@ -269,7 +269,7 @@ def _cmd_barycentric(model, *, eps, x=None, y=None, seed=None, sample_count=16):
     out = CsvReport(["sample", "defect"])
     for i, d in enumerate(defects):
         out.add(i, d)
-    return out, worst_defect(defects) <= EXACT_IDENTITY_TOL
+    return out, sup(defects) <= EXACT_IDENTITY_TOL
 
 
 def _cmd_counterexample(model: model_factory.ComplexHeisenbergModel, *, seed, eps=0.5,

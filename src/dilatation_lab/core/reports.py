@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -36,36 +35,36 @@ def fit_loglog_rate(nus, defects) -> float:
 
 
 def sup(values, axis=None):
-    """The largest of the values and 0.0, NaN values skipped: the sup behind
-    every sampled verdict, 0.0 on an empty sample.
+    """The largest of the values and 0.0, the sup behind every sampled verdict:
+    0.0 on an empty sample, NaN when any value is NaN.
 
-    An iterable folds as ``worst = max(worst, d)`` from ``worst = 0.0``;
-    ``max`` keeps ``worst`` against a NaN ``d``.  An array reduces with
-    ``np.fmax``, which also skips NaN: over ``axis``, or to a float over the
-    whole array when ``axis`` is None.
+    That is the lab's one NaN rule: a NaN residual is the worst value, so it
+    fails every verdict built on it, wherever it falls.  An iterable is scanned
+    from 0.0 up to its first NaN; an array reduces with ``np.maximum``, over
+    ``axis``, or to a float over the whole array when ``axis`` is None.
     """
     if isinstance(values, np.ndarray):
-        out = np.fmax.reduce(values, axis=axis, initial=0.0)
+        out = np.maximum.reduce(values, axis=axis, initial=0.0)
         return float(out) if axis is None else out
-    return reduce(max, values, 0.0)
-
-
-def worst_defect(defects) -> float:
-    """The largest defect, NaN when any is: a NaN residual fails an every-sample
-    verdict wherever it falls, where ``max`` keeps a NaN only in first place."""
-    return math.nan if any(math.isnan(d) for d in defects) else max(defects)
+    worst = 0.0
+    for d in values:
+        if not d <= worst:
+            if math.isnan(d):
+                return math.nan
+            worst = d
+    return worst
 
 
 def nonincreasing(defects, floor: float = DEFECT_FLOOR) -> bool:
-    """True if the sequence never grows by more than the jitter factor.
+    """True if the sequence never grows by more than the jitter factor; a NaN fails it.
 
     Values at or below the floor are treated as zero, so roundoff wiggle in
     an exactly-satisfied identity does not fail the check.
     """
-    prev = None
+    prev = math.inf
     for d in defects:
         d = 0.0 if d <= floor else d
-        if prev is not None and d > JITTER_FACTOR * max(prev, floor):
+        if not d <= JITTER_FACTOR * max(prev, floor):
             return False
         prev = d
     return True

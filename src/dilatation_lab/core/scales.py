@@ -206,6 +206,12 @@ DYADIC_POWERS = DyadicPowers()
 COMPLEX_UNITS = ComplexUnits()
 
 
+def trend_grid(what: str, eps_grid) -> None:
+    """Raise ValueError, naming the sweep, unless the grid has the two scales a trend needs."""
+    if len(eps_grid) < 2:
+        raise ValueError(f"{what} needs a grid of at least 2 scales")
+
+
 def reference_scale(eps_grid) -> Scale:
     """One refinement past the end of a grid, reusing its last ratio."""
     last, prev = eps_grid[-1], eps_grid[-2]

@@ -23,7 +23,8 @@ from dilatation_lab.core.reports import ConvergenceReport, dies_out, make_report
 from dilatation_lab.core.structure import (
     DilatationStructure, Rows, approx_difference, approx_inverse, approx_sum,
     estimate_dx, rescaled_distance)
-from dilatation_lab.core.scales import Scale, contraction, not_expanding, reference_scale
+from dilatation_lab.core.scales import (
+    Scale, contraction, not_expanding, reference_scale, trend_grid)
 from dilatation_lab.models.base import ExactPoint
 
 LIMIT_OPS = {"sum": approx_sum, "difference": approx_difference,
@@ -33,10 +34,10 @@ LIMIT_OPS = {"sum": approx_sum, "difference": approx_difference,
 def _settled_increments(S: DilatationStructure, rows: Rows, points, failure: str) -> list[float]:
     """Coordinate gaps between successive points, which a fractional-power
     gauge cannot slow; above the floor each must shrink by CAUCHY_SHRINK,
-    else NonConvergent is raised with the failure message."""
+    else (or on a NaN) NonConvergent is raised with the failure message."""
     increments = rows.floats(S.coordinate_gap, points[:-1], points[1:])
-    for a, b in zip(increments, increments[1:]):
-        if b > DEFECT_FLOOR and b > a / CAUCHY_SHRINK + DEFECT_FLOOR:
+    for a, b in zip([float("inf"), *increments], increments):
+        if not b <= DEFECT_FLOOR and not b <= a / CAUCHY_SHRINK + DEFECT_FLOOR:
             raise NonConvergent(f"{failure}: {increments}")
     return increments
 
@@ -56,8 +57,7 @@ def tangent_limit(S: DilatationStructure, x, u, v, which: str,
     """
     if which not in LIMIT_OPS:
         raise ValueError(f"which must be one of {sorted(LIMIT_OPS)}, got {which!r}")
-    if len(eps_grid) < 2:
-        raise ValueError("tangent_limit needs a grid of at least 2 scales")
+    trend_grid("tangent_limit", eps_grid)
     op = LIMIT_OPS[which]
     args = (u,) if which == "inverse" else (u, v)
     # a per-row scale holds one value type; a mixed grid goes one scale at a time
@@ -219,6 +219,7 @@ def inflin_scan(S: DilatationStructure, x, y, z, eps_grid) -> ConvergenceReport:
 
     Passes when the rescaled defects die out (``dies_out``).
     """
+    trend_grid("inflin_scan", eps_grid)
     values = []
     for eps in eps_grid:
         nu = eps.nu
@@ -234,6 +235,7 @@ def plin1_scan(S: DilatationStructure, x, y, v, eps_grid) -> ConvergenceReport:
     where delta-hat is the induced dilatation at scale eps anchored at the
     same point; the quantity must die out (``dies_out``).
     """
+    trend_grid("plin1_scan", eps_grid)
     values = []
     for eps in eps_grid:
         u = S.dilate(x, eps, y)
@@ -252,6 +254,7 @@ def metric_tangent_scan(S: DilatationStructure, x, eps_grid, sample_count: int =
     O(nu(eps)) from x, produced by contracting a fixed sample; a metric
     tangent space exists exactly when this dies out.
     """
+    trend_grid("metric_tangent_scan", eps_grid)
     rng = np.random.default_rng(seed)
     budget = S.closeness_budget()
     base_pts = S.sample_ball(x, budget, sample_count, rng)
@@ -279,11 +282,13 @@ def check_affine_map(S: DilatationStructure, T, samples, eps_set) -> Convergence
     samples is a list of (x, y) pairs; the report passes when every defect is
     within EXACT_IDENTITY_TOL, and carries an empirical Lipschitz constant.
     """
+    if not eps_set:
+        raise ValueError("check_affine_map needs at least one scale")
     lip = sup(S.distance(T(x), T(y)) / d for x, y in samples if (d := S.distance(x, y)) > 0)
     defects = [sup(S.distance(T(S.dilate(x, eps, y)), S.dilate(T(x), eps, T(y)))
                    for x, y in samples)
                for eps in eps_set]
-    verdict = max(defects) <= EXACT_IDENTITY_TOL
+    verdict = sup(defects) <= EXACT_IDENTITY_TOL
     return make_report(eps_set, defects, verdict,
                        {"model": S.name, "quantity": "affine-commutation",
                         "lipschitz_estimate": lip, "tolerance": EXACT_IDENTITY_TOL})
@@ -299,6 +304,7 @@ def pansu_derivative(Ssrc: DilatationStructure, Sdst: DilatationStructure, f, x,
     A residual that refuses to decrease raises NonConvergent: the map is not
     differentiable at x along u, which is a finding, not a crash.
     """
+    trend_grid("pansu_derivative", eps_grid)
     fx = f(x)
     candidates = [Sdst.dilate(fx, eps.inverse(), f(Ssrc.dilate(x, eps, u)))
                   for eps in eps_grid]

@@ -32,7 +32,7 @@ from dilatation_lab.core.scales import POSITIVE_REALS, Scale
 from dilatation_lab.core.structure import vector_sample_ball
 from dilatation_lab.models.base import (
     ExactPoint, GroupModel, columns, float_or_rows, is_integer, is_real, power, real_array, row_dot,
-    row_max, stack)
+    stack)
 
 
 def _scale_ratio(value) -> tuple[int, int]:
@@ -159,7 +159,8 @@ class CarnotModel(GroupModel):
     def coordinate_gap(self, p, q) -> float:
         if type(p) is ExactPoint:
             p, q = p.to_float(), q.to_float()
-        return row_max(np.abs(p - q))
+        gap = np.abs(p - q)
+        return sup(gap.tolist()) if gap.ndim == 1 else sup(gap, axis=1)
 
     # --- the bracket, the float formulas and the gauges ---------------------
 
@@ -199,8 +200,7 @@ class CarnotModel(GroupModel):
         best = 0.0
         for i, sl in enumerate(self._slices, start=1):
             block = a[..., sl]
-            # np.fmax(best, g) is max(best, g) per row: both skip a NaN g
-            best = np.fmax(best, power(row_dot(block, block), 0.5 / i))
+            best = np.maximum(best, power(row_dot(block, block), 0.5 / i))
         return float_or_rows(best)
 
     def _exact_norm(self, a) -> float:

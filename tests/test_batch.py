@@ -226,7 +226,8 @@ def test_primitives_batch_equals_rows(case):
 
 @pytest.mark.parametrize("case", IDS)
 def test_row_maxima_keep_max_rule_on_nan(case):
-    # max() keeps NaN first in a list and passes over it later; each batch row must agree
+    # the max rule is core.reports.sup's: NaN is the largest value, so a NaN in
+    # any column makes that row's gap NaN, and each batch row must agree
     model = CASES[case][0]
     dim = model.coordinate_dim
     X = np.array([[0.5 * (i + 1) for i in range(dim)]] * (dim + 1))
@@ -234,9 +235,7 @@ def test_row_maxima_keep_max_rule_on_nan(case):
         X[r, r] = math.nan
     Y = np.zeros_like(X)
     rows = [model.coordinate_gap(x, y) for x, y in zip(X, Y)]
-    assert math.isnan(rows[0]) and not math.isnan(rows[-1])
-    if dim > 1:
-        assert not math.isnan(rows[1])
+    assert all(math.isnan(g) for g in rows[:-1]) and rows[-1] == 0.5 * dim
     assert np.array_equal(model.coordinate_gap(X, Y), rows, equal_nan=True)
 
 

@@ -44,6 +44,36 @@ def test_tangent_limit_needs_two_scales(heis1):
     assert len(rep.defect) == 2 and len(rep.metadata["cauchy_increments"]) == 1
 
 
+# a trend needs two scales: below that, a sweep has nothing to compare and must not pass
+
+SHORT_GRIDS = [PR.grid([]), PR.grid([3])]
+
+
+def test_pansu_derivative_needs_two_scales(heis1):
+    x, u = heis1.point([0.1, 0.0], 0.0), heis1.point([0.0, 0.1], 0.0)
+    for grid in SHORT_GRIDS:
+        with pytest.raises(ValueError, match="pansu_derivative needs a grid of at least 2"):
+            pansu_derivative(heis1, heis1, lambda p: p, x, u, grid)
+
+
+def test_inflin_scan_needs_two_scales(euclid2):
+    for grid in SHORT_GRIDS:
+        with pytest.raises(ValueError, match="inflin_scan needs a grid of at least 2"):
+            inflin_scan(euclid2, np.zeros(2), np.array([0.3, 0.1]), np.array([0.1, 0.2]), grid)
+
+
+def test_plin1_scan_needs_two_scales(euclid2):
+    for grid in SHORT_GRIDS:
+        with pytest.raises(ValueError, match="plin1_scan needs a grid of at least 2"):
+            plin1_scan(euclid2, np.zeros(2), np.array([0.3, 0.1]), np.array([0.1, 0.2]), grid)
+
+
+def test_metric_tangent_scan_needs_two_scales(euclid2):
+    for grid in SHORT_GRIDS:
+        with pytest.raises(ValueError, match="metric_tangent_scan needs a grid of at least 2"):
+            metric_tangent_scan(euclid2, np.zeros(2), grid, sample_count=4)
+
+
 def test_tangent_sum_heisenberg_is_group_product(heis1):
     u = heis1.point([1.0, 0.0], 0.0)
     v = heis1.point([0.0, 1.0], 0.0)

@@ -1,5 +1,6 @@
-"""core.reports.sup is the one sup rule behind every sampled verdict, and
-core.reports.worst_defect the one NaN rule behind every every-sample verdict."""
+"""core.reports holds the lab's one sup rule and its one NaN rule: a NaN
+residual is the worst value, so it makes every sup NaN and fails every
+verdict built on it, wherever in the sample it falls."""
 
 import ast
 import math
@@ -8,15 +9,21 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import dilatation_lab
-from dilatation_lab import affine, cli
-from dilatation_lab.affine import CollinearTriple, check_collinear, geometric_affinity_check
-from dilatation_lab.config import EXACT_IDENTITY_TOL
-from dilatation_lab.core.reports import sup, worst_defect
+from dilatation_lab import affine, cli, emergent
+from dilatation_lab.affine import (
+    CollinearTriple, check_collinear, geometric_affinity_check, reversed_collinear_search)
+from dilatation_lab.core.harness import verify_axiom
+from dilatation_lab.core.reports import dies_out, nonincreasing, sup
 from dilatation_lab.core.scales import POSITIVE_REALS as PR
-from dilatation_lab.models import EuclideanModel
+from dilatation_lab.core.structure import Ball
+from dilatation_lab.emergent import check_affine_map, pansu_derivative
+from dilatation_lab.errors import NonConvergent
+from dilatation_lab.models.base import ExactPoint
+from dilatation_lab.models import (
+    CarnotModel, EuclideanModel, HeisenbergModel, PullbackModel, engel_structure_constants)
 
 PACKAGE = Path(dilatation_lab.__file__).parent
 NAN = float("nan")
@@ -25,28 +32,39 @@ NAN = float("nan")
 def _loop(values):
     worst = 0.0
     for d in values:
+        if math.isnan(d):
+            return NAN
         worst = max(worst, d)
     return worst
 
 
+def _same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
 def test_sup_of_an_empty_or_all_negative_sample_is_zero():
-    for values in ([], [-1.0, -0.5], [NAN], [-2.0, NAN]):
+    for values in ([], [-1.0, -0.5]):
         assert sup(values) == 0.0
         assert sup(np.array(values)) == 0.0
 
 
-def test_sup_skips_nan_in_any_position():
-    for values in ([NAN, 1.0, 2.0], [1.0, NAN, 2.0], [1.0, 2.0, NAN], [2.0, NAN, 1.0]):
-        assert sup(values) == 2.0
-        assert sup(np.array(values)) == 2.0
+def test_sup_is_nan_when_any_value_is():
+    for values in ([NAN], [NAN, 1.0, 2.0], [1.0, NAN, 2.0], [1.0, 2.0, NAN], [-2.0, NAN]):
+        assert math.isnan(sup(values))
+        assert math.isnan(sup(iter(values)))
+        assert math.isnan(sup(np.array(values)))
+    table = np.array([[NAN, 1.0, 2.0], [1.0, NAN, 2.0], [1.0, 2.0, NAN], [1.0, 2.0, 0.5]])
+    assert np.array_equal(sup(table, axis=1), [NAN, NAN, NAN, 2.0], equal_nan=True)
 
 
 @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=12))
+@example([1.0, NAN, 2.0])
+@example([NAN, -1.0])
 def test_sup_is_the_accumulation_loop(values):
-    assert sup(values) == _loop(values)
-    assert sup(iter(values)) == _loop(values)
+    assert _same(sup(values), _loop(values))
+    assert _same(sup(iter(values)), _loop(values))
     got = sup(np.array(values, dtype=float))
-    assert type(got) is float and got == _loop(values)
+    assert type(got) is float and _same(got, _loop(values))
 
 
 def test_sup_per_row_is_the_loop_on_each_row():
@@ -54,11 +72,23 @@ def test_sup_per_row_is_the_loop_on_each_row():
     table[1, 0] = table[2, 3] = table[4, 4] = NAN
     table[3] = NAN
     table[5] = -1.0
-    assert sup(table, axis=1).tolist() == [_loop(row.tolist()) for row in table]
+    assert np.array_equal(sup(table, axis=1), [_loop(row.tolist()) for row in table],
+                          equal_nan=True)
+
+
+NAN_SKIPPING = {"fmax", "fmin", "nanmax", "nanmin"}
+
+
+def _called(func):
+    """The name a call goes by: ``f`` for ``f(...)`` and ``m.f(...)``."""
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
 def _own_sup_rules(path):
-    """Lines of a module that take a sup by hand: ``w = max(w, ...)`` or ``np.fmax.reduce``."""
+    """Lines of a module that take a sup or treat NaN by hand: ``w = max(w, ...)``,
+    ``reduce(max, ...)``, ``np.maximum.reduce``, a NaN-skipping numpy
+    function (``np.fmax``, ``np.fmin``, ``np.nanmax``, ``np.nanmin``) or an
+    ``isnan`` call."""
     tree = ast.parse(path.read_text(), filename=str(path))
     found = []
     for node in ast.walk(tree):
@@ -69,8 +99,16 @@ def _own_sup_rules(path):
                 and node.value.args and isinstance(node.value.args[0], ast.Name)
                 and node.value.args[0].id == node.targets[0].id):
             found.append(node.lineno)
+        if (isinstance(node, ast.Attribute) and node.attr in NAN_SKIPPING
+                or isinstance(node, ast.Name) and node.id in NAN_SKIPPING):
+            found.append(node.lineno)
         if (isinstance(node, ast.Attribute) and node.attr == "reduce"
-                and isinstance(node.value, ast.Attribute) and node.value.attr == "fmax"):
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "maximum"):
+            found.append(node.lineno)
+        if isinstance(node, ast.Call) and (
+                _called(node.func) == "isnan"
+                or _called(node.func) == "reduce" and node.args
+                and isinstance(node.args[0], ast.Name) and node.args[0].id == "max"):
             found.append(node.lineno)
     return found
 
@@ -86,25 +124,16 @@ def test_reports_holds_the_sup_rule():
     assert _own_sup_rules(PACKAGE / "core" / "reports.py")
 
 
-# --- a NaN defect fails an every-sample verdict, in whichever place it falls ----
+# --- a NaN residual fails every verdict, in whichever place it falls ----------
 
 NAN_ORDERS = [[NAN, 1e-20], [1e-20, NAN]]
+TRIPLE = CollinearTriple(np.array([0.0]), np.array([1.0]), np.array([1.0 / 3.0]), 0.5, 0.5)
 
 
 def _returning(values):
     """A stub residual that returns the values in turn, whatever it is asked."""
     it = iter(values)
     return lambda *args, **kwargs: next(it)
-
-
-@pytest.mark.parametrize("defects", NAN_ORDERS)
-def test_worst_defect_is_nan_when_any_defect_is(defects):
-    assert math.isnan(worst_defect(defects))
-    assert not worst_defect(defects) <= EXACT_IDENTITY_TOL
-
-
-def test_worst_defect_is_the_largest_without_nan():
-    assert worst_defect([1e-20, 3.0, -1.0, 2.0]) == 3.0
 
 
 @pytest.mark.parametrize("defects", NAN_ORDERS)
@@ -129,3 +158,110 @@ def test_barycentric_command_fails_on_a_nan_pair_defect(defects, monkeypatch):
     _, verdict = cli._cmd_barycentric(EuclideanModel(2), eps=PR.scale(0.5), seed=0,
                                       sample_count=2)
     assert not verdict
+
+
+def test_coordinate_gap_is_nan_on_a_nan_coordinate():
+    E = EuclideanModel(2)
+    for p in ([0.1, NAN], [NAN, 0.1]):
+        assert math.isnan(E.coordinate_gap(np.array(p), np.zeros(2)))
+
+
+def test_a_nan_coordinate_gives_a_nan_gauge():
+    engel = CarnotModel(3, *engel_structure_constants())
+    p = np.array([0.5, 0.1, 0.0, NAN])
+    assert math.isnan(engel.homogeneous_norm(p))
+    assert math.isnan(engel.distance(engel.origin(), p))
+
+
+def test_nonincreasing_fails_on_a_nan_anywhere():
+    for values in ([NAN], [1.0, NAN], [1.0, NAN, 5.0], [NAN, 1.0, 0.5]):
+        assert not nonincreasing(values)
+        assert not dies_out(values)
+    assert nonincreasing([1.0, 1.0, 0.5]) and dies_out([1.0, 0.5, 0.01])
+
+
+def test_a_nan_increment_never_settles(monkeypatch):
+    H = HeisenbergModel(1)
+    x, u = H.point([0.1, 0.0], 0.0), H.point([0.0, 0.1], 0.0)
+    monkeypatch.setattr(H, "coordinate_gap", _returning([1.0, NAN, 5.0]))
+    with pytest.raises(NonConvergent, match="do not settle"):
+        pansu_derivative(H, H, lambda p: p, x, u, PR.grid([2, 3, 4, 5]))
+
+
+def test_axiom_a1_fails_on_a_nan_residual(monkeypatch):
+    # A1 runs in exact arithmetic; its second exact distance is the
+    # delta^x_1 y = y residual of the second sample pair
+    E = EuclideanModel(2)
+    distance, calls = E.distance, []
+
+    def nan_second(p, q):
+        if type(p) is ExactPoint:
+            calls.append(p)
+            if len(calls) == 2:
+                return NAN
+        return distance(p, q)
+
+    monkeypatch.setattr(E, "distance", nan_second)
+    rep = verify_axiom(E, "A1", Ball(E.origin(), 0.5), PR.grid(range(2, 6)), sample_count=4)
+    assert math.isnan(rep.defect[0]) and not rep.verdict
+
+
+def test_check_affine_map_fails_on_a_nan_commutation_defect(monkeypatch):
+    E = EuclideanModel(1)
+    monkeypatch.setattr(E, "distance", lambda p, q: NAN)
+    samples = [(np.array([0.1]), np.array([0.2]))]
+    assert not check_affine_map(E, lambda p: p, samples, PR.grid([1, 2])).verdict
+
+
+def test_geometric_affinity_reports_a_nan_commutation_defect(monkeypatch):
+    commutation = SimpleNamespace(defect=[0.0, NAN, 0.0], verdict=False)
+    monkeypatch.setattr(affine, "check_affine_map", lambda *args: commutation)
+    rep = geometric_affinity_check(EuclideanModel(1), lambda p: p, [TRIPLE])
+    assert math.isnan(rep.metadata["commutation_defect"])
+
+
+def test_reversed_collinear_search_is_nan_on_a_nan_pair(monkeypatch):
+    H = HeisenbergModel(1)
+    X, Y, Z = H.point([0.1, 0.0], 0.0), H.point([0.0, 0.1], 0.0), H.point([0.1, 0.1], 0.0)
+    probes = H.sample_ball(H.origin(), 0.05, 2, np.random.default_rng(0))
+    distance = H.distance
+
+    def one_nan(p, q):
+        d = np.array(distance(p, q))
+        d[3] = NAN
+        return d
+
+    monkeypatch.setattr(H, "distance", one_nan)
+    assert math.isnan(reversed_collinear_search(H, X, Y, Z, resolution=3, probes=probes))
+
+
+class _NanGapPullback(PullbackModel):
+    """The cubic pullback with every coordinate gap NaN."""
+
+    def coordinate_gap(self, p, q):
+        return super().coordinate_gap(p, q) * NAN
+
+
+def test_cauchy_a4_fails_on_nan_coordinate_gaps():
+    S = _NanGapPullback(EuclideanModel(2), "cubic", "dilatation")
+    rep = verify_axiom(S, "A4", Ball(S.origin(), 0.05), PR.grid(range(2, 8)),
+                       sample_count=4, seed=0, reference="cauchy")
+    assert not rep.verdict
+
+
+# --- an empty sample has nothing to certify -----------------------------------
+
+def test_check_collinear_rejects_an_empty_probe_set():
+    with pytest.raises(ValueError, match="check_collinear needs at least one probe"):
+        check_collinear(EuclideanModel(1), TRIPLE, probes=[])
+
+
+def test_geometric_affinity_rejects_an_empty_triple_sample():
+    with pytest.raises(ValueError, match="geometric_affinity_check needs at least one triple"):
+        geometric_affinity_check(EuclideanModel(1), lambda p: p, [])
+
+
+def test_check_affine_map_rejects_an_empty_scale_set():
+    samples = [(np.array([0.1]), np.array([0.2]))]
+    with pytest.raises(ValueError, match="check_affine_map needs at least one scale"):
+        check_affine_map(EuclideanModel(1), lambda p: p, samples, [])
