@@ -262,8 +262,6 @@ def check_collinear(S: DilatationStructure, triple: CollinearTriple,
         probes = probe_points(S, triple.x, S.closeness_budget(), seed)
     defects = [S.distance(S.dilate(triple.x, a, S.dilate(triple.y, b, S.dilate(triple.z, g, p))), p)
                for p in probes]
-    if not defects:
-        raise ValueError("check_collinear needs at least one probe point")
     worst = sup(defects)
     # reports are scale-indexed; an identity check is scale-free, so wrap the
     # probe defects in a single-scale report carrying the sup
@@ -431,8 +429,6 @@ def geometric_affinity_check(S: DilatationStructure, T, triple_samples,
         rep = check_collinear(S, image, probes=probes, seed=seed)
         defects.append(rep.defect[0])
         pts.append((triple.x, triple.y))
-    if not defects:
-        raise ValueError("geometric_affinity_check needs at least one triple")
     sg = S.scale_group
     commutation = check_affine_map(S, T, pts, [sg.contraction(k) for k in (1, 2, 3)])
     worst = sup(defects)

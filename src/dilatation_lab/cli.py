@@ -28,7 +28,7 @@ import numpy as np
 
 from dilatation_lab import __version__
 from dilatation_lab.config import (
-    EXACT_IDENTITY_TOL, MAX_ITER, MENELAOS_PROBE_TOL, SAMPLE_COUNT, default_ks)
+    EXACT_IDENTITY_TOL, MAX_ITER, MENELAOS_PROBE_TOL, MIN_PAIRED_SAMPLES, SAMPLE_COUNT, default_ks)
 from dilatation_lab.errors import (
     ConfigError, DomainViolation, MaxIterExceeded, ModelError, NonConvergent,
     PrecisionExhausted)
@@ -204,6 +204,8 @@ def _per_scale(rep, column: str = "defect") -> CsvReport:
 def _cmd_axioms(model, *, seed, which="all", ks=default_ks(), sample_count=SAMPLE_COUNT):
     if which != "all" and which not in AXIOMS:
         raise ConfigError(f"unknown axiom {which!r}")
+    if sample_count < MIN_PAIRED_SAMPLES:
+        raise ConfigError(f"axioms needs a sample_count of at least {MIN_PAIRED_SAMPLES}")
     region = Ball(model.origin(), model.closeness_budget())
     out = CsvReport(["axiom", "nu", "defect", "pass"])
     all_ok = True

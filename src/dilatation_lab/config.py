@@ -26,6 +26,7 @@ RATE_FLOOR_FACTOR = 1e-5          # max(RATE_FLOOR, RATE_FLOOR_FACTOR * max(1, s
 CHART_BALL_SLACK = 1e-12          # roundoff a point may lie past a chart ball's radius
 JACOBI_TOL = 1e-12                # largest Jacobi residual of declared Carnot brackets
 SAMPLE_COUNT = 64                 # random sample size for sup-over-compacts approximations
+MIN_PAIRED_SAMPLES = 2            # sweeps pairing each sample with the next; one pairs with itself
 
 
 def default_ks() -> list[int]:

@@ -35,11 +35,11 @@ from __future__ import annotations
 import numpy as np
 
 from dilatation_lab.config import (
-    CAUCHY_DIFFERENCE_TOL, DEFECT_FLOOR, EXACT_IDENTITY_TOL, LIMIT_TOL, SAMPLE_COUNT,
-    TOLERANCE_FLOOR_FRACTION)
+    CAUCHY_DIFFERENCE_TOL, DEFECT_FLOOR, EXACT_IDENTITY_TOL, LIMIT_TOL, MIN_PAIRED_SAMPLES,
+    SAMPLE_COUNT, TOLERANCE_FLOOR_FRACTION)
 from dilatation_lab.errors import DomainViolation
 from dilatation_lab.core.reports import ConvergenceReport, make_report, nonincreasing, sup
-from dilatation_lab.core.scales import not_expanding, reference_scale
+from dilatation_lab.core.scales import not_expanding, reference_scale, trend_grid
 from dilatation_lab.core.structure import (
     Ball, DilatationStructure, Rows, approx_difference, difference_after, estimate_dx,
     exactify, rescaled_distance)
@@ -62,8 +62,9 @@ def verify_axiom(S: DilatationStructure, which: str, region: Ball, eps_grid,
     """Certify one axiom numerically over a scale grid; "cauchy" forces A4's cauchy mode."""
     if which not in AXIOMS:
         raise ValueError(f"unknown axiom {which!r}; expected one of {AXIOMS}")
-    if sample_count < 1:
-        raise ValueError("sample_count must be at least 1")
+    if sample_count < MIN_PAIRED_SAMPLES:
+        raise ValueError(f"verify_axiom needs at least {MIN_PAIRED_SAMPLES} samples")
+    trend_grid("verify_axiom", eps_grid)
     if reference not in ("auto", "cauchy"):
         raise ValueError(f"unknown reference mode {reference!r}")
     mode = None
@@ -79,7 +80,7 @@ def verify_axiom(S: DilatationStructure, which: str, region: Ball, eps_grid,
     # evaluated in the model's exact arithmetic where it has one
     if which == "A1" or (which, mode) in (("A4", "exact"), ("ConeProperty", "estimated")):
         (center, *pts), grid, exact = exactify(S, [center, *pts], eps_grid)
-    bases = [center, pts[1 % len(pts)], pts[2 % len(pts)]]
+    bases = [center, pts[1], pts[2 % len(pts)]]
     pairs = list(zip(pts, pts[1:] + pts[:1]))
 
     if which == "A1":

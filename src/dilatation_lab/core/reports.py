@@ -36,23 +36,29 @@ def fit_loglog_rate(nus, defects) -> float:
 
 def sup(values, axis=None):
     """The largest of the values and 0.0, the sup behind every sampled verdict:
-    0.0 on an empty sample, NaN when any value is NaN.
+    NaN when any value is NaN, and a ValueError on an empty sample.
 
     That is the lab's one NaN rule: a NaN residual is the worst value, so it
-    fails every verdict built on it, wherever it falls.  An iterable is scanned
-    from 0.0 up to its first NaN; an array reduces with ``np.maximum``, over
-    ``axis``, or to a float over the whole array when ``axis`` is None.
+    fails every verdict built on it, wherever it falls.  It is also its one
+    emptiness rule: a sup over no values would pass any verdict.  An iterable
+    is scanned from 0.0 up to its first NaN; an array reduces with
+    ``np.maximum``, over ``axis``, or to a float over the whole array when
+    ``axis`` is None.
     """
     if isinstance(values, np.ndarray):
-        out = np.maximum.reduce(values, axis=axis, initial=0.0)
-        return float(out) if axis is None else out
-    worst = 0.0
-    for d in values:
-        if not d <= worst:
-            if math.isnan(d):
-                return math.nan
-            worst = d
-    return worst
+        if values.size:
+            out = np.maximum.reduce(values, axis=axis, initial=0.0)
+            return float(out) if axis is None else out
+    else:
+        worst, count = 0.0, 0
+        for count, d in enumerate(values, 1):
+            if not d <= worst:
+                if math.isnan(d):
+                    return math.nan
+                worst = d
+        if count:
+            return worst
+    raise ValueError("an empty sample certifies nothing")
 
 
 def nonincreasing(defects, floor: float = DEFECT_FLOOR) -> bool:

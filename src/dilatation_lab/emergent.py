@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from dilatation_lab.config import (
-    CAUCHY_SHRINK, DEFECT_FLOOR, DERIVATIVE_TOL, EXACT_IDENTITY_TOL, default_ks)
+    CAUCHY_SHRINK, DEFECT_FLOOR, DERIVATIVE_TOL, EXACT_IDENTITY_TOL, MIN_PAIRED_SAMPLES, default_ks)
 from dilatation_lab.errors import NonConvergent
 from dilatation_lab.core.reports import ConvergenceReport, dies_out, make_report, nonincreasing, sup
 from dilatation_lab.core.structure import (
@@ -254,6 +254,8 @@ def metric_tangent_scan(S: DilatationStructure, x, eps_grid, sample_count: int =
     O(nu(eps)) from x, produced by contracting a fixed sample; a metric
     tangent space exists exactly when this dies out.
     """
+    if sample_count < MIN_PAIRED_SAMPLES:
+        raise ValueError(f"metric_tangent_scan needs at least {MIN_PAIRED_SAMPLES} samples")
     trend_grid("metric_tangent_scan", eps_grid)
     rng = np.random.default_rng(seed)
     budget = S.closeness_budget()
@@ -280,11 +282,11 @@ def check_affine_map(S: DilatationStructure, T, samples, eps_set) -> Convergence
     """Largest commutation defect d(T delta^x_eps y, delta^{Tx}_eps T y).
 
     samples is a list of (x, y) pairs; the report passes when every defect is
-    within EXACT_IDENTITY_TOL, and carries an empirical Lipschitz constant.
+    within EXACT_IDENTITY_TOL, and carries an empirical Lipschitz constant, to
+    which a pair of coincident points adds 0.0.
     """
-    if not eps_set:
-        raise ValueError("check_affine_map needs at least one scale")
-    lip = sup(S.distance(T(x), T(y)) / d for x, y in samples if (d := S.distance(x, y)) > 0)
+    lip = sup(S.distance(T(x), T(y)) / d if (d := S.distance(x, y)) > 0 else 0.0
+              for x, y in samples)
     defects = [sup(S.distance(T(S.dilate(x, eps, y)), S.dilate(T(x), eps, T(y)))
                    for x, y in samples)
                for eps in eps_set]

@@ -358,6 +358,7 @@ def test_internal_errors_propagate(tmp_path, monkeypatch):
 @pytest.mark.parametrize("config", [
     {"command": "axioms", "seed": 1, "ks": [3, 2]},
     {"command": "axioms", "seed": 1, "sample_count": 0},
+    {"command": "axioms", "seed": 1, "sample_count": 1},
     {"command": "ratio", "x": [0.0, 0.0], "y": [1.0, 0.0], "eps": 0.5, "mu": 0.5, "N": 0},
     {"command": "menelaos", "x": [0.0, 0.0], "y": [1.0, 0.0], "eps": "0.5", "mu": 0.5},
     {"command": "linscan", "x": [0.0, 0.0], "y": [0.2, 0.0], "z": [0.0, 0.2], "ks": [-1, 2]},

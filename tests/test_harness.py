@@ -1,12 +1,14 @@
 """The axiom-certification harness across the shipped models."""
 
+import math
+
 import numpy as np
 import pytest
 
 from dilatation_lab.config import EXACT_IDENTITY_TOL, LIMIT_TOL
 from dilatation_lab.core.harness import AXIOMS, verify_all_axioms, verify_axiom
 from dilatation_lab.core.scales import POSITIVE_REALS as PR
-from dilatation_lab.core.structure import Ball
+from dilatation_lab.core.structure import Ball, DilatationStructure, vector_sample_ball
 from dilatation_lab.models import EuclideanModel, ExactPoint, PullbackModel
 
 GRID = range(2, 13)
@@ -23,6 +25,17 @@ def test_euclid_a1_defect_identically_zero(euclid2):
 def test_unknown_axiom_rejected(euclid2):
     with pytest.raises(ValueError):
         verify_axiom(euclid2, "A7", Ball(euclid2.origin(), 0.2), PR.grid(GRID))
+
+
+@pytest.mark.parametrize("axiom", AXIOMS)
+def test_verify_axiom_needs_two_samples_and_two_scales(euclid2, axiom):
+    # one sample pairs only with itself, and one scale shows no trend
+    region = Ball(euclid2.origin(), 0.2)
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        verify_axiom(euclid2, axiom, region, PR.grid([2, 3]), sample_count=1)
+    for ks in ([], [2]):
+        with pytest.raises(ValueError, match="at least 2 scales"):
+            verify_axiom(euclid2, axiom, region, PR.grid(ks), sample_count=4)
 
 
 def test_report_shape_and_metadata(heis1):
@@ -188,3 +201,97 @@ def test_exact_a1_and_a4_construct_few_exact_points(engel, monkeypatch):
         made[0] = 0
         verify_axiom(engel, axiom, Ball(engel.origin(), 0.5), PR.grid(GRID), 64, seed=0)
         assert made[0] <= ceiling, axiom
+
+
+# --- the smallest input the harness accepts still rejects a broken structure --
+
+class _Plane(DilatationStructure):
+    """R^2 in floats with linear dilatations and the Euclidean distance, which
+    passes every sweep; each subclass below breaks one axiom."""
+
+    name = "plane"
+    scale_group = PR
+
+    def factor(self, eps):
+        return eps.value
+
+    def distance(self, p, q):
+        return np.linalg.norm(p - q, axis=-1)
+
+    def dilate(self, x, eps, y):
+        return x + self.factor(eps) * (y - x)
+
+    def tangent_distance(self, x, u, v):
+        return self.distance(u, v)
+
+    def origin(self):
+        return np.zeros(2)
+
+    def sample_ball(self, center, radius, count, rng):
+        return vector_sample_ball(self, center, radius, count, rng)
+
+
+class _NotAGroupAction(_Plane):
+    """A1: delta_eps delta_mu is not delta_{eps mu}."""
+
+    def factor(self, eps):
+        return 2 * eps.value / (1 + eps.value)
+
+
+class _InhomogeneousDistance(_Plane):
+    """A2: d(x, delta^x_eps y) is not nu(eps) d(x, y)."""
+
+    def distance(self, p, q):
+        d = super().distance(p, q)
+        return d + d * d
+
+
+class _TurningDilatations(_Plane):
+    """A3: dilatations turn by the angle log eps, so under the l1 distance the
+    rescaled distances never settle; they still form a group action."""
+
+    def distance(self, p, q):
+        return np.abs(p - q).sum(axis=-1)
+
+    def dilate(self, x, eps, y):
+        c, s = math.cos(math.log(eps.value)), math.sin(math.log(eps.value))
+        return x + eps.value * ((y - x) @ np.array([[c, s], [-s, c]]))
+
+
+class _DriftingDilatations(_Plane):
+    """A4: delta^x_eps moves by (1 - eps) c, so the difference composite
+    drifts like c / eps and does not settle."""
+
+    def dilate(self, x, eps, y):
+        return super().dilate(x, eps, y) + (1 - eps.value) * np.array([1.0, 0.0])
+
+
+class _OvercontractingDilatations(_Plane):
+    """Axiom0: delta_eps contracts by nu(eps)^2, so delta^x_{eps^-1} pulls
+    B(x, nu(eps)) back far outside B(x, A)."""
+
+    def factor(self, eps):
+        return eps.value ** 2
+
+
+class _InhomogeneousTangent(_Plane):
+    """ConeProperty: the tangent distance is not homogeneous."""
+
+    def tangent_distance(self, x, u, v):
+        d = self.distance(u, v)
+        return d + d * d
+
+
+MUTANTS = {"A1": _NotAGroupAction, "A2": _InhomogeneousDistance, "A3": _TurningDilatations,
+           "A4": _DriftingDilatations, "Axiom0": _OvercontractingDilatations,
+           "ConeProperty": _InhomogeneousTangent}
+
+
+@pytest.mark.parametrize("axiom", AXIOMS)
+def test_a_mutant_fails_its_sweep_at_two_samples_and_two_scales(axiom):
+    # two samples give one pair of distinct points; one sample would give
+    # only (p, p), at distance 0 under every mutant's distance
+    grid = PR.grid([2, 3])
+    for S, passes in ((_Plane(), True), (MUTANTS[axiom](), False)):
+        rep = verify_axiom(S, axiom, Ball(S.origin(), 0.05), grid, sample_count=2, seed=0)
+        assert rep.verdict is passes, (type(S).__name__, rep.defect)

@@ -1,6 +1,7 @@
-"""core.reports holds the lab's one sup rule and its one NaN rule: a NaN
-residual is the worst value, so it makes every sup NaN and fails every
-verdict built on it, wherever in the sample it falls."""
+"""core.reports holds the lab's one sup rule, its one NaN rule and its one
+emptiness rule: a NaN residual is the worst value, so it makes every sup NaN
+and fails every verdict built on it, wherever in the sample it falls, and an
+empty sample raises ValueError, since a sup over nothing would pass anything."""
 
 import ast
 import math
@@ -14,19 +15,23 @@ from hypothesis import example, given, strategies as st
 import dilatation_lab
 from dilatation_lab import affine, cli, emergent
 from dilatation_lab.affine import (
-    CollinearTriple, check_collinear, geometric_affinity_check, reversed_collinear_search)
+    CollinearTriple, check_collinear, counterexample_check, geometric_affinity_check,
+    reversed_collinear_search)
 from dilatation_lab.core.harness import verify_axiom
 from dilatation_lab.core.reports import dies_out, nonincreasing, sup
 from dilatation_lab.core.scales import POSITIVE_REALS as PR
 from dilatation_lab.core.structure import Ball
-from dilatation_lab.emergent import check_affine_map, pansu_derivative
+from dilatation_lab.emergent import (
+    check_affine_map, metric_tangent_scan, pansu_derivative, shift_isometry_defect)
 from dilatation_lab.errors import NonConvergent
 from dilatation_lab.models.base import ExactPoint
 from dilatation_lab.models import (
-    CarnotModel, EuclideanModel, HeisenbergModel, PullbackModel, engel_structure_constants)
+    CarnotModel, ComplexHeisenbergModel, EuclideanModel, HeisenbergModel, PullbackModel,
+    engel_structure_constants)
 
 PACKAGE = Path(dilatation_lab.__file__).parent
 NAN = float("nan")
+EMPTY = "an empty sample certifies nothing"
 
 
 def _loop(values):
@@ -42,10 +47,15 @@ def _same(a, b):
     return a == b or (math.isnan(a) and math.isnan(b))
 
 
-def test_sup_of_an_empty_or_all_negative_sample_is_zero():
-    for values in ([], [-1.0, -0.5]):
-        assert sup(values) == 0.0
-        assert sup(np.array(values)) == 0.0
+def test_sup_of_an_all_negative_sample_is_zero_and_of_an_empty_one_raises():
+    values = [-1.0, -0.5]
+    for got in (sup(values), sup(iter(values)), sup(np.array(values))):
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+    for empty in ([], iter([]), (d for d in []), np.array([]), np.zeros((0, 3))):
+        with pytest.raises(ValueError, match=EMPTY):
+            sup(empty)
+    with pytest.raises(ValueError, match=EMPTY):
+        sup(np.zeros((4, 0)), axis=1)
 
 
 def test_sup_is_nan_when_any_value_is():
@@ -57,7 +67,7 @@ def test_sup_is_nan_when_any_value_is():
     assert np.array_equal(sup(table, axis=1), [NAN, NAN, NAN, 2.0], equal_nan=True)
 
 
-@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=12))
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=12))
 @example([1.0, NAN, 2.0])
 @example([NAN, -1.0])
 def test_sup_is_the_accumulation_loop(values):
@@ -252,16 +262,46 @@ def test_cauchy_a4_fails_on_nan_coordinate_gaps():
 # --- an empty sample has nothing to certify -----------------------------------
 
 def test_check_collinear_rejects_an_empty_probe_set():
-    with pytest.raises(ValueError, match="check_collinear needs at least one probe"):
+    with pytest.raises(ValueError, match=EMPTY):
         check_collinear(EuclideanModel(1), TRIPLE, probes=[])
 
 
 def test_geometric_affinity_rejects_an_empty_triple_sample():
-    with pytest.raises(ValueError, match="geometric_affinity_check needs at least one triple"):
+    with pytest.raises(ValueError, match=EMPTY):
         geometric_affinity_check(EuclideanModel(1), lambda p: p, [])
 
 
 def test_check_affine_map_rejects_an_empty_scale_set():
     samples = [(np.array([0.1]), np.array([0.2]))]
-    with pytest.raises(ValueError, match="check_affine_map needs at least one scale"):
+    with pytest.raises(ValueError, match=EMPTY):
         check_affine_map(EuclideanModel(1), lambda p: p, samples, [])
+
+
+H1 = HeisenbergModel(1)
+X, Y, Z = H1.point([0.1, 0.0], 0.0), H1.point([0.0, 0.1], 0.0), H1.point([0.1, 0.1], 0.0)
+
+# entry points whose verdict or value would otherwise rest on no sample at all
+EMPTY_SAMPLES = {
+    "check_affine_map": lambda: check_affine_map(EuclideanModel(1), lambda p: p, [],
+                                                 PR.grid([1, 2])),
+    "metric_tangent_scan": lambda: metric_tangent_scan(H1, H1.origin(), PR.grid([2, 3]),
+                                                       sample_count=0),
+    "counterexample_check": lambda: counterexample_check(
+        ComplexHeisenbergModel(), 0.5, np.array([1.0, 0.0, 1.0]), probes=[], flip=False),
+    # 0.0 would read as a reversed triple found
+    "reversed_collinear_search": lambda: reversed_collinear_search(H1, X, Y, Z, resolution=3,
+                                                                   probes=[]),
+    "shift_isometry_defect": lambda: shift_isometry_defect(H1, X, PR.scale(0.5), Y, []),
+}
+
+
+@pytest.mark.parametrize("entry", list(EMPTY_SAMPLES))
+def test_an_empty_sample_raises(entry):
+    with pytest.raises(ValueError):
+        EMPTY_SAMPLES[entry]()
+
+
+def test_metric_tangent_scan_needs_two_samples():
+    # one sample pairs only with itself, at distance 0 in every gauge
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        metric_tangent_scan(H1, H1.origin(), PR.grid([2, 3]), sample_count=1)
