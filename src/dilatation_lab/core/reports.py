@@ -47,7 +47,8 @@ def sup(values, axis=None):
     """
     if isinstance(values, np.ndarray):
         if values.size:
-            out = np.maximum.reduce(values, axis=axis, initial=0.0)
+            # + 0.0 turns a largest -0.0 into the 0.0 an iterable reports
+            out = np.maximum.reduce(values, axis=axis, initial=0.0) + 0.0
             return float(out) if axis is None else out
     else:
         worst, count = 0.0, 0

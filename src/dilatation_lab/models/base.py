@@ -13,7 +13,8 @@ limit Delta^x(u,v) = x . u^-1 . v.
 
 ``GroupModel`` holds what follows from the group law alone.  Its
 implementations are the dyadic tree boundary and ``CarnotModel``, which every
-model on a numpy coordinate vector (Euclidean, H(n), C x R, Engel) is.
+model on a numpy coordinate vector (Euclidean, H(n), C x R, Engel) is; each
+supplies ``dilate``, the formula above in its own arithmetic.
 
 Float primitives take a single ``(dim,)`` point or an ``(N, dim)`` batch of
 rows through the same code, and a batch row comes out bit for bit as the
@@ -160,7 +161,8 @@ class GroupModel(DilatationStructure):
     every algebraic identity come out exactly; ``to_exact``, which each
     subclass supplies, and ``to_exact_scale`` convert float data to that
     arithmetic.  The closed forms of the composites and of the tangent
-    operations follow from the group law.
+    operations follow from the group law; ``dilate``, the based dilatation
+    x . delta_eps(x^-1 y), is each subclass's own.
     """
 
     def to_exact_scale(self, eps: Scale) -> Scale:
@@ -196,11 +198,6 @@ class GroupModel(DilatationStructure):
         if type(p) is ExactPoint and p == q:
             return 0.0
         return self.homogeneous_norm(self.group_product(self.group_inverse(p), q))
-
-    def dilate(self, x, eps: Scale, y):
-        """x . delta_eps(x^-1 y)."""
-        return self.group_product(
-            x, self.ambient_dilate(eps, self.group_product(self.group_inverse(x), y)))
 
     def origin(self):
         return self.identity()

@@ -55,8 +55,10 @@ class CarnotModel(GroupModel):
     ``(N, dim)`` batch, and ``_dilate`` also a per-row scale, whose value is
     an ``(N, 1)`` array; exact points (``ExactPoint``) take the integer kernel
     (``_exact_product``, ``_exact_dilate``) and the gauge ``_exact_norm``.
-    The group inverse is negation in either arithmetic.  Subclasses override
-    the float formulas and the gauges, never the kernel.
+    The group inverse is negation in either arithmetic.  ``dilate`` composes
+    the float formulas, and the kernel on step 3; on exact points of step 1
+    and 2 it is one expanded integer formula.  Subclasses override the float
+    formulas and the gauges, never the kernel or ``dilate``.
     """
 
     def __init__(self, step: int, layers, brackets):
@@ -128,6 +130,25 @@ class CarnotModel(GroupModel):
         if type(a) is ExactPoint:
             return self._exact_dilate(eps.value, a)
         return self._dilate(eps, a)
+
+    def dilate(self, x, eps: Scale, y):
+        """x . delta_eps(x^-1 y); on exact points of step 1 or 2 the expanded form
+        (1-eps) x_1 + eps y_1 and (1-eps^2) x_2 + eps^2 y_2 + (eps-eps^2)/2 [x,y]."""
+        if type(x) is not ExactPoint:
+            return self._product(x, self._dilate(eps, self._product(-x, y)))
+        if self.step == 3:
+            return self._exact_product(
+                x, self._exact_dilate(eps.value, self._exact_product(-x, y)))
+        # with eps = p/q, over the denominator 2 h q^2 dx dy; [x,y] is 0 on layer 1
+        p, q = _scale_ratio(eps.value)
+        X, dx, Y, dy = x.num, x.den, y.num, y.den
+        s = 2 * self._bracket_den
+        xs = (s * q * (q - p) * dy, s * (q * q - p * p) * dy)
+        ys = (s * q * p * dx, s * p * p * dx)
+        c = p * (q - p)
+        return ExactPoint([xs[i] * a + ys[i] * b + c * z for i, a, b, z in
+                           zip(self._layer_index, X, Y, self._exact_bracket(X, Y))],
+                          s * q * q * dx * dy)
 
     def homogeneous_norm(self, a) -> float:
         if type(a) is ExactPoint:

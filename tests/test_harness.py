@@ -185,10 +185,11 @@ def test_composition_identity_all_models():
                 assert model.coordinate_gap(lhs, rhs) <= bound, model.name
 
 
-def test_exact_a1_and_a4_construct_few_exact_points(engel, monkeypatch):
+def test_exact_a1_and_a4_construct_few_exact_points(engel, euclid2, heis1, cxheis, monkeypatch):
     # A1 evaluates its eps-independent terms once, exact A4 shares delta^x_eps u
     # between the composite and the closed form, and equal exact points are at
-    # distance 0.0 without a product
+    # distance 0.0 without a product; below step 3 an exact dilate builds one
+    # point, not three
     init = ExactPoint.__init__
     made = [0]
 
@@ -197,10 +198,12 @@ def test_exact_a1_and_a4_construct_few_exact_points(engel, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(ExactPoint, "__init__", counting)
-    for axiom, ceiling in (("A1", 26_403), ("A4", 23_232)):
-        made[0] = 0
-        verify_axiom(engel, axiom, Ball(engel.origin(), 0.5), PR.grid(GRID), 64, seed=0)
-        assert made[0] <= ceiling, axiom
+    for model, ceilings in ((engel, (26_403, 23_232)), (euclid2, (8_865, 10_560)),
+                            (heis1, (8_865, 10_560)), (cxheis, (8_865, 10_560))):
+        for axiom, ceiling in zip(("A1", "A4"), ceilings):
+            made[0] = 0
+            verify_axiom(model, axiom, Ball(model.origin(), 0.5), PR.grid(GRID), 64, seed=0)
+            assert made[0] <= ceiling, (model.name, axiom)
 
 
 # --- the smallest input the harness accepts still rejects a broken structure --

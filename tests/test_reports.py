@@ -58,6 +58,14 @@ def test_sup_of_an_all_negative_sample_is_zero_and_of_an_empty_one_raises():
         sup(np.zeros((4, 0)), axis=1)
 
 
+def test_sup_of_negative_zeros_is_positive_zero():
+    # a largest value of -0.0 reads as the 0.0 the sup starts from, on every path
+    values = [-0.0, -1.0]
+    for got in (sup(values), sup(iter(values)), sup(np.array(values))):
+        assert repr(got) == "0.0"
+    assert repr(sup(np.array([values, [-0.0, -0.0]]), axis=1).tolist()) == "[0.0, 0.0]"
+
+
 def test_sup_is_nan_when_any_value_is():
     for values in ([NAN], [NAN, 1.0, 2.0], [1.0, NAN, 2.0], [1.0, 2.0, NAN], [-2.0, NAN]):
         assert math.isnan(sup(values))
