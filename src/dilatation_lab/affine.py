@@ -55,35 +55,19 @@ class MenelaosResult:
     probe_defect: float = 0.0
 
 
-def menelaos_iterate(S: DilatationStructure, x, eps: Scale, y, mu: Scale,
-                     tol: float = FIXED_POINT_TOL,
-                     max_iter: int = MAX_ITER,
-                     check_linearity: bool = True) -> MenelaosResult:
-    """Find w with delta^x_eps delta^y_mu = delta^w_{eps mu} by the paired iteration
+def _menelaos_walk(S: DilatationStructure, x, eps: Scale, y, mu: Scale, tol: float,
+                   max_iter: int, on_step=None) -> tuple[object, int, float]:
+    """The paired iteration
 
         x_{n+1} = delta_mu^{delta_eps^{x_n} y_n} x_n,   y_{n+1} = delta_eps^{x_n} y_n,
 
-    whose two strands contract toward the common fixed point at the exact
-    per-step rate nu(eps mu).  The result records the step rates, and the
-    dilatation identity is spot-checked on three probe points.  The linearity
-    warning is computed in exact arithmetic where the model has one.
+    run until the coordinate gap of the two strands is at most tol.  Returns
+    the base point, the step count and the last gap.  Five steps in a row
+    that do not shrink the gap, or max_iter steps, raise MaxIterExceeded.
+    ``on_step(x_next, y_next)``, if given, sees each step's pair before its gap.
     """
-    contraction("the Menelaos composite", eps, mu)
-    if check_linearity:
-        (ex, ey), (e_eps, e_mu), _ = exactify(S, [x, y], [eps, mu])
-        defect = lin_defect(S, ex, ey, ex, e_eps, e_mu)
-        if defect > LINEARITY_WARN_TOL:
-            warnings.warn(
-                f"{S.name} looks nonlinear near the inputs (defect {defect:.3g}); "
-                "the composite may not be a dilatation", stacklevel=2)
-
     xn, yn = x, y
     gap = S.coordinate_gap(x, y)
-    d_metric = S.distance(x, y)
-    # contraction rates are read from metric distances, but only while they
-    # sit safely above the resolution floor of the gauge
-    rate_floor = max(RATE_FLOOR, RATE_FLOOR_FACTOR * max(1.0, d_metric))
-    rates: list[float] = []
     stall = 0
     iterations = 0
     while gap > tol:
@@ -91,9 +75,8 @@ def menelaos_iterate(S: DilatationStructure, x, eps: Scale, y, mu: Scale,
             raise MaxIterExceeded(f"no convergence after {max_iter} iterations")
         y_next = S.dilate(xn, eps, yn)
         x_next = S.dilate(y_next, mu, xn)
-        d_next = S.distance(x_next, y_next)
-        if d_metric > rate_floor and d_next > 0:
-            rates.append(d_next / d_metric)
+        if on_step is not None:
+            on_step(x_next, y_next)
         gap_next = S.coordinate_gap(x_next, y_next)
         if gap_next >= gap:
             stall += 1
@@ -102,10 +85,42 @@ def menelaos_iterate(S: DilatationStructure, x, eps: Scale, y, mu: Scale,
                     f"contraction stalled for 5 consecutive steps at gap {gap_next:.3g}")
         else:
             stall = 0
-        xn, yn, gap, d_metric = x_next, y_next, gap_next, d_next
+        xn, yn, gap = x_next, y_next, gap_next
         iterations += 1
+    return xn, iterations, gap
 
-    w = xn
+
+def menelaos_iterate(S: DilatationStructure, x, eps: Scale, y, mu: Scale,
+                     tol: float = FIXED_POINT_TOL,
+                     max_iter: int = MAX_ITER) -> MenelaosResult:
+    """Find w with delta^x_eps delta^y_mu = delta^w_{eps mu} by the paired
+    iteration, whose two strands contract toward the common fixed point at
+    the exact per-step rate nu(eps mu).  The result records the step rates,
+    and the dilatation identity is spot-checked on three probe points.  The
+    linearity warning is computed in exact arithmetic where the model has one.
+    """
+    contraction("the Menelaos composite", eps, mu)
+    (ex, ey), (e_eps, e_mu), _ = exactify(S, [x, y], [eps, mu])
+    defect = lin_defect(S, ex, ey, ex, e_eps, e_mu)
+    if defect > LINEARITY_WARN_TOL:
+        warnings.warn(
+            f"{S.name} looks nonlinear near the inputs (defect {defect:.3g}); "
+            "the composite may not be a dilatation", stacklevel=2)
+
+    d_metric = S.distance(x, y)
+    # contraction rates are read from metric distances, but only while they
+    # sit safely above the resolution floor of the gauge
+    rate_floor = max(RATE_FLOOR, RATE_FLOOR_FACTOR * max(1.0, d_metric))
+    rates: list[float] = []
+
+    def read_rate(x_next, y_next):
+        nonlocal d_metric
+        d_next = S.distance(x_next, y_next)
+        if d_metric > rate_floor and d_next > 0:
+            rates.append(d_next / d_metric)
+        d_metric = d_next
+
+    w, iterations, gap = _menelaos_walk(S, x, eps, y, mu, tol, max_iter, read_rate)
     observed = statistics.median(rates) if rates else float("nan")
     # one probe at a time: a 3-row batch of the coordinate-wise C x R and Engel
     # products costs more than three single points, and this check runs on both
@@ -345,8 +360,11 @@ def distance_estimates_check(S: DilatationStructure, x, y, eps: Scale,
 
     Returns the two left-hand sides and whether both inequalities hold with
     multiplicative slack 1 + ENVELOPE_SLACK and absolute slack ENVELOPE_ABS_SLACK.
+    Only w is read, so the paired iteration runs without the step rates and
+    the probe check of ``menelaos_iterate``.
     """
-    w = menelaos_iterate(S, x, eps, y, mu, check_linearity=False).w
+    contraction("the Menelaos composite", eps, mu)
+    w = _menelaos_walk(S, x, eps, y, mu, FIXED_POINT_TOL, MAX_ITER)[0]
     q = eps.nu * mu.nu
     lhs1 = S.distance(x, w)
     bound1 = eps.nu / (1.0 - q) * S.distance(x, S.dilate(y, mu, x))

@@ -31,8 +31,7 @@ from dilatation_lab.core.reports import sup
 from dilatation_lab.core.scales import POSITIVE_REALS, Scale
 from dilatation_lab.core.structure import vector_sample_ball
 from dilatation_lab.models.base import (
-    ExactPoint, GroupModel, columns, float_or_rows, is_integer, is_real, power, real_array, row_dot,
-    stack)
+    ExactPoint, GroupModel, columns, is_integer, is_real, power, real_array, row_dot, stack)
 
 
 def _scale_ratio(value) -> tuple[int, int]:
@@ -218,11 +217,9 @@ class CarnotModel(GroupModel):
         return a * np.array([e ** (i + 1) for i in self._layer_index])
 
     def _norm(self, a) -> float:
-        best = 0.0
-        for i, sl in enumerate(self._slices, start=1):
-            block = a[..., sl]
-            best = np.maximum(best, power(row_dot(block, block), 0.5 / i))
-        return float_or_rows(best)
+        blocks = [a[..., sl] for sl in self._slices]
+        layers = [power(row_dot(b, b), 0.5 / i) for i, b in enumerate(blocks, start=1)]
+        return sup(layers) if a.ndim == 1 else sup(np.array(layers), axis=0)
 
     def _exact_norm(self, a) -> float:
         return sup(a.sumsq(sl) ** (0.5 / i) for i, sl in enumerate(self._slices, start=1))

@@ -2,15 +2,18 @@
 
 import math
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from dilatation_lab.config import ENVELOPE_ABS_SLACK, ENVELOPE_SLACK
 from dilatation_lab.core.scales import DYADIC_POWERS as DP, POSITIVE_REALS as PR
 from dilatation_lab.core.structure import approx_difference, approx_sum
 from dilatation_lab.errors import DomainViolation, MaxIterExceeded
-from dilatation_lab.models import ExactPoint, HeisenbergModel
+from dilatation_lab.models import (
+    CarnotModel, DyadicBoundaryModel, ExactPoint, HeisenbergModel, engel_structure_constants)
 from dilatation_lab.affine import (
     CollinearTriple, banach_oracle, barycentric_defect, check_collinear,
     collinear_triple_from_ratio, collinearity_defect, counterexample_check,
@@ -59,8 +62,9 @@ def test_menelaos_stops_a_contraction_that_stalls(euclid1):
             return 1.0  # never shrinks
 
     with pytest.raises(MaxIterExceeded, match="contraction stalled"):
-        menelaos_iterate(Stalled(1), np.zeros(1), HALF, np.ones(1), HALF,
-                         check_linearity=False)
+        menelaos_iterate(Stalled(1), np.zeros(1), HALF, np.ones(1), HALF)
+    with pytest.raises(MaxIterExceeded, match="contraction stalled"):
+        distance_estimates_check(Stalled(1), np.zeros(1), np.ones(1), HALF, HALF)
 
 
 def test_menelaos_warns_on_nonlinear_structure(cubic_pullback):
@@ -411,6 +415,64 @@ def test_distance_estimates_heisenberg_sweep(heis1):
         m = PR.scale(float(rng.uniform(0.15, 0.85)))
         _, _, ok = distance_estimates_check(heis1, pts[0], pts[1], e, m)
         assert ok
+
+
+def _envelopes_at(S, x, y, eps, mu, w):
+    """The envelope triple of distance_estimates_check, at a given base point w."""
+    q = eps.nu * mu.nu
+    lhs1, lhs2 = S.distance(x, w), S.distance(y, w)
+    bound1 = eps.nu / (1.0 - q) * S.distance(x, S.dilate(y, mu, x))
+    bound2 = 1.0 / (1.0 - q) * S.distance(y, S.dilate(x, eps, y))
+    ok = (lhs1 <= bound1 * (1.0 + ENVELOPE_SLACK) + ENVELOPE_ABS_SLACK
+          and lhs2 <= bound2 * (1.0 + ENVELOPE_SLACK) + ENVELOPE_ABS_SLACK)
+    return lhs1, lhs2, ok
+
+
+def test_distance_estimates_match_the_menelaos_point():
+    # the envelopes read the base point of the bare paired iteration, which
+    # is menelaos_iterate's w bit for bit
+    from conftest import conical_models
+    rng = np.random.default_rng(18)
+    for model in conical_models():
+        for i in range(10):
+            x, y = model.sample_ball(model.origin(), 0.2, 2, np.random.default_rng(i))
+            if isinstance(model, DyadicBoundaryModel):
+                e, m = (DP.scale(int(k)) for k in rng.integers(1, 4, 2))
+            else:
+                e, m = (PR.scale(float(v)) for v in rng.uniform(0.15, 0.85, 2))
+            w = menelaos_iterate(model, x, e, y, m).w
+            assert repr(distance_estimates_check(model, x, y, e, m)) == \
+                repr(_envelopes_at(model, x, y, e, m, w))
+
+
+@pytest.mark.parametrize("make", [lambda: HeisenbergModel(1),
+                                  lambda: CarnotModel(3, *engel_structure_constants())],
+                         ids=["H(1)", "Engel"])
+def test_distance_estimates_skip_the_menelaos_diagnostics(make):
+    # no probe draw and no step distances: the four distances of the two
+    # envelopes, whatever the number of steps (two dilatations a step)
+    model = make()
+    x, y = model.sample_ball(model.origin(), 0.2, 2, np.random.default_rng(3))
+    calls = Counter()
+
+    def counted(name):
+        method = getattr(model, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+        return wrapper
+
+    for name in ("sample_ball", "distance", "dilate"):
+        setattr(model, name, counted(name))
+    steps = []
+    for e, m in ((0.2, 0.3), (0.85, 0.9)):
+        calls.clear()
+        distance_estimates_check(model, x, y, PR.scale(e), PR.scale(m))
+        assert calls["sample_ball"] == 0
+        assert calls["distance"] == 4
+        steps.append((calls["dilate"] - 2) // 2)
+    assert steps[0] < steps[1]
 
 
 # --- the counterexample ---------------------------------------------------------------

@@ -104,9 +104,9 @@ def _called(func):
 
 def _own_sup_rules(path):
     """Lines of a module that take a sup or treat NaN by hand: ``w = max(w, ...)``,
-    ``reduce(max, ...)``, ``np.maximum.reduce``, a NaN-skipping numpy
-    function (``np.fmax``, ``np.fmin``, ``np.nanmax``, ``np.nanmin``) or an
-    ``isnan`` call."""
+    ``reduce(max, ...)``, ``np.maximum.reduce``, a binary ``np.maximum(a, b)``,
+    a NaN-skipping numpy function (``np.fmax``, ``np.fmin``, ``np.nanmax``,
+    ``np.nanmin``) or an ``isnan`` call."""
     tree = ast.parse(path.read_text(), filename=str(path))
     found = []
     for node in ast.walk(tree):
@@ -125,6 +125,7 @@ def _own_sup_rules(path):
             found.append(node.lineno)
         if isinstance(node, ast.Call) and (
                 _called(node.func) == "isnan"
+                or _called(node.func) == "maximum" and len(node.args) == 2
                 or _called(node.func) == "reduce" and node.args
                 and isinstance(node.args[0], ast.Name) and node.args[0].id == "max"):
             found.append(node.lineno)
