@@ -299,8 +299,11 @@ def reversed_collinear_search(M: HeisenbergModel, X, Y, Z, grid_lo: float = 1.01
     g' = 1/(a' b') as per-row scales: one call of each primitive over all of
     them on float probes, one row at a time on exact ones.  Each pair's
     ``sup`` over its probes is one row of ``sup(d, axis=1)``; the minimum
-    over pairs is NaN when any pair's sup is.
+    over pairs is NaN when any pair's sup is.  A grid of no exponents
+    certifies nothing: a resolution below 1 raises ValueError.
     """
+    if resolution < 1:
+        raise ValueError("reversed_collinear_search needs a resolution of at least 1")
     sg = M.scale_group
     if probes is None:
         probes = probe_points(M, X, M.closeness_budget(), seed)

@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from dilatation_lab.config import DECAY_FACTOR, DEFECT_FLOOR, JITTER_FACTOR
-from dilatation_lab.core.scales import Scale
+from dilatation_lab.config import CAUCHY_SHRINK, DECAY_FACTOR, DEFECT_FLOOR, JITTER_FACTOR
+from dilatation_lab.core.scales import Scale, decreasing
 
 
 def fit_loglog_rate(nus, defects) -> float:
@@ -43,10 +43,11 @@ def sup(values, axis=None):
     emptiness rule: a sup over no values would pass any verdict.  An iterable
     is scanned from 0.0 up to its first NaN; an array reduces with
     ``np.maximum``, over ``axis``, or to a float over the whole array when
-    ``axis`` is None.
+    ``axis`` is None.  Along an axis each sup's sample is that axis, so only an
+    empty axis raises: a batch of no rows gives an empty array of sups.
     """
     if isinstance(values, np.ndarray):
-        if values.size:
+        if values.size if axis is None else values.shape[axis]:
             # + 0.0 turns a largest -0.0 into the 0.0 an iterable reports
             out = np.maximum.reduce(values, axis=axis, initial=0.0) + 0.0
             return float(out) if axis is None else out
@@ -77,6 +78,13 @@ def nonincreasing(defects, floor: float = DEFECT_FLOOR) -> bool:
     return True
 
 
+def settles(increments) -> bool:
+    """True if each increment above the floor is at most the one before it (inf for
+    the first) over CAUCHY_SHRINK, plus the floor; a NaN never settles."""
+    return all(b <= DEFECT_FLOOR or b <= a / CAUCHY_SHRINK + DEFECT_FLOOR
+               for a, b in zip([math.inf, *increments], increments))
+
+
 def dies_out(values) -> bool:
     """True if the sequence is non-increasing and ends below DECAY_FACTOR times
     its first value; a sequence starting at or below the floor need only stay flat."""
@@ -86,7 +94,7 @@ def dies_out(values) -> bool:
     return ok
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConvergenceReport:
     """Defect-versus-scale record of one sweep.
 
@@ -105,9 +113,7 @@ class ConvergenceReport:
     def __post_init__(self):
         if len(self.eps_grid) != len(self.defect):
             raise ValueError("defect list must match the scale grid in length")
-        nus = [e.nu for e in self.eps_grid]
-        if any(b >= a for a, b in zip(nus, nus[1:])):
-            raise ValueError("scale grid must be strictly decreasing in nu")
+        decreasing(self.eps_grid)
 
     @property
     def nus(self) -> list[float]:

@@ -206,10 +206,17 @@ DYADIC_POWERS = DyadicPowers()
 COMPLEX_UNITS = ComplexUnits()
 
 
+def decreasing(eps_grid) -> None:
+    """Raise ValueError unless the grid refines: strictly decreasing in nu."""
+    if any(b.nu >= a.nu for a, b in zip(eps_grid, eps_grid[1:])):
+        raise ValueError("scale grid must be strictly decreasing in nu")
+
+
 def trend_grid(what: str, eps_grid) -> None:
-    """Raise ValueError, naming the sweep, unless the grid has the two scales a trend needs."""
+    """Raise ValueError, naming the sweep, unless the grid has 2 scales and is ``decreasing``."""
     if len(eps_grid) < 2:
         raise ValueError(f"{what} needs a grid of at least 2 scales")
+    decreasing(eps_grid)
 
 
 def reference_scale(eps_grid) -> Scale:

@@ -20,7 +20,7 @@ import numpy as np
 from dilatation_lab.config import DEFECT_FLOOR, EXACT_IDENTITY_TOL
 from dilatation_lab.errors import DomainViolation, NonConvergent
 from dilatation_lab.core.reports import ConvergenceReport, make_report, nonincreasing, sup
-from dilatation_lab.core.scales import RowScale, Scale, ScaleGroup, not_expanding
+from dilatation_lab.core.scales import RowScale, Scale, ScaleGroup, not_expanding, trend_grid
 
 
 class Ball:
@@ -268,9 +268,7 @@ def estimate_dx(S: DilatationStructure, x, u, v, eps_grid) -> tuple[float, Conve
     """
     if len(eps_grid) < 4:
         raise ValueError("estimate_dx needs a grid of at least 4 scales")
-    nus = [e.nu for e in eps_grid]
-    if any(b >= a for a, b in zip(nus, nus[1:])):
-        raise ValueError("scale grid must be strictly decreasing in nu")
+    trend_grid("estimate_dx", eps_grid)
     values = [rescaled_distance(S, x, e, u, v) for e in eps_grid]
     diffs = [abs(a - b) for a, b in zip(values, values[1:])]
     if not nonincreasing(diffs):

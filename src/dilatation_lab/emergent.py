@@ -16,10 +16,10 @@ from functools import cached_property
 
 import numpy as np
 
-from dilatation_lab.config import (
-    CAUCHY_SHRINK, DEFECT_FLOOR, DERIVATIVE_TOL, EXACT_IDENTITY_TOL, MIN_PAIRED_SAMPLES, default_ks)
+from dilatation_lab.config import DERIVATIVE_TOL, EXACT_IDENTITY_TOL, MIN_PAIRED_SAMPLES, default_ks
 from dilatation_lab.errors import NonConvergent
-from dilatation_lab.core.reports import ConvergenceReport, dies_out, make_report, nonincreasing, sup
+from dilatation_lab.core.reports import (
+    ConvergenceReport, dies_out, make_report, nonincreasing, settles, sup)
 from dilatation_lab.core.structure import (
     DilatationStructure, Rows, approx_difference, approx_inverse, approx_sum,
     estimate_dx, rescaled_distance)
@@ -31,27 +31,15 @@ LIMIT_OPS = {"sum": approx_sum, "difference": approx_difference,
              "inverse": approx_inverse}
 
 
-def _settled_increments(S: DilatationStructure, rows: Rows, points, failure: str) -> list[float]:
-    """Coordinate gaps between successive points, which a fractional-power
-    gauge cannot slow; above the floor each must shrink by CAUCHY_SHRINK,
-    else (or on a NaN) NonConvergent is raised with the failure message."""
-    increments = rows.floats(S.coordinate_gap, points[:-1], points[1:])
-    for a, b in zip([float("inf"), *increments], increments):
-        if not b <= DEFECT_FLOOR and not b <= a / CAUCHY_SHRINK + DEFECT_FLOOR:
-            raise NonConvergent(f"{failure}: {increments}")
-    return increments
-
-
 def tangent_limit(S: DilatationStructure, x, u, v, which: str,
                   eps_grid) -> tuple[object, ConvergenceReport]:
     """Limit of the sum/difference/inverse composite along a scale grid.
 
     The limit is taken as the finest-grid composite after a Cauchy check:
-    successive coordinate gaps must shrink by CAUCHY_SHRINK.  Models with
-    exact tangent operations supply the reference instead, in which case the
-    defect column records the genuine distance-to-limit and the numeric path
-    double-checks the closed form.  A grid of fewer than two scales raises
-    ValueError.  On float points one composite call covers the whole grid, as
+    successive coordinate gaps must settle (``settles``).  Models with exact
+    tangent operations supply the reference instead; the defect column then
+    records the distance to the limit and the numeric path double-checks the
+    closed form.  On float points one composite call covers the whole grid, as
     a per-row scale over the single x, u, v, and the gaps and the defects are
     one call each (``Rows``); each value is the one its scale alone gives.
     """
@@ -63,8 +51,9 @@ def tangent_limit(S: DilatationStructure, x, u, v, which: str,
     # a per-row scale holds one value type; a mixed grid goes one scale at a time
     rows = Rows([x, *args], batch=len({type(e.value) for e in eps_grid}) == 1)
     points = rows.map(lambda e: op(S, x, e, *args), rows.scale_column(eps_grid))
-    increments = _settled_increments(
-        S, rows, points, f"tangent {which} composites do not settle on {S.name}")
+    increments = rows.floats(S.coordinate_gap, points[:-1], points[1:])
+    if not settles(increments):
+        raise NonConvergent(f"tangent {which} composites do not settle on {S.name}: {increments}")
     exact = getattr(S, f"tangent_{which}", None)
     limit = rows.row(points, -1) if exact is None else exact(x, *args)
     defects = rows.floats(lambda p: S.distance(p, limit), points)
@@ -303,15 +292,16 @@ def pansu_derivative(Ssrc: DilatationStructure, Sdst: DilatationStructure, f, x,
     Estimates Q^x(u) = lim delta^{f(x)}_{eps^-1} f(delta^x_eps u) over the
     grid, then recomputes the defining residual
     (1/eps) d(f(delta^x_eps u), delta^{f(x)}_eps Q^x(u)) with the estimate.
-    A residual that refuses to decrease raises NonConvergent: the map is not
-    differentiable at x along u, which is a finding, not a crash.
+    Candidates that do not settle raise NonConvergent, a finding (f is not
+    differentiable at x along u), not a crash; the residuals decide the verdict.
     """
     trend_grid("pansu_derivative", eps_grid)
     fx = f(x)
     candidates = [Sdst.dilate(fx, eps.inverse(), f(Ssrc.dilate(x, eps, u)))
                   for eps in eps_grid]
-    _settled_increments(Sdst, Rows(candidates, batch=False), candidates,
-                        "derivative candidates do not settle along u")
+    increments = [Sdst.coordinate_gap(a, b) for a, b in zip(candidates, candidates[1:])]
+    if not settles(increments):
+        raise NonConvergent(f"derivative candidates do not settle along u: {increments}")
     # estimate at one refinement past the grid so every residual row,
     # including the last, measures the estimate against fresh data
     ref = reference_scale(eps_grid)

@@ -14,8 +14,8 @@ only subadditive up to a constant, which can be estimated empirically.
 Every vector group model of the lab is a ``CarnotModel``: Euclidean space is
 step 1 with no brackets, H(n) and C x R are step 2.  Those subclasses keep
 their own gauge and their own closed-form float product and dilatation,
-which are faster than the generic ones and round differently; on exact
-points all of them share the integer kernel below.
+which are faster than the generic ones on batches and round differently; on
+exact points all of them share the integer kernel below.
 """
 
 from __future__ import annotations

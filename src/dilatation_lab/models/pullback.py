@@ -129,19 +129,19 @@ class PullbackModel(DilatationStructure):
 
     def tangent_sum(self, x, u, v):
         if self.transport == "metric":
-            return u - x + v
+            return self.base.tangent_sum(x, u, v)
         f = self.chart.forward
         return x + self.chart.inverse(f(u - x) + f(v - x))
 
     def tangent_difference(self, x, u, v):
         if self.transport == "metric":
-            return x - u + v
+            return self.base.tangent_difference(x, u, v)
         f = self.chart.forward
         return x + self.chart.inverse(f(v - x) - f(u - x))
 
     def tangent_inverse(self, x, u):
         if self.transport == "metric":
-            return x - u + x
+            return self.base.tangent_inverse(x, u)
         return x - self.chart.inverse(self.chart.forward(u - x))
 
     def tangent_distance(self, x, u, v) -> float:

@@ -346,6 +346,18 @@ def test_reversed_collinear_search_on_exact_probes(heis1):
         assert best == _scalar_reversed_search(heis1, eX, eY, eZ, probes, lo, hi, resolution)
 
 
+def test_reversed_collinear_search_needs_an_exponent(heis1):
+    # no exponent pair would leave the exact search at inf, "reversal is impossible"
+    X = heis1.point([1.0, 0.0], 0.0)
+    Y = heis1.point([0.0, 1.0], 0.0)
+    points = (X, Y, heisenberg_ratio_closed_form(heis1, X, Y, 0.5, 0.5))
+    for X, Y, Z in (points, [heis1.to_exact(p) for p in points]):
+        probes = probe_points(heis1, X, heis1.closeness_budget())
+        for resolution in (0, -1):
+            with pytest.raises(ValueError, match="reversed_collinear_search needs a resolution"):
+                reversed_collinear_search(heis1, X, Y, Z, resolution=resolution, probes=probes)
+
+
 def test_reversed_collinear_search_makes_one_distance_call_per_exponent(heis1, monkeypatch):
     X = heis1.point([1.0, 0.0], 0.0)
     Y = heis1.point([0.0, 1.0], 0.0)

@@ -229,9 +229,20 @@ def test_pullback_requires_euclidean_base(heis1):
 
 
 def test_metric_pullback_keeps_euclid_maps(metric_pullback_1d):
+    # the metric transport reads only the distance through the chart: its
+    # dilatations and tangent operations are the Euclidean ones, bit for bit
+    M = metric_pullback_1d
+    X, U, V = np.random.default_rng(0).uniform(-0.4, 0.4, (3, 8, 1))
+    X[0], U[0], V[0] = 0.0, -0.0, 0.0
+    for x, u, v in ((X[1], U[1], V[1]), (X[0], U[0], V[0]), (X, U, V)):
+        for got, want in ((M.dilate(x, HALF, u), x + (u - x) * 0.5),
+                          (M.tangent_sum(x, u, v), u - x + v),
+                          (M.tangent_difference(x, u, v), x - u + v),
+                          (M.tangent_inverse(x, u), x - u + x)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
     x, y = np.array([0.1]), np.array([0.3])
-    assert np.allclose(metric_pullback_1d.dilate(x, HALF, y), [0.2])
-    d = metric_pullback_1d.distance(x, y)
+    d = M.distance(x, y)
     phi = lambda t: t + t ** 3
     assert d == pytest.approx(abs(phi(0.1) - phi(0.3)))
 

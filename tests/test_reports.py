@@ -5,6 +5,7 @@ empty sample raises ValueError, since a sup over nothing would pass anything."""
 
 import ast
 import math
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,7 +19,8 @@ from dilatation_lab.affine import (
     CollinearTriple, check_collinear, counterexample_check, geometric_affinity_check,
     reversed_collinear_search)
 from dilatation_lab.core.harness import verify_axiom
-from dilatation_lab.core.reports import dies_out, nonincreasing, sup
+from dilatation_lab.config import CAUCHY_SHRINK, DEFECT_FLOOR
+from dilatation_lab.core.reports import dies_out, make_report, nonincreasing, settles, sup
 from dilatation_lab.core.scales import POSITIVE_REALS as PR
 from dilatation_lab.core.structure import Ball
 from dilatation_lab.emergent import (
@@ -27,7 +29,7 @@ from dilatation_lab.errors import NonConvergent
 from dilatation_lab.models.base import ExactPoint
 from dilatation_lab.models import (
     CarnotModel, ComplexHeisenbergModel, EuclideanModel, HeisenbergModel, PullbackModel,
-    engel_structure_constants)
+    engel_structure_constants, heisenberg_structure_constants)
 
 PACKAGE = Path(dilatation_lab.__file__).parent
 NAN = float("nan")
@@ -56,6 +58,21 @@ def test_sup_of_an_all_negative_sample_is_zero_and_of_an_empty_one_raises():
             sup(empty)
     with pytest.raises(ValueError, match=EMPTY):
         sup(np.zeros((4, 0)), axis=1)
+    # along an axis the sample is that axis: a batch of no rows has no sups
+    assert sup(np.zeros((0, 3)), axis=1).shape == (0,)
+
+
+def test_an_empty_batch_has_no_gauges_and_no_gaps():
+    models = [EuclideanModel(2), HeisenbergModel(1), HeisenbergModel(2),
+              CarnotModel(2, *heisenberg_structure_constants(1)),
+              CarnotModel(3, *engel_structure_constants()), ComplexHeisenbergModel(),
+              PullbackModel(EuclideanModel(2), "cubic", "dilatation"),
+              PullbackModel(EuclideanModel(2), "cubic", "metric")]
+    for M in models:
+        empty = np.zeros((0, M.coordinate_dim))
+        assert M.coordinate_gap(empty, empty).shape == (0,), M.name
+        if hasattr(M, "homogeneous_norm"):
+            assert M.homogeneous_norm(empty).shape == (0,), M.name
 
 
 def test_sup_of_negative_zeros_is_positive_zero():
@@ -143,6 +160,40 @@ def test_reports_holds_the_sup_rule():
     assert _own_sup_rules(PACKAGE / "core" / "reports.py")
 
 
+SETTLING_FACTORS = {"CAUCHY_SHRINK", "JITTER_FACTOR", "DECAY_FACTOR"}
+ORDER_RULE = "strictly decreasing in nu"
+
+
+def _reads(path, names):
+    """Lines of a module that read one of the names; a docstring does not read."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Name) and node.id in names
+            or isinstance(node, ast.Attribute) and node.attr in names
+            or isinstance(node, ast.ImportFrom) and {a.name for a in node.names} & names]
+
+
+def _raises(path, text):
+    """Lines of a module that raise an error whose message holds the text."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Raise)
+            and any(isinstance(c, ast.Constant) and isinstance(c.value, str) and text in c.value
+                    for c in ast.walk(node))]
+
+
+def test_settling_and_grid_order_rules_have_one_home_each():
+    # nonincreasing, settles and dies_out read the sequence factors; trend_grid
+    # and every report check a grid's order through core.scales.decreasing
+    modules = {str(path.relative_to(PACKAGE)): path for path in sorted(PACKAGE.rglob("*.py"))}
+    reads = {name: lines for name, path in modules.items()
+             if name not in ("core/reports.py", "config.py")
+             for lines in [_reads(path, SETTLING_FACTORS)] if lines}
+    assert reads == {}
+    assert _reads(modules["core/reports.py"], SETTLING_FACTORS)
+    raised = {name: lines for name, path in modules.items()
+              for lines in [_raises(path, ORDER_RULE)] if lines}
+    assert list(raised) == ["core/scales.py"] and len(raised["core/scales.py"]) == 1
+
+
 # --- a NaN residual fails every verdict, in whichever place it falls ----------
 
 NAN_ORDERS = [[NAN, 1e-20], [1e-20, NAN]]
@@ -190,6 +241,23 @@ def test_a_nan_coordinate_gives_a_nan_gauge():
     p = np.array([0.5, 0.1, 0.0, NAN])
     assert math.isnan(engel.homogeneous_norm(p))
     assert math.isnan(engel.distance(engel.origin(), p))
+
+
+def test_settles_keeps_the_cauchy_rule():
+    assert settles([]) and settles([1e9]) and settles([math.inf])
+    assert settles([1.0, 1.0 / CAUCHY_SHRINK + DEFECT_FLOOR])
+    assert not settles([1.0, 1.0 / CAUCHY_SHRINK + 2 * DEFECT_FLOOR])
+    # at or below the floor an increment always passes, and the next is held to it
+    assert settles([1e-9, DEFECT_FLOOR, 1e-13, 0.0])
+    assert not settles([1.0, DEFECT_FLOOR, 1e-9])
+    for values in ([NAN], [1.0, NAN], [NAN, 0.0], [1.0, 0.5, NAN, 0.1]):
+        assert not settles(values)
+
+
+def test_reports_are_immutable():
+    rep = make_report(PR.grid([2, 3]), [0.5, 0.25], True, {})
+    with pytest.raises(FrozenInstanceError):
+        rep.verdict = False
 
 
 def test_nonincreasing_fails_on_a_nan_anywhere():

@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -7,9 +8,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 import dilatation_lab
+from dilatation_lab.core.harness import AXIOMS, verify_axiom
+from dilatation_lab.core.reports import make_report
 from dilatation_lab.core.scales import (
-    COMPLEX_UNITS, DYADIC_POWERS, POSITIVE_REALS, RowScale, contraction, not_expanding)
-from dilatation_lab.errors import DomainViolation
+    COMPLEX_UNITS, DYADIC_POWERS, POSITIVE_REALS, RowScale, contraction, decreasing,
+    not_expanding)
+from dilatation_lab.core.structure import Ball, estimate_dx
+from dilatation_lab.emergent import (
+    LIMIT_OPS, inflin_scan, metric_tangent_scan, pansu_derivative, plin1_scan, tangent_limit)
+from dilatation_lab.errors import DomainViolation, NonConvergent
+from dilatation_lab.models import HeisenbergModel
 
 PACKAGE = Path(dilatation_lab.__file__).parent
 
@@ -110,6 +118,79 @@ def test_grid_is_strictly_decreasing():
     grid = POSITIVE_REALS.grid(range(2, 13))
     nus = [s.nu for s in grid]
     assert all(b < a for a, b in zip(nus, nus[1:]))
+
+
+# --- a misordered grid is a bad argument, refused before any work -------------
+
+ORDER = "scale grid must be strictly decreasing in nu"
+# each has the 4 scales estimate_dx needs; the valuation of 1j is 1
+BAD_GRIDS = {
+    "increasing": POSITIVE_REALS.grid([5, 4, 3, 2]),
+    "repeated": POSITIVE_REALS.grid([2, 3, 3, 4]),
+    "repeated-nu": [COMPLEX_UNITS.scale(v) for v in (0.5, 0.5j, 0.25, 0.125)],
+}
+GOOD_GRID = POSITIVE_REALS.grid([2, 3, 4, 5])
+
+
+def test_decreasing_refuses_a_grid_that_does_not_refine():
+    for grid in BAD_GRIDS.values():
+        with pytest.raises(ValueError, match=ORDER):
+            decreasing(grid)
+    for grid in ([], GOOD_GRID[:1], GOOD_GRID, DYADIC_POWERS.grid([1, 2])):
+        decreasing(grid)
+    # a report checks its grid with the same rule
+    with pytest.raises(ValueError, match=ORDER):
+        make_report(BAD_GRIDS["repeated"], [0.0] * 4, True, {})
+
+
+class _Counting:
+    """A model that records the name of every method called on it."""
+
+    def __init__(self, model):
+        self._model, self.calls = model, []
+
+    def __getattr__(self, name):
+        value = getattr(self._model, name)
+        if not callable(value):
+            return value
+
+        def counted(*args, **kwargs):
+            self.calls.append(name)
+            return value(*args, **kwargs)
+
+        return counted
+
+
+H1 = HeisenbergModel(1)
+X, Y, Z = H1.point([0.1, 0.0], 0.0), H1.point([0.0, 0.1], 0.0), H1.point([0.05, 0.1], 0.0)
+
+# every routine that sweeps a grid, on a counting model S
+GRID_ROUTINES = {
+    **{f"verify_axiom-{w}": lambda S, g, w=w: verify_axiom(S, w, Ball(X, 0.5), g, 4)
+       for w in AXIOMS},
+    **{f"tangent_limit-{w}": lambda S, g, w=w: tangent_limit(S, X, Y, Z, w, g)
+       for w in LIMIT_OPS},
+    "pansu_derivative": lambda S, g: pansu_derivative(
+        S, S, lambda p: S.group_product(X, p), X, Y, g),
+    "inflin_scan": lambda S, g: inflin_scan(S, X, Y, Z, g),
+    "plin1_scan": lambda S, g: plin1_scan(S, X, Y, Z, g),
+    "metric_tangent_scan": lambda S, g: metric_tangent_scan(S, X, g, sample_count=4),
+    "estimate_dx": lambda S, g: estimate_dx(S, X, Y, Z, g),
+}
+
+
+@pytest.mark.parametrize("grid", list(BAD_GRIDS))
+@pytest.mark.parametrize("routine", list(GRID_ROUTINES))
+def test_a_misordered_grid_raises_before_any_work(routine, grid):
+    # a ValueError, not a NonConvergent finding, and not after the sweep
+    S = _Counting(H1)
+    with pytest.raises(ValueError, match=ORDER):
+        GRID_ROUTINES[routine](S, BAD_GRIDS[grid])
+    assert S.calls == []
+    # while the model does see the work of a good grid
+    with contextlib.suppress(NonConvergent):
+        GRID_ROUTINES[routine](S, GOOD_GRID)
+    assert S.calls
 
 
 @given(st.integers(-20, 20), st.integers(-20, 20))
