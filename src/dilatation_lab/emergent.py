@@ -24,7 +24,7 @@ from dilatation_lab.core.structure import (
     DilatationStructure, Rows, approx_difference, approx_inverse, approx_sum,
     estimate_dx, rescaled_distance)
 from dilatation_lab.core.scales import (
-    Scale, contraction, not_expanding, reference_scale, trend_grid)
+    Scale, contraction, decreasing, not_expanding, reference_scale, trend_grid)
 from dilatation_lab.models.base import ExactPoint
 
 LIMIT_OPS = {"sum": approx_sum, "difference": approx_difference,
@@ -272,8 +272,10 @@ def check_affine_map(S: DilatationStructure, T, samples, eps_set) -> Convergence
 
     samples is a list of (x, y) pairs; the report passes when every defect is
     within EXACT_IDENTITY_TOL, and carries an empirical Lipschitz constant, to
-    which a pair of coincident points adds 0.0.
+    which a pair of coincident points adds 0.0.  A single scale will do; a
+    misordered set raises before any work.
     """
+    decreasing(eps_set)
     lip = sup(S.distance(T(x), T(y)) / d if (d := S.distance(x, y)) > 0 else 0.0
               for x, y in samples)
     defects = [sup(S.distance(T(S.dilate(x, eps, y)), S.dilate(T(x), eps, T(y)))

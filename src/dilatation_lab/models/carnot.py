@@ -55,9 +55,9 @@ class CarnotModel(GroupModel):
     an ``(N, 1)`` array; exact points (``ExactPoint``) take the integer kernel
     (``_exact_product``, ``_exact_dilate``) and the gauge ``_exact_norm``.
     The group inverse is negation in either arithmetic.  ``dilate`` composes
-    the float formulas, and the kernel on step 3; on exact points of step 1
-    and 2 it is one expanded integer formula.  Subclasses override the float
-    formulas and the gauges, never the kernel or ``dilate``.
+    the float formulas; on exact points of every step it is one expanded
+    integer formula, which calls neither kernel method.  Subclasses override
+    the float formulas and the gauges, never the kernel or ``dilate``.
     """
 
     def __init__(self, step: int, layers, brackets):
@@ -131,23 +131,43 @@ class CarnotModel(GroupModel):
         return self._dilate(eps, a)
 
     def dilate(self, x, eps: Scale, y):
-        """x . delta_eps(x^-1 y); on exact points of step 1 or 2 the expanded form
-        (1-eps) x_1 + eps y_1 and (1-eps^2) x_2 + eps^2 y_2 + (eps-eps^2)/2 [x,y]."""
+        """x . delta_eps(x^-1 y); on exact points the expanded form, layer by layer,
+
+            (1-eps) x_1 + eps y_1,
+            (1-eps^2) x_2 + eps^2 y_2 + (eps-eps^2)/2 [x,y],
+            (1-eps^3) x_3 + eps^3 y_3 + ((eps^2-eps^3) [x,y] + (eps-eps^2) [x-y,x_2])/2
+                + (eps (1-eps)^2 [x,[x,y]] - eps^2 (1-eps) [y,[x,y]])/12,
+
+        where x_2 is the layer-2 part of x."""
         if type(x) is not ExactPoint:
             return self._product(x, self._dilate(eps, self._product(-x, y)))
-        if self.step == 3:
-            return self._exact_product(
-                x, self._exact_dilate(eps.value, self._exact_product(-x, y)))
-        # with eps = p/q, over the denominator 2 h q^2 dx dy; [x,y] is 0 on layer 1
+        # with eps = p/q, layers 1 and 2 over the denominator 2 h q^2 dx dy;
+        # [x,y] is 0 on layer 1
         p, q = _scale_ratio(eps.value)
         X, dx, Y, dy = x.num, x.den, y.num, y.den
-        s = 2 * self._bracket_den
-        xs = (s * q * (q - p) * dy, s * (q * q - p * p) * dy)
-        ys = (s * q * p * dx, s * p * p * dx)
-        c = p * (q - p)
-        return ExactPoint([xs[i] * a + ys[i] * b + c * z for i, a, b, z in
-                           zip(self._layer_index, X, Y, self._exact_bracket(X, Y))],
-                          s * q * q * dx * dy)
+        h, c = self._bracket_den, p * (q - p)
+        s = 2 * h
+        xs = [s * q * (q - p) * dy, s * (q * q - p * p) * dy]
+        ys = [s * q * p * dx, s * p * p * dx]
+        XY = self._exact_bracket(X, Y)
+        terms = zip(self._layer_index, X, Y, XY)
+        if self.step < 3:
+            return ExactPoint([xs[i] * a + ys[i] * b + c * z for i, a, b, z in terms],
+                              s * q * q * dx * dy)
+        # step 3 over 12 h^2 q^3 dx^2 dy^2, which is m times the above; the
+        # last four brackets, the [x-y,x_2] and the /12 terms, are 0 below layer 3
+        m, t = 6 * h * q * dx * dy, 12 * h * h * dx * dy
+        xs = [m * xs[0], m * xs[1], t * (q * q * q - p * p * p) * dy]
+        ys = [m * ys[0], m * ys[1], t * p * p * p * dx]
+        zs = [m * c, m * c, 6 * h * dx * dy * p * c]
+        X2 = [a if i == 1 else 0 for i, a in zip(self._layer_index, X)]
+        br, g = self._exact_bracket, 6 * h * q * c * dy
+        return ExactPoint(
+            [xs[i] * a + ys[i] * b + zs[i] * z + g * (dy * w - dx * v)
+             + c * ((q - p) * dy * u - p * dx * r)
+             for (i, a, b, z), w, v, u, r in zip(terms, br(X, X2), br(Y, X2),
+                                                 br(X, XY), br(Y, XY))],
+            m * s * q * q * dx * dy)
 
     def homogeneous_norm(self, a) -> float:
         if type(a) is ExactPoint:

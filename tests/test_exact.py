@@ -42,11 +42,23 @@ def _engel_bracket(a, b):
     return [F(0), F(0), a[0] * b[1] - a[1] * b[0], a[0] * b[2] - a[2] * b[0]]
 
 
-def _engel_product(a, b):
-    ab = _engel_bracket(a, b)
-    aab = _engel_bracket(a, ab)
-    bab = _engel_bracket(b, ab)
-    return [x + y + z / 2 + (p - q) / 12 for x, y, z, p, q in zip(a, b, ab, aab, bab)]
+# a step-3 algebra with a fractional constant, so the kernel's common bracket
+# denominator is 2: [e0, e1] = e2, [e0, e2] = e3, [e1, e2] = e4 / 2
+STEP3_HALF = ([2, 1, 2], [[0, 1, 2, 1.0], [0, 2, 3, 1.0], [1, 2, 4, 0.5]])
+
+
+def _half_bracket(a, b):
+    return [F(0), F(0), a[0] * b[1] - a[1] * b[0], a[0] * b[2] - a[2] * b[0],
+            (a[1] * b[2] - a[2] * b[1]) / 2]
+
+
+def _step3_product(bracket):
+    def product(a, b):
+        ab = bracket(a, b)
+        aab = bracket(a, ab)
+        bab = bracket(b, ab)
+        return [x + y + z / 2 + (p - q) / 12 for x, y, z, p, q in zip(a, b, ab, aab, bab)]
+    return product
 
 
 # (model, product reference, homogeneous degree of each coordinate)
@@ -56,7 +68,8 @@ MODELS = [
     (HeisenbergModel(1), _heisenberg_product(1), [1, 1, 2]),
     (HeisenbergModel(2), _heisenberg_product(2), [1, 1, 1, 1, 2]),
     (CarnotModel(2, *heisenberg_structure_constants(1)), _heisenberg_product(1), [1, 1, 2]),
-    (CarnotModel(3, *engel_structure_constants()), _engel_product, [1, 1, 2, 3]),
+    (CarnotModel(3, *engel_structure_constants()), _step3_product(_engel_bracket), [1, 1, 2, 3]),
+    (CarnotModel(3, *STEP3_HALF), _step3_product(_half_bracket), [1, 1, 2, 3, 3]),
     (ComplexHeisenbergModel(), _cxr_product, [1, 1, 2]),
 ]
 IDS = [m.name for m, _, _ in MODELS]
@@ -191,19 +204,41 @@ def _off_by_one(method):
     return mutant
 
 
-# steps 1 and 2 compute an exact dilate in one expanded formula; step 3
-# composes it through the kernel's _exact_dilate, so that is on its path too
-@pytest.mark.parametrize("model,methods", [
-    (HeisenbergModel(1), ["dilate"]),
-    (CarnotModel(3, *engel_structure_constants()), ["dilate", "_exact_dilate"]),
-], ids=["heisenberg-1", "engel"])
-def test_exact_sweeps_see_an_exact_dilatation_off_by_one(model, methods, monkeypatch):
+@pytest.mark.parametrize("model,product,degrees", MODELS, ids=IDS)
+def test_exact_dilate_builds_one_point(model, product, degrees, monkeypatch):
+    # one expanded formula on every step: no kernel product or ambient
+    # dilatation, and a single reduced point
+    x, y = (model.to_exact(p) for p in
+            np.random.default_rng(1).uniform(-1.0, 1.0, (2, model.coordinate_dim)))
+    init = ExactPoint.__init__
+    made = [0]
+
+    def counting(self, *args):
+        made[0] += 1
+        init(self, *args)
+
+    def refuse(self, *args):
+        raise AssertionError("an exact dilate composed kernel calls")
+
+    monkeypatch.setattr(ExactPoint, "__init__", counting)
+    monkeypatch.setattr(CarnotModel, "_exact_product", refuse)
+    monkeypatch.setattr(CarnotModel, "_exact_dilate", refuse)
+    for e in (F(1), *SPECIAL_SCALES):
+        made[0] = 0
+        model.dilate(x, _scale(model, e), y)
+        assert made[0] == 1, e
+
+
+# an exact dilate is one expanded formula on every step, so the sweeps meet
+# a wrong exact dilatation through dilate alone
+@pytest.mark.parametrize("model", [
+    HeisenbergModel(1), CarnotModel(3, *engel_structure_constants())],
+    ids=["heisenberg-1", "engel"])
+def test_exact_sweeps_see_an_exact_dilatation_off_by_one(model, monkeypatch):
     # the shortcuts of the exact sweeps must not hide a wrong exact result
-    for name in methods:
-        with monkeypatch.context() as patch:
-            patch.setattr(CarnotModel, name, _off_by_one(getattr(CarnotModel, name)))
-            for axiom in ("A1", "A4"):
-                rep = verify_axiom(model, axiom, Ball(model.origin(), 0.5),
-                                   model.scale_group.grid(range(2, 7)), 8)
-                assert rep.metadata["arithmetic"] == "exact"
-                assert not rep.verdict, (name, axiom)
+    monkeypatch.setattr(CarnotModel, "dilate", _off_by_one(CarnotModel.dilate))
+    for axiom in ("A1", "A4"):
+        rep = verify_axiom(model, axiom, Ball(model.origin(), 0.5),
+                           model.scale_group.grid(range(2, 7)), 8)
+        assert rep.metadata["arithmetic"] == "exact"
+        assert not rep.verdict, axiom

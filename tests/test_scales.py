@@ -15,7 +15,8 @@ from dilatation_lab.core.scales import (
     not_expanding)
 from dilatation_lab.core.structure import Ball, estimate_dx
 from dilatation_lab.emergent import (
-    LIMIT_OPS, inflin_scan, metric_tangent_scan, pansu_derivative, plin1_scan, tangent_limit)
+    LIMIT_OPS, check_affine_map, inflin_scan, metric_tangent_scan, pansu_derivative,
+    plin1_scan, tangent_limit)
 from dilatation_lab.errors import DomainViolation, NonConvergent
 from dilatation_lab.models import HeisenbergModel
 
@@ -176,6 +177,8 @@ GRID_ROUTINES = {
     "plin1_scan": lambda S, g: plin1_scan(S, X, Y, Z, g),
     "metric_tangent_scan": lambda S, g: metric_tangent_scan(S, X, g, sample_count=4),
     "estimate_dx": lambda S, g: estimate_dx(S, X, Y, Z, g),
+    "check_affine_map": lambda S, g: check_affine_map(
+        S, lambda p: S.group_product(X, p), [(X, Y), (Y, Z)], g),
 }
 
 
