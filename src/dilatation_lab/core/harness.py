@@ -124,12 +124,12 @@ def _a1_defects(S, bases, pairs, eps_grid):
     defects = []
     for eps in eps_grid:
         inv, eps_mu = eps.inverse(), eps * mu
-        defects.append(max(
+        defects.append(sup([
             unit,
             rows.sup(lambda x: S.distance(S.dilate(x, eps, x), x), B),
             rows.sup(lambda x, y, my: S.distance(S.dilate(x, eps, my), S.dilate(x, eps_mu, y)),
                      X, Y, MY),
-            rows.sup(lambda x, y: S.distance(S.dilate(x, inv, S.dilate(x, eps, y)), y), X, Y)))
+            rows.sup(lambda x, y: S.distance(S.dilate(x, inv, S.dilate(x, eps, y)), y), X, Y)]))
     return defects
 
 

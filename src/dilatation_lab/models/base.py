@@ -98,7 +98,9 @@ class ExactPoint:
     The numerators are Python integers over one shared positive denominator,
     kept in lowest terms by a single gcd per constructed point.  Group models
     compute on these exactly; a float appears only where a distance or a
-    coordinate gap is read off, and it is the correctly rounded value there.
+    coordinate gap is read off.  Coordinates and ``sumsq`` round correctly; a
+    distance need not, as a gauge takes its roots in floats (H(1)'s misses the
+    correctly rounded norm on about one point in ten).
     Mixing with numpy float arrays raises instead of degrading to floats.
     """
 

@@ -46,8 +46,9 @@ class CarnotModel(GroupModel):
     """Graded nilpotent group from layer dimensions and bracket constants.
 
     brackets is a list of entries [i, j, k, c] declaring [e_i, e_j] = ... + c e_k
-    with 0-based indices into the full graded basis; the reversed pairs are
-    filled in antisymmetrically.
+    with 0-based indices into the full graded basis and c finite.  They add up
+    in one table, an entry per pair i < j and output k ([j, i, k, c] adds -c),
+    which ``_bracket`` and ``_exact_bracket`` both walk, so [a, a] is exactly 0.
 
     Points are flat numpy coordinate vectors.  The float formulas
     (``_product``, ``_dilate``, ``_norm``) each take a point or an
@@ -80,31 +81,28 @@ class CarnotModel(GroupModel):
             self._slices.append(slice(start, start + d))
             start += d
 
-        dense = np.zeros((self.dim, self.dim, self.dim))
+        pairs = {}
         for entry in brackets:
             if len(entry) != 4:
                 raise ModelError(f"bracket entry must be [i, j, k, c], got {entry}")
             for idx in entry[:3]:
                 if not is_integer(idx) or not 0 <= idx < self.dim:
                     raise ModelError(f"bracket index {idx!r} is not an integer in [0, {self.dim})")
-            if not is_real(entry[3]):
-                raise ModelError(f"bracket constant {entry[3]!r} is not a real number")
+            if not is_real(entry[3]) or not math.isfinite(entry[3]):
+                raise ModelError(f"bracket constant {entry[3]!r} is not a finite real number")
             i, j, k, c = int(entry[0]), int(entry[1]), int(entry[2]), float(entry[3])
             if self.layer_of[k] != self.layer_of[i] + self.layer_of[j]:
                 raise ModelError(
                     f"bracket [{i},{j}]->{k} violates the grading "
                     f"({self.layer_of[i]}+{self.layer_of[j]} != {self.layer_of[k]})")
-            dense[i, j, k] += c
-            dense[j, i, k] -= c
-        self._entries = [(int(i), int(j), int(k), float(dense[i, j, k]))
-                         for i, j, k in zip(*np.nonzero(dense))]
-        # the exact kernel's view: one entry per pair i < j, with integer
-        # constants over the common denominator _bracket_den
-        ratios = [(i, j, k, float(c).as_integer_ratio())
-                  for i, j, k, c in self._entries if i < j]
+            if i != j:  # [e_j, e_i] = -[e_i, e_j], and [e_i, e_i] = 0
+                key, c = ((i, j, k), c) if i < j else ((j, i, k), -c)
+                pairs[key] = pairs.get(key, 0.0) + c
+        # each pair's float constant and its integer numerator over _bracket_den
+        ratios = [(*key, c, c.as_integer_ratio()) for key, c in sorted(pairs.items()) if c]
         self._bracket_den = math.lcm(*(d for *_, (_, d) in ratios))
-        self._int_entries = [(i, j, k, n * (self._bracket_den // d))
-                             for i, j, k, (n, d) in ratios]
+        self._entries = [(i, j, k, c, n * (self._bracket_den // d))
+                         for i, j, k, c, (n, d) in ratios]
         self._layer_index = [int(i) - 1 for i in self.layer_of]
         self._check_jacobi()
 
@@ -210,14 +208,14 @@ class CarnotModel(GroupModel):
         for i, j, k in itertools.combinations(range(self.dim), 3):
             a, b, c = basis[i], basis[j], basis[k]
             res = [x + y + z for x, y, z in zip(br(a, br(b, c)), br(b, br(c, a)), br(c, br(a, b)))]
-            if max(abs(r) for r in res) > JACOBI_TOL:
+            if not sup(abs(r) for r in res) <= JACOBI_TOL:
                 raise ModelError(f"Jacobi identity fails on basis triple ({i},{j},{k})")
 
     def _bracket(self, A, B) -> list:
-        """The bracket on coordinate columns, summed entry by entry from 0.0."""
+        """The bracket on coordinate columns, summed pair by pair from 0.0."""
         out = [0.0] * self.dim
-        for i, j, k, c in self._entries:
-            out[k] = out[k] + c * A[i] * B[j]
+        for i, j, k, c, _ in self._entries:
+            out[k] = out[k] + c * (A[i] * B[j] - A[j] * B[i])
         return out
 
     def _product(self, a, b):
@@ -248,8 +246,8 @@ class CarnotModel(GroupModel):
 
     def _exact_bracket(self, A, B):
         out = [0] * self.dim
-        for i, j, k, c in self._int_entries:
-            out[k] += c * (A[i] * B[j] - A[j] * B[i])
+        for i, j, k, _, n in self._entries:
+            out[k] += n * (A[i] * B[j] - A[j] * B[i])
         return out
 
     def _exact_product(self, a: ExactPoint, b: ExactPoint) -> ExactPoint:

@@ -13,7 +13,8 @@ from dilatation_lab.core.scales import DYADIC_POWERS as DP, POSITIVE_REALS as PR
 from dilatation_lab.core.structure import approx_difference, approx_sum
 from dilatation_lab.errors import DomainViolation, MaxIterExceeded
 from dilatation_lab.models import (
-    CarnotModel, DyadicBoundaryModel, ExactPoint, HeisenbergModel, engel_structure_constants)
+    CarnotModel, DyadicBoundaryModel, ExactPoint, HeisenbergModel, engel_structure_constants,
+    heisenberg_structure_constants)
 from dilatation_lab.affine import (
     CollinearTriple, banach_oracle, barycentric_defect, check_collinear,
     collinear_triple_from_ratio, collinearity_defect, counterexample_check,
@@ -114,6 +115,18 @@ def test_banach_oracle_fixed_start(euclid1):
     w = np.array([1.0 / 3.0])
     got = banach_oracle(euclid1, np.array([0.0]), HALF, np.array([1.0]), HALF, w)
     assert np.allclose(got, w, atol=1e-11)
+
+
+def test_banach_oracle_stops_on_generic_carnot_brackets():
+    # a plain CarnotModel with H(2)'s brackets: [-u, u] cancels in its float
+    # product, so an iterate that is fixed bit for bit is at distance 0; a
+    # MaxIterExceeded fails the test
+    G = CarnotModel(2, *heisenberg_structure_constants(2))
+    rng = np.random.default_rng(1)
+    for _ in range(30):
+        x, y, u0 = rng.uniform(-1.0, 1.0, (3, G.dim))
+        eps, mu = (PR.scale(float(e)) for e in rng.uniform(0.2, 0.8, 2))
+        banach_oracle(G, x, eps, y, mu, u0)
 
 
 def test_banach_max_iter(euclid1):

@@ -12,6 +12,7 @@ and ``g_map``) give what their one-at-a-time loops gave.
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -95,8 +96,8 @@ def _ref_heisenberg(n):
 def _ref_carnot(model):
     def bracket(a, b):
         out = np.zeros(model.dim)
-        for i, j, k, c in model._entries:
-            out[k] += c * a[i] * b[j]
+        for i, j, k, c, _ in model._entries:
+            out[k] += c * (a[i] * b[j] - a[j] * b[i])
         return out
 
     def product(a, b):
@@ -481,3 +482,36 @@ def test_a_grid_mixing_value_types_runs_one_scale_at_a_time(monkeypatch):
     calls = _counting(monkeypatch, model, "dilate")
     tangent_limit(model, x, u, v, "sum", grid)
     assert len(calls) == 3 * len(grid)
+
+
+# --- the rounding of the BLAS kernel the float digests assume ------------------
+
+def _blas():
+    """The BLAS numpy was built with, and its configuration where it reports one."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{blas.get('name')} {blas.get('version')} ({blas.get('openblas configuration')})"
+
+
+BLAS_CAUSE = ("so the float CSV digests, recorded under a fused multiply-add kernel, "
+              "cannot match here: the cause of a float digest mismatch is the BLAS "
+              "kernel, not the lab")
+
+
+def _fma(x, y, z):
+    """x y + z rounded once; Python 3.11 has no math.fma."""
+    return float(Fraction(x) * Fraction(y) + Fraction(z))
+
+
+def test_blas_rounds_a_length_two_dot_as_one_fused_multiply_add():
+    A, B = np.random.default_rng(0).uniform(-1.0, 1.0, (2, 2000, 2))
+    off = sum(float(np.dot(a, b)) != _fma(a[1], b[1], a[0] * b[0]) for a, b in zip(A, B))
+    assert not off, (f"{_blas()}: np.dot differs from fma(a1, b1, round(a0 b0)) on "
+                     f"{off} of {len(A)} draws, {BLAS_CAUSE}")
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_vecdot_rows_equal_the_one_dimensional_dot(dim):
+    A, B = np.random.default_rng(dim).uniform(-1.0, 1.0, (2, 500, dim))
+    off = np.count_nonzero(np.vecdot(A, B) != [np.dot(a, b) for a, b in zip(A, B)])
+    assert not off, (f"{_blas()}: np.vecdot differs from np.dot on {off} of "
+                     f"{len(A)} rows of length {dim}, {BLAS_CAUSE}")

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dilatation_lab
 from dilatation_lab.core.harness import verify_axiom
@@ -14,7 +15,9 @@ from dilatation_lab.core.structure import Ball, DilatationStructure
 from dilatation_lab.emergent import LIMIT_OPS, InducedStructure, tangent_limit
 from dilatation_lab.models import (
     CarnotModel, ComplexHeisenbergModel, DyadicBoundaryModel, EuclideanModel,
-    HeisenbergModel, PullbackModel, engel_structure_constants)
+    HeisenbergModel, PullbackModel, engel_structure_constants,
+    heisenberg_structure_constants)
+from dilatation_lab.models.base import GroupModel
 
 PACKAGE = Path(dilatation_lab.__file__).parent
 OPTIONAL = ("to_exact", "to_exact_scale", "exact_difference", "tangent_sum",
@@ -66,6 +69,35 @@ CASES = {
                          {**CONICAL, **FLOAT_A1, **CAUCHY_A4, **AXIOM0_FAILS,
                           "ConeProperty": ("pass", "estimated", "float")}, False),
 }
+
+
+# every structure of the table and a plain CarnotModel with H(2)'s brackets,
+# whose float product is the generic pair-by-pair one
+POINT_LAWS = {**{case: (build, radius) for case, (build, radius, *_) in CASES.items()},
+              "carnot-h2": (lambda: CarnotModel(2, *heisenberg_structure_constants(2)), 0.5)}
+
+
+def _same_point(a, b):
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+@pytest.mark.parametrize("case", list(POINT_LAWS))
+def test_a_point_is_at_distance_zero_from_itself(case):
+    # and on a group, the product of a point's inverse with the point is
+    # the identity, bit for bit
+    build, radius = POINT_LAWS[case]
+    S = build()
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def check(seed):
+        rng = np.random.default_rng(seed)
+        for p in S.sample_ball(S.origin(), radius, 12, rng):
+            assert S.distance(p, p) == 0.0
+            if isinstance(S, GroupModel):
+                assert _same_point(S.group_product(S.group_inverse(p), p), S.identity())
+
+    check()
 
 
 @pytest.mark.parametrize("case", list(CASES))

@@ -260,6 +260,19 @@ def test_bad_model_is_an_error(tmp_path):
     assert run(cfg, quiet=True) == 1
 
 
+def test_a_non_finite_bracket_constant_is_a_one_line_error(tmp_path, capsys):
+    # json writes the constant as Infinity, which Python's json reads back
+    cfg = write_config(tmp_path, "c.json", {
+        "model": {"model": "carnot", "step": 2, "layers": [2, 1],
+                  "brackets": [[0, 1, 2, float("inf")]]},
+        "command": "menelaos", "x": [0.0] * 3, "y": [1.0, 0.0, 0.0], "eps": 0.5, "mu": 0.5,
+    })
+    assert main(["run", cfg, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "not a finite real number" in err and "Traceback" not in err
+
+
 def test_seed_override_changes_hash(tmp_path):
     cfg = write_config(tmp_path, "c.json", {
         "model": {"model": "euclidean", "n": 2},

@@ -292,11 +292,10 @@ def test_factory_rejects_unknown_fields():
                   "brackets": [[0.9, 1, 2, 1.0]]},
                  {"model": "carnot", "step": 2, "layers": layers,
                   "brackets": [[0, 1, "2", 1.0]]},
-                 # and a bracket constant is a real number: no string or bool
-                 {"model": "carnot", "step": 2, "layers": layers,
-                  "brackets": [[0, 1, 2, "1.0"]]},
-                 {"model": "carnot", "step": 2, "layers": layers,
-                  "brackets": [[0, 1, 2, True]]}):
+                 # and a bracket constant is a finite real number: no string,
+                 # bool, infinity or NaN
+                 *({"model": "carnot", "step": 2, "layers": layers, "brackets": [[0, 1, 2, c]]}
+                   for c in ("1.0", True, math.inf, -math.inf, math.nan))):
         with pytest.raises(ModelError):
             from_json(desc)
 

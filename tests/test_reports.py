@@ -22,7 +22,7 @@ from dilatation_lab.core.harness import verify_axiom
 from dilatation_lab.config import CAUCHY_SHRINK, DEFECT_FLOOR
 from dilatation_lab.core.reports import dies_out, make_report, nonincreasing, settles, sup
 from dilatation_lab.core.scales import POSITIVE_REALS as PR
-from dilatation_lab.core.structure import Ball
+from dilatation_lab.core.structure import Ball, Rows
 from dilatation_lab.emergent import (
     check_affine_map, metric_tangent_scan, pansu_derivative, shift_isometry_defect)
 from dilatation_lab.errors import NonConvergent
@@ -112,6 +112,18 @@ def test_sup_per_row_is_the_loop_on_each_row():
 
 
 NAN_SKIPPING = {"fmax", "fmin", "nanmax", "nanmin"}
+# builtin max and min over integers or constants, where no residual and so no
+# NaN can reach them, by (module, function)
+INTEGER_MAX_MIN = {
+    # the dyadic model's digit counts
+    *(("models/dyadic.py", f) for f in (
+        "coincide", "distance", "group_product", "_shift", "dilate", "sample_ball",
+        "barycentric_pair", "w_dilatation")),
+    ("core/structure.py", "_lattice_offsets"),
+    ("core/harness.py", "_axiom0_defects"),   # max(4, sample_count // 4)
+    ("core/harness.py", "verify_axiom"),      # the tolerance floor
+    ("affine.py", "menelaos_iterate"),        # the Menelaos rate floor
+}
 
 
 def _called(func):
@@ -119,20 +131,32 @@ def _called(func):
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
+def _owners(tree):
+    """The innermost function around each node of a module; None at module level."""
+    owner = {}
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            owner[child] = name
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else name)
+
+    visit(tree, None)
+    return owner
+
+
 def _own_sup_rules(path):
-    """Lines of a module that take a sup or treat NaN by hand: ``w = max(w, ...)``,
-    ``reduce(max, ...)``, ``np.maximum.reduce``, a binary ``np.maximum(a, b)``,
-    a NaN-skipping numpy function (``np.fmax``, ``np.fmin``, ``np.nanmax``,
-    ``np.nanmin``) or an ``isnan`` call."""
+    """Lines of a module that take a sup or treat NaN by hand: a builtin ``max``
+    or ``min`` outside ``INTEGER_MAX_MIN``, ``reduce(max, ...)``,
+    ``np.maximum.reduce``, a binary ``np.maximum(a, b)``, a NaN-skipping numpy
+    function (``np.fmax``, ``np.fmin``, ``np.nanmax``, ``np.nanmin``) or an
+    ``isnan`` call."""
     tree = ast.parse(path.read_text(), filename=str(path))
+    module, owner = path.relative_to(PACKAGE).as_posix(), _owners(tree)
     found = []
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Assign) and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and isinstance(node.value, ast.Call)
-                and isinstance(node.value.func, ast.Name) and node.value.func.id == "max"
-                and node.value.args and isinstance(node.value.args[0], ast.Name)
-                and node.value.args[0].id == node.targets[0].id):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("max", "min")
+                and (module, owner[node]) not in INTEGER_MAX_MIN):
             found.append(node.lineno)
         if (isinstance(node, ast.Attribute) and node.attr in NAN_SKIPPING
                 or isinstance(node, ast.Name) and node.id in NAN_SKIPPING):
@@ -275,22 +299,28 @@ def test_a_nan_increment_never_settles(monkeypatch):
         pansu_derivative(H, H, lambda p: p, x, u, PR.grid([2, 3, 4, 5]))
 
 
-def test_axiom_a1_fails_on_a_nan_residual(monkeypatch):
-    # A1 runs in exact arithmetic; its second exact distance is the
-    # delta^x_1 y = y residual of the second sample pair
+@pytest.mark.parametrize("place", [1, 2, 3, 4], ids=["unit", "base", "composition", "inverse"])
+def test_axiom_a1_fails_on_a_nan_residual(monkeypatch, place):
+    # A1 joins four sups per scale: delta^x_1 y = y once, then the base
+    # point, composition and inverse residuals at each scale; the first
+    # exact distance of the chosen sup is NaN
     E = EuclideanModel(2)
-    distance, calls = E.distance, []
+    distance, row_sup, sups, hit = E.distance, Rows.sup, [], []
 
-    def nan_second(p, q):
-        if type(p) is ExactPoint:
-            calls.append(p)
-            if len(calls) == 2:
-                return NAN
+    def counted_sup(self, f, *cols):
+        sups.append(f)
+        return row_sup(self, f, *cols)
+
+    def nan_in_place(p, q):
+        if type(p) is ExactPoint and len(sups) == place and not hit:
+            hit.append(p)
+            return NAN
         return distance(p, q)
 
-    monkeypatch.setattr(E, "distance", nan_second)
+    monkeypatch.setattr(Rows, "sup", counted_sup)
+    monkeypatch.setattr(E, "distance", nan_in_place)
     rep = verify_axiom(E, "A1", Ball(E.origin(), 0.5), PR.grid(range(2, 6)), sample_count=4)
-    assert math.isnan(rep.defect[0]) and not rep.verdict
+    assert hit and math.isnan(rep.defect[0]) and not rep.verdict
 
 
 def test_check_affine_map_fails_on_a_nan_commutation_defect(monkeypatch):
