@@ -153,7 +153,7 @@ def _parse(config: dict):
             continue  # an optional field left out
         try:
             args[name] = _PARSERS[name](model, value) if name in _PARSERS else value
-        except (ValueError, TypeError, KeyError, DomainViolation) as err:
+        except (ValueError, TypeError, KeyError, OverflowError, DomainViolation) as err:
             raise ConfigError(f"bad value for {name!r}: {err!r}") from None
     return handler, model, args
 

@@ -185,6 +185,12 @@ class Rows:
     def __init__(self, points, batch: bool = True):
         self.batched = batch and float_points(points)
 
+    @classmethod
+    def over_grid(cls, points, eps_grid) -> "Rows":
+        """A row per scale of the grid at fixed points; a per-row scale holds one
+        value type, so a grid that mixes types goes one scale at a time."""
+        return cls(points, batch=len({type(e.value) for e in eps_grid}) == 1)
+
     def column(self, points):
         """The points of one tuple position, stacked when batched."""
         return np.stack(points) if self.batched else list(points)
@@ -261,15 +267,17 @@ def rescaled_distance(S: DilatationStructure, x, mu: Scale, u, v) -> float:
 def estimate_dx(S: DilatationStructure, x, u, v, eps_grid) -> tuple[float, ConvergenceReport]:
     """Estimate the tangent distance d^x(u, v) along a decreasing scale grid.
 
-    The estimate is the finest-grid rescaled distance; the report records the
-    gap of each grid value to it.  Successive differences must not grow
-    beyond the jitter factor, otherwise the sweep raises NonConvergent.  A
-    vanishing limit for distinct u, v flags the structure as degenerate.
+    The estimate is the finest-grid rescaled distance, computed on float points
+    in one call over the grid (``Rows.over_grid``); the report records the gap
+    of each grid value to it.  Successive differences must not grow beyond the
+    jitter factor, otherwise the sweep raises NonConvergent.  A vanishing limit
+    for distinct u, v flags the structure as degenerate.
     """
     if len(eps_grid) < 4:
         raise ValueError("estimate_dx needs a grid of at least 4 scales")
     trend_grid("estimate_dx", eps_grid)
-    values = [rescaled_distance(S, x, e, u, v) for e in eps_grid]
+    rows = Rows.over_grid([x, u, v], eps_grid)
+    values = rows.floats(lambda e: rescaled_distance(S, x, e, u, v), rows.scale_column(eps_grid))
     diffs = [abs(a - b) for a, b in zip(values, values[1:])]
     if not nonincreasing(diffs):
         raise NonConvergent(

@@ -48,8 +48,7 @@ def tangent_limit(S: DilatationStructure, x, u, v, which: str,
     trend_grid("tangent_limit", eps_grid)
     op = LIMIT_OPS[which]
     args = (u,) if which == "inverse" else (u, v)
-    # a per-row scale holds one value type; a mixed grid goes one scale at a time
-    rows = Rows([x, *args], batch=len({type(e.value) for e in eps_grid}) == 1)
+    rows = Rows.over_grid([x, *args], eps_grid)
     points = rows.map(lambda e: op(S, x, e, *args), rows.scale_column(eps_grid))
     increments = rows.floats(S.coordinate_gap, points[:-1], points[1:])
     if not settles(increments):

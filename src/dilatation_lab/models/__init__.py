@@ -52,7 +52,7 @@ def from_json(desc: dict):
         args["base"] = from_json(args["base"])
     try:
         return cls(**args)
-    except (KeyError, TypeError, ValueError) as bad:
+    except (KeyError, TypeError, ValueError, OverflowError) as bad:
         raise ModelError(f"invalid model description for {kind!r}: {bad}") from None
 
 

@@ -20,10 +20,10 @@ Float primitives take a single ``(dim,)`` point or an ``(N, dim)`` batch of
 rows through the same code, and a batch row comes out bit for bit as the
 single point would.  The helpers below keep that so: products that are
 written coordinate by coordinate run on Python floats for a single point and
-on column views for a batch; dot products of rows go through ``np.vecdot``,
-which matches the one-dimensional ``np.dot``; fractional powers, and the
-integer powers of a per-row scale, use Python's ``**`` per element, which
-``np.power`` does not match.
+on column views for a batch; dot products go through ``np.vecdot`` for rows
+and ``np.dot`` for single points, summed from +0.0 either way; fractional
+powers, and the integer powers of a per-row scale, use Python's ``**`` per
+element, which ``np.power`` does not match.
 """
 
 from __future__ import annotations
@@ -62,7 +62,9 @@ def columns(a) -> list:
 
 
 def stack(cols) -> np.ndarray:
-    """The point whose ``columns`` these are, or the C-ordered ``(N, dim)`` batch."""
+    """The point or C-ordered ``(N, dim)`` batch whose ``columns`` these are; an array as it is."""
+    if isinstance(cols, np.ndarray):
+        return cols
     return np.stack(cols, axis=-1) if isinstance(cols[0], np.ndarray) else np.array(cols)
 
 
@@ -74,10 +76,11 @@ def float_or_rows(v):
 def row_dot(a, b):
     """The dot product of two vectors, or of each pair of rows of batches.
 
-    ``np.vecdot`` gives each row the value of the 1-D ``np.dot`` bit for bit;
-    two single vectors take ``np.dot``, the cheaper call.
+    ``np.vecdot`` sums each row from +0.0 and otherwise gives it the value of
+    the 1-D ``np.dot`` bit for bit; two single vectors take ``np.dot``, the
+    cheaper call, from +0.0 too, as a length-1 ``np.dot`` keeps a -0.0 product.
     """
-    return a.dot(b) if a.ndim == 1 and b.ndim == 1 else np.vecdot(a, b)
+    return 0.0 + a.dot(b) if a.ndim == 1 and b.ndim == 1 else np.vecdot(a, b)
 
 
 def row_length(v):

@@ -14,8 +14,14 @@ only subadditive up to a constant, which can be estimated empirically.
 Every vector group model of the lab is a ``CarnotModel``: Euclidean space is
 step 1 with no brackets, H(n) and C x R are step 2.  Those subclasses keep
 their own gauge and their own closed-form float product and dilatation,
-which are faster than the generic ones on batches and round differently; on
-exact points all of them share the integer kernel below.
+which round differently from the generic ones; on exact points all of them
+share the integer kernel below.
+
+The generic, the C x R and the H(1) point formulas run on Python floats (on
+column views for a batch): H(1)'s dots have one term, rounded as a Python
+product is.  H(n >= 2) points and H(n) batches keep whole rows, as their dots
+of two or more terms take BLAS's fused multiply-add, which the float digests
+record; Euclidean space adds whole rows in one numpy call.
 """
 
 from __future__ import annotations
@@ -50,15 +56,17 @@ class CarnotModel(GroupModel):
     in one table, an entry per pair i < j and output k ([j, i, k, c] adds -c),
     which ``_bracket`` and ``_exact_bracket`` both walk, so [a, a] is exactly 0.
 
-    Points are flat numpy coordinate vectors.  The float formulas
-    (``_product``, ``_dilate``, ``_norm``) each take a point or an
-    ``(N, dim)`` batch, and ``_dilate`` also a per-row scale, whose value is
-    an ``(N, 1)`` array; exact points (``ExactPoint``) take the integer kernel
-    (``_exact_product``, ``_exact_dilate``) and the gauge ``_exact_norm``.
-    The group inverse is negation in either arithmetic.  ``dilate`` composes
-    the float formulas; on exact points of every step it is one expanded
-    integer formula, which calls neither kernel method.  Subclasses override
-    the float formulas and the gauges, never the kernel or ``dilate``.
+    Points are flat numpy coordinate vectors.  The float formulas ``_product``
+    and ``_dilate`` take a point or an ``(N, dim)`` batch as ``_operand`` gives
+    it and return what ``stack`` makes a point or a batch again; ``_dilate``
+    also takes a per-row scale, whose value is an ``(N, 1)`` array, and
+    ``_norm`` the array itself.  Exact points (``ExactPoint``) take the
+    integer kernel (``_exact_product``, ``_exact_dilate``) and the gauge
+    ``_exact_norm``.  The group inverse is negation in either arithmetic.
+    ``dilate`` composes the float formulas, converting its points once; on
+    exact points of every step it is one expanded integer formula, which
+    calls neither kernel method.  Subclasses override ``_operand``, the float
+    formulas and the gauges, never the kernel or ``dilate``.
     """
 
     def __init__(self, step: int, layers, brackets):
@@ -118,7 +126,7 @@ class CarnotModel(GroupModel):
     def group_product(self, a, b):
         if type(a) is ExactPoint:
             return self._exact_product(a, b)
-        return self._product(a, b)
+        return stack(self._product(self._operand(a), self._operand(b)))
 
     def group_inverse(self, a):
         return -a
@@ -126,7 +134,7 @@ class CarnotModel(GroupModel):
     def ambient_dilate(self, eps: Scale, a):
         if type(a) is ExactPoint:
             return self._exact_dilate(eps.value, a)
-        return self._dilate(eps, a)
+        return stack(self._dilate(eps, self._operand(a)))
 
     def dilate(self, x, eps: Scale, y):
         """x . delta_eps(x^-1 y); on exact points the expanded form, layer by layer,
@@ -138,7 +146,8 @@ class CarnotModel(GroupModel):
 
         where x_2 is the layer-2 part of x."""
         if type(x) is not ExactPoint:
-            return self._product(x, self._dilate(eps, self._product(-x, y)))
+            f = self._operand
+            return stack(self._product(f(x), self._dilate(eps, self._product(f(-x), f(y)))))
         # with eps = p/q, layers 1 and 2 over the denominator 2 h q^2 dx dy;
         # [x,y] is 0 on layer 1
         p, q = _scale_ratio(eps.value)
@@ -218,21 +227,22 @@ class CarnotModel(GroupModel):
             out[k] = out[k] + c * (A[i] * B[j] - A[j] * B[i])
         return out
 
-    def _product(self, a, b):
-        # coordinate by coordinate: Python floats for a point, columns for a batch
-        A, B = columns(a), columns(b)
-        AB = self._bracket(A, B)
-        out = [x + y + z * 0.5 for x, y, z in zip(A, B, AB)]
-        if self.step >= 3:
-            out = [o + (p - q) * (1.0 / 12.0)
-                   for o, p, q in zip(out, self._bracket(A, AB), self._bracket(B, AB))]
-        return stack(out)
+    # a float point or batch as ``_product`` and ``_dilate`` take it: here its
+    # ``columns``, Python floats for a point and column views for a batch
+    _operand = staticmethod(columns)
 
-    def _dilate(self, eps: Scale, a):
+    def _product(self, A, B):
+        AB = self._bracket(A, B)
+        if self.step < 3:
+            return [x + y + z * 0.5 for x, y, z in zip(A, B, AB)]
+        return [x + y + z * 0.5 + (p - q) * (1.0 / 12.0) for x, y, z, p, q
+                in zip(A, B, AB, self._bracket(A, AB), self._bracket(B, AB))]
+
+    def _dilate(self, eps: Scale, A):
         e = eps.value
-        if isinstance(e, np.ndarray):  # an (N, 1) per-row scale
-            return a * np.concatenate([power(e, i + 1) for i in self._layer_index], axis=1)
-        return a * np.array([e ** (i + 1) for i in self._layer_index])
+        if isinstance(e, np.ndarray):  # an (N, 1) per-row scale, one value per row
+            return [a * power(e[:, 0], i + 1) for a, i in zip(A, self._layer_index)]
+        return [a * e ** (i + 1) for a, i in zip(A, self._layer_index)]
 
     def _norm(self, a) -> float:
         blocks = [a[..., sl] for sl in self._slices]

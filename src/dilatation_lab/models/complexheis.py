@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from dilatation_lab.core.scales import COMPLEX_UNITS, Scale
-from dilatation_lab.models.base import columns, stack
+from dilatation_lab.models.base import columns
 from dilatation_lab.models.carnot import CarnotModel
 from dilatation_lab.models.heisenberg import cygan_gauge
 
@@ -32,22 +32,21 @@ class ComplexHeisenbergModel(CarnotModel):
         self.scale_group = COMPLEX_UNITS
         self.name = "complex-heisenberg"
 
-    def _product(self, a, b):
-        a0, a1, a2 = columns(a)
-        b0, b1, b2 = columns(b)
+    def _product(self, A, B):
+        (a0, a1, a2), (b0, b1, b2) = A, B
         im_cross = a1 * b0 - a0 * b1  # Im(x conj(y))
-        return stack([a0 + b0, a1 + b1, a2 + b2 + im_cross / 2])
+        return [a0 + b0, a1 + b1, a2 + b2 + im_cross / 2]
 
-    def _dilate(self, eps: Scale, a):
+    def _dilate(self, eps: Scale, A):
         e = eps.value
         if isinstance(e, np.ndarray):  # an (N, 1) per-row scale, as one value per row
             e = e[:, 0]
-        a0, a1, a2 = columns(a)
+        a0, a1, a2 = A
         if isinstance(e, complex) or isinstance(e, np.ndarray) and e.dtype.kind == "c":
             # (a0 + i a1) e, with the parts in the order of Python's complex product
             er, ei = e.real, e.imag
-            return stack([a0 * er - a1 * ei, a0 * ei + a1 * er, (er * er + ei * ei) * a2])
-        return stack([e * a0, e * a1, e * e * a2])
+            return [a0 * er - a1 * ei, a0 * ei + a1 * er, (er * er + ei * ei) * a2]
+        return [e * a0, e * a1, e * e * a2]
 
     def _norm(self, a) -> float:
         a0, a1, a2 = columns(a)

@@ -23,6 +23,8 @@ class EuclideanModel(CarnotModel):
         self.n = int(n)
         self.name = f"euclidean-{self.n}d"
 
+    _operand = staticmethod(lambda a: a)  # whole rows: one numpy call per operation
+
     def _product(self, a, b):
         return a + b
 

@@ -38,7 +38,19 @@ class HeisenbergModel(CarnotModel):
         n = self.n
         return row_dot(x[..., :n], y[..., n:2 * n]) - row_dot(x[..., n:2 * n], y[..., :n])
 
+    def _operand(self, a):
+        # an H(1) point on Python floats: each dot of its symplectic term has one
+        # term, which rounds as the Python product does; batches and H(n >= 2),
+        # whose dots BLAS rounds, stay whole rows (an exact point stays as it is)
+        return a.tolist() if self.n == 1 and getattr(a, "ndim", 0) == 1 else a
+
     def _product(self, a, b):
+        if type(a) is list or type(b) is list:
+            if type(a) is not type(b):  # an H(1) point beside a batch
+                return self._product(np.asarray(a), np.asarray(b))
+            # H(1) points, or a point and the columns of a per-row dilatation
+            (a0, a1, a2), (b0, b1, b2) = a, b
+            return [a0 + b0, a1 + b1, a2 + b2 + ((0.0 + a0 * b1) - (0.0 + a1 * b0)) / 2]
         out = a + b
         # out.T[k] is coordinate k of a point, or column k of a batch
         out.T[2 * self.n] += self.symplectic(a, b) / 2
@@ -46,6 +58,10 @@ class HeisenbergModel(CarnotModel):
 
     def _dilate(self, eps: Scale, a):
         e = eps.value
+        if type(a) is list:  # an H(1) point's columns; a per-row scale as one value per row
+            e = e[:, 0] if isinstance(e, np.ndarray) else e
+            a0, a1, a2 = a
+            return [e * a0, e * a1, e * e * a2]
         if isinstance(e, np.ndarray):  # an (N, 1) per-row scale
             return a * np.concatenate([e] * (2 * self.n) + [e * e], axis=1)
         return a * np.array([e] * (2 * self.n) + [e * e])

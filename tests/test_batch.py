@@ -22,8 +22,9 @@ from dilatation_lab.affine import g_map
 from dilatation_lab.core import structure
 from dilatation_lab.core.harness import verify_axiom
 from dilatation_lab.core.scales import COMPLEX_UNITS, POSITIVE_REALS as PR, RowScale
-from dilatation_lab.core.structure import Ball
+from dilatation_lab.core.structure import Ball, estimate_dx, rescaled_distance
 from dilatation_lab.emergent import LIMIT_OPS, InducedStructure, metric_tangent_scan, tangent_limit
+from dilatation_lab.errors import NonConvergent
 from dilatation_lab.models import (
     CarnotModel, ComplexHeisenbergModel, DyadicBoundaryModel, EuclideanModel, HeisenbergModel,
     PullbackModel, engel_structure_constants)
@@ -75,7 +76,8 @@ def _ref_euclid():
 
 def _ref_heisenberg(n):
     def product(a, b):
-        omega = np.dot(a[:n], b[n:2 * n]) - np.dot(a[n:2 * n], b[:n])
+        # each dot from +0.0, as a batch row's: a length-1 np.dot keeps a -0.0 product
+        omega = (0.0 + np.dot(a[:n], b[n:2 * n])) - (0.0 + np.dot(a[n:2 * n], b[:n]))
         out = np.empty(2 * n + 1)
         out[:2 * n] = a[:2 * n] + b[:2 * n]
         out[2 * n] = a[2 * n] + b[2 * n] + omega / 2
@@ -184,7 +186,9 @@ def _ref_gap(p, q):
 
 
 def _batch(dim, bound):
-    coord = st.floats(-bound, bound, allow_nan=False, allow_infinity=False)
+    # signed zeros often, so a row whose zero differs in sign from its point's shows
+    coord = st.one_of(st.sampled_from([0.0, -0.0]),
+                      st.floats(-bound, bound, allow_nan=False, allow_infinity=False))
     return st.integers(2, 7).flatmap(
         lambda n: st.lists(st.lists(coord, min_size=dim, max_size=dim),
                            min_size=3 * n, max_size=3 * n)
@@ -192,9 +196,10 @@ def _batch(dim, bound):
 
 
 def _same(batch, rows):
+    # bytes, not ==, which takes -0.0 for 0.0
     assert isinstance(batch, np.ndarray)
     assert batch.shape[0] == len(rows)
-    assert np.array_equal(batch, np.array(rows))
+    assert _bits(batch) == _bits(np.array(rows))
 
 
 @pytest.mark.parametrize("case", IDS)
@@ -215,14 +220,24 @@ def test_primitives_batch_equals_rows(case):
               [model.tangent_distance(x, y, z) for x, y, z in rows])
         ref_dilate, ref_distance = _reference(model)
         for x, y, z in rows:
-            assert np.array_equal(model.dilate(x, eps, y), ref_dilate(x, eps.value, y))
+            assert _bits(model.dilate(x, eps, y)) == _bits(ref_dilate(x, eps.value, y))
             d = model.distance(x, y)
-            assert type(d) is float and d == ref_distance(x, y)
+            assert type(d) is float and _bits(d) == _bits(ref_distance(x, y))
             gap = model.coordinate_gap(x, y)
-            assert type(gap) is float and gap == _ref_gap(x, y)
+            assert type(gap) is float and _bits(gap) == _bits(_ref_gap(x, y))
             assert model.tangent_distance(x, y, z) == _ref_tangent_distance(model, x, y, z)
 
     check()
+
+
+@pytest.mark.parametrize("case", [c for c in IDS if hasattr(CASES[c][0], "group_product")])
+def test_product_rows_keep_the_sign_of_a_zero(case):
+    # a length-1 np.dot keeps a -0.0 product where np.vecdot sums from +0.0, so a
+    # point's dot is summed from +0.0 too (row_dot); signed zeros and units make
+    # zero products of either sign often
+    model = CASES[case][0]
+    A, B = np.random.default_rng(3).choice([0.0, -0.0, 1.0, -1.0], (2, 400, model.coordinate_dim))
+    _same(model.group_product(A, B), [model.group_product(a, b) for a, b in zip(A, B)])
 
 
 @pytest.mark.parametrize("case", IDS)
@@ -406,6 +421,25 @@ def test_tangent_limit_is_the_one_scale_at_a_time_loop(case):
             assert not isinstance(limit, np.ndarray) or limit.base is None
 
 
+@pytest.mark.parametrize("case", list(TANGENT_CASES))
+def test_estimate_dx_is_the_one_scale_at_a_time_loop(case):
+    # seven scales, on which the float gauges mostly settle
+    S, grid, radius = TANGENT_CASES[case]
+    grid = (grid or S.scale_group.grid(range(2, 13)))[:7]
+    for seed in range(3):
+        x, u, v = S.sample_ball(S.origin(), radius, 10, np.random.default_rng(seed))[7:]
+        if case.endswith("exact"):
+            x, u, v = (S.to_exact(p) for p in (x, u, v))
+        want = [rescaled_distance(S, x, e, u, v) for e in grid]
+        try:
+            estimate, report = estimate_dx(S, x, u, v, grid)
+        except NonConvergent as err:
+            # float roundoff through a fractional-power gauge: the same unsettled steps
+            assert str(err).endswith(f"diffs={[abs(a - b) for a, b in zip(want, want[1:])]}")
+            continue
+        assert _bits([estimate, report.metadata["values"]]) == _bits([want[-1], want]), seed
+
+
 def _g_map_one_power_at_a_time(M, eps, y, N):
     out, power = y, eps
     for _ in range(N):
@@ -463,10 +497,12 @@ def test_tangent_limit_calls_do_not_grow_with_the_grid(monkeypatch):
     for ks in (range(2, 7), range(2, 13)):
         with monkeypatch.context() as m:
             calls = _counting(m, model, "dilate")
+            grid = model.scale_group.grid(ks)
             for which in LIMIT_OPS:
-                tangent_limit(model, x, u, v, which, model.scale_group.grid(ks))
+                tangent_limit(model, x, u, v, which, grid)
+            estimate_dx(model, x, u, v, grid)
         counts.append(len(calls))
-    assert counts[0] == counts[1] == 3 + 3 + 2
+    assert counts[0] == counts[1] == 3 + 3 + 2 + 2
 
 
 def test_a_grid_mixing_value_types_runs_one_scale_at_a_time(monkeypatch):

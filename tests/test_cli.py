@@ -260,17 +260,25 @@ def test_bad_model_is_an_error(tmp_path):
     assert run(cfg, quiet=True) == 1
 
 
-def test_a_non_finite_bracket_constant_is_a_one_line_error(tmp_path, capsys):
-    # json writes the constant as Infinity, which Python's json reads back
-    cfg = write_config(tmp_path, "c.json", {
-        "model": {"model": "carnot", "step": 2, "layers": [2, 1],
-                  "brackets": [[0, 1, 2, float("inf")]]},
+# json writes inf as Infinity, which Python's json reads back, and an integer
+# of 401 digits as it is, which no float holds
+@pytest.mark.parametrize("field,value,message", [
+    ("brackets", [[0, 1, 2, float("inf")]], "not a finite real number"),
+    ("brackets", [[0, 1, 2, 10 ** 400]], "int too large to convert to float"),
+    ("x", [10 ** 400, 0, 0], "int too large to convert to float"),
+    ("eps", 10 ** 400, "int too large to convert to float"),
+], ids=["bracket-inf", "bracket-huge", "x-huge", "eps-huge"])
+def test_a_number_no_float_holds_is_a_one_line_error(tmp_path, capsys, field, value, message):
+    config = {
+        "model": {"model": "carnot", "step": 2, "layers": [2, 1], "brackets": [[0, 1, 2, 1.0]]},
         "command": "menelaos", "x": [0.0] * 3, "y": [1.0, 0.0, 0.0], "eps": 0.5, "mu": 0.5,
-    })
+    }
+    (config["model"] if field == "brackets" else config)[field] = value
+    cfg = write_config(tmp_path, "c.json", config)
     assert main(["run", cfg, "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
-    assert "not a finite real number" in err and "Traceback" not in err
+    assert message in err and "Traceback" not in err
 
 
 def test_seed_override_changes_hash(tmp_path):

@@ -9,6 +9,7 @@ from dilatation_lab.core.structure import (
     rescaled_distance)
 from dilatation_lab.errors import DomainViolation, NonConvergent
 from dilatation_lab.models import EuclideanModel
+from dilatation_lab.models.base import float_or_rows
 
 HALF = PR.scale(0.5)
 
@@ -201,14 +202,15 @@ def test_estimate_dx_validates_grid(euclid2):
 
 
 class _ProjectionMetric(EuclideanModel):
-    """Pseudo-distance that forgets the second coordinate: A3 limit degenerates."""
+    """Pseudo-distance that forgets the second coordinate: A3 limit degenerates.
+    Like every float model it takes a point or an ``(N, 2)`` batch."""
 
     def __init__(self):
         super().__init__(2)
         self.name = "projection-metric"
 
     def homogeneous_norm(self, a):
-        return abs(float(a[0]))
+        return float_or_rows(np.abs(a[..., 0]))
 
 
 def test_estimate_dx_flags_degenerate_limit():
@@ -224,14 +226,17 @@ def test_estimate_dx_flags_degenerate_limit():
 
 def test_estimate_dx_raises_on_noise():
     class Jumpy(EuclideanModel):
+        """Every third distance it evaluates, a point's or a batch row's, is off by 0.5."""
+
         def __init__(self):
             super().__init__(1)
             self._flip = 0
 
         def distance(self, p, q):
-            self._flip += 1
-            noise = 0.5 if self._flip % 3 == 0 else 0.0
-            return abs(float(p[0] - q[0])) + noise
+            gap = np.abs(p - q)[..., 0]
+            flips = self._flip + np.arange(1, gap.size + 1).reshape(gap.shape)
+            self._flip += gap.size
+            return float_or_rows(gap + np.where(flips % 3 == 0, 0.5, 0.0))
 
     with pytest.raises(NonConvergent):
         estimate_dx(Jumpy(), np.zeros(1), np.ones(1), -np.ones(1), PR.grid(range(2, 9)))
