@@ -23,6 +23,13 @@ limit report a decreasing sequence:
 * ConeProperty  self-similarity of the tangent distance,
           d^x(u,v) = d^x(delta^x_mu u, delta^x_mu v) / nu(mu).
 
+Samples pair in a cycle, each with the next and the last with the first; a
+sweep has one row (x, u, v) per base x and sample u, a block of rows per
+base.  A3, A4 and the cone property see a pair only through delta^x_eps u
+and delta^x_eps v, so they dilate u once per row and scale and read v's image
+off the next row of the block (``Rows.rotate``).  Exact images are the same
+rationals and a batch row is its single-point value, so no defect moves.
+
 Each sweep has one tolerance from config.py: LIMIT_TOL for A3 and the
 estimated cone property, CAUCHY_DIFFERENCE_TOL for A4 in cauchy mode and
 EXACT_IDENTITY_TOL for the identities (the rest).  A sweep passes when its
@@ -41,19 +48,26 @@ from dilatation_lab.errors import DomainViolation
 from dilatation_lab.core.reports import ConvergenceReport, make_report, nonincreasing, sup
 from dilatation_lab.core.scales import not_expanding, reference_scale, trend_grid
 from dilatation_lab.core.structure import (
-    Ball, DilatationStructure, Rows, approx_difference, difference_after, estimate_dx,
-    exactify, rescaled_distance)
+    Ball, DilatationStructure, Rows, difference_after, estimate_dx, exactify,
+    rescaled_distance_after)
 
 AXIOMS = ("A1", "A2", "A3", "A4", "Axiom0", "ConeProperty")
 
 
-def _rows(bases, pairs, batch=True):
-    """One row (x, u, v) per base x and pair (u, v), bases outermost."""
-    rows = Rows([*bases, *(p for pair in pairs for p in pair)], batch)
-    X = rows.column([x for x in bases for _ in pairs])
-    U = rows.column([u for _ in bases for u, _ in pairs])
-    V = rows.column([v for _ in bases for _, v in pairs])
-    return rows, X, U, V
+def _rows(bases, pts, batch=True):
+    """One row (x, u, v) per base x and sample u, bases outermost; v, the sample
+    after u (the last pairs with the first), is U rotated within x's block."""
+    rows = Rows([*bases, *pts], batch)
+    X = rows.column([x for x in bases for _ in pts])
+    U = rows.column([u for _ in bases for u in pts])
+    return rows, X, U, rows.rotate(U, len(pts))
+
+
+def _images(S, rows, X, U, eps, block):
+    """delta^x_eps u and delta^x_eps v on every row, from one dilate: the rows
+    of a block share x, so v's image is the next row's image of u."""
+    A = rows.map(lambda x, u: S.dilate(x, eps, u), X, U)
+    return A, rows.rotate(A, block)
 
 
 def verify_axiom(S: DilatationStructure, which: str, region: Ball, eps_grid,
@@ -81,20 +95,19 @@ def verify_axiom(S: DilatationStructure, which: str, region: Ball, eps_grid,
     if which == "A1" or (which, mode) in (("A4", "exact"), ("ConeProperty", "estimated")):
         (center, *pts), grid, exact = exactify(S, [center, *pts], eps_grid)
     bases = [center, pts[1], pts[2 % len(pts)]]
-    pairs = list(zip(pts, pts[1:] + pts[:1]))
 
     if which == "A1":
-        defects = _a1_defects(S, bases, pairs, grid)
+        defects = _a1_defects(S, bases, pts, grid)
     elif which == "A2":
-        defects = _a2_defects(S, bases, pairs, grid)
+        defects = _a2_defects(S, bases, pts, grid)
     elif which == "A3":
-        defects = _a3_defects(S, bases, pairs, grid)
+        defects = _a3_defects(S, bases, pts, grid)
     elif which == "A4":
-        defects = _a4_defects(S, bases, pairs, grid, mode == "exact")
+        defects = _a4_defects(S, bases, pts, grid, mode == "exact")
     elif which == "Axiom0":
         defects = _axiom0_defects(S, bases, grid, sample_count, rng)
     else:
-        defects = _cone_defects(S, bases, pairs, grid, mode == "exact")
+        defects = _cone_defects(S, bases, pts, grid, mode == "exact")
 
     # limits read off a finite grid meet the limit tolerance, identities
     # the exact-identity one
@@ -112,11 +125,11 @@ def verify_axiom(S: DilatationStructure, which: str, region: Ball, eps_grid,
                   "region_radius": region.radius})
 
 
-def _a1_defects(S, bases, pairs, eps_grid):
+def _a1_defects(S, bases, pts, eps_grid):
     # derive the identity from the grid so exact grids stay exact
     one = eps_grid[0] * eps_grid[0].inverse()
     mu = eps_grid[0]
-    rows, X, Y, _ = _rows(bases, pairs)
+    rows, X, Y, _ = _rows(bases, pts)
     B = rows.column(bases)
     # delta^x_1 y = y and delta^x_mu y do not depend on eps: each is evaluated once
     unit = rows.sup(lambda x, y: S.distance(S.dilate(x, one, y), y), X, Y)
@@ -133,41 +146,46 @@ def _a1_defects(S, bases, pairs, eps_grid):
     return defects
 
 
-def _a2_defects(S, bases, pairs, eps_grid):
+def _a2_defects(S, bases, pts, eps_grid):
     ref = reference_scale(eps_grid)
-    rows, X, Y, _ = _rows(bases, pairs)
+    rows, X, Y, _ = _rows(bases, pts)
     refs = rows.map(lambda x, y: S.distance(x, S.dilate(x, ref, y)) / ref.nu, X, Y)
     return [rows.sup(lambda x, y, r: abs(S.distance(x, S.dilate(x, eps, y)) - eps.nu * r),
                      X, Y, refs)
             for eps in eps_grid]
 
 
-def _a3_defects(S, bases, pairs, eps_grid):
-    ref = reference_scale(eps_grid)
-    rows, X, U, V = _rows(bases, pairs)
-    refs = rows.map(lambda x, u, v: rescaled_distance(S, x, ref, u, v), X, U, V)
-    return [rows.sup(lambda x, u, v, r: abs(rescaled_distance(S, x, eps, u, v) - r),
-                     X, U, V, refs)
-            for eps in eps_grid]
+def _a3_defects(S, bases, pts, eps_grid):
+    rows, X, U, _ = _rows(bases, pts)
+
+    def rescaled(eps):
+        # rescaled_distance on every row
+        not_expanding("the rescaled distance", eps)
+        return rows.map(lambda a, b: rescaled_distance_after(S, eps, a, b),
+                        *_images(S, rows, X, U, eps, len(pts)))
+
+    refs = rescaled(reference_scale(eps_grid))
+    return [rows.sup(lambda d, r: abs(d - r), rescaled(eps), refs) for eps in eps_grid]
 
 
-def _a4_defects(S, bases, pairs, eps_grid, use_exact):
-    rows, X, U, V = _rows(bases, pairs)
+def _a4_defects(S, bases, pts, eps_grid, use_exact):
+    rows, X, U, V = _rows(bases, pts)
     if use_exact:
         # approx_difference against exact_difference, sharing a = delta^x_eps u
         not_expanding("a finite-scale composite", *eps_grid)
+        return [rows.sup(lambda a, b, u, v: S.distance(difference_after(S, eps, a, b),
+                                                       S.exact_difference_after(a, u, v)),
+                         *_images(S, rows, X, U, eps, len(pts)), U, V)
+                for eps in eps_grid]
 
-        def gap(x, eps, u, v):
-            a = S.dilate(x, eps, u)
-            return S.distance(difference_after(S, x, eps, a, v),
-                              S.exact_difference_after(a, u, v))
+    def difference(eps):
+        # approx_difference on every row
+        not_expanding("a finite-scale composite", eps)
+        return rows.map(lambda a, b: difference_after(S, eps, a, b),
+                        *_images(S, rows, X, U, eps, len(pts)))
 
-        return [rows.sup(lambda x, u, v: gap(x, eps, u, v), X, U, V) for eps in eps_grid]
-    ref = reference_scale(eps_grid)
-    refs = rows.map(lambda x, u, v: approx_difference(S, x, ref, u, v), X, U, V)
-    return [rows.sup(lambda x, u, v, r: S.coordinate_gap(approx_difference(S, x, eps, u, v), r),
-                     X, U, V, refs)
-            for eps in eps_grid]
+    refs = difference(reference_scale(eps_grid))
+    return [rows.sup(S.coordinate_gap, difference(eps), refs) for eps in eps_grid]
 
 
 def _axiom0_defects(S, bases, eps_grid, sample_count, rng):
@@ -186,7 +204,7 @@ def _axiom0_defects(S, bases, eps_grid, sample_count, rng):
             for eps in eps_grid]
 
 
-def _cone_defects(S, bases, pairs, eps_grid, use_exact):
+def _cone_defects(S, bases, pts, eps_grid, use_exact):
     if use_exact:
         dx = S.tangent_distance
     else:
@@ -194,12 +212,11 @@ def _cone_defects(S, bases, pairs, eps_grid, use_exact):
             return estimate_dx(S, x, u, v, eps_grid)[0]
 
     # estimate_dx runs a sweep of its own per point, so it takes rows one at a time
-    rows, X, U, V = _rows(bases, pairs, batch=use_exact)
+    rows, X, U, V = _rows(bases, pts, batch=use_exact)
     # the left-hand side does not depend on mu: one value per row
     lhs = rows.map(dx, X, U, V)
-    return [rows.sup(lambda x, u, v, left: abs(left - dx(x, S.dilate(x, mu, u),
-                                                         S.dilate(x, mu, v)) / mu.nu),
-                     X, U, V, lhs)
+    return [rows.sup(lambda x, a, b, left: abs(left - dx(x, a, b) / mu.nu),
+                     X, *_images(S, rows, X, U, mu, len(pts)), lhs)
             for mu in eps_grid]
 
 

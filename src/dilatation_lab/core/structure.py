@@ -179,7 +179,11 @@ class Rows:
     When every point is a float array, each tuple position is stacked into an
     ``(N, dim)`` batch and the function runs once over all rows; otherwise
     (exact or dyadic points) it runs once per row.  Either way it is the same
-    function, and a batch row equals the value of its own row.
+    function, and a batch row equals the value of its own row.  A sweep that
+    pairs each sample with the next one takes the pair's second point as the
+    rotation of the first within a block of rows (``rotate``), so a map that
+    is the same on every row of a block, such as a dilatation based at the
+    block's point, is evaluated once for both points of every pair.
     """
 
     def __init__(self, points, batch: bool = True):
@@ -209,9 +213,14 @@ class Rows:
         """Row i of a column, as a point of its own rather than a view into the batch."""
         return col[i].copy() if self.batched else col[i]
 
-    def rotate(self, col):
-        """The column shifted up by one row, the first row moving to the end."""
-        return np.roll(col, -1, axis=0) if self.batched else col[1:] + col[:1]
+    def rotate(self, col, block: int):
+        """Each block of ``block`` consecutive rows shifted up by one row, its
+        first row moving to the block's end; no row leaves its block."""
+        if self.batched:
+            blocks = col.reshape(-1, block, *col.shape[1:])
+            return np.roll(blocks, -1, axis=1).reshape(col.shape)
+        return [p for i in range(0, len(col), block)
+                for p in (*col[i + 1:i + block], col[i])]
 
     def map(self, f, *cols):
         """f on every row: an array from one call, or a list of per-row values."""
@@ -236,12 +245,12 @@ class Rows:
 def approx_difference(S: DilatationStructure, x, eps: Scale, u, v):
     """Delta^x_eps(u, v), the finite-scale difference composite (per row on batches)."""
     not_expanding("a finite-scale composite", eps)
-    return difference_after(S, x, eps, S.dilate(x, eps, u), v)
+    return difference_after(S, eps, S.dilate(x, eps, u), S.dilate(x, eps, v))
 
 
-def difference_after(S: DilatationStructure, x, eps: Scale, a, v):
-    """Delta^x_eps(u, v) from a = delta^x_eps u, for a caller that has a already."""
-    return S.dilate(a, eps.inverse(), S.dilate(x, eps, v))
+def difference_after(S: DilatationStructure, eps: Scale, a, b):
+    """Delta^x_eps(u, v) from the images a = delta^x_eps u and b = delta^x_eps v."""
+    return S.dilate(a, eps.inverse(), b)
 
 
 def approx_sum(S: DilatationStructure, x, eps: Scale, u, v):
@@ -261,7 +270,12 @@ def approx_inverse(S: DilatationStructure, x, eps: Scale, u):
 def rescaled_distance(S: DilatationStructure, x, mu: Scale, u, v) -> float:
     """The distance (delta^x, mu): d(delta^x_mu u, delta^x_mu v) / nu(mu), per row on batches."""
     not_expanding("the rescaled distance", mu)
-    return S.distance(S.dilate(x, mu, u), S.dilate(x, mu, v)) / mu.nu
+    return rescaled_distance_after(S, mu, S.dilate(x, mu, u), S.dilate(x, mu, v))
+
+
+def rescaled_distance_after(S: DilatationStructure, mu: Scale, a, b) -> float:
+    """The rescaled distance from the images a = delta^x_mu u and b = delta^x_mu v."""
+    return S.distance(a, b) / mu.nu
 
 
 def estimate_dx(S: DilatationStructure, x, u, v, eps_grid) -> tuple[float, ConvergenceReport]:

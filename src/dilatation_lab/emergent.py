@@ -255,7 +255,7 @@ def metric_tangent_scan(S: DilatationStructure, x, eps_grid, sample_count: int =
         # each contracted point against the next one, the last against the first
         moved = rows.map(lambda x, p: S.dilate(x, eps, p), X, P)
         worst = rows.sup(lambda x, u, v: abs(S.distance(u, v) - S.tangent_distance(x, u, v)),
-                         X, moved, rows.rotate(moved))
+                         X, moved, rows.rotate(moved, len(base_pts)))
         values.append(worst / eps.nu)
     return make_report(eps_grid, values, nonincreasing(values),
                        {"model": S.name, "quantity": "metric-tangent-gap",

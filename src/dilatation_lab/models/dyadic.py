@@ -22,29 +22,52 @@ which halves the distance to the base.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from dilatation_lab.errors import DomainViolation, ModelError, PrecisionExhausted
 from dilatation_lab.core.scales import DYADIC_POWERS, Scale, contraction
 from dilatation_lab.models.base import GroupModel, is_integer
 
 
-@dataclass(frozen=True)
 class DyadicPoint:
-    """A truncated dyadic integer: residue modulo 2^known."""
+    """A truncated dyadic integer: residue modulo 2^known.  Immutable."""
 
-    residue: int
-    known: int
+    __slots__ = ("residue", "known")
 
-    def __post_init__(self):
-        if self.known < 1:
+    def __init__(self, residue: int, known: int):
+        if known < 1:
             raise PrecisionExhausted("point retains no known digits")
-        object.__setattr__(self, "residue", self.residue % (1 << self.known))
+        _set_residue(self, residue % (1 << known))
+        _set_known(self, known)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return DyadicPoint, (self.residue, self.known)
+
+    def __eq__(self, other):
+        if type(other) is not DyadicPoint:
+            return NotImplemented
+        return self.residue == other.residue and self.known == other.known
+
+    def __hash__(self):
+        return hash((self.residue, self.known))
+
+    def __repr__(self):
+        return f"DyadicPoint(residue={self.residue!r}, known={self.known!r})"
 
     def bit(self, i: int) -> int:
         if i >= self.known:
             raise PrecisionExhausted(f"digit {i + 1} is beyond the known prefix")
         return (self.residue >> i) & 1
+
+
+# the slot descriptors set a new point's fields past its guarded __setattr__
+_set_residue = DyadicPoint.residue.__set__
+_set_known = DyadicPoint.known.__set__
 
 
 def _v2(n: int) -> int:

@@ -82,3 +82,9 @@ def pt(model, *coords):
 # hypothesis draws the same examples on every run, so Tier-1 results repeat
 settings.register_profile("tier1", derandomize=True)
 settings.load_profile("tier1")
+
+
+def blas_kernel():
+    """The BLAS numpy was built with, and its configuration where it reports one."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{blas.get('name')} {blas.get('version')} ({blas.get('openblas configuration')})"

@@ -29,6 +29,8 @@ from dilatation_lab.models import (
     CarnotModel, ComplexHeisenbergModel, DyadicBoundaryModel, EuclideanModel, HeisenbergModel,
     PullbackModel, engel_structure_constants)
 
+from conftest import blas_kernel
+
 
 def _rotated_grid(ks, turn=0.7):
     """Complex scales 2^-k e^{i turn k}: no exact form, so every sweep runs in floats."""
@@ -303,6 +305,21 @@ def test_float_sweeps_run_as_batches(monkeypatch):
     assert seen and set(seen) == {2}
 
 
+@pytest.mark.parametrize("block", [1, 2, 5])
+def test_rows_rotate_within_blocks(block):
+    # a batch and a list rotate alike, and each row stays in its block: row
+    # i takes the next row of its block, the block's last row its first
+    pts = list(np.random.default_rng(block).uniform(-1.0, 1.0, (3 * block, 2)))
+    batch, rows = structure.Rows(pts), structure.Rows(pts, batch=False)
+    assert batch.batched and not rows.batched
+    order = [i - i % block + (i + 1) % block for i in range(len(pts))]
+    assert np.array_equal(batch.rotate(batch.column(pts), block), [pts[i] for i in order])
+    assert [id(p) for p in rows.rotate(rows.column(pts), block)] == [id(pts[i]) for i in order]
+    # a column of one value per row rotates the same way
+    assert batch.rotate(np.arange(len(pts)), block).tolist() == order
+    assert rows.rotate(list(range(len(pts))), block) == order
+
+
 def _row_scale_values(case, rng, n):
     """n scale values for a case's per-row scale: complex ones that are not
     powers of two on C x R, contracting ones on the pullbacks' chart ball."""
@@ -522,12 +539,6 @@ def test_a_grid_mixing_value_types_runs_one_scale_at_a_time(monkeypatch):
 
 # --- the rounding of the BLAS kernel the float digests assume ------------------
 
-def _blas():
-    """The BLAS numpy was built with, and its configuration where it reports one."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return f"{blas.get('name')} {blas.get('version')} ({blas.get('openblas configuration')})"
-
-
 BLAS_CAUSE = ("so the float CSV digests, recorded under a fused multiply-add kernel, "
               "cannot match here: the cause of a float digest mismatch is the BLAS "
               "kernel, not the lab")
@@ -541,7 +552,7 @@ def _fma(x, y, z):
 def test_blas_rounds_a_length_two_dot_as_one_fused_multiply_add():
     A, B = np.random.default_rng(0).uniform(-1.0, 1.0, (2, 2000, 2))
     off = sum(float(np.dot(a, b)) != _fma(a[1], b[1], a[0] * b[0]) for a, b in zip(A, B))
-    assert not off, (f"{_blas()}: np.dot differs from fma(a1, b1, round(a0 b0)) on "
+    assert not off, (f"{blas_kernel()}: np.dot differs from fma(a1, b1, round(a0 b0)) on "
                      f"{off} of {len(A)} draws, {BLAS_CAUSE}")
 
 
@@ -549,5 +560,5 @@ def test_blas_rounds_a_length_two_dot_as_one_fused_multiply_add():
 def test_vecdot_rows_equal_the_one_dimensional_dot(dim):
     A, B = np.random.default_rng(dim).uniform(-1.0, 1.0, (2, 500, dim))
     off = np.count_nonzero(np.vecdot(A, B) != [np.dot(a, b) for a, b in zip(A, B)])
-    assert not off, (f"{_blas()}: np.vecdot differs from np.dot on {off} of "
+    assert not off, (f"{blas_kernel()}: np.vecdot differs from np.dot on {off} of "
                      f"{len(A)} rows of length {dim}, {BLAS_CAUSE}")

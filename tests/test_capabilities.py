@@ -1,6 +1,7 @@
 """Optional capabilities are methods: a structure has one exactly when it defines it."""
 
 import ast
+import hashlib
 import re
 from pathlib import Path
 
@@ -18,6 +19,8 @@ from dilatation_lab.models import (
     HeisenbergModel, PullbackModel, engel_structure_constants,
     heisenberg_structure_constants)
 from dilatation_lab.models.base import GroupModel
+
+from conftest import blas_kernel
 
 PACKAGE = Path(dilatation_lab.__file__).parent
 OPTIONAL = ("to_exact", "to_exact_scale", "exact_difference", "tangent_sum",
@@ -71,6 +74,21 @@ CASES = {
 }
 
 
+# sha256 over each sweep's verdict and the float.hex of its defects, in the
+# order of the table: the sweeps must give these reports bit for bit
+REPORT_DIGESTS = {
+    "euclidean-2d": "a1d6c74691ecd88a95ed6a5c3a5fdd30152b7f3b388bd04758c687f233aca642",
+    "heisenberg-1": "a1d6c74691ecd88a95ed6a5c3a5fdd30152b7f3b388bd04758c687f233aca642",
+    "engel": "a1d6c74691ecd88a95ed6a5c3a5fdd30152b7f3b388bd04758c687f233aca642",
+    "complex-heisenberg": "a1d6c74691ecd88a95ed6a5c3a5fdd30152b7f3b388bd04758c687f233aca642",
+    "dyadic-64": "75935ff69169bfa39df4e452ef2d029fdbe487b2c0156b9715629c0b5216fbfe",
+    "pullback-dilatation": "83ac880e8d03f751a8e933b3d69821035bf25ceb4976c4a1179c5f902e06d0ab",
+    "pullback-metric": "bd9330487687677df124e37cab8641840ecfe586c8690d22fed6db89f3714555",
+    "induced-heisenberg": "621daf47338b5425be41decd328b4fc3aa800337e9ea901ff988cd49485de851",
+    "induced-pullback": "17fa5d576f32a982021d880530581683d5b9351660398812c83e3591a39e175f",
+}
+
+
 # every structure of the table and a plain CarnotModel with H(2)'s brackets,
 # whose float product is the generic pair-by-pair one
 POINT_LAWS = {**{case: (build, radius) for case, (build, radius, *_) in CASES.items()},
@@ -105,12 +123,19 @@ def test_capability_table(case):
     build, radius, sweeps, closed_tangent = CASES[case]
     S = build()
     region, grid = Ball(S.origin(), radius), S.scale_group.grid(range(2, 13))
+    digest = hashlib.sha256()
     for sweep, expected in sweeps.items():
         axiom, _, reference = sweep.partition("-")
         rep = verify_axiom(S, axiom, region, grid, 4, seed=0, reference=reference or "auto")
         meta = rep.metadata
         assert ("pass" if rep.verdict else "fail", meta["reference"],
                 meta["arithmetic"]) == expected, sweep
+        digest.update(f"{sweep} {rep.verdict} {[d.hex() for d in rep.defect]}\n".encode())
+    assert digest.hexdigest() == REPORT_DIGESTS[case], (
+        f"the sweep reports of {case} are not the recorded ones, bit for bit; if no change "
+        f"to the lab meant to move them, a possible cause is the BLAS kernel, "
+        f"{blas_kernel()}, rounding float dots other than the kernel they were recorded "
+        f"under (see the probes in tests/test_batch.py)")
     grid = S.scale_group.grid(range(2, 7))
     _, x, u, v = S.sample_ball(S.origin(), S.closeness_budget(), 4, np.random.default_rng(0))
     for which in LIMIT_OPS:

@@ -1,5 +1,8 @@
 """Exact 2-adic arithmetic, the ultrametric, and prefix-surgery dilatations."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -9,7 +12,7 @@ from dilatation_lab.affine import barycentric_defect
 from dilatation_lab.errors import DomainViolation, PrecisionExhausted
 from dilatation_lab.models import DyadicBoundaryModel
 from dilatation_lab.models.dyadic import (
-    identity_isometries, w_dilatation, w_smoothness_defect, xor_mask_isometries)
+    DyadicPoint, identity_isometries, w_dilatation, w_smoothness_defect, xor_mask_isometries)
 
 TWO = DP.scale(1)  # the group element 2, nu = 1/2
 
@@ -20,6 +23,21 @@ def test_distance_is_prefix_based(dyadic):
     assert dyadic.distance(dyadic.point(0b0), dyadic.point(0b1)) == 1.0
     assert dyadic.distance(dyadic.point(0b01), dyadic.point(0b11)) == 0.5
     assert dyadic.distance(dyadic.point(5), dyadic.point(5)) == 0.0
+
+
+def test_a_dyadic_point_is_an_immutable_value():
+    p = DyadicPoint(-3, 4)
+    assert repr(p) == "DyadicPoint(residue=13, known=4)"
+    assert p == DyadicPoint(13, 4) and p != DyadicPoint(13, 5) and p != (13, 4)
+    assert hash(p) == hash(DyadicPoint(29, 4)) == hash((13, 4))
+    assert copy.deepcopy(p) == pickle.loads(pickle.dumps(p)) == p
+    for change in (lambda: setattr(p, "residue", 1), lambda: delattr(p, "known"),
+                   lambda: setattr(p, "other", 1)):
+        with pytest.raises(AttributeError):
+            change()
+    assert (p.residue, p.known) == (13, 4)
+    with pytest.raises(PrecisionExhausted, match="no known digits"):
+        DyadicPoint(1, 0)
 
 
 def test_trivial_dilatation_worked_example(dyadic):

@@ -187,9 +187,10 @@ def test_composition_identity_all_models():
 
 def test_exact_a1_and_a4_construct_few_exact_points(engel, euclid2, heis1, cxheis, monkeypatch):
     # A1 evaluates its eps-independent terms once, exact A4 shares delta^x_eps u
-    # between the composite and the closed form, and equal exact points are at
-    # distance 0.0 without a product; an exact dilate builds one point, not
-    # three, so every model below makes the same count
+    # between the composite and the closed form and takes delta^x_eps v from
+    # the next row, and equal exact points are at distance 0.0 without a
+    # product; an exact dilate builds one point, not three, so every model
+    # below makes the same count
     init = ExactPoint.__init__
     made = [0]
 
@@ -199,10 +200,43 @@ def test_exact_a1_and_a4_construct_few_exact_points(engel, euclid2, heis1, cxhei
 
     monkeypatch.setattr(ExactPoint, "__init__", counting)
     for model in (engel, euclid2, heis1, cxheis):
-        for axiom, ceiling in (("A1", 8_865), ("A4", 10_560)):
+        for axiom, ceiling in (("A1", 8_865), ("A4", 8_448)):
             made[0] = 0
             verify_axiom(model, axiom, Ball(model.origin(), 0.5), PR.grid(GRID), 64, seed=0)
             assert made[0] <= ceiling, (model.name, axiom)
+
+
+# each sweep below reads a pair (u, v) only through delta^x_eps u and
+# delta^x_eps v, and v is the next row's u: per row and scale, A3 and
+# ConeProperty dilate once and A4 twice (the images, then the composite); A3
+# and cauchy A4 have one scale more, the reference row
+SWEEP_DILATES = {
+    "heis1-A3": ("heis1", "A3", "auto", 1, True),
+    "heis1-A4-cauchy": ("heis1", "A4", "cauchy", 2, True),
+    "heis1-ConeProperty": ("heis1", "ConeProperty", "auto", 1, True),
+    "heis1-A4-exact": ("heis1", "A4", "auto", 2, False),
+    "dyadic-A3": ("dyadic", "A3", "auto", 1, False),
+    "dyadic-A4-exact": ("dyadic", "A4", "auto", 2, False),
+    "dyadic-A4-cauchy": ("dyadic", "A4", "cauchy", 2, False),
+    "dyadic-ConeProperty": ("dyadic", "ConeProperty", "auto", 1, False),
+}
+
+
+@pytest.mark.parametrize("case", list(SWEEP_DILATES))
+def test_sweeps_dilate_each_row_once_per_image(case, request, monkeypatch):
+    fixture, axiom, reference, per_scale, batched = SWEEP_DILATES[case]
+    S = request.getfixturevalue(fixture)
+    grid, samples = S.scale_group.grid(range(2, 8)), 5
+    rows_per_call = []
+    dilate = S.dilate
+    monkeypatch.setattr(S, "dilate", lambda x, eps, y: rows_per_call.append(
+        len(y) if np.ndim(y) == 2 else 1) or dilate(x, eps, y))
+    rep = verify_axiom(S, axiom, Ball(S.origin(), 0.5), grid, samples, seed=0,
+                       reference=reference)
+    scales = len(grid) + (axiom == "A3" or rep.metadata["reference"] == "cauchy")
+    rows = 3 * samples
+    assert len(rows_per_call) == per_scale * scales * (1 if batched else rows)
+    assert sum(rows_per_call) == per_scale * scales * rows
 
 
 # --- the smallest input the harness accepts still rejects a broken structure --
