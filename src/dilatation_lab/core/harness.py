@@ -27,8 +27,10 @@ Samples pair in a cycle, each with the next and the last with the first; a
 sweep has one row (x, u, v) per base x and sample u, a block of rows per
 base.  A3, A4 and the cone property see a pair only through delta^x_eps u
 and delta^x_eps v, so they dilate u once per row and scale and read v's image
-off the next row of the block (``Rows.rotate``).  Exact images are the same
-rationals and a batch row is its single-point value, so no defect moves.
+off the next row of the block (``Rows.rotate``).  A1 dilates y once per
+distinct scale value of the grid and of {eps mu} and reads each of its
+residuals' images of y off those.  Exact images are the same rationals and a
+batch row is its single-point value, so no defect moves.
 
 Each sweep has one tolerance from config.py: LIMIT_TOL for A3 and the
 estimated cone property, CAUCHY_DIFFERENCE_TOL for A4 in cauchy mode and
@@ -131,18 +133,26 @@ def _a1_defects(S, bases, pts, eps_grid):
     mu = eps_grid[0]
     rows, X, Y, _ = _rows(bases, pts)
     B = rows.column(bases)
-    # delta^x_1 y = y and delta^x_mu y do not depend on eps: each is evaluated once
+    # delta^x_1 y = y does not depend on eps: it is evaluated once
     unit = rows.sup(lambda x, y: S.distance(S.dilate(x, one, y), y), X, Y)
-    MY = rows.map(lambda x, y: S.dilate(x, mu, y), X, Y)
+    # delta^x_e y once per scale value e of the grid and of eps mu, which the
+    # grid's next scales often repeat: delta^x_mu y, delta^x_{eps mu} y and the
+    # inverse's inner delta^x_eps y are read off them
+    images = {}
+    for e in [*eps_grid, *(eps * mu for eps in eps_grid)]:
+        if e.value not in images:
+            images[e.value] = rows.map(lambda x, y: S.dilate(x, e, y), X, Y)
+    MY = images[mu.value]
     defects = []
     for eps in eps_grid:
-        inv, eps_mu = eps.inverse(), eps * mu
+        inv = eps.inverse()
         defects.append(sup([
             unit,
             rows.sup(lambda x: S.distance(S.dilate(x, eps, x), x), B),
-            rows.sup(lambda x, y, my: S.distance(S.dilate(x, eps, my), S.dilate(x, eps_mu, y)),
-                     X, Y, MY),
-            rows.sup(lambda x, y: S.distance(S.dilate(x, inv, S.dilate(x, eps, y)), y), X, Y)]))
+            rows.sup(lambda x, my, emy: S.distance(S.dilate(x, eps, my), emy),
+                     X, MY, images[(eps * mu).value]),
+            rows.sup(lambda x, y, ey: S.distance(S.dilate(x, inv, ey), y),
+                     X, Y, images[eps.value])]))
     return defects
 
 

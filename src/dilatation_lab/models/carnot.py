@@ -22,6 +22,11 @@ column views for a batch): H(1)'s dots have one term, rounded as a Python
 product is.  H(n >= 2) points and H(n) batches keep whole rows, as their dots
 of two or more terms take BLAS's fused multiply-add, which the float digests
 record; Euclidean space adds whole rows in one numpy call.
+
+The generic float product is compiled once per model from its bracket table
+into one straight-line function (``_compiled_product``).  It performs the
+IEEE operations of the bracket loops, in their order, so its results are
+theirs bit for bit; it only drops the three walks of the table per product.
 """
 
 from __future__ import annotations
@@ -48,15 +53,48 @@ def _scale_ratio(value) -> tuple[int, int]:
         raise TypeError(f"exact points take a real rational scale, got {value!r}") from None
 
 
+def _compiled_product(dim: int, step: int, entries):
+    """The float BCH product of a bracket table as one straight-line function,
+    generated as ``dataclasses`` generates methods: source text built from the
+    table, each constant written as its ``repr``, which reads back as the same
+    float.  Each bracket coordinate is the sum ``_bracket`` makes, from 0.0 in
+    table order, on Python floats and on the columns of a batch alike."""
+    a = [f"a{i}" for i in range(dim)]
+    b = [f"b{i}" for i in range(dim)]
+    z = [f"z{i}" for i in range(dim)]
+
+    def bracket(u, v):
+        out = ["0.0"] * dim
+        for i, j, k, c, _ in entries:
+            out[k] += f" + {c!r} * ({u[i]} * {v[j]} - {u[j]} * {v[i]})"
+        return out
+
+    terms = [f"{x} + {y} + {w} * 0.5" for x, y, w in zip(a, b, z)]
+    if step == 3:
+        terms = [f"{t} + (({p}) - ({q})) * (1.0 / 12.0)"
+                 for t, p, q in zip(terms, bracket(a, z), bracket(b, z))]
+    source = "\n    ".join([
+        "def _product(A, B):",
+        f"{', '.join(a)}, = A",
+        f"{', '.join(b)}, = B",
+        *(f"{w} = {e}" for w, e in zip(z, bracket(a, b))),
+        f"return [{', '.join(terms)}]"])
+    namespace = {}
+    exec(source, namespace)
+    return namespace["_product"]
+
+
 class CarnotModel(GroupModel):
     """Graded nilpotent group from layer dimensions and bracket constants.
 
     brackets is a list of entries [i, j, k, c] declaring [e_i, e_j] = ... + c e_k
     with 0-based indices into the full graded basis and c finite.  They add up
     in one table, an entry per pair i < j and output k ([j, i, k, c] adds -c),
-    which ``_bracket`` and ``_exact_bracket`` both walk, so [a, a] is exactly 0.
+    which ``_bracket``, the compiled float product and ``_exact_bracket`` all
+    walk, so [a, a] is exactly 0.
 
     Points are flat numpy coordinate vectors.  The float formulas ``_product``
+    (compiled from the table at construction unless a subclass has its own)
     and ``_dilate`` take a point or an ``(N, dim)`` batch as ``_operand`` gives
     it and return what ``stack`` makes a point or a batch again; ``_dilate``
     also takes a per-row scale, whose value is an ``(N, 1)`` array, and
@@ -112,6 +150,8 @@ class CarnotModel(GroupModel):
         self._entries = [(i, j, k, c, n * (self._bracket_den // d))
                          for i, j, k, c, (n, d) in ratios]
         self._layer_index = [int(i) - 1 for i in self.layer_of]
+        if self._product is None:
+            self._product = _compiled_product(self.dim, self.step, self._entries)
         self._check_jacobi()
 
     @property
@@ -221,7 +261,8 @@ class CarnotModel(GroupModel):
                 raise ModelError(f"Jacobi identity fails on basis triple ({i},{j},{k})")
 
     def _bracket(self, A, B) -> list:
-        """The bracket on coordinate columns, summed pair by pair from 0.0."""
+        """The bracket on coordinate columns, summed pair by pair from 0.0: the
+        sums that ``_compiled_product`` writes out for the float product."""
         out = [0.0] * self.dim
         for i, j, k, c, _ in self._entries:
             out[k] = out[k] + c * (A[i] * B[j] - A[j] * B[i])
@@ -230,13 +271,9 @@ class CarnotModel(GroupModel):
     # a float point or batch as ``_product`` and ``_dilate`` take it: here its
     # ``columns``, Python floats for a point and column views for a batch
     _operand = staticmethod(columns)
-
-    def _product(self, A, B):
-        AB = self._bracket(A, B)
-        if self.step < 3:
-            return [x + y + z * 0.5 for x, y, z in zip(A, B, AB)]
-        return [x + y + z * 0.5 + (p - q) * (1.0 / 12.0) for x, y, z, p, q
-                in zip(A, B, AB, self._bracket(A, AB), self._bracket(B, AB))]
+    # the float product on two operands; a model compiles it from its bracket
+    # table at construction (``_compiled_product``) unless its class has one
+    _product = None
 
     def _dilate(self, eps: Scale, A):
         e = eps.value
@@ -245,9 +282,17 @@ class CarnotModel(GroupModel):
         return [a * e ** (i + 1) for a, i in zip(A, self._layer_index)]
 
     def _norm(self, a) -> float:
-        blocks = [a[..., sl] for sl in self._slices]
-        layers = [power(row_dot(b, b), 0.5 / i) for i, b in enumerate(blocks, start=1)]
-        return sup(layers) if a.ndim == 1 else sup(np.array(layers), axis=0)
+        if a.ndim == 1:
+            # a one-coordinate layer is a Python square, rounded as its length-1
+            # dot is; a longer layer keeps np.dot, whose BLAS sum fuses multiply
+            # and add, as a Python float so that ** is Python's power, not numpy's
+            c = a.tolist()
+            return sup([(c[sl.start] * c[sl.start] if sl.stop - sl.start == 1
+                         else float(row_dot(a[sl], a[sl]))) ** (0.5 / i)
+                        for i, sl in enumerate(self._slices, start=1)])
+        layers = [power(row_dot(b, b), 0.5 / i)
+                  for i, b in enumerate((a[:, sl] for sl in self._slices), start=1)]
+        return sup(np.array(layers), axis=0)
 
     def _exact_norm(self, a) -> float:
         return sup(a.sumsq(sl) ** (0.5 / i) for i, sl in enumerate(self._slices, start=1))

@@ -7,6 +7,10 @@ from dilatation_lab.models import (
     HeisenbergModel, PullbackModel, engel_structure_constants,
     heisenberg_structure_constants)
 
+# a step-3 algebra with a fractional constant, so the exact kernel's common
+# bracket denominator is 2: [e0, e1] = e2, [e0, e2] = e3, [e1, e2] = e4 / 2
+STEP3_HALF = ([2, 1, 2], [[0, 1, 2, 1.0], [0, 2, 3, 1.0], [1, 2, 4, 0.5]])
+
 
 @pytest.fixture(scope="session")
 def euclid1():

@@ -27,9 +27,9 @@ from dilatation_lab.emergent import LIMIT_OPS, InducedStructure, metric_tangent_
 from dilatation_lab.errors import NonConvergent
 from dilatation_lab.models import (
     CarnotModel, ComplexHeisenbergModel, DyadicBoundaryModel, EuclideanModel, HeisenbergModel,
-    PullbackModel, engel_structure_constants)
+    PullbackModel, engel_structure_constants, heisenberg_structure_constants)
 
-from conftest import blas_kernel
+from conftest import STEP3_HALF, blas_kernel
 
 
 def _rotated_grid(ks, turn=0.7):
@@ -46,6 +46,10 @@ CASES = {
     "heisenberg-1": (HeisenbergModel(1), 4.0, REAL, None, 0.2),
     "heisenberg-2": (HeisenbergModel(2), 4.0, REAL, None, 0.2),
     "engel": (CarnotModel(3, *engel_structure_constants()), 4.0, REAL, None, 0.2),
+    # generic products compiled from other tables: a fractional constant, and
+    # H(2)'s brackets without its closed-form product
+    "step3-half": (CarnotModel(3, *STEP3_HALF), 4.0, REAL, None, 0.2),
+    "carnot-h2": (CarnotModel(2, *heisenberg_structure_constants(2)), 4.0, REAL, None, 0.2),
     "cxr-real": (ComplexHeisenbergModel(), 4.0, REAL, None, 0.2),
     "cxr-complex": (ComplexHeisenbergModel(), 4.0, COMPLEX, _rotated_grid(range(2, 9)), 0.2),
     # chart offsets stay inside the radius-0.5 ball for contracting scales

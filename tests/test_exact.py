@@ -19,6 +19,8 @@ from dilatation_lab.models import (
     CarnotModel, ComplexHeisenbergModel, EuclideanModel, ExactPoint, HeisenbergModel,
     engel_structure_constants, heisenberg_structure_constants)
 
+from conftest import STEP3_HALF
+
 
 def _euclid_product(a, b):
     return [x + y for x, y in zip(a, b)]
@@ -40,11 +42,6 @@ def _cxr_product(a, b):
 def _engel_bracket(a, b):
     # [e0, e1] = e2, [e0, e2] = e3
     return [F(0), F(0), a[0] * b[1] - a[1] * b[0], a[0] * b[2] - a[2] * b[0]]
-
-
-# a step-3 algebra with a fractional constant, so the kernel's common bracket
-# denominator is 2: [e0, e1] = e2, [e0, e2] = e3, [e1, e2] = e4 / 2
-STEP3_HALF = ([2, 1, 2], [[0, 1, 2, 1.0], [0, 2, 3, 1.0], [1, 2, 4, 0.5]])
 
 
 def _half_bracket(a, b):

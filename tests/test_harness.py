@@ -239,6 +239,25 @@ def test_sweeps_dilate_each_row_once_per_image(case, request, monkeypatch):
     assert sum(rows_per_call) == per_scale * scales * rows
 
 
+# A1 dilates each row once at the unit scale, once per distinct scale value of
+# the grid and of {eps mu} (k = 2..14 for k = 2..12 and mu = 2^-2, 13 values)
+# and, per grid scale, twice more and once per base: 24 (1 + 13) + 11 (2 * 24
+# + 3) = 897 exact rows on 3 bases x 8 samples, 1 + 13 + 3 * 11 = 47 batched
+# calls (1,137 and 57 when every scale evaluated delta^x_{eps mu} y afresh)
+@pytest.mark.parametrize("fixture, samples, calls", [
+    ("engel", 8, 897), ("engel", 2, 249), ("cubic_pullback", 8, 47)])
+def test_a1_dilates_each_row_once_per_scale_value(fixture, samples, calls, request,
+                                                   monkeypatch):
+    S = request.getfixturevalue(fixture)
+    made = []
+    dilate = S.dilate
+    monkeypatch.setattr(S, "dilate", lambda x, eps, y: made.append(eps) or dilate(x, eps, y))
+    radius = 0.05 if fixture == "cubic_pullback" else 0.2
+    rep = verify_axiom(S, "A1", Ball(S.origin(), radius), PR.grid(GRID), samples, seed=0)
+    assert rep.metadata["arithmetic"] == ("float" if fixture == "cubic_pullback" else "exact")
+    assert len(made) == calls
+
+
 # --- the smallest input the harness accepts still rejects a broken structure --
 
 class _Plane(DilatationStructure):
