@@ -58,7 +58,15 @@ def real_array(obj) -> np.ndarray:
 
 def columns(a) -> list:
     """The coordinates of a point as Python floats, or the columns of a batch."""
-    return a.tolist() if a.ndim == 1 else list(a.T)
+    try:
+        return a.tolist() if a.ndim == 1 else list(a.T)
+    except AttributeError:  # an ExactPoint
+        raise TypeError(f"float points do not mix with exact ones, got {a!r}") from None
+
+
+def whole_rows(a):
+    """A point or batch as it is, for float formulas that take whole rows."""
+    return a
 
 
 def stack(cols) -> np.ndarray:

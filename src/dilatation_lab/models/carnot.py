@@ -12,21 +12,15 @@ is the max-type quasi-norm max_i |a_i|^{1/i}; it is exactly homogeneous but
 only subadditive up to a constant, which can be estimated empirically.
 
 Every vector group model of the lab is a ``CarnotModel``: Euclidean space is
-step 1 with no brackets, H(n) and C x R are step 2.  Those subclasses keep
-their own gauge and their own closed-form float product and dilatation,
-which round differently from the generic ones; on exact points all of them
-share the integer kernel below.
+step 1 with no brackets, H(n) and C x R are step 2.  The subclasses keep
+their own gauge; on exact points all of them share the integer kernel below.
 
-The generic, the C x R and the H(1) point formulas run on Python floats (on
-column views for a batch): H(1)'s dots have one term, rounded as a Python
-product is.  H(n >= 2) points and H(n) batches keep whole rows, as their dots
-of two or more terms take BLAS's fused multiply-add, which the float digests
-record; Euclidean space adds whole rows in one numpy call.
-
-The generic float product is compiled once per model from its bracket table
-into one straight-line function (``_compiled_product``).  It performs the
-IEEE operations of the bracket loops, in their order, so its results are
-theirs bit for bit; it only drops the three walks of the table per product.
+The float product is compiled once per model from its bracket table into
+one straight-line function (``_compiled_product``), on Python floats for a
+point and on column views for a batch.  Two models keep a product of their
+own, as theirs rounds differently: H(n >= 2), whose dots of two or more
+terms take BLAS's fused multiply-add, which the float digests record, and
+Euclidean space, which adds whole rows in one numpy call.
 """
 
 from __future__ import annotations
@@ -53,12 +47,20 @@ def _scale_ratio(value) -> tuple[int, int]:
         raise TypeError(f"exact points take a real rational scale, got {value!r}") from None
 
 
+def _exact_pair(a: ExactPoint, b):
+    """The numerators and denominators of a and b; TypeError if b is not exact."""
+    if type(b) is not ExactPoint:
+        raise TypeError(f"exact points do not mix with floats, got {b!r}")
+    return a.num, a.den, b.num, b.den
+
+
 def _compiled_product(dim: int, step: int, entries):
     """The float BCH product of a bracket table as one straight-line function,
     generated as ``dataclasses`` generates methods: source text built from the
     table, each constant written as its ``repr``, which reads back as the same
-    float.  Each bracket coordinate is the sum ``_bracket`` makes, from 0.0 in
-    table order, on Python floats and on the columns of a batch alike."""
+    float.  Each bracket coordinate is summed from 0.0 in table order, on
+    Python floats and on the columns of a batch alike; the zero term makes a
+    zero coordinate +0.0 where -0.0 + -0.0 would stay -0.0."""
     a = [f"a{i}" for i in range(dim)]
     b = [f"b{i}" for i in range(dim)]
     z = [f"z{i}" for i in range(dim)]
@@ -90,11 +92,11 @@ class CarnotModel(GroupModel):
     brackets is a list of entries [i, j, k, c] declaring [e_i, e_j] = ... + c e_k
     with 0-based indices into the full graded basis and c finite.  They add up
     in one table, an entry per pair i < j and output k ([j, i, k, c] adds -c),
-    which ``_bracket``, the compiled float product and ``_exact_bracket`` all
-    walk, so [a, a] is exactly 0.
+    which the compiled float product and ``_exact_bracket`` both walk, so
+    [a, a] is exactly 0.
 
     Points are flat numpy coordinate vectors.  The float formulas ``_product``
-    (compiled from the table at construction unless a subclass has its own)
+    (compiled from the table at construction unless the model has its own)
     and ``_dilate`` take a point or an ``(N, dim)`` batch as ``_operand`` gives
     it and return what ``stack`` makes a point or a batch again; ``_dilate``
     also takes a per-row scale, whose value is an ``(N, 1)`` array, and
@@ -103,8 +105,9 @@ class CarnotModel(GroupModel):
     ``_exact_norm``.  The group inverse is negation in either arithmetic.
     ``dilate`` composes the float formulas, converting its points once; on
     exact points of every step it is one expanded integer formula, which
-    calls neither kernel method.  Subclasses override ``_operand``, the float
-    formulas and the gauges, never the kernel or ``dilate``.
+    calls neither kernel method.  Subclasses override ``_dilate`` and the
+    gauges, and H(n >= 2) and Euclidean space ``_operand`` and ``_product``;
+    none overrides the kernel or ``dilate``.
     """
 
     def __init__(self, step: int, layers, brackets):
@@ -191,7 +194,7 @@ class CarnotModel(GroupModel):
         # with eps = p/q, layers 1 and 2 over the denominator 2 h q^2 dx dy;
         # [x,y] is 0 on layer 1
         p, q = _scale_ratio(eps.value)
-        X, dx, Y, dy = x.num, x.den, y.num, y.den
+        X, dx, Y, dy = _exact_pair(x, y)
         h, c = self._bracket_den, p * (q - p)
         s = 2 * h
         xs = [s * q * (q - p) * dy, s * (q * q - p * p) * dy]
@@ -249,30 +252,13 @@ class CarnotModel(GroupModel):
         gap = np.abs(p - q)
         return sup(gap.tolist()) if gap.ndim == 1 else sup(gap, axis=1)
 
-    # --- the bracket, the float formulas and the gauges ---------------------
-
-    def _check_jacobi(self):
-        basis = np.eye(self.dim).tolist()
-        br = self._bracket
-        for i, j, k in itertools.combinations(range(self.dim), 3):
-            a, b, c = basis[i], basis[j], basis[k]
-            res = [x + y + z for x, y, z in zip(br(a, br(b, c)), br(b, br(c, a)), br(c, br(a, b)))]
-            if not sup(abs(r) for r in res) <= JACOBI_TOL:
-                raise ModelError(f"Jacobi identity fails on basis triple ({i},{j},{k})")
-
-    def _bracket(self, A, B) -> list:
-        """The bracket on coordinate columns, summed pair by pair from 0.0: the
-        sums that ``_compiled_product`` writes out for the float product."""
-        out = [0.0] * self.dim
-        for i, j, k, c, _ in self._entries:
-            out[k] = out[k] + c * (A[i] * B[j] - A[j] * B[i])
-        return out
+    # --- the float formulas and the gauges ----------------------------------
 
     # a float point or batch as ``_product`` and ``_dilate`` take it: here its
     # ``columns``, Python floats for a point and column views for a batch
     _operand = staticmethod(columns)
     # the float product on two operands; a model compiles it from its bracket
-    # table at construction (``_compiled_product``) unless its class has one
+    # table at construction (``_compiled_product``) unless it already has one
     _product = None
 
     def _dilate(self, eps: Scale, A):
@@ -305,8 +291,21 @@ class CarnotModel(GroupModel):
             out[k] += n * (A[i] * B[j] - A[j] * B[i])
         return out
 
+    def _check_jacobi(self):
+        # the double brackets of integer basis vectors are integers over h^2,
+        # held to JACOBI_TOL = tn / td exactly
+        tn, td = JACOBI_TOL.as_integer_ratio()
+        bound = tn * self._bracket_den ** 2
+        basis = np.eye(self.dim, dtype=int).tolist()
+        br = self._exact_bracket
+        for i, j, k in itertools.combinations(range(self.dim), 3):
+            a, b, c = basis[i], basis[j], basis[k]
+            res = [x + y + z for x, y, z in zip(br(a, br(b, c)), br(b, br(c, a)), br(c, br(a, b)))]
+            if any(abs(r) * td > bound for r in res):
+                raise ModelError(f"Jacobi identity fails on basis triple ({i},{j},{k})")
+
     def _exact_product(self, a: ExactPoint, b: ExactPoint) -> ExactPoint:
-        A, da, B, db = a.num, a.den, b.num, b.den
+        A, da, B, db = _exact_pair(a, b)
         if self.step == 1:
             if da == db:
                 return ExactPoint([x + y for x, y in zip(A, B)], da)

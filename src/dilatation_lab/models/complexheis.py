@@ -26,16 +26,11 @@ class ComplexHeisenbergModel(CarnotModel):
     """C x R, coordinates [Re x, Im x, x']."""
 
     def __init__(self):
-        # Im(x conj(y)) = a1 b0 - a0 b1 is the bracket [e0, e1] = -e2;
-        # exact points take real scales only
+        # Im(x conj(y)) = a1 b0 - a0 b1 is the bracket [e0, e1] = -e2, whose
+        # table both products are built from; exact points take real scales only
         super().__init__(2, [2, 1], [[0, 1, 2, -1.0]])
         self.scale_group = COMPLEX_UNITS
         self.name = "complex-heisenberg"
-
-    def _product(self, A, B):
-        (a0, a1, a2), (b0, b1, b2) = A, B
-        im_cross = a1 * b0 - a0 * b1  # Im(x conj(y))
-        return [a0 + b0, a1 + b1, a2 + b2 + im_cross / 2]
 
     def _dilate(self, eps: Scale, A):
         e = eps.value

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 
 from dilatation_lab.core.scales import Scale
-from dilatation_lab.models.base import float_or_rows, is_integer, row_length
+from dilatation_lab.models.base import float_or_rows, is_integer, row_length, whole_rows
 from dilatation_lab.models.carnot import CarnotModel
 
 
@@ -23,7 +23,7 @@ class EuclideanModel(CarnotModel):
         self.n = int(n)
         self.name = f"euclidean-{self.n}d"
 
-    _operand = staticmethod(lambda a: a)  # whole rows: one numpy call per operation
+    _operand = staticmethod(whole_rows)  # one numpy call per operation
 
     def _product(self, a, b):
         return a + b

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from dilatation_lab.core.scales import Scale
-from dilatation_lab.models.base import is_integer, power, row_dot
+from dilatation_lab.models.base import is_integer, power, row_dot, whole_rows
 from dilatation_lab.models.carnot import CarnotModel, heisenberg_structure_constants
 
 
@@ -31,6 +31,11 @@ class HeisenbergModel(CarnotModel):
         if not is_integer(n) or n < 1:
             raise ValueError(f"Heisenberg index n must be an integer of at least 1, got {n!r}")
         self.n = int(n)
+        if self.n > 1:
+            # dots of two or more terms, which BLAS rounds with a fused multiply-add
+            # (the float digests record it), on whole rows; H(1) takes the compiled
+            # product of its table
+            self._operand, self._product = whole_rows, self._row_product
         super().__init__(2, *heisenberg_structure_constants(self.n))
         self.name = f"heisenberg-{self.n}"
 
@@ -38,19 +43,7 @@ class HeisenbergModel(CarnotModel):
         n = self.n
         return row_dot(x[..., :n], y[..., n:2 * n]) - row_dot(x[..., n:2 * n], y[..., :n])
 
-    def _operand(self, a):
-        # an H(1) point on Python floats: each dot of its symplectic term has one
-        # term, which rounds as the Python product does; batches and H(n >= 2),
-        # whose dots BLAS rounds, stay whole rows (an exact point stays as it is)
-        return a.tolist() if self.n == 1 and getattr(a, "ndim", 0) == 1 else a
-
-    def _product(self, a, b):
-        if type(a) is list or type(b) is list:
-            if type(a) is not type(b):  # an H(1) point beside a batch
-                return self._product(np.asarray(a), np.asarray(b))
-            # H(1) points, or a point and the columns of a per-row dilatation
-            (a0, a1, a2), (b0, b1, b2) = a, b
-            return [a0 + b0, a1 + b1, a2 + b2 + ((0.0 + a0 * b1) - (0.0 + a1 * b0)) / 2]
+    def _row_product(self, a, b):
         out = a + b
         # out.T[k] is coordinate k of a point, or column k of a batch
         out.T[2 * self.n] += self.symplectic(a, b) / 2
@@ -58,7 +51,7 @@ class HeisenbergModel(CarnotModel):
 
     def _dilate(self, eps: Scale, a):
         e = eps.value
-        if type(a) is list:  # an H(1) point's columns; a per-row scale as one value per row
+        if type(a) is list:  # H(1)'s columns; a per-row scale as one value per row
             e = e[:, 0] if isinstance(e, np.ndarray) else e
             a0, a1, a2 = a
             return [e * a0, e * a1, e * e * a2]

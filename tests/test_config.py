@@ -1,9 +1,16 @@
-"""config.py is the one home of the lab's thresholds."""
+"""One home each: config.py for the lab's thresholds, and a model's bracket
+table for its float product."""
 
 import ast
 from pathlib import Path
 
 import dilatation_lab
+from dilatation_lab.models import (
+    CarnotModel, EuclideanModel, HeisenbergModel, heisenberg_structure_constants)
+from dilatation_lab.models.base import columns
+from dilatation_lab.models.carnot import _compiled_product
+
+from test_capabilities import CASES
 
 PACKAGE = Path(dilatation_lab.__file__).parent
 
@@ -26,3 +33,26 @@ def test_no_threshold_literal_outside_config():
 
 def test_config_holds_the_thresholds():
     assert _small_float_literals(PACKAGE / "config.py")
+
+
+def _code(f):
+    c = f.__code__
+    return c.co_code, c.co_consts, c.co_names, c.co_varnames
+
+
+def test_no_second_copy_of_a_models_algebra():
+    # every Carnot model of the capability table, and each one a structure
+    # there is built on, multiplies floats by the product compiled from its
+    # bracket table, taking columns; only H(n >= 2), whose dots BLAS rounds, and
+    # Euclidean space, which adds whole rows in one call, keep their own
+    structures = [make() for make, *_ in CASES.values()]
+    models = [m for s in structures for m in (s, getattr(s, "base", None))
+              if isinstance(m, CarnotModel)]
+    models += [HeisenbergModel(2), CarnotModel(2, *heisenberg_structure_constants(2))]
+    for model in models:
+        compiled = _compiled_product(model.dim, model.step, model._entries)
+        takes_compiled = (model._operand is columns
+                          and _code(model._product) == _code(compiled))
+        keeps_own = (isinstance(model, EuclideanModel)
+                     or isinstance(model, HeisenbergModel) and model.n >= 2)
+        assert takes_compiled is not keeps_own, model.name

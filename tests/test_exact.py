@@ -172,13 +172,24 @@ def test_exact_norm_rounds_exact_values(model, product, degrees):
 
 
 def test_exact_points_refuse_floats():
-    H = HeisenbergModel(1)
-    p = H.to_exact(np.array([0.25, -0.5, 0.125]))
-    with pytest.raises(TypeError):
-        np.ones(3) + p
-    with pytest.raises(TypeError):
-        H.group_product(np.ones(3), p)
-    cxr = ComplexHeisenbergModel()
+    # a float point beside an exact one raises TypeError in either order, on
+    # compiled, whole-row and generic products alike
+    models = [HeisenbergModel(1), HeisenbergModel(2), ComplexHeisenbergModel(), EuclideanModel(2),
+              CarnotModel(3, *engel_structure_constants()),
+              CarnotModel(2, *heisenberg_structure_constants(2))]
+    for model in models:
+        f = np.random.default_rng(4).uniform(-1.0, 1.0, model.coordinate_dim)
+        p, half = model.to_exact(f), model.scale_group.scale(0.5)
+        with pytest.raises(TypeError):
+            f + p
+        for a, b in ((f, p), (p, f)):
+            with pytest.raises(TypeError):
+                model.group_product(a, b)
+            with pytest.raises(TypeError):
+                model.dilate(a, half, b)
+            with pytest.raises(TypeError):
+                model.distance(a, b)
+    cxr = models[2]
     with pytest.raises(TypeError):
         cxr.ambient_dilate(cxr.scale_group.scale(0.5j), cxr.to_exact(np.ones(3)))
 

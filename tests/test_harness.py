@@ -130,6 +130,21 @@ def test_only_identity_sweeps_pass_on_defects_within_tolerance(euclid2, monkeypa
         assert rep.verdict is expected, which
 
 
+def test_metric_pullback_a2_verdict_depends_on_grid_depth():
+    # a harness artefact, pinned until ROADMAP item 2 rules on it: on the metric
+    # pullback the A2 defects decay like nu^2, a limit, but A2 is judged as an
+    # identity at EXACT_IDENTITY_TOL, so a shallow grid fails where a deep one passes
+    model = PullbackModel(EuclideanModel(2), "cubic", "metric")
+    shallow, deep = (verify_axiom(model, "A2", Ball(model.origin(), 0.025), PR.grid(range(2, k)),
+                                  sample_count=4, seed=0) for k in (7, 13))
+    assert shallow.metadata["tolerance"] == deep.metadata["tolerance"] == EXACT_IDENTITY_TOL
+    assert not shallow.verdict and shallow.defect[-1] > EXACT_IDENTITY_TOL
+    assert deep.verdict and deep.defect[-1] <= EXACT_IDENTITY_TOL
+    # each halving of the scale divides the defect by about 4 until roundoff shows
+    d = deep.defect
+    assert all(3.5 < a / b < 4.5 for a, b in zip(d[:8], d[1:8]))
+
+
 def test_axiom0_inclusion_on_conical_models():
     from conftest import conical_models
     for model in conical_models():

@@ -129,11 +129,11 @@ def test_base_inverse_identity(heis1):
 # --- Carnot -----------------------------------------------------------------
 
 def test_carnot_step2_reproduces_heisenberg(carnot_h1, heis1):
+    # H(1) takes the product compiled from its table, so the two agree bit for bit
     rng = np.random.default_rng(12)
     for _ in range(50):
         a, b = (rng.uniform(-1, 1, 3) for _ in range(2))
-        assert np.max(np.abs(carnot_h1.group_product(a, b)
-                             - heis1.group_product(a, b))) < 1e-12
+        assert carnot_h1.group_product(a, b).tobytes() == heis1.group_product(a, b).tobytes()
 
 
 def test_carnot_homogeneous_dimension(engel, carnot_h1):
@@ -155,6 +155,18 @@ def test_carnot_rejects_bad_specs():
             [0, 1, 3, 1.0], [1, 2, 4, 1.0], [0, 2, 3, 1.0],
             [0, 3, 5, 1.0], [1, 4, 5, -1.0], [2, 3, 5, 1.0],
         ])
+
+
+def test_carnot_jacobi_check_holds_the_sum_to_its_tolerance():
+    # [e0,[e1,e2]] + [e1,[e2,e0]] + [e2,[e0,e1]] = (0.1 + 0.2 - 0.3) e6: about
+    # 2.8e-17 exactly (5.6e-17 in floats), inside JACOBI_TOL, so the table builds;
+    # with -0.29 the sum is 0.01 and the triple (0, 1, 2) is named
+    def brackets(c):
+        return [[0, 1, 3, 1.0], [1, 2, 4, 1.0], [2, 0, 5, 1.0],
+                [0, 4, 6, 0.1], [1, 5, 6, 0.2], [2, 3, 6, c]]
+    CarnotModel(3, [3, 3, 1], brackets(-0.3))
+    with pytest.raises(ModelError, match=re.escape("triple (0,1,2)")):
+        CarnotModel(3, [3, 3, 1], brackets(-0.29))
 
 
 def test_carnot_quasi_norm_constant_reported(engel):
