@@ -24,7 +24,7 @@ from dilatation_lab.config import (
     COUNTEREXAMPLE_SEPARATION, ENVELOPE_ABS_SLACK, ENVELOPE_SLACK, EXACT_IDENTITY_TOL,
     FIXED_POINT_TOL, LINEARITY_WARN_TOL, MAX_ITER, RATE_FLOOR, RATE_FLOOR_FACTOR)
 from dilatation_lab.errors import DomainViolation, MaxIterExceeded
-from dilatation_lab.core.reports import ConvergenceReport, make_report, sup
+from dilatation_lab.core.reports import ConvergenceReport, beyond, make_report, sup, within
 from dilatation_lab.core.scales import Scale, contraction
 from dilatation_lab.core.structure import DilatationStructure, Rows, exactify
 from dilatation_lab.emergent import check_affine_map, lin_defect
@@ -277,13 +277,12 @@ def check_collinear(S: DilatationStructure, triple: CollinearTriple,
         probes = probe_points(S, triple.x, S.closeness_budget(), seed)
     defects = [S.distance(S.dilate(triple.x, a, S.dilate(triple.y, b, S.dilate(triple.z, g, p))), p)
                for p in probes]
-    worst = sup(defects)
     # reports are scale-indexed; an identity check is scale-free, so wrap the
     # probe defects in a single-scale report carrying the sup
-    return make_report([sg.contraction(1)], [worst], worst <= EXACT_IDENTITY_TOL,
+    return make_report([sg.contraction(1)], [sup(defects)], within(defects, EXACT_IDENTITY_TOL),
                        {"model": S.name, "quantity": "collinear-identity",
                         "ratio_norm": triple.ratio_norm, "probe_count": len(probes),
-                        "probe_defects": defects, "tolerance": EXACT_IDENTITY_TOL})
+                        "probe_defects": defects})
 
 
 def reversed_collinear_search(M: HeisenbergModel, X, Y, Z, grid_lo: float = 1.01,
@@ -421,7 +420,8 @@ def counterexample_check(M: ComplexHeisenbergModel, eps: float, Y, probes=None,
         return M.group_product(M.group_inverse(composite(u)), M.group_product(head, u))
 
     defect = sup(M.homogeneous_norm(gap(p).to_float()) for p in probes)
-    verdict = defect > COUNTEREXAMPLE_SEPARATION if flip else defect <= EXACT_IDENTITY_TOL
+    verdict = (beyond([defect], COUNTEREXAMPLE_SEPARATION) if flip
+               else within([defect], EXACT_IDENTITY_TOL))
     return make_report([sg.scale(complex(eps))], [defect], verdict,
                        {"model": M.name, "quantity": "translation-defect",
                         "eps": eps, "eps_mu": -1.0 if flip else 1.0,
@@ -452,10 +452,8 @@ def geometric_affinity_check(S: DilatationStructure, T, triple_samples,
         pts.append((triple.x, triple.y))
     sg = S.scale_group
     commutation = check_affine_map(S, T, pts, [sg.contraction(k) for k in (1, 2, 3)])
-    worst = sup(defects)
-    return make_report([sg.contraction(1)], [worst], worst <= EXACT_IDENTITY_TOL,
+    return make_report([sg.contraction(1)], [sup(defects)], within(defects, EXACT_IDENTITY_TOL),
                        {"model": S.name, "quantity": "geometric-affinity",
                         "triple_defects": defects,
                         "commutation_defect": sup(commutation.defect),
-                        "commutation_pass": commutation.verdict,
-                        "tolerance": EXACT_IDENTITY_TOL})
+                        "commutation_pass": commutation.verdict})

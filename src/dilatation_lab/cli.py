@@ -33,7 +33,7 @@ from dilatation_lab.errors import (
     ConfigError, DomainViolation, MaxIterExceeded, ModelError, NonConvergent,
     PrecisionExhausted)
 from dilatation_lab.core.harness import AXIOMS, verify_axiom
-from dilatation_lab.core.reports import sup
+from dilatation_lab.core.reports import sup, within
 from dilatation_lab.core.scales import contraction
 from dilatation_lab.core.structure import Ball, exactify
 from dilatation_lab import models as model_factory
@@ -199,7 +199,7 @@ def _per_scale(rep, column: str = "defect") -> CsvReport:
     return out
 
 
-# command implementations: each returns (report: CsvReport, verdict: bool)
+# command implementations: each returns (report: CsvReport, verdict), the verdict truthy on a pass
 
 def _cmd_axioms(model, *, seed, which="all", ks=default_ks(), sample_count=SAMPLE_COUNT):
     if which != "all" and which not in AXIOMS:
@@ -236,7 +236,7 @@ def _cmd_menelaos(model, *, x, y, eps, mu, max_iter=MAX_ITER):
                     + [f"w{i}" for i in range(len(coords))])
     out.add(result.iterations, result.residual, result.contraction_rate,
             result.probe_defect, *coords)
-    return out, result.probe_defect <= MENELAOS_PROBE_TOL
+    return out, within([result.probe_defect], MENELAOS_PROBE_TOL)
 
 
 def _cmd_ratio(model: model_factory.GroupModel, *, x, y, eps, mu, N=64):
@@ -251,9 +251,9 @@ def _cmd_ratio(model: model_factory.GroupModel, *, x, y, eps, mu, N=64):
     out = CsvReport(["oracle_a", "oracle_b", "disagreement"])
     for a, b in combinations(answers, 2):
         out.add(a, b, model.coordinate_gap(answers[a], answers[b]))
-    worst = sup(d for _, _, d in out.rows)
-    out.meta["max_disagreement"] = repr(worst)
-    return out, worst <= EXACT_IDENTITY_TOL
+    disagreements = [d for _, _, d in out.rows]
+    out.meta["max_disagreement"] = repr(sup(disagreements))
+    return out, within(disagreements, EXACT_IDENTITY_TOL)
 
 
 def _cmd_linscan(model, *, x, y, z, ks=tuple(range(3, 11))):
@@ -271,7 +271,7 @@ def _cmd_barycentric(model, *, eps, x=None, y=None, seed=None, sample_count=16):
     out = CsvReport(["sample", "defect"])
     for i, d in enumerate(defects):
         out.add(i, d)
-    return out, sup(defects) <= EXACT_IDENTITY_TOL
+    return out, within(defects, EXACT_IDENTITY_TOL)
 
 
 def _cmd_counterexample(model: model_factory.ComplexHeisenbergModel, *, seed, eps=0.5,

@@ -34,9 +34,8 @@ batch row is its single-point value, so no defect moves.
 
 Each sweep has one tolerance from config.py: LIMIT_TOL for A3 and the
 estimated cone property, CAUCHY_DIFFERENCE_TOL for A4 in cauchy mode and
-EXACT_IDENTITY_TOL for the identities (the rest).  A sweep passes when its
-defects are non-increasing (within the jitter factor) and the last is within
-the tolerance; an identity sweep also passes when every defect is.
+EXACT_IDENTITY_TOL for the identities (the rest).  Its verdict is the rule
+``converges``, or ``within`` where an identity sweep fails that (README, Verdicts).
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from dilatation_lab.config import (
     CAUCHY_DIFFERENCE_TOL, DEFECT_FLOOR, EXACT_IDENTITY_TOL, LIMIT_TOL, MIN_PAIRED_SAMPLES,
     SAMPLE_COUNT, TOLERANCE_FLOOR_FRACTION)
 from dilatation_lab.errors import DomainViolation
-from dilatation_lab.core.reports import ConvergenceReport, make_report, nonincreasing, sup
+from dilatation_lab.core.reports import ConvergenceReport, converges, make_report, sup, within
 from dilatation_lab.core.scales import not_expanding, reference_scale, trend_grid
 from dilatation_lab.core.structure import (
     Ball, DilatationStructure, Rows, difference_after, estimate_dx, exactify,
@@ -112,19 +111,17 @@ def verify_axiom(S: DilatationStructure, which: str, region: Ball, eps_grid,
         defects = _cone_defects(S, bases, pts, grid, mode == "exact")
 
     # limits read off a finite grid meet the limit tolerance, identities
-    # the exact-identity one
+    # the exact-identity one, which they also meet with every defect within it
     limit = which == "A3" or mode in ("estimated", "cauchy")
-    tolerance = (CAUCHY_DIFFERENCE_TOL if mode == "cauchy" else LIMIT_TOL if limit
-                 else EXACT_IDENTITY_TOL)
-    floor = max(DEFECT_FLOOR, TOLERANCE_FLOOR_FRACTION * tolerance)
-    verdict = ((defects[-1] <= tolerance and nonincreasing(defects, floor=floor))
-               or (not limit and all(d <= tolerance for d in defects)))
-    return make_report(
-        eps_grid, defects, verdict,
-        metadata={"model": S.name, "axiom": which, "seed": seed,
-                  "sample_count": sample_count, "tolerance": tolerance,
-                  "reference": mode, "arithmetic": "exact" if exact else "float",
-                  "region_radius": region.radius})
+    tol = (CAUCHY_DIFFERENCE_TOL if mode == "cauchy" else LIMIT_TOL if limit
+           else EXACT_IDENTITY_TOL)
+    verdict = converges(defects, tol, max(DEFECT_FLOOR, TOLERANCE_FLOOR_FRACTION * tol))
+    if not (verdict or limit):
+        verdict = within(defects, tol)
+    return make_report(eps_grid, defects, verdict,
+                       {"model": S.name, "axiom": which, "seed": seed, "sample_count": sample_count,
+                        "reference": mode, "arithmetic": "exact" if exact else "float",
+                        "region_radius": region.radius})
 
 
 def _a1_defects(S, bases, pts, eps_grid):

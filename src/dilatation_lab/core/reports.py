@@ -1,4 +1,4 @@
-"""Convergence reports: the record type every sweep in the lab produces."""
+"""Convergence reports, the record every sweep produces, and the rules of its verdict."""
 
 from __future__ import annotations
 
@@ -63,35 +63,65 @@ def sup(values, axis=None):
     raise ValueError("an empty sample certifies nothing")
 
 
-def nonincreasing(defects, floor: float = DEFECT_FLOOR) -> bool:
-    """True if the sequence never grows by more than the jitter factor; a NaN fails it.
+@dataclass(frozen=True)
+class Verdict:
+    """A named rule's decision, truthy exactly when it passed (README, Verdicts)."""
 
-    Values at or below the floor are treated as zero, so roundoff wiggle in
-    an exactly-satisfied identity does not fail the check.
-    """
-    prev = math.inf
-    for d in defects:
-        d = 0.0 if d <= floor else d
-        if not d <= JITTER_FACTOR * max(prev, floor):
-            return False
-        prev = d
-    return True
+    passed: bool
+    rule: str
+    tolerance: float | None = None
+    broke_at: int | None = None
+
+    def __bool__(self):
+        return self.passed
 
 
-def settles(increments) -> bool:
-    """True if each increment above the floor is at most the one before it (inf for
-    the first) over CAUCHY_SHRINK, plus the floor; a NaN never settles."""
-    return all(b <= DEFECT_FLOOR or b <= a / CAUCHY_SHRINK + DEFECT_FLOOR
-               for a, b in zip([math.inf, *increments], increments))
+def _first_break(rule, checks, tolerance=None) -> Verdict:
+    """The verdict on one check per value, broken at the first that fails."""
+    broke = next((i for i, ok in enumerate(checks) if not ok), None)
+    return Verdict(broke is None, rule, tolerance, broke)
 
 
-def dies_out(values) -> bool:
-    """True if the sequence is non-increasing and ends below DECAY_FACTOR times
-    its first value; a sequence starting at or below the floor need only stay flat."""
-    ok = nonincreasing(values)
-    if values[0] > DEFECT_FLOOR:
-        ok = ok and values[-1] < DECAY_FACTOR * values[0]
-    return ok
+def _trend(values, floor, last_ok=True) -> list:
+    """Per value: within the jitter factor of the one before; the last also last_ok."""
+    zeroed = [0.0 if d <= floor else d for d in values]
+    checks = [d <= JITTER_FACTOR * max(prev, floor) for prev, d in zip([math.inf, *zeroed], zeroed)]
+    return [*checks[:-1], *(ok and last_ok for ok in checks[-1:])]
+
+
+def nonincreasing(defects, floor: float = DEFECT_FLOOR) -> Verdict:
+    """No value grows by more than the jitter factor; a NaN fails.  Values at or below
+    the floor count as zero, so roundoff wiggle in an exact identity does not fail."""
+    return _first_break("nonincreasing", _trend(defects, floor))
+
+
+def settles(increments) -> Verdict:
+    """Each increment above the floor is at most the one before it (inf for the
+    first) over CAUCHY_SHRINK, plus the floor; a NaN never settles."""
+    return _first_break("settles", [b <= DEFECT_FLOOR or b <= a / CAUCHY_SHRINK + DEFECT_FLOOR
+                                    for a, b in zip([math.inf, *increments], increments)])
+
+
+def dies_out(values) -> Verdict:
+    """Non-increasing and ending below DECAY_FACTOR times the first value; a
+    sequence starting at or below the floor need only stay flat."""
+    return _first_break("dies_out", _trend(values, DEFECT_FLOOR, values[0] <= DEFECT_FLOOR
+                                           or values[-1] < DECAY_FACTOR * values[0]))
+
+
+def converges(values, tol: float, floor: float = DEFECT_FLOOR) -> Verdict:
+    """Non-increasing above the floor, and the last value within tol."""
+    return _first_break("converges", _trend(values, floor, values[-1] <= tol), tol)
+
+
+def within(values, tol: float) -> Verdict:
+    """Every value within tol, so sup(values) <= tol: a NaN fails, an empty sup raises."""
+    return _first_break("within", [v <= tol for v in values] or sup(values), tol)
+
+
+def beyond(values, tol: float) -> Verdict:
+    """Every value above tol: a NaN fails, an empty sup raises."""
+    return _first_break("beyond", [v > tol for v in values] or sup(values), tol)
 
 
 @dataclass(frozen=True)
@@ -124,6 +154,12 @@ class ConvergenceReport:
         return self.defect[-1]
 
 
-def make_report(eps_grid, defects, verdict, metadata) -> ConvergenceReport:
+def make_report(eps_grid, defects, verdict: Verdict, metadata) -> ConvergenceReport:
+    """A sweep's report; its metadata records the verdict's rule, tolerance and broke_at."""
+    if not isinstance(verdict, Verdict):
+        raise TypeError(f"a verdict comes from a named rule, not {verdict!r}")
     rate = fit_loglog_rate([e.nu for e in eps_grid], defects)
-    return ConvergenceReport(list(eps_grid), list(defects), rate, bool(verdict), dict(metadata))
+    metadata = {**metadata, "rule": verdict.rule, "broke_at": verdict.broke_at}
+    if verdict.tolerance is not None:
+        metadata["tolerance"] = verdict.tolerance
+    return ConvergenceReport(list(eps_grid), list(defects), rate, verdict.passed, metadata)

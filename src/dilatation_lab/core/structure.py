@@ -19,7 +19,8 @@ import numpy as np
 
 from dilatation_lab.config import DEFECT_FLOOR, EXACT_IDENTITY_TOL
 from dilatation_lab.errors import DomainViolation, NonConvergent
-from dilatation_lab.core.reports import ConvergenceReport, make_report, nonincreasing, sup
+from dilatation_lab.core.reports import (
+    ConvergenceReport, beyond, make_report, nonincreasing, sup, within)
 from dilatation_lab.core.scales import RowScale, Scale, ScaleGroup, not_expanding, trend_grid
 
 
@@ -285,7 +286,8 @@ def estimate_dx(S: DilatationStructure, x, u, v, eps_grid) -> tuple[float, Conve
     in one call over the grid (``Rows.over_grid``); the report records the gap
     of each grid value to it.  Successive differences must not grow beyond the
     jitter factor, otherwise the sweep raises NonConvergent.  A vanishing limit
-    for distinct u, v flags the structure as degenerate.
+    for distinct u, v flags the structure as degenerate; only then is their
+    coordinate gap read.
     """
     if len(eps_grid) < 4:
         raise ValueError("estimate_dx needs a grid of at least 4 scales")
@@ -294,14 +296,10 @@ def estimate_dx(S: DilatationStructure, x, u, v, eps_grid) -> tuple[float, Conve
     values = rows.floats(lambda e: rescaled_distance(S, x, e, u, v), rows.scale_column(eps_grid))
     diffs = [abs(a - b) for a, b in zip(values, values[1:])]
     if not nonincreasing(diffs):
-        raise NonConvergent(
-            f"rescaled distances do not settle on {S.name}: diffs={diffs}")
+        raise NonConvergent(f"rescaled distances do not settle on {S.name}: diffs={diffs}")
     estimate = values[-1]
-    degenerate = (estimate <= DEFECT_FLOOR
-                  and S.coordinate_gap(u, v) > EXACT_IDENTITY_TOL)
-    defects = [abs(val - estimate) for val in values]
-    report = make_report(
-        eps_grid, defects, verdict=not degenerate,
-        metadata={"model": S.name, "quantity": "rescaled-distance",
-                  "values": values, "degenerate": degenerate})
-    return estimate, report
+    verdict = (beyond([estimate], DEFECT_FLOOR)
+               or within([S.coordinate_gap(u, v)], EXACT_IDENTITY_TOL))
+    return estimate, make_report(eps_grid, [abs(val - estimate) for val in values], verdict,
+                                 {"model": S.name, "quantity": "rescaled-distance",
+                                  "values": values, "degenerate": not verdict})

@@ -19,7 +19,7 @@ import numpy as np
 from dilatation_lab.config import DERIVATIVE_TOL, EXACT_IDENTITY_TOL, MIN_PAIRED_SAMPLES, default_ks
 from dilatation_lab.errors import NonConvergent
 from dilatation_lab.core.reports import (
-    ConvergenceReport, dies_out, make_report, nonincreasing, settles, sup)
+    ConvergenceReport, converges, dies_out, make_report, nonincreasing, settles, sup, within)
 from dilatation_lab.core.structure import (
     DilatationStructure, Rows, approx_difference, approx_inverse, approx_sum,
     estimate_dx, rescaled_distance)
@@ -51,16 +51,15 @@ def tangent_limit(S: DilatationStructure, x, u, v, which: str,
     rows = Rows.over_grid([x, *args], eps_grid)
     points = rows.map(lambda e: op(S, x, e, *args), rows.scale_column(eps_grid))
     increments = rows.floats(S.coordinate_gap, points[:-1], points[1:])
-    if not settles(increments):
+    if not (verdict := settles(increments)):
         raise NonConvergent(f"tangent {which} composites do not settle on {S.name}: {increments}")
     exact = getattr(S, f"tangent_{which}", None)
     limit = rows.row(points, -1) if exact is None else exact(x, *args)
     defects = rows.floats(lambda p: S.distance(p, limit), points)
-    report = make_report(eps_grid, defects, True,
-                         {"model": S.name, "quantity": f"tangent-{which}",
-                          "exact_reference": exact is not None,
-                          "cauchy_increments": increments})
-    return limit, report
+    return limit, make_report(eps_grid, defects, verdict,
+                              {"model": S.name, "quantity": f"tangent-{which}",
+                               "exact_reference": exact is not None,
+                               "cauchy_increments": increments})
 
 
 @dataclass
@@ -280,10 +279,9 @@ def check_affine_map(S: DilatationStructure, T, samples, eps_set) -> Convergence
     defects = [sup(S.distance(T(S.dilate(x, eps, y)), S.dilate(T(x), eps, T(y)))
                    for x, y in samples)
                for eps in eps_set]
-    verdict = sup(defects) <= EXACT_IDENTITY_TOL
-    return make_report(eps_set, defects, verdict,
+    return make_report(eps_set, defects, within(defects, EXACT_IDENTITY_TOL),
                        {"model": S.name, "quantity": "affine-commutation",
-                        "lipschitz_estimate": lip, "tolerance": EXACT_IDENTITY_TOL})
+                        "lipschitz_estimate": lip})
 
 
 def pansu_derivative(Ssrc: DilatationStructure, Sdst: DilatationStructure, f, x, u,
@@ -309,8 +307,5 @@ def pansu_derivative(Ssrc: DilatationStructure, Sdst: DilatationStructure, f, x,
     q = Sdst.dilate(fx, ref.inverse(), f(Ssrc.dilate(x, ref, u)))
     residuals = [Sdst.distance(f(Ssrc.dilate(x, eps, u)), Sdst.dilate(fx, eps, q)) / eps.nu
                  for eps in eps_grid]
-    verdict = residuals[-1] <= DERIVATIVE_TOL and nonincreasing(residuals)
-    report = make_report(eps_grid, residuals, verdict,
-                         {"model": f"{Ssrc.name}->{Sdst.name}",
-                          "quantity": "derivative-residual", "tolerance": DERIVATIVE_TOL})
-    return q, report
+    return q, make_report(eps_grid, residuals, converges(residuals, DERIVATIVE_TOL),
+                          {"model": f"{Ssrc.name}->{Sdst.name}", "quantity": "derivative-residual"})

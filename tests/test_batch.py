@@ -261,10 +261,19 @@ def test_primitives_batch_equals_rows(case):
 def test_product_rows_keep_the_sign_of_a_zero(case):
     # a length-1 np.dot keeps a -0.0 product where np.vecdot sums from +0.0, so a
     # point's dot is summed from +0.0 too (row_dot); signed zeros and units make
-    # zero products of either sign often
+    # zero products of either sign often.  Dilatations at fixed scales, complex
+    # ones on C x R, must keep each row's zero signs and the reference's too:
+    # drawn scales would not pin them
     model = CASES[case][0]
     A, B = np.random.default_rng(3).choice([0.0, -0.0, 1.0, -1.0], (2, 400, model.coordinate_dim))
     _same(model.group_product(A, B), [model.group_product(a, b) for a, b in zip(A, B)])
+    ref_dilate = _reference(model)[0]
+    turns = [cmath.exp(2j), 0.5j] if isinstance(model, ComplexHeisenbergModel) else []
+    for e in [0.5, 0.3, *turns]:
+        eps = model.scale_group.scale(e)
+        rows = [model.dilate(a, eps, b) for a, b in zip(A, B)]
+        _same(model.dilate(A, eps, B), rows)
+        _same(np.array([ref_dilate(a, e, b) for a, b in zip(A, B)]), rows)
 
 
 @pytest.mark.parametrize("case", IDS)

@@ -130,6 +130,9 @@ def test_capability_table(case):
         meta = rep.metadata
         assert ("pass" if rep.verdict else "fail", meta["reference"],
                 meta["arithmetic"]) == expected, sweep
+        # a limit sweep's rule is converges; an identity sweep falls back to within
+        assert meta["rule"] in ("converges", "within"), sweep
+        assert (meta["broke_at"] is None) is rep.verdict, sweep
         digest.update(f"{sweep} {rep.verdict} {[d.hex() for d in rep.defect]}\n".encode())
     assert digest.hexdigest() == REPORT_DIGESTS[case], (
         f"the sweep reports of {case} are not the recorded ones, bit for bit; if no change "

@@ -131,14 +131,18 @@ def test_only_identity_sweeps_pass_on_defects_within_tolerance(euclid2, monkeypa
 
 
 def test_metric_pullback_a2_verdict_depends_on_grid_depth():
-    # a harness artefact, pinned until ROADMAP item 2 rules on it: on the metric
-    # pullback the A2 defects decay like nu^2, a limit, but A2 is judged as an
-    # identity at EXACT_IDENTITY_TOL, so a shallow grid fails where a deep one passes
+    # on the metric pullback the A2 defects decay like nu^2, but A2 stays an
+    # identity sweep at EXACT_IDENTITY_TOL (README, Verdicts): a limit tolerance
+    # would loosen A2 on every conical model.  So a shallow grid fails where a
+    # deep one passes, each defect of the shallow one above the tolerance
     model = PullbackModel(EuclideanModel(2), "cubic", "metric")
     shallow, deep = (verify_axiom(model, "A2", Ball(model.origin(), 0.025), PR.grid(range(2, k)),
                                   sample_count=4, seed=0) for k in (7, 13))
     assert shallow.metadata["tolerance"] == deep.metadata["tolerance"] == EXACT_IDENTITY_TOL
     assert not shallow.verdict and shallow.defect[-1] > EXACT_IDENTITY_TOL
+    # a failed identity sweep records within, the rule it tried last
+    assert (shallow.metadata["rule"], shallow.metadata["broke_at"]) == ("within", 0)
+    assert deep.metadata["rule"] == "converges" and deep.metadata["broke_at"] is None
     assert deep.verdict and deep.defect[-1] <= EXACT_IDENTITY_TOL
     # each halving of the scale divides the defect by about 4 until roundoff shows
     d = deep.defect

@@ -1,9 +1,11 @@
-"""core.reports holds the lab's one sup rule, its one NaN rule and its one
-emptiness rule: a NaN residual is the worst value, so it makes every sup NaN
-and fails every verdict built on it, wherever in the sample it falls, and an
-empty sample raises ValueError, since a sup over nothing would pass anything."""
+"""core.reports holds the named rules behind every verdict, the lab's one sup
+rule, its one NaN rule and its one emptiness rule: a NaN residual is the worst
+value, so it makes every sup NaN and fails every verdict built on it, wherever
+in the sample it falls, and an empty sample raises ValueError, since a sup over
+nothing would pass anything."""
 
 import ast
+import hashlib
 import math
 from dataclasses import FrozenInstanceError
 from pathlib import Path
@@ -16,20 +18,24 @@ from hypothesis import example, given, strategies as st
 import dilatation_lab
 from dilatation_lab import affine, cli, emergent
 from dilatation_lab.affine import (
-    CollinearTriple, check_collinear, counterexample_check, geometric_affinity_check,
-    reversed_collinear_search)
+    CollinearTriple, check_collinear, collinear_triple_from_ratio, counterexample_check,
+    geometric_affinity_check, reversed_collinear_search)
 from dilatation_lab.core.harness import verify_axiom
 from dilatation_lab.config import CAUCHY_SHRINK, DEFECT_FLOOR
-from dilatation_lab.core.reports import dies_out, make_report, nonincreasing, settles, sup
+from dilatation_lab.core.reports import (
+    Verdict, beyond, converges, dies_out, make_report, nonincreasing, settles, sup, within)
 from dilatation_lab.core.scales import POSITIVE_REALS as PR
-from dilatation_lab.core.structure import Ball, Rows
+from dilatation_lab.core.structure import Ball, Rows, estimate_dx
 from dilatation_lab.emergent import (
-    check_affine_map, metric_tangent_scan, pansu_derivative, shift_isometry_defect)
+    LIMIT_OPS, check_affine_map, inflin_scan, metric_tangent_scan, pansu_derivative,
+    plin1_scan, shift_isometry_defect, tangent_limit)
 from dilatation_lab.errors import NonConvergent
 from dilatation_lab.models.base import ExactPoint
 from dilatation_lab.models import (
     CarnotModel, ComplexHeisenbergModel, EuclideanModel, HeisenbergModel, PullbackModel,
     engel_structure_constants, heisenberg_structure_constants)
+
+from conftest import blas_kernel
 
 PACKAGE = Path(dilatation_lab.__file__).parent
 NAN = float("nan")
@@ -218,10 +224,73 @@ def test_settling_and_grid_order_rules_have_one_home_each():
     assert list(raised) == ["core/scales.py"] and len(raised["core/scales.py"]) == 1
 
 
+# --- every verdict comes from a named rule, which says where it broke ----------
+
+VERDICT_TOLERANCES = {"EXACT_IDENTITY_TOL", "LIMIT_TOL", "CAUCHY_DIFFERENCE_TOL", "DERIVATIVE_TOL",
+                      "MENELAOS_PROBE_TOL", "COUNTEREXAMPLE_SEPARATION"}
+
+
+def _compares(path, names):
+    """Lines of a module that compare a value against one of the names."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Compare)
+            and any(isinstance(n, ast.Name) and n.id in names
+                    or isinstance(n, ast.Attribute) and n.attr in names
+                    for operand in [node.left, *node.comparators] for n in ast.walk(operand))]
+
+
+def test_verdict_tolerances_are_compared_only_by_the_rules():
+    # a module hands its tolerance to a rule of core.reports, which compares
+    found = {str(path.relative_to(PACKAGE)): lines for path in sorted(PACKAGE.rglob("*.py"))
+             for lines in [_compares(path, VERDICT_TOLERANCES)] if lines}
+    assert found == {}
+    takers = {node.func.id for path in PACKAGE.rglob("*.py")
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and any(isinstance(a, ast.Name) and a.id in VERDICT_TOLERANCES for a in node.args)}
+    assert takers == {"within", "beyond", "converges"}
+
+
+@pytest.mark.parametrize("verdict", [True, False, np.True_, 1])
+def test_make_report_takes_only_a_named_rule(verdict):
+    with pytest.raises(TypeError, match="named rule"):
+        make_report(PR.grid([2, 3]), [0.5, 0.25], verdict, {})
+
+
+def test_a_report_records_its_rule_and_where_it_broke():
+    grid = PR.grid([2, 3, 4])
+    meta = make_report(grid, [1.0, 0.5, 0.6], converges([1.0, 0.5, 0.6], 0.7), {"seed": 1}).metadata
+    assert meta == {"seed": 1, "rule": "converges", "broke_at": None, "tolerance": 0.7}
+    meta = make_report(grid, [1.0, 0.5, 0.6], dies_out([1.0, 0.5, 0.6]), {}).metadata
+    assert meta == {"rule": "dies_out", "broke_at": 2}
+
+
+def test_the_rules_break_at_the_first_value_that_breaks_them():
+    assert converges([1.0, 0.5, 0.25], 0.3) == Verdict(True, "converges", 0.3)
+    assert converges([1.0, 0.5, 0.4], 0.3).broke_at == 2           # last above tol
+    assert converges([1.0, 2.0, 0.1], 0.3).broke_at == 1           # growth
+    assert converges([1e-3, 2e-3, 0.0], 0.3, floor=1e-2)           # flat below the floor
+    assert dies_out([1.0, 0.5, 0.2]).broke_at == 2                 # did not fall tenfold
+    assert dies_out([0.0, 1e-13, 0.0]) and dies_out([1.0, 0.5, 0.01])
+    assert within([0.1, 2.0, 3.0], 1.0) == Verdict(False, "within", 1.0, 1)
+    assert within(iter([0.1, 0.2]), 1.0) and within(np.array([0.5, 1.0]), 1.0)
+    assert beyond([2.0, 0.5, NAN], 1.0) == Verdict(False, "beyond", 1.0, 1)
+    assert beyond([2.0, 3.0], 1.0) and not beyond([NAN], 1.0)
+    assert nonincreasing([1.0, 1.5, 2.3]) == Verdict(False, "nonincreasing", None, 2)
+    assert settles([1.0, 0.5, 0.5]) == Verdict(False, "settles", None, 2)
+    for rule in (within, beyond):
+        with pytest.raises(ValueError, match=EMPTY):
+            rule([], 1.0)
+
+
 # --- a NaN residual fails every verdict, in whichever place it falls ----------
 
 NAN_ORDERS = [[NAN, 1e-20], [1e-20, NAN]]
 TRIPLE = CollinearTriple(np.array([0.0]), np.array([1.0]), np.array([1.0 / 3.0]), 0.5, 0.5)
+
+
+def _nan_at(values):
+    return [math.isnan(v) for v in values].index(True)
 
 
 def _returning(values):
@@ -235,7 +304,8 @@ def test_check_collinear_fails_on_a_nan_probe_defect(defects, monkeypatch):
     E = EuclideanModel(1)
     monkeypatch.setattr(E, "distance", _returning(defects))
     triple = CollinearTriple(np.array([0.0]), np.array([1.0]), np.array([1.0 / 3.0]), 0.5, 0.5)
-    assert not check_collinear(E, triple, probes=[np.array([0.1]), np.array([0.2])]).verdict
+    rep = check_collinear(E, triple, probes=[np.array([0.1]), np.array([0.2])])
+    assert not rep.verdict and rep.metadata["broke_at"] == _nan_at(defects)
 
 
 @pytest.mark.parametrize("defects", NAN_ORDERS)
@@ -243,7 +313,8 @@ def test_geometric_affinity_fails_on_a_nan_triple_defect(defects, monkeypatch):
     collinear = _returning([SimpleNamespace(defect=[d]) for d in defects])
     monkeypatch.setattr(affine, "check_collinear", collinear)
     triple = CollinearTriple(np.array([0.0]), np.array([1.0]), np.array([1.0 / 3.0]), 0.5, 0.5)
-    assert not geometric_affinity_check(EuclideanModel(1), lambda p: p, [triple] * 2).verdict
+    rep = geometric_affinity_check(EuclideanModel(1), lambda p: p, [triple] * 2)
+    assert not rep.verdict and rep.metadata["broke_at"] == _nan_at(defects)
 
 
 @pytest.mark.parametrize("defects", NAN_ORDERS)
@@ -251,7 +322,7 @@ def test_barycentric_command_fails_on_a_nan_pair_defect(defects, monkeypatch):
     monkeypatch.setattr(cli, "barycentric_defect", _returning(defects))
     _, verdict = cli._cmd_barycentric(EuclideanModel(2), eps=PR.scale(0.5), seed=0,
                                       sample_count=2)
-    assert not verdict
+    assert not verdict and verdict.broke_at == _nan_at(defects)
 
 
 def test_coordinate_gap_is_nan_on_a_nan_coordinate():
@@ -275,19 +346,19 @@ def test_settles_keeps_the_cauchy_rule():
     assert settles([1e-9, DEFECT_FLOOR, 1e-13, 0.0])
     assert not settles([1.0, DEFECT_FLOOR, 1e-9])
     for values in ([NAN], [1.0, NAN], [NAN, 0.0], [1.0, 0.5, NAN, 0.1]):
-        assert not settles(values)
+        assert settles(values).broke_at == _nan_at(values)
 
 
 def test_reports_are_immutable():
-    rep = make_report(PR.grid([2, 3]), [0.5, 0.25], True, {})
+    rep = make_report(PR.grid([2, 3]), [0.5, 0.25], nonincreasing([0.5, 0.25]), {})
     with pytest.raises(FrozenInstanceError):
         rep.verdict = False
 
 
 def test_nonincreasing_fails_on_a_nan_anywhere():
     for values in ([NAN], [1.0, NAN], [1.0, NAN, 5.0], [NAN, 1.0, 0.5]):
-        assert not nonincreasing(values)
-        assert not dies_out(values)
+        assert nonincreasing(values).broke_at == _nan_at(values)
+        assert dies_out(values).broke_at == _nan_at(values)
     assert nonincreasing([1.0, 1.0, 0.5]) and dies_out([1.0, 0.5, 0.01])
 
 
@@ -321,13 +392,15 @@ def test_axiom_a1_fails_on_a_nan_residual(monkeypatch, place):
     monkeypatch.setattr(E, "distance", nan_in_place)
     rep = verify_axiom(E, "A1", Ball(E.origin(), 0.5), PR.grid(range(2, 6)), sample_count=4)
     assert hit and math.isnan(rep.defect[0]) and not rep.verdict
+    assert rep.metadata["broke_at"] == 0
 
 
 def test_check_affine_map_fails_on_a_nan_commutation_defect(monkeypatch):
     E = EuclideanModel(1)
     monkeypatch.setattr(E, "distance", lambda p, q: NAN)
     samples = [(np.array([0.1]), np.array([0.2]))]
-    assert not check_affine_map(E, lambda p: p, samples, PR.grid([1, 2])).verdict
+    rep = check_affine_map(E, lambda p: p, samples, PR.grid([1, 2]))
+    assert not rep.verdict and rep.metadata["broke_at"] == 0
 
 
 def test_geometric_affinity_reports_a_nan_commutation_defect(monkeypatch):
@@ -363,7 +436,7 @@ def test_cauchy_a4_fails_on_nan_coordinate_gaps():
     S = _NanGapPullback(EuclideanModel(2), "cubic", "dilatation")
     rep = verify_axiom(S, "A4", Ball(S.origin(), 0.05), PR.grid(range(2, 8)),
                        sample_count=4, seed=0, reference="cauchy")
-    assert not rep.verdict
+    assert not rep.verdict and rep.metadata["broke_at"] == 0
 
 
 # --- an empty sample has nothing to certify -----------------------------------
@@ -412,3 +485,80 @@ def test_metric_tangent_scan_needs_two_samples():
     # one sample pairs only with itself, at distance 0 in every gauge
     with pytest.raises(ValueError, match="at least 2 samples"):
         metric_tangent_scan(H1, H1.origin(), PR.grid([2, 3]), sample_count=1)
+
+
+# --- the reports outside the harness, bit for bit -------------------------------
+
+def _pinned_reports():
+    """Each report entry point outside verify_axiom on seed-0 inputs, by name."""
+    rng = np.random.default_rng(0)
+    pull = PullbackModel(EuclideanModel(2))
+    x, y, z = rng.uniform(-0.05, 0.05, (3, 2))
+    hx, hu, hw = rng.uniform(-0.3, 0.3, (3, 3))
+    translate = H1.left_translation(hw)
+    pairs = [tuple(rng.uniform(-0.3, 0.3, (2, 3))) for _ in range(4)]
+    triple = collinear_triple_from_ratio(H1, hx, hu, 0.5, 0.25)
+    cxr = ComplexHeisenbergModel()
+    probes = affine.probe_points(cxr, cxr.identity(), 1.0, 0)
+    Y = cxr.point(1.0 + 0.0j, 1.0)
+    exact_grid = [H1.to_exact_scale(e) for e in PR.grid(range(2, 9))]
+    reports = {
+        "inflin_scan": lambda: inflin_scan(pull, x, y, z, PR.grid(range(3, 11))),
+        "plin1_scan": lambda: plin1_scan(pull, x, y, z, PR.grid(range(3, 11))),
+        "metric_tangent_scan": lambda: metric_tangent_scan(pull, pull.origin(),
+                                                           PR.grid(range(2, 9)), 8, seed=0),
+        "check_affine_map": lambda: check_affine_map(H1, translate, pairs, PR.grid([1, 2, 3])),
+        "pansu_derivative": lambda: pansu_derivative(
+            H1, H1, lambda p: p, H1.to_exact(hx), H1.to_exact(hu), exact_grid)[1],
+        **{f"tangent_limit-{which}": lambda which=which: tangent_limit(
+            pull, x, y, z, which, PR.grid(range(2, 7)))[1] for which in LIMIT_OPS},
+        "estimate_dx": lambda: estimate_dx(pull, x, y, z, PR.grid(range(2, 9)))[1],
+        "check_collinear": lambda: check_collinear(H1, triple),
+        "geometric_affinity_check": lambda: geometric_affinity_check(H1, translate, [triple]),
+        "counterexample_check-flip": lambda: counterexample_check(cxr, 0.5, Y, probes),
+        "counterexample_check-control": lambda: counterexample_check(cxr, 0.5, Y, probes,
+                                                                     flip=False),
+    }
+    return {name: run() for name, run in reports.items()}
+
+
+# sha256 over each report's verdict and the float.hex of its defects
+PINNED_DIGESTS = {
+    "inflin_scan":
+        "102e832a3520fb0ec25f44837d4a6c414d05c91f3961d293f718ea1e21280d16",
+    "plin1_scan":
+        "4f63a8c0906768ec3e24afc73fcdd7bfc79f08c3c441dbd22d48188353c0e8b6",
+    "metric_tangent_scan":
+        "16b279d0920cb43910663de80415452d214070b639290e263e532be0aff19b3b",
+    "check_affine_map":
+        "f0da94b2a5393c789fc1f4ebbe552448cf5afb610cf600f88ffd4f022fef36d0",
+    "pansu_derivative":
+        "fdb2407fc4e95c594676e706db22ea7ccb3ea4864162e660a67bc705026ca862",
+    "tangent_limit-sum":
+        "e83e853c0042269160ecc9b163557c927bd596c5e563fa095de70277307160dc",
+    "tangent_limit-difference":
+        "21fc12d09c14c3f684023fbf542d371577b60ea194e6267660e3c331db413392",
+    "tangent_limit-inverse":
+        "1d079be3b5afb4f6f48fff44ea6b491df7adb01416a682ccbbd42f9f877404be",
+    "estimate_dx":
+        "5a28bdc14dd7a21261373f44a17ed01d2ceae14cecb7a7626d47836503c601e6",
+    "check_collinear":
+        "91fe9fa54c2ed0b4b9cf420510b083f23ba6a9564463acb4c57bd6ac4ec548ea",
+    "geometric_affinity_check":
+        "3e8b656a8f44ce151ee9e64e03d17d9d987c62d239cbe1715fec2d9d91844807",
+    "counterexample_check-flip":
+        "9b5a92dab29e08607164fa5fb473950d1350f52425dfbb0f0519ed98bc637b52",
+    "counterexample_check-control":
+        "6d23fa046e3dbed0fc526ada7acb7d0d893c6a43c05f490ccc70345bb47a2df1",
+}
+
+
+def test_reports_outside_the_harness_are_pinned():
+    got = {}
+    for name, rep in _pinned_reports().items():
+        text = f"{name} {rep.verdict} {[d.hex() for d in rep.defect]}\n"
+        got[name] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == PINNED_DIGESTS, (
+        f"reports outside the harness moved; if no change to the lab meant to move them, a "
+        f"possible cause is the BLAS kernel, {blas_kernel()}, rounding float dots other than "
+        f"the kernel they were recorded under (see the probes in tests/test_batch.py)")

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 import dilatation_lab
 from dilatation_lab.core.harness import AXIOMS, verify_axiom
-from dilatation_lab.core.reports import make_report
+from dilatation_lab.core.reports import make_report, within
 from dilatation_lab.core.scales import (
     COMPLEX_UNITS, DYADIC_POWERS, POSITIVE_REALS, RowScale, contraction, decreasing,
     not_expanding)
@@ -141,7 +141,7 @@ def test_decreasing_refuses_a_grid_that_does_not_refine():
         decreasing(grid)
     # a report checks its grid with the same rule
     with pytest.raises(ValueError, match=ORDER):
-        make_report(BAD_GRIDS["repeated"], [0.0] * 4, True, {})
+        make_report(BAD_GRIDS["repeated"], [0.0] * 4, within([0.0] * 4, 1e-9), {})
 
 
 class _Counting:
