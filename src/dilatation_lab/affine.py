@@ -24,7 +24,8 @@ from dilatation_lab.config import (
     COUNTEREXAMPLE_SEPARATION, ENVELOPE_ABS_SLACK, ENVELOPE_SLACK, EXACT_IDENTITY_TOL,
     FIXED_POINT_TOL, LINEARITY_WARN_TOL, MAX_ITER, RATE_FLOOR, RATE_FLOOR_FACTOR)
 from dilatation_lab.errors import DomainViolation, MaxIterExceeded
-from dilatation_lab.core.reports import ConvergenceReport, beyond, make_report, sup, within
+from dilatation_lab.core.reports import (
+    ConvergenceReport, Verdict, beyond, make_report, sup, within, within_envelopes)
 from dilatation_lab.core.scales import Scale, contraction
 from dilatation_lab.core.structure import DilatationStructure, Rows, exactify
 from dilatation_lab.emergent import check_affine_map, lin_defect
@@ -354,14 +355,14 @@ def collinearity_defect(S: GroupModel, u, v, eps: Scale) -> float:
 
 
 def distance_estimates_check(S: DilatationStructure, x, y, eps: Scale,
-                             mu: Scale) -> tuple[float, float, bool]:
+                             mu: Scale) -> tuple[float, float, Verdict]:
     """Envelopes of the composite's base point:
 
         d(x, w) <= nu(eps) / (1 - nu(eps mu)) d(x, delta^y_mu x)
         d(y, w) <= 1 / (1 - nu(eps mu)) d(y, delta^x_eps y)
 
-    Returns the two left-hand sides and whether both inequalities hold with
-    multiplicative slack 1 + ENVELOPE_SLACK and absolute slack ENVELOPE_ABS_SLACK.
+    Returns the two left-hand sides and the ``within_envelopes`` verdict on both,
+    with multiplicative slack 1 + ENVELOPE_SLACK and absolute ENVELOPE_ABS_SLACK.
     Only w is read, so the paired iteration runs without the step rates and
     the probe check of ``menelaos_iterate``.
     """
@@ -372,9 +373,8 @@ def distance_estimates_check(S: DilatationStructure, x, y, eps: Scale,
     bound1 = eps.nu / (1.0 - q) * S.distance(x, S.dilate(y, mu, x))
     lhs2 = S.distance(y, w)
     bound2 = 1.0 / (1.0 - q) * S.distance(y, S.dilate(x, eps, y))
-    ok = (lhs1 <= bound1 * (1.0 + ENVELOPE_SLACK) + ENVELOPE_ABS_SLACK
-          and lhs2 <= bound2 * (1.0 + ENVELOPE_SLACK) + ENVELOPE_ABS_SLACK)
-    return lhs1, lhs2, ok
+    return lhs1, lhs2, within_envelopes([lhs1, lhs2], [bound1, bound2],
+                                        ENVELOPE_SLACK, ENVELOPE_ABS_SLACK)
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,12 @@ def beyond(values, tol: float) -> Verdict:
     return _first_break("beyond", [v > tol for v in values] or sup(values), tol)
 
 
+def within_envelopes(values, bounds, slack: float, abs_slack: float) -> Verdict:
+    """Each value at most its bound times 1 + slack, plus abs_slack; as ``within``."""
+    return _first_break("within_envelopes", [v <= b * (1.0 + slack) + abs_slack
+                                             for v, b in zip(values, bounds)] or sup(values), slack)
+
+
 @dataclass(frozen=True)
 class ConvergenceReport:
     """Defect-versus-scale record of one sweep.

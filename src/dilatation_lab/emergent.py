@@ -22,7 +22,7 @@ from dilatation_lab.core.reports import (
     ConvergenceReport, converges, dies_out, make_report, nonincreasing, settles, sup, within)
 from dilatation_lab.core.structure import (
     DilatationStructure, Rows, approx_difference, approx_inverse, approx_sum,
-    estimate_dx, rescaled_distance)
+    estimate_dx, exactify, rescaled_distance)
 from dilatation_lab.core.scales import (
     Scale, contraction, decreasing, not_expanding, reference_scale, trend_grid)
 from dilatation_lab.models.base import ExactPoint
@@ -201,36 +201,31 @@ def lin_defect(S: DilatationStructure, x, y, z, eps: Scale, mu: Scale) -> float:
     return S.distance(lhs, rhs)
 
 
+def _lin_scan(S: DilatationStructure, x, y, z, eps_grid, quantity: str) -> ConvergenceReport:
+    """Lin(x, delta^x_eps y, z; eps, eps) / eps^2 over the grid, in exact arithmetic
+    where S has it (``exactify``), as ``menelaos_iterate`` reads ``lin_defect``."""
+    (x, y, z), grid, _ = exactify(S, [x, y, z], eps_grid)
+    values = [lin_defect(S, x, S.dilate(x, e, y), z, e, e) / (eps.nu * eps.nu)
+              for eps, e in zip(eps_grid, grid)]
+    return make_report(eps_grid, values, dies_out(values), {"model": S.name, "quantity": quantity})
+
+
 def inflin_scan(S: DilatationStructure, x, y, z, eps_grid) -> ConvergenceReport:
     """Second-order vanishing of nonlinearity: Lin(x, delta^x_eps y, z; eps, eps) / eps^2.
 
-    Passes when the rescaled defects die out (``dies_out``).
-    """
+    Passes when the rescaled defects die out (``dies_out``)."""
     trend_grid("inflin_scan", eps_grid)
-    values = []
-    for eps in eps_grid:
-        nu = eps.nu
-        values.append(lin_defect(S, x, S.dilate(x, eps, y), z, eps, eps) / (nu * nu))
-    return make_report(eps_grid, values, dies_out(values),
-                       {"model": S.name, "quantity": "lin-over-eps-squared"})
+    return _lin_scan(S, x, y, z, eps_grid, "lin-over-eps-squared")
 
 
 def plin1_scan(S: DilatationStructure, x, y, v, eps_grid) -> ConvergenceReport:
-    """First-order agreement of true and induced dilatations near delta^x_eps y.
+    """First-order agreement of true and induced dilatations near u = delta^x_eps y.
 
-    Sweeps (1/eps) (delta^x, eps)(delta^{delta^x_eps y}_eps v, delta-hat v)
-    where delta-hat is the induced dilatation at scale eps anchored at the
-    same point; the quantity must die out (``dies_out``).
-    """
+    (1/eps)(delta^x, eps)(delta^u_eps v, delta-hat v), delta-hat the induced
+    dilatation at scale eps, is ``inflin_scan``'s Lin(x, u, v; eps, eps) / eps^2;
+    it must die out (``dies_out``)."""
     trend_grid("plin1_scan", eps_grid)
-    values = []
-    for eps in eps_grid:
-        u = S.dilate(x, eps, y)
-        true_point = S.dilate(u, eps, v)
-        hat = InducedStructure(S, x, eps).dilate(u, eps, v)
-        values.append(rescaled_distance(S, x, eps, true_point, hat) / eps.nu)
-    return make_report(eps_grid, values, dies_out(values),
-                       {"model": S.name, "quantity": "induced-dilatation-gap"})
+    return _lin_scan(S, x, y, v, eps_grid, "induced-dilatation-gap")
 
 
 def metric_tangent_scan(S: DilatationStructure, x, eps_grid, sample_count: int = 16,

@@ -18,9 +18,9 @@ their own gauge; on exact points all of them share the integer kernel below.
 The float product is compiled once per model from its bracket table into
 one straight-line function (``_compiled_product``), on Python floats for a
 point and on column views for a batch.  Two models keep a product of their
-own, as theirs rounds differently: H(n >= 2), whose dots of two or more
-terms take BLAS's fused multiply-add, which the float digests record, and
-Euclidean space, which adds whole rows in one numpy call.
+own: H(n >= 2), whose dots of two or more terms take BLAS's fused
+multiply-add, which the float digests record, and Euclidean space, whose
+whole-row a + b gives the compiled product's bits in one numpy call.
 """
 
 from __future__ import annotations
@@ -58,28 +58,34 @@ def _compiled_product(dim: int, step: int, entries):
     """The float BCH product of a bracket table as one straight-line function,
     generated as ``dataclasses`` generates methods: source text built from the
     table, each constant written as its ``repr``, which reads back as the same
-    float.  Each bracket coordinate is summed from 0.0 in table order, on
-    Python floats and on the columns of a batch alike; the zero term makes a
-    zero coordinate +0.0 where -0.0 + -0.0 would stay -0.0."""
+    float.  Each coordinate holds only its table's terms, on Python floats and
+    on the columns of a batch alike: a_k + b_k, then a bracket sum from its
+    first term in table order, then a 1/12 term if it has a double bracket.
+    A zero sum keeps its IEEE sign: -0.0 + -0.0 stays -0.0 on layer 1."""
     a = [f"a{i}" for i in range(dim)]
     b = [f"b{i}" for i in range(dim)]
-    z = [f"z{i}" for i in range(dim)]
 
     def bracket(u, v):
-        out = ["0.0"] * dim
+        # the table's terms of [u, v] per coordinate; a None in v is 0 and drops
+        # its product, as [a, b] does on layer 1, where a graded i < j puts e_i
+        out = [[] for _ in range(dim)]
         for i, j, k, c, _ in entries:
-            out[k] += f" + {c!r} * ({u[i]} * {v[j]} - {u[j]} * {v[i]})"
-        return out
+            if v[j]:
+                minus = f" - {u[j]} * {v[i]}" if v[i] else ""
+                out[k].append(f"{c!r} * ({u[i]} * {v[j]}{minus})")
+        return [" + ".join(t) for t in out]
 
-    terms = [f"{x} + {y} + {w} * 0.5" for x, y, w in zip(a, b, z)]
+    ab = bracket(a, b)
+    z = [f"z{k}" if t else None for k, t in enumerate(ab)]
+    terms = [f"{x} + {y}" + (f" + {w} * 0.5" if w else "") for x, y, w in zip(a, b, z)]
     if step == 3:
-        terms = [f"{t} + (({p}) - ({q})) * (1.0 / 12.0)"
+        terms = [f"{t} + (({p}) - ({q})) * (1.0 / 12.0)" if p else t
                  for t, p, q in zip(terms, bracket(a, z), bracket(b, z))]
     source = "\n    ".join([
         "def _product(A, B):",
         f"{', '.join(a)}, = A",
         f"{', '.join(b)}, = B",
-        *(f"{w} = {e}" for w, e in zip(z, bracket(a, b))),
+        *(f"{w} = {e}" for w, e in zip(z, ab) if w),
         f"return [{', '.join(terms)}]"])
     namespace = {}
     exec(source, namespace)

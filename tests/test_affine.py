@@ -466,8 +466,9 @@ def test_distance_estimates_match_the_menelaos_point():
             else:
                 e, m = (PR.scale(float(v)) for v in rng.uniform(0.15, 0.85, 2))
             w = menelaos_iterate(model, x, e, y, m).w
-            assert repr(distance_estimates_check(model, x, y, e, m)) == \
-                repr(_envelopes_at(model, x, y, e, m, w))
+            lhs1, lhs2, verdict = distance_estimates_check(model, x, y, e, m)
+            assert verdict.rule == "within_envelopes"
+            assert repr((lhs1, lhs2, verdict.passed)) == repr(_envelopes_at(model, x, y, e, m, w))
 
 
 @pytest.mark.parametrize("make", [lambda: HeisenbergModel(1),

@@ -64,8 +64,9 @@ IDS = list(CASES)
 # --- single-point reference formulas ------------------------------------------
 # The float formulas as they were written before batches, one point at a time
 # with np.dot, np.linalg.norm, Python's complex product and Python's ``**``.
-# Each row of a batch must reproduce them bit for bit.  H(1) and C x R multiply
-# as the bracket loop of their table does; their retired products, by value.
+# Each row of a batch must reproduce them bit for bit.  Every model but H(n >= 2)
+# multiplies as the bracket loop of its table does (Euclidean space's whole-row
+# sum is that loop's a + b); the retired products, by value.
 
 def _ref_group(product, dilate, norm):
     def ref_dilate(x, e, y):
@@ -76,9 +77,8 @@ def _ref_group(product, dilate, norm):
     return ref_dilate, ref_distance
 
 
-def _ref_euclid():
-    return _ref_group(lambda a, b: a + b, lambda e, a: a * e,
-                      lambda a: math.sqrt(float(np.dot(a, a))))
+def _ref_euclid(product=lambda a, b: a + b):
+    return _ref_group(product, lambda e, a: a * e, lambda a: math.sqrt(float(np.dot(a, a))))
 
 
 def _heisenberg_product(n):
@@ -106,18 +106,28 @@ def _ref_heisenberg(n, product):
 
 
 def _bch_product(model):
-    """The BCH product summed from the bracket table in loops, as the product
-    compiled from the table is: the generic models, H(1) and C x R take it."""
+    """The BCH product summed from the bracket table in loops, only the table's
+    terms in table order, as the product compiled from the table is."""
     def bracket(a, b):
-        out = np.zeros(model.dim)
+        # None where [a, b] has no term; a None coordinate of b is 0 and drops
+        # its products, which leaves a_i b_j where b_i is 0
+        out = [None] * model.dim
         for i, j, k, c, _ in model._entries:
-            out[k] += c * (a[i] * b[j] - a[j] * b[i])
+            if b[j] is None:
+                continue
+            t = c * (a[i] * b[j] if b[i] is None else a[i] * b[j] - a[j] * b[i])
+            out[k] = t if out[k] is None else out[k] + t
         return out
 
     def product(a, b):
         ab = bracket(a, b)
-        out = a + b + ab * 0.5
-        return out + (bracket(a, ab) - bracket(b, ab)) * (1.0 / 12.0)
+        out = a + b
+        for k, (z, p, q) in enumerate(zip(ab, bracket(a, ab), bracket(b, ab))):
+            if z is not None:
+                out[k] = out[k] + z * 0.5
+            if p is not None:
+                out[k] = out[k] + (p - q) * (1.0 / 12.0)
+        return out
     return product
 
 
@@ -155,8 +165,8 @@ def _ref_cxr(product):
 
 
 # the products that H(1) and C x R wrote out by hand before they took the one
-# compiled from their table: equal to it by value, but where they keep -0.0 + -0.0
-# as -0.0, the compiled product's zero bracket term makes it +0.0
+# compiled from their table: equal to it by value, but their bracket terms round
+# a zero to another sign than the table's sum does
 RETIRED = {"heisenberg-1": _heisenberg_product(1), "cxr-real": _cxr_product,
            "cxr-complex": _cxr_product}
 
@@ -192,15 +202,20 @@ def _ref_tangent_distance(model, x, u, v):
     return _reference(model)[1](u, v)
 
 
+def _ref_product(model):
+    # H(n >= 2) keeps its whole-row product, whose dots BLAS rounds
+    if isinstance(model, HeisenbergModel) and model.n > 1:
+        return _heisenberg_product(model.n)
+    return _bch_product(model)
+
+
 def _reference(model):
     if isinstance(model, PullbackModel):
         return _ref_pullback(model)
     if isinstance(model, EuclideanModel):
-        return _ref_euclid()
+        return _ref_euclid(_bch_product(model))
     if isinstance(model, HeisenbergModel):
-        # H(n >= 2) keeps its whole-row product, whose dots BLAS rounds
-        return _ref_heisenberg(model.n, _heisenberg_product(model.n) if model.n > 1
-                               else _bch_product(model))
+        return _ref_heisenberg(model.n, _ref_product(model))
     if isinstance(model, ComplexHeisenbergModel):
         return _ref_cxr(_bch_product(model))
     return _ref_carnot(model)
@@ -263,10 +278,17 @@ def test_product_rows_keep_the_sign_of_a_zero(case):
     # point's dot is summed from +0.0 too (row_dot); signed zeros and units make
     # zero products of either sign often.  Dilatations at fixed scales, complex
     # ones on C x R, must keep each row's zero signs and the reference's too:
-    # drawn scales would not pin them
+    # drawn scales would not pin them.  A product writes only its table's terms,
+    # so a layer-1 coordinate of -0.0 . -0.0 is -0.0 + -0.0 = -0.0
     model = CASES[case][0]
     A, B = np.random.default_rng(3).choice([0.0, -0.0, 1.0, -1.0], (2, 400, model.coordinate_dim))
-    _same(model.group_product(A, B), [model.group_product(a, b) for a, b in zip(A, B)])
+    rows = [model.group_product(a, b) for a, b in zip(A, B)]
+    _same(model.group_product(A, B), rows)
+    _same(np.array([_ref_product(model)(a, b) for a, b in zip(A, B)]), rows)
+    zeros = np.full((5, model.coordinate_dim), -0.0)
+    layer1 = model.layer_of == 1
+    for out in [model.group_product(zeros, zeros), *map(model.group_product, zeros, zeros)]:
+        assert np.signbit(out[..., layer1]).all()
     ref_dilate = _reference(model)[0]
     turns = [cmath.exp(2j), 0.5j] if isinstance(model, ComplexHeisenbergModel) else []
     for e in [0.5, 0.3, *turns]:

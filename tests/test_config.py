@@ -43,8 +43,9 @@ def _code(f):
 def test_no_second_copy_of_a_models_algebra():
     # every Carnot model of the capability table, and each one a structure
     # there is built on, multiplies floats by the product compiled from its
-    # bracket table, taking columns; only H(n >= 2), whose dots BLAS rounds, and
-    # Euclidean space, which adds whole rows in one call, keep their own
+    # bracket table, taking columns, and writing no zero term the table does not
+    # have; only H(n >= 2), whose dots BLAS rounds, and Euclidean space, which
+    # adds whole rows in one call, keep their own
     structures = [make() for make, *_ in CASES.values()]
     models = [m for s in structures for m in (s, getattr(s, "base", None))
               if isinstance(m, CarnotModel)]
@@ -56,3 +57,4 @@ def test_no_second_copy_of_a_models_algebra():
         keeps_own = (isinstance(model, EuclideanModel)
                      or isinstance(model, HeisenbergModel) and model.n >= 2)
         assert takes_compiled is not keeps_own, model.name
+        assert 0.0 not in compiled.__code__.co_consts, model.name

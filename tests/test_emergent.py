@@ -314,6 +314,19 @@ def test_plin1_scan_heisenberg_small(heis1):
     assert max(rep.defect) < 1e-6
 
 
+@pytest.mark.parametrize("name", ["heis1", "engel"])
+def test_linearity_scans_read_lin_exactly_on_conical_groups(name, request):
+    # Lin is exactly 0 on a conical group; read in floats, roundoff through the
+    # Cygan fourth root, divided by eps^2, rose from 1e-15 to 1e-2 on H(1)
+    model = request.getfixturevalue(name)
+    grid = PR.grid(range(3, 11))
+    for seed in range(5):
+        x, y, z = np.random.default_rng(seed).uniform(-0.2, 0.2, (3, model.dim))
+        for scan in (inflin_scan, plin1_scan):
+            rep = scan(model, x, y, z, grid)
+            assert rep.verdict and rep.defect == [0.0] * len(grid), (scan.__name__, seed)
+
+
 def test_metric_tangent_scan_decreases_on_pullback(cubic_pullback):
     rep = metric_tangent_scan(cubic_pullback, np.zeros(2), GRID, sample_count=12,
                               seed=3)

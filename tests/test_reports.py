@@ -23,7 +23,8 @@ from dilatation_lab.affine import (
 from dilatation_lab.core.harness import verify_axiom
 from dilatation_lab.config import CAUCHY_SHRINK, DEFECT_FLOOR
 from dilatation_lab.core.reports import (
-    Verdict, beyond, converges, dies_out, make_report, nonincreasing, settles, sup, within)
+    Verdict, beyond, converges, dies_out, make_report, nonincreasing, settles, sup, within,
+    within_envelopes)
 from dilatation_lab.core.scales import POSITIVE_REALS as PR
 from dilatation_lab.core.structure import Ball, Rows, estimate_dx
 from dilatation_lab.emergent import (
@@ -227,7 +228,8 @@ def test_settling_and_grid_order_rules_have_one_home_each():
 # --- every verdict comes from a named rule, which says where it broke ----------
 
 VERDICT_TOLERANCES = {"EXACT_IDENTITY_TOL", "LIMIT_TOL", "CAUCHY_DIFFERENCE_TOL", "DERIVATIVE_TOL",
-                      "MENELAOS_PROBE_TOL", "COUNTEREXAMPLE_SEPARATION"}
+                      "MENELAOS_PROBE_TOL", "COUNTEREXAMPLE_SEPARATION", "ENVELOPE_SLACK",
+                      "ENVELOPE_ABS_SLACK"}
 
 
 def _compares(path, names):
@@ -248,7 +250,7 @@ def test_verdict_tolerances_are_compared_only_by_the_rules():
               for node in ast.walk(ast.parse(path.read_text()))
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
               and any(isinstance(a, ast.Name) and a.id in VERDICT_TOLERANCES for a in node.args)}
-    assert takers == {"within", "beyond", "converges"}
+    assert takers == {"within", "beyond", "converges", "within_envelopes"}
 
 
 @pytest.mark.parametrize("verdict", [True, False, np.True_, 1])
@@ -281,6 +283,13 @@ def test_the_rules_break_at_the_first_value_that_breaks_them():
     for rule in (within, beyond):
         with pytest.raises(ValueError, match=EMPTY):
             rule([], 1.0)
+    # a vanishing envelope takes only the absolute slack
+    assert within_envelopes([1.05, 1e-16, 1.2], [1.0, 0.0, 1.0], 0.1, 0.0) == \
+        Verdict(False, "within_envelopes", 0.1, 1)
+    assert within_envelopes([1.05, 1e-16], [1.0, 0.0], 0.1, 1e-15)
+    assert within_envelopes([0.5, NAN], [1.0, 1.0], 0.1, 0.0).broke_at == 1
+    with pytest.raises(ValueError, match=EMPTY):
+        within_envelopes([], [], 0.1, 0.0)
 
 
 # --- a NaN residual fails every verdict, in whichever place it falls ----------
