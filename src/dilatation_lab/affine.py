@@ -406,20 +406,18 @@ def counterexample_check(M: ComplexHeisenbergModel, eps: float, Y, probes=None,
     if probes is None:
         probes = probe_points(M, M.identity(), 1.0, seed)
 
-    e = M.to_exact_scale(sg.scale(eps))
+    (y, neutral, *us), (e,), _ = exactify(M, [Y, M.identity(), *probes], [sg.scale(eps)])
     mu = Scale(sg, -1 / e.value if flip else 1 / e.value)
-    y = M.to_exact(Y)
 
     def composite(u):
         return M.ambient_dilate(e, M.dilate(y, mu, u))
 
-    head = composite(M.to_exact(M.identity()))
+    head = composite(neutral)
 
-    def gap(p):
-        u = M.to_exact(p)
+    def gap(u):
         return M.group_product(M.group_inverse(composite(u)), M.group_product(head, u))
 
-    defect = sup(M.homogeneous_norm(gap(p).to_float()) for p in probes)
+    defect = sup(M.homogeneous_norm(gap(u).to_float()) for u in us)
     verdict = (beyond([defect], COUNTEREXAMPLE_SEPARATION) if flip
                else within([defect], EXACT_IDENTITY_TOL))
     return make_report([sg.scale(complex(eps))], [defect], verdict,

@@ -109,8 +109,9 @@ def _map(model, desc):
     if kind == "left_translation":
         if not isinstance(model, model_factory.GroupModel):
             raise ConfigError(f"a left_translation map needs a group model, not {model.name}")
-        T = model.left_translation(model.to_exact(model.point_from_json(desc["point"])))
-        T.exact = True
+        (w,), _, exact = exactify(model, [model.point_from_json(desc["point"])], [])
+        T = model.left_translation(w)
+        T.exact = exact
         return T
     return model_factory.CubicChart().forward
 

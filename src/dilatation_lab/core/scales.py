@@ -22,7 +22,12 @@ from dilatation_lab.errors import DomainViolation
 
 
 class ScaleGroup:
-    """Abstract commutative scale group with valuation nu."""
+    """Abstract commutative scale group with valuation nu.
+
+    The group law is multiplication by default, a * b with inverse 1 / a, as
+    the positive reals and C^* have it; the dyadic powers, stored by their
+    exponents, add them instead.
+    """
 
     name: str = "abstract"
     identity_value: Any = None
@@ -34,10 +39,10 @@ class ScaleGroup:
         raise NotImplementedError
 
     def combine(self, a, b):
-        raise NotImplementedError
+        return a * b
 
     def invert(self, a):
-        raise NotImplementedError
+        return 1 / a
 
     def contraction(self, k: int) -> "Scale":
         """The canonical grid element with nu = 2^-k."""
@@ -132,12 +137,6 @@ class PositiveReals(ScaleGroup):
     def nu_of(self, value) -> float:
         return float(value)
 
-    def combine(self, a, b):
-        return a * b
-
-    def invert(self, a):
-        return 1 / a
-
     def contraction(self, k: int) -> Scale:
         return Scale(self, 2.0 ** (-k))
 
@@ -190,12 +189,6 @@ class ComplexUnits(ScaleGroup):
 
     def nu_of(self, value) -> float:
         return float(abs(value))
-
-    def combine(self, a, b):
-        return a * b
-
-    def invert(self, a):
-        return 1 / a
 
     def contraction(self, k: int) -> Scale:
         return Scale(self, complex(2.0 ** (-k)))

@@ -73,7 +73,8 @@ def stack(cols) -> np.ndarray:
     """The point or C-ordered ``(N, dim)`` batch whose ``columns`` these are; an array as it is."""
     if isinstance(cols, np.ndarray):
         return cols
-    return np.stack(cols, axis=-1) if isinstance(cols[0], np.ndarray) else np.array(cols)
+    # a transposed copy of the (dim, N) array: np.stack's C-ordered bytes, sooner
+    return np.array(cols).T.copy() if isinstance(cols[0], np.ndarray) else np.array(cols)
 
 
 def float_or_rows(v):

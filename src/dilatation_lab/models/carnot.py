@@ -13,7 +13,10 @@ only subadditive up to a constant, which can be estimated empirically.
 
 Every vector group model of the lab is a ``CarnotModel``: Euclidean space is
 step 1 with no brackets, H(n) and C x R are step 2.  The subclasses keep
-their own gauge; on exact points all of them share the integer kernel below.
+their own gauge; on exact points all of them share the integer kernel below,
+``_exact_bracket``, ``_exact_product`` and the expanded ``dilate``.  The
+ambient dilatation is derived, not declared: delta_eps = delta^e_eps, the
+dilatation based at the identity e.
 
 The float product is compiled once per model from its bracket table into
 one straight-line function (``_compiled_product``), on Python floats for a
@@ -107,13 +110,14 @@ class CarnotModel(GroupModel):
     it and return what ``stack`` makes a point or a batch again; ``_dilate``
     also takes a per-row scale, whose value is an ``(N, 1)`` array, and
     ``_norm`` the array itself.  Exact points (``ExactPoint``) take the
-    integer kernel (``_exact_product``, ``_exact_dilate``) and the gauge
-    ``_exact_norm``.  The group inverse is negation in either arithmetic.
-    ``dilate`` composes the float formulas, converting its points once; on
-    exact points of every step it is one expanded integer formula, which
-    calls neither kernel method.  Subclasses override ``_dilate`` and the
-    gauges, and H(n >= 2) and Euclidean space ``_operand`` and ``_product``;
-    none overrides the kernel or ``dilate``.
+    integer kernel, ``_exact_bracket``, ``_exact_product`` and the expanded
+    ``dilate``, and the gauge ``_exact_norm``.  The group inverse is negation
+    in either arithmetic.  ``dilate`` composes the float formulas, converting
+    its points once; on exact points of every step it is one expanded integer
+    formula, which builds no kernel product, and ``ambient_dilate`` is that
+    formula based at the identity, delta_eps = delta^e_eps.  Subclasses
+    override ``_dilate`` and the gauges, and H(n >= 2) and Euclidean space
+    ``_operand`` and ``_product``; none overrides the kernel or ``dilate``.
     """
 
     def __init__(self, step: int, layers, brackets):
@@ -182,7 +186,7 @@ class CarnotModel(GroupModel):
 
     def ambient_dilate(self, eps: Scale, a):
         if type(a) is ExactPoint:
-            return self._exact_dilate(eps.value, a)
+            return self.dilate(ExactPoint((0,) * self.dim), eps, a)
         return stack(self._dilate(eps, self._operand(a)))
 
     def dilate(self, x, eps: Scale, y):
@@ -331,17 +335,6 @@ class CarnotModel(GroupModel):
              for x, y, z, p, q in zip(A, B, AB, self._exact_bracket(A, AB),
                                       self._exact_bracket(B, AB))],
             t * da * db)
-
-    def _exact_dilate(self, value, a: ExactPoint) -> ExactPoint:
-        p, q = _scale_ratio(value)
-        if p == q:
-            return a
-        if self.step == 1:
-            return ExactPoint([p * n for n in a.num], q * a.den)
-        # layer i scales by p^i / q^i, written over the common q^step
-        factors = [p ** i * q ** (self.step - i) for i in range(1, self.step + 1)]
-        return ExactPoint([factors[i] * n for i, n in zip(self._layer_index, a.num)],
-                          q ** self.step * a.den)
 
     def subadditivity_constant(self, samples: int = 200, seed: int = 0) -> float:
         """Empirical sup of |a.b| / (|a| + |b|) over a seeded sample.

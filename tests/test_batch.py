@@ -28,6 +28,7 @@ from dilatation_lab.errors import NonConvergent
 from dilatation_lab.models import (
     CarnotModel, ComplexHeisenbergModel, DyadicBoundaryModel, EuclideanModel, HeisenbergModel,
     PullbackModel, engel_structure_constants, heisenberg_structure_constants)
+from dilatation_lab.models.base import columns
 
 from conftest import STEP3_HALF, blas_kernel
 
@@ -400,6 +401,24 @@ def test_per_row_scale_equals_its_rows(case):
     _same(model.dilate(X, per_row, Y),
           [model.dilate(x, s, y) for x, s, y in zip(X, scales, Y)])
     _same(model.dilate(X[0], per_row, Y[0]), [model.dilate(X[0], s, Y[0]) for s in scales])
+
+
+@pytest.mark.parametrize("case", [c for c in IDS if getattr(CASES[c][0], "_operand", None) is columns])
+def test_compiled_product_batches_are_c_ordered_rows(case):
+    # the dots take np.vecdot on C-ordered rows, so a model that computes on
+    # columns must join them into a C-contiguous (N, dim) batch, from a
+    # Fortran-ordered one too, under a scalar and a per-row scale alike
+    model = CASES[case][0]
+    rng = np.random.default_rng(11)
+    n, dim = 48, model.coordinate_dim
+    X, Y = rng.uniform(-1.0, 1.0, (2, n, dim))
+    per_row = RowScale.of([model.scale_group.scale(v) for v in _row_scale_values(case, rng, n)])
+    for A, B in ((X, Y), (np.asfortranarray(X), np.asfortranarray(Y))):
+        outs = [model.group_product(A, B)]
+        for eps in (model.scale_group.scale(0.5), per_row):
+            outs += [model.ambient_dilate(eps, A), model.dilate(A, eps, B)]
+        for out in outs:
+            assert out.shape == (n, dim) and out.flags.c_contiguous
 
 
 def _exact_values(values):

@@ -1,5 +1,5 @@
-"""One home each: config.py for the lab's thresholds, and a model's bracket
-table for its float product."""
+"""One home each: config.py for the lab's thresholds, a model's bracket
+table for its float product, and ``exactify`` for turning floats exact."""
 
 import ast
 from pathlib import Path
@@ -58,3 +58,23 @@ def test_no_second_copy_of_a_models_algebra():
                      or isinstance(model, HeisenbergModel) and model.n >= 2)
         assert takes_compiled is not keeps_own, model.name
         assert 0.0 not in compiled.__code__.co_consts, model.name
+
+
+CONVERSIONS = {"to_exact", "to_exact_scale", "from_floats"}
+# outside the models, floats turn exact in exactify alone, and in InducedStructure,
+# whose exact arithmetic is its base's
+CONVERTERS = {("core/structure.py", "exactify"), ("emergent.py", "InducedStructure")}
+
+
+def _conversion_calls(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [(getattr(top, "name", None), node.lineno) for top in tree.body
+            for node in ast.walk(top) if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) in CONVERSIONS]
+
+
+def test_floats_turn_exact_only_through_exactify():
+    found = [(rel, name, line) for path in sorted(PACKAGE.rglob("*.py"))
+             for rel in [path.relative_to(PACKAGE).as_posix()] if not rel.startswith("models/")
+             for name, line in _conversion_calls(path) if (rel, name) not in CONVERTERS]
+    assert found == []

@@ -214,10 +214,11 @@ def _off_by_one(method):
 
 @pytest.mark.parametrize("model,product,degrees", MODELS, ids=IDS)
 def test_exact_dilate_builds_one_point(model, product, degrees, monkeypatch):
-    # one expanded formula on every step: no kernel product or ambient
-    # dilatation, and a single reduced point
+    # one expanded formula on every step: no kernel product, and a single
+    # reduced point; the ambient dilatation is that formula based at the identity
     x, y = (model.to_exact(p) for p in
             np.random.default_rng(1).uniform(-1.0, 1.0, (2, model.coordinate_dim)))
+    neutral = model.to_exact(model.identity())
     init = ExactPoint.__init__
     made = [0]
 
@@ -230,11 +231,11 @@ def test_exact_dilate_builds_one_point(model, product, degrees, monkeypatch):
 
     monkeypatch.setattr(ExactPoint, "__init__", counting)
     monkeypatch.setattr(CarnotModel, "_exact_product", refuse)
-    monkeypatch.setattr(CarnotModel, "_exact_dilate", refuse)
     for e in (F(1), *SPECIAL_SCALES):
         made[0] = 0
         model.dilate(x, _scale(model, e), y)
         assert made[0] == 1, e
+        assert model.ambient_dilate(_scale(model, e), y) == model.dilate(neutral, _scale(model, e), y)
 
 
 # an exact dilate is one expanded formula on every step, so the sweeps meet
