@@ -1,0 +1,106 @@
+"""Dump every in-process benchmark op's output, bit for bit, one line per op.
+
+Usage:
+    python scripts/op_dump.py SEED [SEED ...] > dump.txt
+
+For each seed and each in-process workload of ``perfbench/workloads.py``
+(``exact-axioms``, ``float-sweeps``, ``fixed-point-chains``, at full size)
+it runs every op once and prints
+
+    seed<TAB>workload<TAB>op name<TAB>verdict<TAB>output
+
+where the verdict is the op's own check (``pass``, ``known: ...`` or
+``fail: ...``) and the output lists every value the op returned: floats as
+``float.hex()``, so that a changed last bit shows, exact rationals as
+``n/d``, and reports with their scales, defects, fitted rate, verdict and
+metadata.  Dumps of two source trees compare with ``diff``.
+
+The library is imported from the ``src`` directory next to this script, and
+the workloads from its ``perfbench`` directory, which is only read: no
+bytecode is written there.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import sys
+import warnings
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+
+sys.dont_write_bytecode = True
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from dilatation_lab.core.scales import Scale  # noqa: E402
+from dilatation_lab.core.structure import DilatationStructure  # noqa: E402
+from dilatation_lab.models.base import ExactPoint  # noqa: E402
+import workloads  # noqa: E402
+
+
+def flat(value) -> str:
+    """Every value in ``value``, floats as hex, in a fixed order."""
+    if value is None or isinstance(value, (bool, int, str)):
+        return repr(value)
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, complex):
+        return f"({value.real.hex()}, {value.imag.hex()}j)"
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, (np.ndarray, np.generic)):
+        return flat(value.tolist())
+    if isinstance(value, ExactPoint):
+        return "exact[" + ", ".join(flat(Fraction(n, value.den)) for n in value.num) + "]"
+    if isinstance(value, Scale):
+        return f"scale({flat(value.value)})"
+    if isinstance(value, DilatationStructure):
+        return value.name
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{k}: {flat(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(flat, value)) + "]"
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__ + flat({f.name: getattr(value, f.name)
+                                            for f in dataclasses.fields(value)})
+    if isinstance(value, BaseException):
+        return f"raised {type(value).__name__}: {value}"
+    return repr(value)
+
+
+def verdict(op, ok: bool, out) -> str:
+    try:
+        msg = op.check(out) if ok else f"raised {type(out).__name__}: {out}"
+    except Exception as err:
+        msg = f"check raised {type(err).__name__}: {err}"
+    if not msg:
+        return "pass"
+    return ("known: " if isinstance(msg, workloads.KnownDefect) else "fail: ") + msg
+
+
+def dump(seed: int):
+    for name, build in workloads.IN_PROCESS.items():
+        for op in build(seed).ops:
+            try:
+                ok, out = True, op.call()
+            except Exception as err:  # a raising op is dumped, as the bench counts it
+                ok, out = False, err
+            print(seed, name, op.name, verdict(op, ok, out), flat(out), sep="\t")
+
+
+def main(argv: list[str]) -> int:
+    if not argv:
+        print("usage: python scripts/op_dump.py SEED [SEED ...]", file=sys.stderr)
+        return 2
+    # menelaos_iterate warns when a float spot check looks nonlinear; the
+    # benchmark ignores it, and so does the dump
+    warnings.filterwarnings("ignore", message=".*looks nonlinear near the inputs")
+    for seed in argv:
+        dump(int(seed))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

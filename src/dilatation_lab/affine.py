@@ -337,7 +337,7 @@ def barycentric_defect(S: DilatationStructure, x, y, eps: Scale) -> float:
         left, right = S.barycentric_pair(x, y, eps)
         return S.distance(left, right)
     contraction("the barycentric comparison", eps)
-    one_minus = S.scale_group.scale(1.0 - eps.value)
+    one_minus = S.scale_group.scale(1 - eps.value)
     return S.distance(S.dilate(x, eps, y), S.dilate(y, one_minus, x))
 
 

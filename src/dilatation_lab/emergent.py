@@ -269,10 +269,11 @@ def check_affine_map(S: DilatationStructure, T, samples, eps_set) -> Convergence
     misordered set raises before any work.
     """
     decreasing(eps_set)
-    lip = sup(S.distance(T(x), T(y)) / d if (d := S.distance(x, y)) > 0 else 0.0
-              for x, y in samples)
-    defects = [sup(S.distance(T(S.dilate(x, eps, y)), S.dilate(T(x), eps, T(y)))
-                   for x, y in samples)
+    images = [(T(x), T(y)) for x, y in samples]
+    lip = sup(S.distance(tx, ty) / d if (d := S.distance(x, y)) > 0 else 0.0
+              for (x, y), (tx, ty) in zip(samples, images))
+    defects = [sup(S.distance(T(S.dilate(x, eps, y)), S.dilate(tx, eps, ty))
+                   for (x, y), (tx, ty) in zip(samples, images))
                for eps in eps_set]
     return make_report(eps_set, defects, within(defects, EXACT_IDENTITY_TOL),
                        {"model": S.name, "quantity": "affine-commutation",
@@ -291,8 +292,8 @@ def pansu_derivative(Ssrc: DilatationStructure, Sdst: DilatationStructure, f, x,
     """
     trend_grid("pansu_derivative", eps_grid)
     fx = f(x)
-    candidates = [Sdst.dilate(fx, eps.inverse(), f(Ssrc.dilate(x, eps, u)))
-                  for eps in eps_grid]
+    images = [f(Ssrc.dilate(x, eps, u)) for eps in eps_grid]
+    candidates = [Sdst.dilate(fx, eps.inverse(), fu) for eps, fu in zip(eps_grid, images)]
     increments = [Sdst.coordinate_gap(a, b) for a, b in zip(candidates, candidates[1:])]
     if not settles(increments):
         raise NonConvergent(f"derivative candidates do not settle along u: {increments}")
@@ -300,7 +301,7 @@ def pansu_derivative(Ssrc: DilatationStructure, Sdst: DilatationStructure, f, x,
     # including the last, measures the estimate against fresh data
     ref = reference_scale(eps_grid)
     q = Sdst.dilate(fx, ref.inverse(), f(Ssrc.dilate(x, ref, u)))
-    residuals = [Sdst.distance(f(Ssrc.dilate(x, eps, u)), Sdst.dilate(fx, eps, q)) / eps.nu
-                 for eps in eps_grid]
+    residuals = [Sdst.distance(fu, Sdst.dilate(fx, eps, q)) / eps.nu
+                 for eps, fu in zip(eps_grid, images)]
     return q, make_report(eps_grid, residuals, converges(residuals, DERIVATIVE_TOL),
                           {"model": f"{Ssrc.name}->{Sdst.name}", "quantity": "derivative-residual"})

@@ -20,10 +20,9 @@ dilatation based at the identity e.
 
 The float product is compiled once per model from its bracket table into
 one straight-line function (``_compiled_product``), on Python floats for a
-point and on column views for a batch.  Two models keep a product of their
-own: H(n >= 2), whose dots of two or more terms take BLAS's fused
-multiply-add, which the float digests record, and Euclidean space, whose
-whole-row a + b gives the compiled product's bits in one numpy call.
+point and on column views for a batch.  One model keeps a product of its
+own: Euclidean space, whose whole-row a + b gives the compiled product's bits
+in one numpy call.
 """
 
 from __future__ import annotations
@@ -61,9 +60,10 @@ def _compiled_product(dim: int, step: int, entries):
     """The float BCH product of a bracket table as one straight-line function,
     generated as ``dataclasses`` generates methods: source text built from the
     table, each constant written as its ``repr``, which reads back as the same
-    float.  Each coordinate holds only its table's terms, on Python floats and
-    on the columns of a batch alike: a_k + b_k, then a bracket sum from its
-    first term in table order, then a 1/12 term if it has a double bracket.
+    float; a constant 1.0 is left out, since 1.0 * x is x.  Each coordinate
+    holds only its table's terms, on Python floats and on the columns of a
+    batch alike: a_k + b_k, then a bracket sum from its first term in table
+    order, then a 1/12 term if it has a double bracket.
     A zero sum keeps its IEEE sign: -0.0 + -0.0 stays -0.0 on layer 1."""
     a = [f"a{i}" for i in range(dim)]
     b = [f"b{i}" for i in range(dim)]
@@ -75,7 +75,8 @@ def _compiled_product(dim: int, step: int, entries):
         for i, j, k, c, _ in entries:
             if v[j]:
                 minus = f" - {u[j]} * {v[i]}" if v[i] else ""
-                out[k].append(f"{c!r} * ({u[i]} * {v[j]}{minus})")
+                t = f"({u[i]} * {v[j]}{minus})"
+                out[k].append(t if c == 1.0 else f"{c!r} * {t}")
         return [" + ".join(t) for t in out]
 
     ab = bracket(a, b)
@@ -116,8 +117,8 @@ class CarnotModel(GroupModel):
     its points once; on exact points of every step it is one expanded integer
     formula, which builds no kernel product, and ``ambient_dilate`` is that
     formula based at the identity, delta_eps = delta^e_eps.  Subclasses
-    override ``_dilate`` and the gauges, and H(n >= 2) and Euclidean space
-    ``_operand`` and ``_product``; none overrides the kernel or ``dilate``.
+    override ``_dilate`` and the gauges, and Euclidean space ``_operand`` and
+    ``_product``; none overrides the kernel or ``dilate``.
     """
 
     def __init__(self, step: int, layers, brackets):

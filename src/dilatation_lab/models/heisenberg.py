@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from dilatation_lab.core.scales import Scale
-from dilatation_lab.models.base import is_integer, power, row_dot, whole_rows
+from dilatation_lab.models.base import is_integer, power, row_dot
 from dilatation_lab.models.carnot import CarnotModel, heisenberg_structure_constants
 
 
@@ -31,33 +31,20 @@ class HeisenbergModel(CarnotModel):
         if not is_integer(n) or n < 1:
             raise ValueError(f"Heisenberg index n must be an integer of at least 1, got {n!r}")
         self.n = int(n)
-        if self.n > 1:
-            # dots of two or more terms, which BLAS rounds with a fused multiply-add
-            # (the float digests record it), on whole rows; H(1) takes the compiled
-            # product of its table
-            self._operand, self._product = whole_rows, self._row_product
         super().__init__(2, *heisenberg_structure_constants(self.n))
         self.name = f"heisenberg-{self.n}"
 
     def symplectic(self, x, y):
+        """omega(x, y) by dots, for the closed-form oracle; the product sums its own."""
         n = self.n
         return row_dot(x[..., :n], y[..., n:2 * n]) - row_dot(x[..., n:2 * n], y[..., :n])
 
-    def _row_product(self, a, b):
-        out = a + b
-        # out.T[k] is coordinate k of a point, or column k of a batch
-        out.T[2 * self.n] += self.symplectic(a, b) / 2
-        return out
-
-    def _dilate(self, eps: Scale, a):
+    def _dilate(self, eps: Scale, A):
         e = eps.value
-        if type(a) is list:  # H(1)'s columns; a per-row scale as one value per row
-            e = e[:, 0] if isinstance(e, np.ndarray) else e
-            a0, a1, a2 = a
-            return [e * a0, e * a1, e * e * a2]
-        if isinstance(e, np.ndarray):  # an (N, 1) per-row scale
-            return a * np.concatenate([e] * (2 * self.n) + [e * e], axis=1)
-        return a * np.array([e] * (2 * self.n) + [e * e])
+        if isinstance(e, np.ndarray):  # an (N, 1) per-row scale, one value per row
+            e = e[:, 0]
+        *planar, center = A
+        return [e * a for a in planar] + [e * e * center]
 
     def _norm(self, a) -> float:
         n2 = 2 * self.n

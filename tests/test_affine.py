@@ -10,7 +10,7 @@ import pytest
 
 from dilatation_lab.config import ENVELOPE_ABS_SLACK, ENVELOPE_SLACK
 from dilatation_lab.core.scales import DYADIC_POWERS as DP, POSITIVE_REALS as PR
-from dilatation_lab.core.structure import approx_difference, approx_sum
+from dilatation_lab.core.structure import approx_difference, approx_sum, exactify
 from dilatation_lab.errors import DomainViolation, MaxIterExceeded
 from dilatation_lab.models import (
     CarnotModel, DyadicBoundaryModel, ExactPoint, HeisenbergModel, engel_structure_constants,
@@ -196,18 +196,20 @@ def test_g_inverts_h(euclid1, heis1):
             assert model.distance(back, x) <= bound
 
 
-def test_ratio_point_agrees_with_iterations(heis1):
+def test_ratio_point_agrees_with_iterations(heis1, heis2):
+    # the closed form sums omega by BLAS dots, independently of the compiled product
     rng = np.random.default_rng(6)
-    for _ in range(50):
-        X = heis1.point(rng.uniform(-0.6, 0.6, 2), rng.uniform(-0.3, 0.3))
-        Y = heis1.point(rng.uniform(-0.6, 0.6, 2), rng.uniform(-0.3, 0.3))
-        e = PR.scale(float(rng.uniform(0.2, 0.8)))
-        m = PR.scale(float(rng.uniform(0.2, 0.8)))
-        w_iter = menelaos_iterate(heis1, X, e, Y, m, tol=1e-13).w
-        w_hg = ratio_point(heis1, X, Y, e, m, 64)
-        w_closed = heisenberg_ratio_closed_form(heis1, X, Y, e.value, m.value)
-        assert heis1.coordinate_gap(w_iter, w_hg) < 1e-10
-        assert heis1.coordinate_gap(w_hg, w_closed) < 1e-12
+    for model in (heis1, heis2):
+        for _ in range(50):
+            X, Y = (model.point(rng.uniform(-0.6, 0.6, 2 * model.n), rng.uniform(-0.3, 0.3))
+                    for _ in range(2))
+            e = PR.scale(float(rng.uniform(0.2, 0.8)))
+            m = PR.scale(float(rng.uniform(0.2, 0.8)))
+            w_iter = menelaos_iterate(model, X, e, Y, m, tol=1e-13).w
+            w_hg = ratio_point(model, X, Y, e, m, 64)
+            w_closed = heisenberg_ratio_closed_form(model, X, Y, e.value, m.value)
+            assert model.coordinate_gap(w_iter, w_hg) < 1e-10
+            assert model.coordinate_gap(w_hg, w_closed) < 1e-12
 
 
 def test_ratio_point_euclid_closed_form(euclid1):
@@ -392,6 +394,15 @@ def test_barycentric_zero_on_euclid(euclid2):
         x, y = rng.uniform(-1, 1, (2, 2))
         eps = PR.scale(float(rng.uniform(0.05, 0.95)))
         assert barycentric_defect(euclid2, x, y, eps) < 1e-12
+
+
+def test_barycentric_defect_keeps_an_exact_scale_exact(euclid2):
+    # 1 - eps of a Fraction scale stays a Fraction, so the exact Euclidean
+    # defect is 0.0, not the roundoff of a float 1 - eps
+    (x, y), (eps,), exact = exactify(euclid2, [np.array([0.1, 0.2]), np.array([0.7, -0.3])],
+                                     [PR.scale(0.3)])
+    assert exact and isinstance(eps.value, Fraction)
+    assert barycentric_defect(euclid2, x, y, eps) == 0.0
 
 
 def test_barycentric_sqrt2_on_heisenberg(heis1):

@@ -42,22 +42,22 @@ def _code(f):
 
 def test_no_second_copy_of_a_models_algebra():
     # every Carnot model of the capability table, and each one a structure
-    # there is built on, multiplies floats by the product compiled from its
-    # bracket table, taking columns, and writing no zero term the table does not
-    # have; only H(n >= 2), whose dots BLAS rounds, and Euclidean space, which
-    # adds whole rows in one call, keep their own
+    # there is built on, and H(n) for every n, multiplies floats by the product
+    # compiled from its bracket table, taking columns, and writing no zero term
+    # the table does not have and no product by a constant 1.0; only Euclidean
+    # space, which adds whole rows in one call, keeps its own
     structures = [make() for make, *_ in CASES.values()]
     models = [m for s in structures for m in (s, getattr(s, "base", None))
               if isinstance(m, CarnotModel)]
-    models += [HeisenbergModel(2), CarnotModel(2, *heisenberg_structure_constants(2))]
+    models += [HeisenbergModel(2), HeisenbergModel(3),
+               CarnotModel(2, *heisenberg_structure_constants(2))]
     for model in models:
         compiled = _compiled_product(model.dim, model.step, model._entries)
         takes_compiled = (model._operand is columns
                           and _code(model._product) == _code(compiled))
-        keeps_own = (isinstance(model, EuclideanModel)
-                     or isinstance(model, HeisenbergModel) and model.n >= 2)
-        assert takes_compiled is not keeps_own, model.name
-        assert 0.0 not in compiled.__code__.co_consts, model.name
+        assert takes_compiled is not isinstance(model, EuclideanModel), model.name
+        consts = compiled.__code__.co_consts
+        assert 0.0 not in consts and 1.0 not in consts, model.name
 
 
 CONVERSIONS = {"to_exact", "to_exact_scale", "from_floats"}

@@ -368,6 +368,25 @@ def test_affine_map_rejects_square_witness(euclid2):
     assert max(rep.defect) > 0.01
 
 
+def test_affine_map_applies_the_map_once_per_point(heis1):
+    # T maps each sample point once, for the Lipschitz estimate and every scale
+    # alike, and each image delta^x_eps y once per scale: 2P + PE calls
+    w = heis1.to_exact(heis1.point([0.3, -0.2], 0.1))
+    translate = heis1.left_translation(w)
+    calls = []
+
+    def T(p):
+        calls.append(p)
+        return translate(p)
+    rng = np.random.default_rng(10)
+    samples = [tuple(heis1.to_exact(rng.uniform(-0.3, 0.3, 3)) for _ in range(2))
+               for _ in range(5)]
+    grid = [heis1.to_exact_scale(s) for s in PR.grid([1, 2, 3, 4])]
+    rep = check_affine_map(heis1, T, samples, grid)
+    assert rep.verdict
+    assert len(calls) == 2 * 5 + 5 * 4
+
+
 def test_pansu_identity_map(heis1):
     x = heis1.to_exact(heis1.point([0.1, 0.0], 0.02))
     u = heis1.to_exact(heis1.point([0.3, 0.1], 0.0))
@@ -405,6 +424,19 @@ def test_pansu_dilation_is_conical_morphism(heis1):
     q, rep = pansu_derivative(heis1, heis1, f, x, u, grid)
     assert heis1.coordinate_gap(q, f(u)) <= 1e-9
     assert rep.verdict
+
+
+def test_pansu_derivative_maps_each_dilated_point_once(euclid2):
+    # f(x), one f(delta^x_eps u) per grid scale, shared by the candidates and
+    # the residuals, and one at the reference scale: G + 2 calls
+    calls = []
+
+    def f(p):
+        calls.append(p)
+        return np.array([math.sin(p[0]), p[1] + 0.25 * p[0] * p[0]])
+    q, rep = pansu_derivative(euclid2, euclid2, f, np.zeros(2), np.array([0.1, 0.05]), GRID)
+    assert rep.verdict
+    assert len(calls) == len(GRID) + 2
 
 
 def test_pansu_flags_oscillation(euclid1):
