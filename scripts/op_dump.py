@@ -1,4 +1,4 @@
-"""Dump every in-process benchmark op's output, bit for bit, one line per op.
+"""Dump every benchmark op's output, bit for bit, one line per op.
 
 Usage:
     python scripts/op_dump.py SEED [SEED ...] > dump.txt
@@ -13,7 +13,14 @@ where the verdict is the op's own check (``pass``, ``known: ...`` or
 ``fail: ...``) and the output lists every value the op returned: floats as
 ``float.hex()``, so that a changed last bit shows, exact rationals as
 ``n/d``, and reports with their scales, defects, fitted rate, verdict and
-metadata.  Dumps of two source trees compare with ``diff``.
+metadata.  Then it runs each config of the ``cli-runs`` workload once through
+``cli.run``, in this process and into a temporary directory, at the default
+seed, and each seeded config again at every other seed as the workload
+reseeds it, and prints
+
+    seed<TAB>cli-runs<TAB>config name<TAB>exit code<TAB>CSV sha256
+
+Dumps of two source trees compare with ``diff``.
 
 The library is imported from the ``src`` directory next to this script, and
 the workloads from its ``perfbench`` directory, which is only read: no
@@ -23,7 +30,9 @@ bytecode is written there.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import sys
+import tempfile
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -34,9 +43,11 @@ sys.dont_write_bytecode = True
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+from dilatation_lab import cli  # noqa: E402
 from dilatation_lab.core.scales import Scale  # noqa: E402
 from dilatation_lab.core.structure import DilatationStructure  # noqa: E402
 from dilatation_lab.models.base import ExactPoint  # noqa: E402
+import cli_ops  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -90,6 +101,18 @@ def dump(seed: int):
             print(seed, name, op.name, verdict(op, ok, out), flat(out), sep="\t")
 
 
+def dump_cli(seed: int):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.csv"
+        for inv in cli_ops.plan(ROOT, seed):
+            if seed != cli_ops.DEFAULT_SEED and inv.seed is None:
+                continue  # an unseeded config runs as at the default seed
+            code = cli.run(str(inv.config), str(out), inv.seed, quiet=True)
+            digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else "-"
+            out.unlink(missing_ok=True)
+            print(seed, "cli-runs", inv.name, code, digest, sep="\t")
+
+
 def main(argv: list[str]) -> int:
     if not argv:
         print("usage: python scripts/op_dump.py SEED [SEED ...]", file=sys.stderr)
@@ -97,8 +120,11 @@ def main(argv: list[str]) -> int:
     # menelaos_iterate warns when a float spot check looks nonlinear; the
     # benchmark ignores it, and so does the dump
     warnings.filterwarnings("ignore", message=".*looks nonlinear near the inputs")
-    for seed in argv:
-        dump(int(seed))
+    seeds = [int(seed) for seed in argv]
+    for seed in seeds:
+        dump(seed)
+    for seed in [cli_ops.DEFAULT_SEED, *(s for s in seeds if s != cli_ops.DEFAULT_SEED)]:
+        dump_cli(seed)
     return 0
 
 

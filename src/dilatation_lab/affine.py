@@ -62,16 +62,17 @@ def _menelaos_walk(S: DilatationStructure, x, eps: Scale, y, mu: Scale, tol: flo
 
         x_{n+1} = delta_mu^{delta_eps^{x_n} y_n} x_n,   y_{n+1} = delta_eps^{x_n} y_n,
 
-    run until the coordinate gap of the two strands is at most tol.  Returns
-    the base point, the step count and the last gap.  Five steps in a row
-    that do not shrink the gap, or max_iter steps, raise MaxIterExceeded.
+    run until the coordinate gap of the two strands is at most tol, which a
+    NaN gap never is.  Returns the base point, the step count and the last
+    gap.  Five steps in a row that do not shrink the gap, NaN steps included,
+    or max_iter steps, raise MaxIterExceeded.
     ``on_step(x_next, y_next)``, if given, sees each step's pair before its gap.
     """
     xn, yn = x, y
     gap = S.coordinate_gap(x, y)
     stall = 0
     iterations = 0
-    while gap > tol:
+    while not gap <= tol:
         if iterations >= max_iter:
             raise MaxIterExceeded(f"no convergence after {max_iter} iterations")
         y_next = S.dilate(xn, eps, yn)
@@ -79,7 +80,7 @@ def _menelaos_walk(S: DilatationStructure, x, eps: Scale, y, mu: Scale, tol: flo
         if on_step is not None:
             on_step(x_next, y_next)
         gap_next = S.coordinate_gap(x_next, y_next)
-        if gap_next >= gap:
+        if not gap_next < gap:
             stall += 1
             if stall >= 5:
                 raise MaxIterExceeded(

@@ -79,7 +79,9 @@ def _grid(model, ks):
             or any(a >= b for a, b in zip(ks, ks[1:]))):
         raise ValueError(f"ks must be a strictly increasing list of at least two "
                          f"positive integers, got {ks!r}")
-    return model.scale_group.grid(ks)
+    grid = model.scale_group.grid(ks)
+    contraction("the grid ks", *grid)  # 2^-k is 0.0 from k = 1075
+    return grid
 
 
 # each map type's fields besides "type"

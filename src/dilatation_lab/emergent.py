@@ -265,12 +265,12 @@ def check_affine_map(S: DilatationStructure, T, samples, eps_set) -> Convergence
 
     samples is a list of (x, y) pairs; the report passes when every defect is
     within EXACT_IDENTITY_TOL, and carries an empirical Lipschitz constant, to
-    which a pair of coincident points adds 0.0.  A single scale will do; a
-    misordered set raises before any work.
+    which a pair of coincident points adds 0.0 and a pair at a NaN distance
+    NaN.  A single scale will do; a misordered set raises before any work.
     """
     decreasing(eps_set)
     images = [(T(x), T(y)) for x, y in samples]
-    lip = sup(S.distance(tx, ty) / d if (d := S.distance(x, y)) > 0 else 0.0
+    lip = sup(S.distance(tx, ty) / d if (d := S.distance(x, y)) != 0.0 else 0.0
               for (x, y), (tx, ty) in zip(samples, images))
     defects = [sup(S.distance(T(S.dilate(x, eps, y)), S.dilate(tx, eps, ty))
                    for (x, y), (tx, ty) in zip(samples, images))

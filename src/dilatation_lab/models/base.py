@@ -49,10 +49,10 @@ def is_real(value) -> bool:
 
 
 def real_array(obj) -> np.ndarray:
-    """Nested lists of real numbers as a float array; ValueError for any other entry."""
+    """Nested lists of finite real numbers as a float array; ValueError for any other entry."""
     entries = np.asarray(obj, dtype=object)
-    if not all(map(is_real, entries.flat)):
-        raise ValueError(f"expected real numbers, got {obj!r}")
+    if not all(is_real(e) and math.isfinite(e) for e in entries.flat):
+        raise ValueError(f"expected finite real numbers, got {obj!r}")
     return entries.astype(float)
 
 
@@ -64,15 +64,8 @@ def columns(a) -> list:
         raise TypeError(f"float points do not mix with exact ones, got {a!r}") from None
 
 
-def whole_rows(a):
-    """A point or batch as it is, for float formulas that take whole rows."""
-    return a
-
-
 def stack(cols) -> np.ndarray:
-    """The point or C-ordered ``(N, dim)`` batch whose ``columns`` these are; an array as it is."""
-    if isinstance(cols, np.ndarray):
-        return cols
+    """The point or C-ordered ``(N, dim)`` batch whose ``columns`` these are."""
     # a transposed copy of the (dim, N) array: np.stack's C-ordered bytes, sooner
     return np.array(cols).T.copy() if isinstance(cols[0], np.ndarray) else np.array(cols)
 

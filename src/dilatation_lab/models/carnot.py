@@ -20,9 +20,9 @@ dilatation based at the identity e.
 
 The float product is compiled once per model from its bracket table into
 one straight-line function (``_compiled_product``), on Python floats for a
-point and on column views for a batch.  One model keeps a product of its
-own: Euclidean space, whose whole-row a + b gives the compiled product's bits
-in one numpy call.
+point and on column views for a batch.  Euclidean space writes its three
+float primitives itself, as whole-row numpy arithmetic: the same IEEE
+operations in the same order, one numpy call each.
 """
 
 from __future__ import annotations
@@ -106,19 +106,20 @@ class CarnotModel(GroupModel):
     [a, a] is exactly 0.
 
     Points are flat numpy coordinate vectors.  The float formulas ``_product``
-    (compiled from the table at construction unless the model has its own)
-    and ``_dilate`` take a point or an ``(N, dim)`` batch as ``_operand`` gives
-    it and return what ``stack`` makes a point or a batch again; ``_dilate``
-    also takes a per-row scale, whose value is an ``(N, 1)`` array, and
-    ``_norm`` the array itself.  Exact points (``ExactPoint``) take the
-    integer kernel, ``_exact_bracket``, ``_exact_product`` and the expanded
-    ``dilate``, and the gauge ``_exact_norm``.  The group inverse is negation
+    (compiled from the table at construction) and ``_dilate`` take the
+    ``columns`` of a point or of an ``(N, dim)`` batch and return columns that
+    ``stack`` makes a point or a batch again; ``_dilate`` also takes a per-row
+    scale, whose value is an ``(N, 1)`` array, and ``_norm`` the array
+    itself.  Exact points (``ExactPoint``) take the integer kernel,
+    ``_exact_bracket``, ``_exact_product`` and the expanded ``dilate``, and
+    the gauge ``_exact_norm``.  The group inverse is negation
     in either arithmetic.  ``dilate`` composes the float formulas, converting
     its points once; on exact points of every step it is one expanded integer
     formula, which builds no kernel product, and ``ambient_dilate`` is that
     formula based at the identity, delta_eps = delta^e_eps.  Subclasses
-    override ``_dilate`` and the gauges, and Euclidean space ``_operand`` and
-    ``_product``; none overrides the kernel or ``dilate``.
+    override ``_dilate`` and the gauges; Euclidean space alone overrides
+    ``group_product``, ``ambient_dilate`` and ``dilate``, on float points
+    only.  None overrides the kernel.
     """
 
     def __init__(self, step: int, layers, brackets):
@@ -164,8 +165,7 @@ class CarnotModel(GroupModel):
         self._entries = [(i, j, k, c, n * (self._bracket_den // d))
                          for i, j, k, c, (n, d) in ratios]
         self._layer_index = [int(i) - 1 for i in self.layer_of]
-        if self._product is None:
-            self._product = _compiled_product(self.dim, self.step, self._entries)
+        self._product = _compiled_product(self.dim, self.step, self._entries)
         self._check_jacobi()
 
     @property
@@ -180,7 +180,7 @@ class CarnotModel(GroupModel):
     def group_product(self, a, b):
         if type(a) is ExactPoint:
             return self._exact_product(a, b)
-        return stack(self._product(self._operand(a), self._operand(b)))
+        return stack(self._product(columns(a), columns(b)))
 
     def group_inverse(self, a):
         return -a
@@ -188,7 +188,7 @@ class CarnotModel(GroupModel):
     def ambient_dilate(self, eps: Scale, a):
         if type(a) is ExactPoint:
             return self.dilate(ExactPoint((0,) * self.dim), eps, a)
-        return stack(self._dilate(eps, self._operand(a)))
+        return stack(self._dilate(eps, columns(a)))
 
     def dilate(self, x, eps: Scale, y):
         """x . delta_eps(x^-1 y); on exact points the expanded form, layer by layer,
@@ -200,8 +200,8 @@ class CarnotModel(GroupModel):
 
         where x_2 is the layer-2 part of x."""
         if type(x) is not ExactPoint:
-            f = self._operand
-            return stack(self._product(f(x), self._dilate(eps, self._product(f(-x), f(y)))))
+            prod = self._product
+            return stack(prod(columns(x), self._dilate(eps, prod(columns(-x), columns(y)))))
         # with eps = p/q, layers 1 and 2 over the denominator 2 h q^2 dx dy;
         # [x,y] is 0 on layer 1
         p, q = _scale_ratio(eps.value)
@@ -264,13 +264,6 @@ class CarnotModel(GroupModel):
         return sup(gap.tolist()) if gap.ndim == 1 else sup(gap, axis=1)
 
     # --- the float formulas and the gauges ----------------------------------
-
-    # a float point or batch as ``_product`` and ``_dilate`` take it: here its
-    # ``columns``, Python floats for a point and column views for a batch
-    _operand = staticmethod(columns)
-    # the float product on two operands; a model compiles it from its bracket
-    # table at construction (``_compiled_product``) unless it already has one
-    _product = None
 
     def _dilate(self, eps: Scale, A):
         e = eps.value

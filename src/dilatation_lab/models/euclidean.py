@@ -9,12 +9,14 @@ from __future__ import annotations
 import math
 
 from dilatation_lab.core.scales import Scale
-from dilatation_lab.models.base import float_or_rows, is_integer, row_length, whole_rows
+from dilatation_lab.models.base import ExactPoint, float_or_rows, is_integer, row_length
 from dilatation_lab.models.carnot import CarnotModel
 
 
 class EuclideanModel(CarnotModel):
-    """R^n with the Euclidean distance and linear dilatations: the step-1 Carnot group."""
+    """R^n with the Euclidean distance and linear dilatations: the step-1 Carnot group.
+    Its float primitives add and scale whole rows, one numpy call per operation,
+    bit for bit as the compiled product and ``_dilate`` would on columns."""
 
     def __init__(self, n: int):
         if not is_integer(n) or n < 1:
@@ -23,13 +25,20 @@ class EuclideanModel(CarnotModel):
         self.n = int(n)
         self.name = f"euclidean-{self.n}d"
 
-    _operand = staticmethod(whole_rows)  # one numpy call per operation
-
-    def _product(self, a, b):
+    def group_product(self, a, b):
+        if type(a) is ExactPoint:
+            return self._exact_product(a, b)
         return a + b
 
-    def _dilate(self, eps: Scale, a):
+    def ambient_dilate(self, eps: Scale, a):
+        if type(a) is ExactPoint:
+            return super().ambient_dilate(eps, a)
         return a * eps.value
+
+    def dilate(self, x, eps: Scale, y):
+        if type(x) is ExactPoint:
+            return super().dilate(x, eps, y)
+        return x + (-x + y) * eps.value
 
     def _norm(self, a) -> float:
         return float_or_rows(row_length(a))

@@ -89,7 +89,8 @@ class PullbackModel(DilatationStructure):
     # --- guards --------------------------------------------------------------
 
     def _check_ball(self, p, what: str):
-        if np.count_nonzero(row_length(p) > self.radius + CHART_BALL_SLACK):
+        # a NaN length is inside no ball
+        if np.count_nonzero(~(row_length(p) <= self.radius + CHART_BALL_SLACK)):
             raise DomainViolation(f"{what} leaves the chart ball of radius {self.radius}")
 
     # --- structure surface ------------------------------------------------------

@@ -260,20 +260,46 @@ def test_bad_model_is_an_error(tmp_path):
     assert run(cfg, quiet=True) == 1
 
 
-# json writes inf as Infinity, which Python's json reads back, and an integer
-# of 401 digits as it is, which no float holds
-@pytest.mark.parametrize("field,value,message", [
-    ("brackets", [[0, 1, 2, float("inf")]], "not a finite real number"),
-    ("brackets", [[0, 1, 2, 10 ** 400]], "int too large to convert to float"),
-    ("x", [10 ** 400, 0, 0], "int too large to convert to float"),
-    ("eps", 10 ** 400, "int too large to convert to float"),
-], ids=["bracket-inf", "bracket-huge", "x-huge", "eps-huge"])
-def test_a_number_no_float_holds_is_a_one_line_error(tmp_path, capsys, field, value, message):
-    config = {
-        "model": {"model": "carnot", "step": 2, "layers": [2, 1], "brackets": [[0, 1, 2, 1.0]]},
-        "command": "menelaos", "x": [0.0] * 3, "y": [1.0, 0.0, 0.0], "eps": 0.5, "mu": 0.5,
-    }
-    (config["model"] if field == "brackets" else config)[field] = value
+# json writes inf as Infinity and nan as NaN, which Python's json reads back,
+# and an integer of 401 digits as it is, which no float holds; 2^-k is 0.0
+# from k = 1075, which no scale grid can use
+CARNOT = {"model": "carnot", "step": 2, "layers": [2, 1], "brackets": [[0, 1, 2, 1.0]]}
+H1, EUCLID = {"model": "heisenberg", "n": 1}, {"model": "euclidean", "n": 2}
+PULLBACK = {"model": "pullback", "base": EUCLID, "chart": "cubic"}
+MENELAOS = {"command": "menelaos", "x": [0.0] * 3, "y": [1.0, 0.0, 0.0], "eps": 0.5, "mu": 0.5}
+LINSCAN = {"command": "linscan", "x": [0.0, 0.0], "y": [0.2, 0.0], "z": [0.0, 0.2]}
+TANGENT = {"command": "tangent", "which": "sum", "x": [0.0] * 3, "u": [0.1, 0.05, 0.0],
+           "v": [-0.05, 0.1, 0.01]}
+AXIOMS = {"command": "axioms", "which": "A1", "seed": 7, "sample_count": 4}
+NAN, INF = float("nan"), float("inf")
+UNUSABLE_NUMBERS = {
+    "bracket-inf": ({"model": {**CARNOT, "brackets": [[0, 1, 2, INF]]}, **MENELAOS},
+                    "not a finite real number"),
+    "bracket-huge": ({"model": {**CARNOT, "brackets": [[0, 1, 2, 10 ** 400]]}, **MENELAOS},
+                     "int too large to convert to float"),
+    "x-huge": ({"model": CARNOT, **MENELAOS, "x": [10 ** 400, 0, 0]},
+               "int too large to convert to float"),
+    "eps-huge": ({"model": CARNOT, **MENELAOS, "eps": 10 ** 400},
+                 "int too large to convert to float"),
+    "menelaos-x-nan": ({"model": H1, **MENELAOS, "x": [NAN, 0.0, 0.0]},
+                       "expected finite real numbers"),
+    "linscan-x-nan": ({"model": H1, **LINSCAN, "x": [NAN, 0.0, 0.0], "y": [0.0, 1.0, 0.0],
+                       "z": [0.0, 0.0, 1.0]}, "expected finite real numbers"),
+    "barycentric-x-nan": ({"model": EUCLID, "command": "barycentric", "eps": 0.3,
+                           "x": [NAN, 0.0], "y": [0.5, 0.5]}, "expected finite real numbers"),
+    "affinemap-matrix-inf": ({"model": EUCLID, "command": "affinemap", "seed": 13,
+                              "map": {"type": "linear", "matrix": [[INF, 1.0], [0.0, 1.0]]}},
+                             "expected finite real numbers"),
+    "axioms-ks-underflow": ({"model": EUCLID, **AXIOMS, "ks": [2, 1100]}, "got nu=0.0"),
+    "axioms-ks-zero": ({"model": EUCLID, **AXIOMS, "ks": [1075, 1076]}, "got nu=0.0"),
+    "tangent-ks-underflow": ({"model": H1, **TANGENT, "ks": [2, 1100]}, "got nu=0.0"),
+    "linscan-ks-underflow": ({"model": PULLBACK, **LINSCAN, "ks": [3, 1100]}, "got nu=0.0"),
+}
+
+
+@pytest.mark.parametrize("case", UNUSABLE_NUMBERS)
+def test_a_number_no_float_holds_is_a_one_line_error(tmp_path, capsys, case):
+    config, message = UNUSABLE_NUMBERS[case]
     cfg = write_config(tmp_path, "c.json", config)
     assert main(["run", cfg, "--quiet"]) == 1
     err = capsys.readouterr().err

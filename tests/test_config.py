@@ -4,10 +4,12 @@ table for its float product, and ``exactify`` for turning floats exact."""
 import ast
 from pathlib import Path
 
+import numpy as np
+
 import dilatation_lab
 from dilatation_lab.models import (
     CarnotModel, EuclideanModel, HeisenbergModel, heisenberg_structure_constants)
-from dilatation_lab.models.base import columns
+from dilatation_lab.models.base import columns, stack
 from dilatation_lab.models.carnot import _compiled_product
 
 from test_capabilities import CASES
@@ -40,24 +42,43 @@ def _code(f):
     return c.co_code, c.co_consts, c.co_names, c.co_varnames
 
 
+def _library_subclasses(cls):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("dilatation_lab."):
+            yield sub
+        yield from _library_subclasses(sub)
+
+
 def test_no_second_copy_of_a_models_algebra():
     # every Carnot model of the capability table, and each one a structure
-    # there is built on, and H(n) for every n, multiplies floats by the product
-    # compiled from its bracket table, taking columns, and writing no zero term
-    # the table does not have and no product by a constant 1.0; only Euclidean
-    # space, which adds whole rows in one call, keeps its own
+    # there is built on, and H(n) for every n, holds the float product compiled
+    # from its bracket table, writing no zero term the table does not have and
+    # no product by a constant 1.0
     structures = [make() for make, *_ in CASES.values()]
     models = [m for s in structures for m in (s, getattr(s, "base", None))
               if isinstance(m, CarnotModel)]
     models += [HeisenbergModel(2), HeisenbergModel(3),
                CarnotModel(2, *heisenberg_structure_constants(2))]
+    assert any(isinstance(m, EuclideanModel) for m in models)
     for model in models:
         compiled = _compiled_product(model.dim, model.step, model._entries)
-        takes_compiled = (model._operand is columns
-                          and _code(model._product) == _code(compiled))
-        assert takes_compiled is not isinstance(model, EuclideanModel), model.name
+        assert _code(model._product) == _code(compiled), model.name
         consts = compiled.__code__.co_consts
         assert 0.0 not in consts and 1.0 not in consts, model.name
+    # only Euclidean space writes its float primitives itself, as whole rows
+    primitives = {"group_product", "ambient_dilate", "dilate"}
+    own = {cls.__name__: primitives & set(vars(cls))
+           for cls in _library_subclasses(CarnotModel)}
+    assert own == {"HeisenbergModel": set(), "ComplexHeisenbergModel": set(),
+                   "EuclideanModel": primitives}
+    # and its whole-row sum is the compiled product's, bit for bit, signed zeros too
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 5):
+        euclid = EuclideanModel(n)
+        A, B = rng.choice([0.0, -0.0, 1.0, -1.0, 0.3, -2.5], (2, 64, n))
+        for a, b in [(A, B), *zip(A, B)]:
+            want = stack(euclid._product(columns(a), columns(b)))
+            assert euclid.group_product(a, b).tobytes() == want.tobytes(), euclid.name
 
 
 CONVERSIONS = {"to_exact", "to_exact_scale", "from_floats"}

@@ -19,9 +19,9 @@ import dilatation_lab
 from dilatation_lab import affine, cli, emergent
 from dilatation_lab.affine import (
     CollinearTriple, check_collinear, collinear_triple_from_ratio, counterexample_check,
-    geometric_affinity_check, reversed_collinear_search)
+    distance_estimates_check, geometric_affinity_check, reversed_collinear_search)
 from dilatation_lab.core.harness import verify_axiom
-from dilatation_lab.config import CAUCHY_SHRINK, DEFECT_FLOOR
+from dilatation_lab.config import CAUCHY_SHRINK, DEFECT_FLOOR, FIXED_POINT_TOL, MAX_ITER
 from dilatation_lab.core.reports import (
     Verdict, beyond, converges, dies_out, make_report, nonincreasing, settles, sup, within,
     within_envelopes)
@@ -30,7 +30,7 @@ from dilatation_lab.core.structure import Ball, Rows, estimate_dx
 from dilatation_lab.emergent import (
     LIMIT_OPS, check_affine_map, inflin_scan, metric_tangent_scan, pansu_derivative,
     plin1_scan, shift_isometry_defect, tangent_limit)
-from dilatation_lab.errors import NonConvergent
+from dilatation_lab.errors import DomainViolation, MaxIterExceeded, NonConvergent
 from dilatation_lab.models.base import ExactPoint
 from dilatation_lab.models import (
     CarnotModel, ComplexHeisenbergModel, EuclideanModel, HeisenbergModel, PullbackModel,
@@ -432,6 +432,39 @@ def test_reversed_collinear_search_is_nan_on_a_nan_pair(monkeypatch):
 
     monkeypatch.setattr(H, "distance", one_nan)
     assert math.isnan(reversed_collinear_search(H, X, Y, Z, resolution=3, probes=probes))
+
+
+def test_a_nan_menelaos_gap_never_converges():
+    # a NaN gap is within no tol and shrinks no gap: five stalled steps raise
+    H = HeisenbergModel(1)
+    x, y, half = H.point([NAN, 0.0], 0.0), H.point([0.0, 1.0], 0.0), PR.scale(0.5)
+    steps = []
+    with pytest.raises(MaxIterExceeded, match="stalled for 5"):
+        affine._menelaos_walk(H, x, half, y, half, FIXED_POINT_TOL, MAX_ITER,
+                              lambda *pair: steps.append(pair))
+    assert len(steps) == 5
+    with pytest.raises(MaxIterExceeded, match="stalled for 5"):
+        distance_estimates_check(H, x, y, half, half)
+
+
+@pytest.mark.parametrize("transport", ["dilatation", "metric"])
+def test_a_nan_point_leaves_the_chart_ball(transport):
+    S = PullbackModel(EuclideanModel(2), "cubic", transport)
+    nan_row, rows = np.array([NAN, 0.1]), np.array([[0.1, 0.0], [NAN, 0.1]])
+    for p in (nan_row, rows):
+        with pytest.raises(DomainViolation, match="chart ball"):
+            if transport == "metric":
+                S.distance(S.origin(), p)
+            else:
+                S.dilate(S.origin(), PR.scale(0.5), p)
+
+
+def test_a_nan_distance_makes_the_lipschitz_estimate_nan():
+    # only a pair of coincident points adds 0.0 to the estimate
+    E, p, q = EuclideanModel(2), np.array([0.1, 0.0]), np.array([0.0, 0.1])
+    for pairs, lip in (([(p, q), (p, np.array([NAN, 0.1]))], NAN), ([(p, p), (p, q)], 2.0)):
+        rep = check_affine_map(E, lambda a: 2 * a, pairs, PR.grid([1, 2]))
+        assert repr(rep.metadata["lipschitz_estimate"]) == repr(lip)
 
 
 class _NanGapPullback(PullbackModel):
