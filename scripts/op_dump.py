@@ -20,6 +20,15 @@ reseeds it, and prints
 
     seed<TAB>cli-runs<TAB>config name<TAB>exit code<TAB>CSV sha256
 
+Before those, for each seed, it reads the tangent spaces (``tangent_space``)
+of five structures at 20 seeded draws of an anchor x and points u, v, y each,
+one without closed forms among them, and prints
+
+    seed<TAB>tangent<TAB>structure#draw<TAB>operation<TAB>output
+
+for ``sum(u, v)``, ``difference(u, v)``, ``inverse(u)``, ``distance(u, v)``
+and ``dilate(u, eps, y)``, at a seeded scale eps.
+
 Dumps of two source trees compare with ``diff``.
 
 The library is imported from the ``src`` directory next to this script, and
@@ -46,6 +55,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from dilatation_lab import cli  # noqa: E402
 from dilatation_lab.core.scales import Scale  # noqa: E402
 from dilatation_lab.core.structure import DilatationStructure  # noqa: E402
+from dilatation_lab.emergent import InducedStructure, tangent_space  # noqa: E402
+from dilatation_lab.models import (  # noqa: E402
+    CarnotModel, EuclideanModel, HeisenbergModel, PullbackModel, engel_structure_constants)
 from dilatation_lab.models.base import ExactPoint  # noqa: E402
 import cli_ops  # noqa: E402
 import workloads  # noqa: E402
@@ -101,6 +113,40 @@ def dump(seed: int):
             print(seed, name, op.name, verdict(op, ok, out), flat(out), sep="\t")
 
 
+TANGENT_DRAWS = 20
+
+
+def tangent_structures() -> dict:
+    """Each structure whose tangent the dump reads, and the half-width of the box
+    its draws fill; the induced pullback has no closed forms, so its tangent
+    operations are limits along the default grid."""
+    pull = PullbackModel(EuclideanModel(2))
+    return {"euclidean-2d": (EuclideanModel(2), 0.3),
+            "heisenberg-1": (HeisenbergModel(1), 0.3),
+            "engel": (CarnotModel(3, *engel_structure_constants()), 0.3),
+            "pullback-cubic": (pull, 0.05),
+            "induced-pullback": (InducedStructure(pull, pull.origin(),
+                                                  pull.scale_group.scale(0.5)), 0.02)}
+
+
+def dump_tangent(seed: int):
+    for name, (S, box) in tangent_structures().items():
+        rng = np.random.default_rng(seed)
+        for i in range(TANGENT_DRAWS):
+            x, u, v, y = rng.uniform(-box, box, (4, len(S.origin())))
+            eps = S.scale_group.scale(float(rng.uniform(0.1, 0.9)))
+            T = tangent_space(S, x)
+            ops = {"sum": lambda: T.sum(u, v), "difference": lambda: T.difference(u, v),
+                   "inverse": lambda: T.inverse(u), "distance": lambda: T.distance(u, v),
+                   "dilate": lambda: T.dilate(u, eps, y)}
+            for op, call in ops.items():
+                try:
+                    out = call()
+                except Exception as err:  # a raising operation is dumped too
+                    out = err
+                print(seed, "tangent", f"{name}#{i}", op, flat(out), sep="\t")
+
+
 def dump_cli(seed: int):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.csv"
@@ -123,6 +169,7 @@ def main(argv: list[str]) -> int:
     seeds = [int(seed) for seed in argv]
     for seed in seeds:
         dump(seed)
+        dump_tangent(seed)
     for seed in [cli_ops.DEFAULT_SEED, *(s for s in seeds if s != cli_ops.DEFAULT_SEED)]:
         dump_cli(seed)
     return 0

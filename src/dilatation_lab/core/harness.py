@@ -84,7 +84,7 @@ def verify_axiom(S: DilatationStructure, which: str, region: Ball, eps_grid,
         raise ValueError(f"unknown reference mode {reference!r}")
     mode = None
     if which == "A4":
-        mode = "exact" if reference == "auto" and hasattr(S, "exact_difference") else "cauchy"
+        mode = "exact" if reference == "auto" and hasattr(S, "exact_difference_after") else "cauchy"
     elif which == "ConeProperty":
         mode = "exact" if hasattr(S, "tangent_distance") else "estimated"
     rng = np.random.default_rng(seed)
@@ -178,7 +178,7 @@ def _a3_defects(S, bases, pts, eps_grid):
 def _a4_defects(S, bases, pts, eps_grid, use_exact):
     rows, X, U, V = _rows(bases, pts)
     if use_exact:
-        # approx_difference against exact_difference, sharing a = delta^x_eps u
+        # approx_difference against exact_difference_after, sharing a = delta^x_eps u
         not_expanding("a finite-scale composite", *eps_grid)
         return [rows.sup(lambda a, b, u, v: S.distance(difference_after(S, eps, a, b),
                                                        S.exact_difference_after(a, u, v)),

@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from dilatation_lab.config import CAUCHY_SHRINK, DECAY_FACTOR, DEFECT_FLOOR, JITTER_FACTOR
+from dilatation_lab.config import (
+    CAUCHY_SHRINK, DECAY_FACTOR, DEFECT_FLOOR, EXACT_IDENTITY_TOL, JITTER_FACTOR)
 from dilatation_lab.core.scales import Scale, decreasing
 
 
@@ -100,6 +101,13 @@ def settles(increments) -> Verdict:
     first) over CAUCHY_SHRINK, plus the floor; a NaN never settles."""
     return _first_break("settles", [b <= DEFECT_FLOOR or b <= a / CAUCHY_SHRINK + DEFECT_FLOOR
                                     for a, b in zip([math.inf, *increments], increments)])
+
+
+def settles_or_agrees(increments) -> Verdict:
+    """Every increment within EXACT_IDENTITY_TOL, or else ``settles``: candidates that
+    agree to an identity's tolerance have settled, whatever roundoff amplified by
+    1/eps does to their last digits.  A failure is ``settles``'s verdict."""
+    return within(increments, EXACT_IDENTITY_TOL) or settles(increments)
 
 
 def dies_out(values) -> Verdict:

@@ -44,7 +44,7 @@ class DilatationStructure:
     sampling.  A model has an optional capability exactly when it defines the
     method, which callers look up by name: exact rational arithmetic
     (``to_exact``, ``to_exact_scale``), the difference composite in closed
-    form (``exact_difference``), the tangent operations in closed form
+    form (``exact_difference_after``), the tangent operations in closed form
     (``tangent_sum``, ``tangent_difference``, ``tangent_inverse``,
     ``tangent_distance``) and ``barycentric_pair``.  Each is cross-validated
     against the generic numeric path in the test-suite.
@@ -105,7 +105,8 @@ def exactify(S: DilatationStructure, points, scales) -> tuple[list, list, bool]:
     Identity-type residuals vanish exactly in rational arithmetic, which
     sidesteps the roundoff blowup of fractional-power gauges.  A model
     without exact arithmetic (no ``to_exact``), or a complex scale, leaves
-    them in floats.
+    them in floats.  A float point with a NaN or infinite coordinate has no
+    exact value: it raises DomainViolation, naming the point.
     """
     if not hasattr(S, "to_exact"):
         return points, scales, False
@@ -113,6 +114,10 @@ def exactify(S: DilatationStructure, points, scales) -> tuple[list, list, bool]:
         exact_scales = [S.to_exact_scale(e) for e in scales]
     except ValueError:
         return points, scales, False
+    for p in points:
+        if isinstance(p, np.ndarray) and not np.isfinite(p).all():
+            raise DomainViolation(f"the point {p.tolist()} has a non-finite coordinate, "
+                                  f"which has no exact value")
     return [S.to_exact(p) for p in points], exact_scales, True
 
 

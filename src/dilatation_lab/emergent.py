@@ -11,7 +11,6 @@ derivatives of maps between structures as conical-group morphisms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -19,7 +18,8 @@ import numpy as np
 from dilatation_lab.config import DERIVATIVE_TOL, EXACT_IDENTITY_TOL, MIN_PAIRED_SAMPLES, default_ks
 from dilatation_lab.errors import NonConvergent
 from dilatation_lab.core.reports import (
-    ConvergenceReport, converges, dies_out, make_report, nonincreasing, settles, sup, within)
+    ConvergenceReport, converges, dies_out, make_report, nonincreasing, settles,
+    settles_or_agrees, sup, within)
 from dilatation_lab.core.structure import (
     DilatationStructure, Rows, approx_difference, approx_inverse, approx_sum,
     estimate_dx, exactify, rescaled_distance)
@@ -62,95 +62,35 @@ def tangent_limit(S: DilatationStructure, x, u, v, which: str,
                                "cauchy_increments": increments})
 
 
-@dataclass
-class TangentSpace:
-    """The tangent conical group at a base point.
+class AnchoredStructure(DilatationStructure):
+    """A structure on the carrier of a base S, anchored at a point x of S.
 
-    Operations route through the model's closed forms ``tangent_<op>`` when
-    it defines them and fall back to grid limits otherwise; ``eps_grid``
-    parametrizes the fallback.
+    The carrier is S's: the origin is x, and sampling, JSON and coordinate gaps
+    are S's.  So is the exact arithmetic, looked up at each use and there only
+    when S has it; the anchor, x and any anchor scales, is converted to it once,
+    on first exact use.
     """
 
-    structure: DilatationStructure
-    x: object
-    eps_grid: list
-
-    def _op(self, which, u, v=None):
-        exact = getattr(self.structure, f"tangent_{which}", None)
-        if exact is not None:
-            return exact(self.x, u) if which == "inverse" else exact(self.x, u, v)
-        value, _ = tangent_limit(self.structure, self.x, u, v, which, self.eps_grid)
-        return value
-
-    def sum(self, u, v):
-        return self._op("sum", u, v)
-
-    def difference(self, u, v):
-        return self._op("difference", u, v)
-
-    def inverse(self, u):
-        return self._op("inverse", u)
-
-    def distance(self, u, v) -> float:
-        exact = getattr(self.structure, "tangent_distance", None)
-        if exact is not None:
-            return exact(self.x, u, v)
-        value, _ = estimate_dx(self.structure, self.x, u, v, self.eps_grid)
-        return value
-
-    def dilate(self, u, eps: Scale, y):
-        """Tangent dilatations fix u: Sigma^x(u, delta^x_eps Delta^x(u, y))."""
-        moved = self.structure.dilate(self.x, eps, self.difference(u, y))
-        return self.sum(u, moved)
-
-
-def tangent_space(S, x, eps_grid=None) -> TangentSpace:
-    if eps_grid is None:
-        eps_grid = S.scale_group.grid(default_ks())
-    return TangentSpace(S, x, list(eps_grid))
-
-
-# ---------------------------------------------------------------------------
-# induced structures at a fixed scale
-# ---------------------------------------------------------------------------
-
-class InducedStructure(DilatationStructure):
-    """The structure seen at scale mu from x: distance (delta^x, mu) and
-    dilatations delta^x_{mu^-1} delta^{delta^x_mu u}_eps delta^x_mu."""
-
-    def __init__(self, base: DilatationStructure, x, mu: Scale):
-        contraction("an induced structure", mu)
+    def __init__(self, base: DilatationStructure, name: str, x, *scales: Scale):
         self.base = base
-        self.x = x
-        self.mu = mu
+        self.anchor = (x, *scales)
         self.scale_group = base.scale_group
         self.domain_radius_A = base.domain_radius_A
         self.codomain_radius_B = base.codomain_radius_B
-        self.name = f"induced({base.name}, nu={mu.nu:g})"
+        self.name = name
 
     def _anchor(self, like):
-        """The anchor (x, mu) in the arithmetic of the query points."""
-        if type(like) is ExactPoint:
-            return self._exact_anchor
-        return self.x, self.mu
+        """The anchor in the arithmetic of the query point like."""
+        return self._exact_anchor if type(like) is ExactPoint else self.anchor
 
     @cached_property
     def _exact_anchor(self):
         # converted on first exact use: bases without exact arithmetic never pay
-        return self.base.to_exact(self.x), self.base.to_exact_scale(self.mu)
-
-    def distance(self, p, q) -> float:
-        x, mu = self._anchor(p)
-        return rescaled_distance(self.base, x, mu, p, q)
-
-    def dilate(self, u, eps: Scale, v):
-        b = self.base
-        x, mu = self._anchor(u)
-        inner = b.dilate(b.dilate(x, mu, u), eps, b.dilate(x, mu, v))
-        return b.dilate(x, mu.inverse(), inner)
+        x, *scales = self.anchor
+        return (self.base.to_exact(x), *map(self.base.to_exact_scale, scales))
 
     def origin(self):
-        return self.x
+        return self.anchor[0]
 
     def sample_ball(self, center, radius, count, rng):
         return self.base.sample_ball(center, radius, count, rng)
@@ -165,11 +105,78 @@ class InducedStructure(DilatationStructure):
         return self.base.coordinate_gap(p, q)
 
     def __getattr__(self, name):
-        # the exact arithmetic is the base's, looked up at each use, and
-        # there only when the base has it
         if name in ("to_exact", "to_exact_scale"):
             return getattr(self.base, name)
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+
+class TangentSpace(AnchoredStructure):
+    """The tangent (T_x S, d^x, delta-hat^x) at x, a structure on S's carrier: the
+    distance d^x, and dilatations based at u, Sigma^x(u, delta^x_eps Delta^x(u, y)).
+
+    Each operation is S's closed form ``tangent_<op>`` where S has one, else its
+    limit along ``eps_grid`` (``tangent_limit``, ``estimate_dx``).  Float batches
+    pass straight through to S's batched closed forms; a limit takes single
+    points, so the tangent of a base without closed forms (an
+    ``InducedStructure``) takes single points only.
+    """
+
+    def __init__(self, base: DilatationStructure, x, eps_grid):
+        super().__init__(base, f"tangent({base.name})", x)
+        self.eps_grid = list(eps_grid)
+
+    def _op(self, which, *args):
+        S, (x,) = self.base, self._anchor(args[0])
+        closed = getattr(S, f"tangent_{which}", None)
+        if closed is not None:
+            return closed(x, *args)
+        if which == "distance":
+            return estimate_dx(S, x, *args, self.eps_grid)[0]
+        u, v = (*args, None)[:2]
+        return tangent_limit(S, x, u, v, which, self.eps_grid)[0]
+
+    def sum(self, u, v):
+        return self._op("sum", u, v)
+
+    def difference(self, u, v):
+        return self._op("difference", u, v)
+
+    def inverse(self, u):
+        return self._op("inverse", u)
+
+    def distance(self, u, v) -> float:
+        return self._op("distance", u, v)
+
+    def dilate(self, u, eps: Scale, y):
+        (x,) = self._anchor(u)
+        return self.sum(u, self.base.dilate(x, eps, self.difference(u, y)))
+
+
+def tangent_space(S, x, eps_grid=None) -> TangentSpace:
+    return TangentSpace(S, x, S.scale_group.grid(default_ks()) if eps_grid is None else eps_grid)
+
+
+# ---------------------------------------------------------------------------
+# induced structures at a fixed scale
+# ---------------------------------------------------------------------------
+
+class InducedStructure(AnchoredStructure):
+    """The structure seen at scale mu from x: distance (delta^x, mu) and
+    dilatations delta^x_{mu^-1} delta^{delta^x_mu u}_eps delta^x_mu."""
+
+    def __init__(self, base: DilatationStructure, x, mu: Scale):
+        contraction("an induced structure", mu)
+        super().__init__(base, f"induced({base.name}, nu={mu.nu:g})", x, mu)
+
+    def distance(self, p, q) -> float:
+        x, mu = self._anchor(p)
+        return rescaled_distance(self.base, x, mu, p, q)
+
+    def dilate(self, u, eps: Scale, v):
+        b = self.base
+        x, mu = self._anchor(u)
+        inner = b.dilate(b.dilate(x, mu, u), eps, b.dilate(x, mu, v))
+        return b.dilate(x, mu.inverse(), inner)
 
 
 def shift_isometry_defect(S: DilatationStructure, x, mu: Scale, u, pairs) -> float:
@@ -287,7 +294,8 @@ def pansu_derivative(Ssrc: DilatationStructure, Sdst: DilatationStructure, f, x,
     Estimates Q^x(u) = lim delta^{f(x)}_{eps^-1} f(delta^x_eps u) over the
     grid, then recomputes the defining residual
     (1/eps) d(f(delta^x_eps u), delta^{f(x)}_eps Q^x(u)) with the estimate.
-    Candidates that do not settle raise NonConvergent, a finding (f is not
+    Candidates that neither settle nor agree to EXACT_IDENTITY_TOL
+    (``settles_or_agrees``) raise NonConvergent, a finding (f is not
     differentiable at x along u), not a crash; the residuals decide the verdict.
     """
     trend_grid("pansu_derivative", eps_grid)
@@ -295,7 +303,7 @@ def pansu_derivative(Ssrc: DilatationStructure, Sdst: DilatationStructure, f, x,
     images = [f(Ssrc.dilate(x, eps, u)) for eps in eps_grid]
     candidates = [Sdst.dilate(fx, eps.inverse(), fu) for eps, fu in zip(eps_grid, images)]
     increments = [Sdst.coordinate_gap(a, b) for a, b in zip(candidates, candidates[1:])]
-    if not settles(increments):
+    if not settles_or_agrees(increments):
         raise NonConvergent(f"derivative candidates do not settle along u: {increments}")
     # estimate at one refinement past the grid so every residual row,
     # including the last, measures the estimate against fresh data

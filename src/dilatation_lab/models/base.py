@@ -219,12 +219,8 @@ class GroupModel(DilatationStructure):
 
     # --- closed forms ----------------------------------------------------------
 
-    def exact_difference(self, x, eps: Scale, u, v):
-        """Delta^x_eps(u, v) in closed form, delta^x_eps(u) . u^-1 . v."""
-        return self.exact_difference_after(self.dilate(x, eps, u), u, v)
-
     def exact_difference_after(self, a, u, v):
-        """``exact_difference`` from a = delta^x_eps u, for a caller that has a already."""
+        """Delta^x_eps(u, v) in closed form from a = delta^x_eps u, a . u^-1 . v."""
         prod = self.group_product
         return prod(prod(a, self.group_inverse(u)), v)
 

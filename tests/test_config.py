@@ -82,9 +82,9 @@ def test_no_second_copy_of_a_models_algebra():
 
 
 CONVERSIONS = {"to_exact", "to_exact_scale", "from_floats"}
-# outside the models, floats turn exact in exactify alone, and in InducedStructure,
-# whose exact arithmetic is its base's
-CONVERTERS = {("core/structure.py", "exactify"), ("emergent.py", "InducedStructure")}
+# outside the models, floats turn exact in exactify alone, and in AnchoredStructure,
+# the base of induced structures and tangent spaces, whose exact arithmetic is their base's
+CONVERTERS = {("core/structure.py", "exactify"), ("emergent.py", "AnchoredStructure")}
 
 
 def _conversion_calls(path):

@@ -12,9 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dilatation_lab.affine import menelaos_iterate
 from dilatation_lab.core.harness import verify_axiom
-from dilatation_lab.core.scales import Scale
+from dilatation_lab.core.scales import POSITIVE_REALS as PR, Scale
 from dilatation_lab.core.structure import Ball
+from dilatation_lab.emergent import inflin_scan
+from dilatation_lab.errors import DomainViolation
 from dilatation_lab.models import (
     CarnotModel, ComplexHeisenbergModel, EuclideanModel, ExactPoint, HeisenbergModel,
     engel_structure_constants, heisenberg_structure_constants)
@@ -192,6 +195,18 @@ def test_exact_points_refuse_floats():
     cxr = models[2]
     with pytest.raises(TypeError):
         cxr.ambient_dilate(cxr.scale_group.scale(0.5j), cxr.to_exact(np.ones(3)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_coordinate_has_no_exact_value(bad):
+    # exactify refuses it, naming the point, before from_floats would raise a
+    # bare ValueError (NaN) or OverflowError (an infinity)
+    H = HeisenbergModel(1)
+    x, y, z, half = np.array([bad, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), np.zeros(3), PR.scale(0.5)
+    with pytest.raises(DomainViolation, match=r"non-finite coordinate"):
+        menelaos_iterate(H, x, half, y, half)
+    with pytest.raises(DomainViolation, match=r"non-finite coordinate"):
+        inflin_scan(H, x, y, z, PR.grid(range(2, 6)))
 
 
 @pytest.mark.parametrize("model,product,degrees", MODELS, ids=IDS)

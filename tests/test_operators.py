@@ -54,7 +54,7 @@ def test_difference_heisenberg_group_oracle(heis1):
     got = approx_difference(heis1, x, HALF, u, v)
     assert heis1.distance(got, want) == 0.0
     # and the closed form delta^x_eps(u) . u^-1 . v agrees
-    closed = heis1.exact_difference(x, HALF, u, v)
+    closed = heis1.exact_difference_after(a, u, v)
     assert heis1.coordinate_gap(got, closed) < 1e-15
 
 

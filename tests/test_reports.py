@@ -23,8 +23,8 @@ from dilatation_lab.affine import (
 from dilatation_lab.core.harness import verify_axiom
 from dilatation_lab.config import CAUCHY_SHRINK, DEFECT_FLOOR, FIXED_POINT_TOL, MAX_ITER
 from dilatation_lab.core.reports import (
-    Verdict, beyond, converges, dies_out, make_report, nonincreasing, settles, sup, within,
-    within_envelopes)
+    Verdict, beyond, converges, dies_out, make_report, nonincreasing, settles, settles_or_agrees,
+    sup, within, within_envelopes)
 from dilatation_lab.core.scales import POSITIVE_REALS as PR
 from dilatation_lab.core.structure import Ball, Rows, estimate_dx
 from dilatation_lab.emergent import (
@@ -356,6 +356,27 @@ def test_settles_keeps_the_cauchy_rule():
     assert not settles([1.0, DEFECT_FLOOR, 1e-9])
     for values in ([NAN], [1.0, NAN], [NAN, 0.0], [1.0, 0.5, NAN, 0.1]):
         assert settles(values).broke_at == _nan_at(values)
+
+
+def test_derivative_candidates_that_agree_have_settled():
+    # settles_or_agrees, pansu_derivative's rule alone: every increment within
+    # EXACT_IDENTITY_TOL, or else settles
+    roundoff = [1e-15, 2e-14, 3e-12, 1.3e-11]
+    assert not settles(roundoff) and settles_or_agrees(roundoff)
+    assert settles_or_agrees([1.0, 0.5]) and not settles_or_agrees([1e-16, 2e-9])
+    assert not settles_or_agrees([1e-16, NAN])
+    # the float identity map on H(1): roundoff times 1/eps grows the increments
+    # from 1e-16 to 1.3e-11, so settles alone raised NonConvergent here
+    grid = PR.grid(range(3, 11))
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        x, u = rng.uniform(-0.3, 0.3, 3), rng.uniform(-0.3, 0.3, 3)
+        q, rep = pansu_derivative(H1, H1, lambda p: p, x, u, grid)
+        assert rep.verdict and max(rep.defect) < 2e-5 and H1.coordinate_gap(q, u) < 1e-10, seed
+        # a 1e-7 oscillation is no roundoff: its candidates neither settle nor agree
+        with pytest.raises(NonConvergent, match="do not settle"):
+            pansu_derivative(H1, H1, lambda p: p + 1e-7 * np.sin(1e3 * np.linalg.norm(p)),
+                             x, u, grid)
 
 
 def test_reports_are_immutable():
