@@ -27,7 +27,11 @@ one without closed forms among them, and prints
     seed<TAB>tangent<TAB>structure#draw<TAB>operation<TAB>output
 
 for ``sum(u, v)``, ``difference(u, v)``, ``inverse(u)``, ``distance(u, v)``
-and ``dilate(u, eps, y)``, at a seeded scale eps.
+and ``dilate(u, eps, y)``, at a seeded scale eps.  It then reads
+``estimate_dx(S, x, u, v, grid)``, grid k = 2..12, on six structures at 20
+seeded draws of x, u, v each, and prints
+
+    seed<TAB>estimate_dx<TAB>structure#draw<TAB>estimate or the error class raised
 
 Dumps of two source trees compare with ``diff``.
 
@@ -54,10 +58,11 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from dilatation_lab import cli  # noqa: E402
 from dilatation_lab.core.scales import Scale  # noqa: E402
-from dilatation_lab.core.structure import DilatationStructure  # noqa: E402
+from dilatation_lab.core.structure import DilatationStructure, estimate_dx  # noqa: E402
 from dilatation_lab.emergent import InducedStructure, tangent_space  # noqa: E402
 from dilatation_lab.models import (  # noqa: E402
-    CarnotModel, EuclideanModel, HeisenbergModel, PullbackModel, engel_structure_constants)
+    CarnotModel, ComplexHeisenbergModel, EuclideanModel, HeisenbergModel, PullbackModel,
+    engel_structure_constants)
 from dilatation_lab.models.base import ExactPoint  # noqa: E402
 import cli_ops  # noqa: E402
 import workloads  # noqa: E402
@@ -113,7 +118,7 @@ def dump(seed: int):
             print(seed, name, op.name, verdict(op, ok, out), flat(out), sep="\t")
 
 
-TANGENT_DRAWS = 20
+DRAWS = 20
 
 
 def tangent_structures() -> dict:
@@ -132,7 +137,7 @@ def tangent_structures() -> dict:
 def dump_tangent(seed: int):
     for name, (S, box) in tangent_structures().items():
         rng = np.random.default_rng(seed)
-        for i in range(TANGENT_DRAWS):
+        for i in range(DRAWS):
             x, u, v, y = rng.uniform(-box, box, (4, len(S.origin())))
             eps = S.scale_group.scale(float(rng.uniform(0.1, 0.9)))
             T = tangent_space(S, x)
@@ -145,6 +150,29 @@ def dump_tangent(seed: int):
                 except Exception as err:  # a raising operation is dumped too
                     out = err
                 print(seed, "tangent", f"{name}#{i}", op, flat(out), sep="\t")
+
+
+def estimate_structures() -> dict:
+    """Each structure whose ``estimate_dx`` the dump reads: the group models have
+    exact arithmetic, the metric pullback has floats only."""
+    return {"euclidean-2d": EuclideanModel(2), "heisenberg-1": HeisenbergModel(1),
+            "heisenberg-2": HeisenbergModel(2),
+            "engel": CarnotModel(3, *engel_structure_constants()),
+            "cxr": ComplexHeisenbergModel(),
+            "pullback-metric": PullbackModel(EuclideanModel(2), transport="metric")}
+
+
+def dump_estimate_dx(seed: int):
+    for name, S in estimate_structures().items():
+        rng = np.random.default_rng(seed)
+        grid = S.scale_group.grid(range(2, 13))
+        for i in range(DRAWS):
+            x, u, v = rng.uniform(-0.2, 0.2, (3, len(S.origin())))
+            try:
+                out = flat(estimate_dx(S, x, u, v, grid)[0])
+            except Exception as err:  # the class only: its message quotes the values
+                out = f"raised {type(err).__name__}"
+            print(seed, "estimate_dx", f"{name}#{i}", out, sep="\t")
 
 
 def dump_cli(seed: int):
@@ -170,6 +198,7 @@ def main(argv: list[str]) -> int:
     for seed in seeds:
         dump(seed)
         dump_tangent(seed)
+        dump_estimate_dx(seed)
     for seed in [cli_ops.DEFAULT_SEED, *(s for s in seeds if s != cli_ops.DEFAULT_SEED)]:
         dump_cli(seed)
     return 0

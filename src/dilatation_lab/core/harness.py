@@ -25,10 +25,10 @@ limit report a decreasing sequence:
 
 Samples pair in a cycle, each with the next and the last with the first; a
 sweep has one row (x, u, v) per base x and sample u, a block of rows per
-base.  A3, A4 and the cone property see a pair only through delta^x_eps u
-and delta^x_eps v, so they dilate u once per row and scale and read v's image
-off the next row of the block (``Rows.rotate``).  A1 dilates y once per
-distinct scale value of the grid and of {eps mu} and reads each of its
+base (``Rows.pairs``).  A3, A4 and the cone property see a pair only through
+delta^x_eps u and delta^x_eps v (``Rows.images``), and A3 and cauchy A4 are
+one sweep of a value's gap to its reference-scale value.  A1 dilates y once
+per distinct scale value of the grid and of {eps mu} and reads each of its
 residuals' images of y off those.  Exact images are the same rationals and a
 batch row is its single-point value, so no defect moves.
 
@@ -55,26 +55,11 @@ from dilatation_lab.core.structure import (
 AXIOMS = ("A1", "A2", "A3", "A4", "Axiom0", "ConeProperty")
 
 
-def _rows(bases, pts, batch=True):
-    """One row (x, u, v) per base x and sample u, bases outermost; v, the sample
-    after u (the last pairs with the first), is U rotated within x's block."""
-    rows = Rows([*bases, *pts], batch)
-    X = rows.column([x for x in bases for _ in pts])
-    U = rows.column([u for _ in bases for u in pts])
-    return rows, X, U, rows.rotate(U, len(pts))
-
-
-def _images(S, rows, X, U, eps, block):
-    """delta^x_eps u and delta^x_eps v on every row, from one dilate: the rows
-    of a block share x, so v's image is the next row's image of u."""
-    A = rows.map(lambda x, u: S.dilate(x, eps, u), X, U)
-    return A, rows.rotate(A, block)
-
-
 def verify_axiom(S: DilatationStructure, which: str, region: Ball, eps_grid,
                  sample_count: int = SAMPLE_COUNT, seed: int = 0,
                  reference: str = "auto") -> ConvergenceReport:
-    """Certify one axiom numerically over a scale grid; "cauchy" forces A4's cauchy mode."""
+    """Certify one axiom numerically over a scale grid; "cauchy" forces A4's
+    cauchy mode, and no other axiom takes it."""
     if which not in AXIOMS:
         raise ValueError(f"unknown axiom {which!r}; expected one of {AXIOMS}")
     if sample_count < MIN_PAIRED_SAMPLES:
@@ -82,6 +67,8 @@ def verify_axiom(S: DilatationStructure, which: str, region: Ball, eps_grid,
     trend_grid("verify_axiom", eps_grid)
     if reference not in ("auto", "cauchy"):
         raise ValueError(f"unknown reference mode {reference!r}")
+    if reference == "cauchy" and which != "A4":
+        raise ValueError(f"reference='cauchy' applies to A4 only, not to {which}")
     mode = None
     if which == "A4":
         mode = "exact" if reference == "auto" and hasattr(S, "exact_difference_after") else "cauchy"
@@ -128,7 +115,7 @@ def _a1_defects(S, bases, pts, eps_grid):
     # derive the identity from the grid so exact grids stay exact
     one = eps_grid[0] * eps_grid[0].inverse()
     mu = eps_grid[0]
-    rows, X, Y, _ = _rows(bases, pts)
+    rows, X, Y, _ = Rows.pairs(bases, pts)
     B = rows.column(bases)
     # delta^x_1 y = y does not depend on eps: it is evaluated once
     unit = rows.sup(lambda x, y: S.distance(S.dilate(x, one, y), y), X, Y)
@@ -155,44 +142,43 @@ def _a1_defects(S, bases, pts, eps_grid):
 
 def _a2_defects(S, bases, pts, eps_grid):
     ref = reference_scale(eps_grid)
-    rows, X, Y, _ = _rows(bases, pts)
+    rows, X, Y, _ = Rows.pairs(bases, pts)
     refs = rows.map(lambda x, y: S.distance(x, S.dilate(x, ref, y)) / ref.nu, X, Y)
     return [rows.sup(lambda x, y, r: abs(S.distance(x, S.dilate(x, eps, y)) - eps.nu * r),
                      X, Y, refs)
             for eps in eps_grid]
 
 
+def _gaps_to_reference(S, bases, pts, eps_grid, what, after, gap):
+    """Per scale eps, the sup over rows of gap(after(S, eps, a, b), the same at
+    the reference scale), a and b the images of the row's pair; what names the
+    quantity for ``not_expanding``."""
+    rows, X, U, _ = Rows.pairs(bases, pts)
+
+    def values(eps):
+        not_expanding(what, eps)
+        return rows.map(lambda a, b: after(S, eps, a, b), *rows.images(S, X, U, eps, len(pts)))
+
+    refs = values(reference_scale(eps_grid))
+    return [rows.sup(gap, values(eps), refs) for eps in eps_grid]
+
+
 def _a3_defects(S, bases, pts, eps_grid):
-    rows, X, U, _ = _rows(bases, pts)
-
-    def rescaled(eps):
-        # rescaled_distance on every row
-        not_expanding("the rescaled distance", eps)
-        return rows.map(lambda a, b: rescaled_distance_after(S, eps, a, b),
-                        *_images(S, rows, X, U, eps, len(pts)))
-
-    refs = rescaled(reference_scale(eps_grid))
-    return [rows.sup(lambda d, r: abs(d - r), rescaled(eps), refs) for eps in eps_grid]
+    return _gaps_to_reference(S, bases, pts, eps_grid, "the rescaled distance",
+                              rescaled_distance_after, lambda d, r: abs(d - r))
 
 
 def _a4_defects(S, bases, pts, eps_grid, use_exact):
-    rows, X, U, V = _rows(bases, pts)
-    if use_exact:
-        # approx_difference against exact_difference_after, sharing a = delta^x_eps u
-        not_expanding("a finite-scale composite", *eps_grid)
-        return [rows.sup(lambda a, b, u, v: S.distance(difference_after(S, eps, a, b),
-                                                       S.exact_difference_after(a, u, v)),
-                         *_images(S, rows, X, U, eps, len(pts)), U, V)
-                for eps in eps_grid]
-
-    def difference(eps):
-        # approx_difference on every row
-        not_expanding("a finite-scale composite", eps)
-        return rows.map(lambda a, b: difference_after(S, eps, a, b),
-                        *_images(S, rows, X, U, eps, len(pts)))
-
-    refs = difference(reference_scale(eps_grid))
-    return [rows.sup(S.coordinate_gap, difference(eps), refs) for eps in eps_grid]
+    if not use_exact:
+        return _gaps_to_reference(S, bases, pts, eps_grid, "a finite-scale composite",
+                                  difference_after, S.coordinate_gap)
+    # approx_difference against exact_difference_after, sharing a = delta^x_eps u
+    rows, X, U, V = Rows.pairs(bases, pts)
+    not_expanding("a finite-scale composite", *eps_grid)
+    return [rows.sup(lambda a, b, u, v: S.distance(difference_after(S, eps, a, b),
+                                                   S.exact_difference_after(a, u, v)),
+                     *rows.images(S, X, U, eps, len(pts)), U, V)
+            for eps in eps_grid]
 
 
 def _axiom0_defects(S, bases, eps_grid, sample_count, rng):
@@ -219,11 +205,11 @@ def _cone_defects(S, bases, pts, eps_grid, use_exact):
             return estimate_dx(S, x, u, v, eps_grid)[0]
 
     # estimate_dx runs a sweep of its own per point, so it takes rows one at a time
-    rows, X, U, V = _rows(bases, pts, batch=use_exact)
+    rows, X, U, V = Rows.pairs(bases, pts, batch=use_exact)
     # the left-hand side does not depend on mu: one value per row
     lhs = rows.map(dx, X, U, V)
     return [rows.sup(lambda x, a, b, left: abs(left - dx(x, a, b) / mu.nu),
-                     X, *_images(S, rows, X, U, mu, len(pts)), lhs)
+                     X, *rows.images(S, X, U, mu, len(pts)), lhs)
             for mu in eps_grid]
 
 

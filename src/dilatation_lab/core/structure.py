@@ -186,14 +186,29 @@ class Rows:
     ``(N, dim)`` batch and the function runs once over all rows; otherwise
     (exact or dyadic points) it runs once per row.  Either way it is the same
     function, and a batch row equals the value of its own row.  A sweep that
-    pairs each sample with the next one takes the pair's second point as the
-    rotation of the first within a block of rows (``rotate``), so a map that
-    is the same on every row of a block, such as a dilatation based at the
-    block's point, is evaluated once for both points of every pair.
+    pairs each sample with the next one lays its rows out with ``pairs``, so a
+    map that is the same on every row of a block, such as a dilatation based at
+    the block's point, is evaluated once for both points of a pair (``images``).
     """
 
     def __init__(self, points, batch: bool = True):
         self.batched = batch and float_points(points)
+
+    @classmethod
+    def pairs(cls, bases, pts, batch: bool = True):
+        """The rows and the columns X, U, V of one row (x, u, v) per base x and
+        sample u, bases outermost; v, the sample after u (the last pairs with the
+        first), is U rotated within x's block."""
+        rows = cls([*bases, *pts], batch)
+        X = rows.column([x for x in bases for _ in pts])
+        U = rows.column([u for _ in bases for u in pts])
+        return rows, X, U, rows.rotate(U, len(pts))
+
+    def images(self, S, X, U, eps, block: int):
+        """delta^x_eps u and delta^x_eps v on every row, from one dilate: the rows
+        of a block share x, so v's image is the next row's image of u."""
+        A = self.map(lambda x, u: S.dilate(x, eps, u), X, U)
+        return A, self.rotate(A, block)
 
     @classmethod
     def over_grid(cls, points, eps_grid) -> "Rows":
@@ -287,18 +302,19 @@ def rescaled_distance_after(S: DilatationStructure, mu: Scale, a, b) -> float:
 def estimate_dx(S: DilatationStructure, x, u, v, eps_grid) -> tuple[float, ConvergenceReport]:
     """Estimate the tangent distance d^x(u, v) along a decreasing scale grid.
 
-    The estimate is the finest-grid rescaled distance, computed on float points
-    in one call over the grid (``Rows.over_grid``); the report records the gap
-    of each grid value to it.  Successive differences must not grow beyond the
-    jitter factor, otherwise the sweep raises NonConvergent.  A vanishing limit
-    for distinct u, v flags the structure as degenerate; only then is their
-    coordinate gap read.
+    The estimate is the finest-grid rescaled distance, read in the exact
+    arithmetic of S where it has one (``exactify``), else in one float call over
+    the grid (``Rows.over_grid``); the report records the gap of each grid value
+    to it.  Successive differences must not grow beyond the jitter factor,
+    otherwise the sweep raises NonConvergent.  A vanishing limit for distinct
+    u, v flags the structure as degenerate; only then is their coordinate gap read.
     """
     if len(eps_grid) < 4:
         raise ValueError("estimate_dx needs a grid of at least 4 scales")
     trend_grid("estimate_dx", eps_grid)
-    rows = Rows.over_grid([x, u, v], eps_grid)
-    values = rows.floats(lambda e: rescaled_distance(S, x, e, u, v), rows.scale_column(eps_grid))
+    (x, u, v), grid, _ = exactify(S, [x, u, v], eps_grid)
+    rows = Rows.over_grid([x, u, v], grid)
+    values = rows.floats(lambda e: rescaled_distance(S, x, e, u, v), rows.scale_column(grid))
     diffs = [abs(a - b) for a, b in zip(values, values[1:])]
     if not nonincreasing(diffs):
         raise NonConvergent(f"rescaled distances do not settle on {S.name}: diffs={diffs}")

@@ -247,17 +247,12 @@ def metric_tangent_scan(S: DilatationStructure, x, eps_grid, sample_count: int =
         raise ValueError(f"metric_tangent_scan needs at least {MIN_PAIRED_SAMPLES} samples")
     trend_grid("metric_tangent_scan", eps_grid)
     rng = np.random.default_rng(seed)
-    budget = S.closeness_budget()
-    base_pts = S.sample_ball(x, budget, sample_count, rng)
-    rows = Rows(base_pts)
-    X, P = rows.column([x] * len(base_pts)), rows.column(base_pts)
-    values = []
-    for eps in eps_grid:
-        # each contracted point against the next one, the last against the first
-        moved = rows.map(lambda x, p: S.dilate(x, eps, p), X, P)
-        worst = rows.sup(lambda x, u, v: abs(S.distance(u, v) - S.tangent_distance(x, u, v)),
-                         X, moved, rows.rotate(moved, len(base_pts)))
-        values.append(worst / eps.nu)
+    base_pts = S.sample_ball(x, S.closeness_budget(), sample_count, rng)
+    # each contracted point against the next one, the last against the first
+    rows, X, U, _ = Rows.pairs([x], base_pts)
+    values = [rows.sup(lambda x, u, v: abs(S.distance(u, v) - S.tangent_distance(x, u, v)),
+                       X, *rows.images(S, X, U, eps, len(base_pts))) / eps.nu
+              for eps in eps_grid]
     return make_report(eps_grid, values, nonincreasing(values),
                        {"model": S.name, "quantity": "metric-tangent-gap",
                         "seed": seed, "sample_count": sample_count})

@@ -214,24 +214,24 @@ class GroupModel(DilatationStructure):
         return lambda v: self.group_product(w, v)
 
     def base_inverse(self, u, x):
-        """inv^u(x) = u . x^-1 . u, the inverse of x in the group re-zeroed at u."""
-        return self.group_product(self.group_product(u, self.group_inverse(x)), u)
+        """inv^u(x) = u . x^-1 . u = Delta^u(x, u), the inverse of x in the group re-zeroed at u."""
+        return self.tangent_difference(u, x, u)
 
-    # --- closed forms ----------------------------------------------------------
-
-    def exact_difference_after(self, a, u, v):
-        """Delta^x_eps(u, v) in closed form from a = delta^x_eps u, a . u^-1 . v."""
-        prod = self.group_product
-        return prod(prod(a, self.group_inverse(u)), v)
-
-    def tangent_sum(self, x, u, v):
-        return self.group_product(self.group_product(u, self.group_inverse(x)), v)
+    # --- closed forms, every one the difference Delta^x(u, v) -----------------
 
     def tangent_difference(self, x, u, v):
+        """Delta^x(u, v) = x . u^-1 . v."""
         return self.group_product(self.group_product(x, self.group_inverse(u)), v)
 
+    def exact_difference_after(self, a, u, v):
+        """Delta^x_eps(u, v) in closed form from a = delta^x_eps u: Delta^a(u, v)."""
+        return self.tangent_difference(a, u, v)
+
+    def tangent_sum(self, x, u, v):
+        return self.tangent_difference(u, x, v)
+
     def tangent_inverse(self, x, u):
-        return self.base_inverse(x, u)
+        return self.tangent_difference(x, u, x)
 
     def tangent_distance(self, x, u, v) -> float:
         return self.distance(u, v)

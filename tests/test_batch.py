@@ -22,7 +22,7 @@ from dilatation_lab.affine import g_map
 from dilatation_lab.core import structure
 from dilatation_lab.core.harness import verify_axiom
 from dilatation_lab.core.scales import COMPLEX_UNITS, POSITIVE_REALS as PR, RowScale
-from dilatation_lab.core.structure import Ball, estimate_dx, rescaled_distance
+from dilatation_lab.core.structure import Ball, estimate_dx, exactify, rescaled_distance
 from dilatation_lab.emergent import LIMIT_OPS, InducedStructure, metric_tangent_scan, tangent_limit
 from dilatation_lab.errors import NonConvergent
 from dilatation_lab.models import (
@@ -542,12 +542,14 @@ def test_estimate_dx_is_the_one_scale_at_a_time_loop(case):
     S, grid, radius = TANGENT_CASES[case]
     grid = (grid or S.scale_group.grid(range(2, 13)))[:7]
     for seed in range(3):
-        x, u, v = S.sample_ball(S.origin(), radius, 10, np.random.default_rng(seed))[7:]
+        pts = S.sample_ball(S.origin(), radius, 10, np.random.default_rng(seed))[7:]
         if case.endswith("exact"):
-            x, u, v = (S.to_exact(p) for p in (x, u, v))
-        want = [rescaled_distance(S, x, e, u, v) for e in grid]
+            pts = [S.to_exact(p) for p in pts]
+        # the estimate reads exactly where S can, and so does the loop
+        (x, u, v), exact_grid, _ = exactify(S, pts, grid)
+        want = [rescaled_distance(S, x, e, u, v) for e in exact_grid]
         try:
-            estimate, report = estimate_dx(S, x, u, v, grid)
+            estimate, report = estimate_dx(S, *pts, grid)
         except NonConvergent as err:
             # float roundoff through a fractional-power gauge: the same unsettled steps
             assert str(err).endswith(f"diffs={[abs(a - b) for a, b in zip(want, want[1:])]}")

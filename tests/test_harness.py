@@ -101,6 +101,14 @@ def test_reference_modes_are_auto_and_cauchy(heis1):
         verify_axiom(heis1, "A4", region, grid, sample_count=4, reference="exact")
 
 
+@pytest.mark.parametrize("axiom", [a for a in AXIOMS if a != "A4"])
+def test_cauchy_reference_is_refused_outside_a4(heis1, axiom):
+    # only A4 has a cauchy mode: elsewhere the setting would do nothing
+    region, grid = Ball(heis1.origin(), 0.2), heis1.scale_group.grid(GRID)
+    with pytest.raises(ValueError, match="applies to A4 only"):
+        verify_axiom(heis1, axiom, region, grid, sample_count=4, reference="cauchy")
+
+
 def test_engel_float_cone_property_passes_at_its_tolerance(engel):
     # the Engel group has an exact tangent but the cone property runs in
     # floats: roundoff grows as mu shrinks and breaks the decay rule, yet

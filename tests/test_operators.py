@@ -169,6 +169,20 @@ def test_estimate_dx_constant_for_conical(euclid2, heis1):
     assert max(report.defect) < 1e-12
 
 
+@pytest.mark.parametrize("model", ["heis1", "heis2", "engel", "cxheis"])
+def test_estimate_dx_reads_group_models_exactly(model, request):
+    # in floats the gauges' roots lift roundoff past the settling rule, which
+    # raises NonConvergent on each of these seeds; read exactly, each estimate
+    # is the closed form to the gauge's rounding
+    S = request.getfixturevalue(model)
+    grid = S.scale_group.grid(range(2, 13))
+    for seed in range(20):
+        x, u, v = np.random.default_rng(seed).uniform(-0.2, 0.2, (3, len(S.origin())))
+        val, report = estimate_dx(S, x, u, v, grid)
+        assert abs(val - S.tangent_distance(x, u, v)) <= 4e-16, seed
+        assert report.verdict, seed
+
+
 def test_estimate_dx_pullback_analytic_oracle(metric_pullback_1d):
     # rescaled distances converge to the derivative-weighted gap
     grid = PR.grid(range(2, 13))
@@ -201,7 +215,15 @@ def test_estimate_dx_validates_grid(euclid2):
                     PR.grid([5, 4, 3, 2]))
 
 
-class _ProjectionMetric(EuclideanModel):
+class _FloatOnly:
+    """A model whose distance is written for float points only: it has no exact
+    scales, the route ``exactify`` takes for a complex scale, so it runs in floats."""
+
+    def to_exact_scale(self, eps):
+        raise ValueError(f"{type(self).__name__} computes in floats only")
+
+
+class _ProjectionMetric(_FloatOnly, EuclideanModel):
     """Pseudo-distance that forgets the second coordinate: A3 limit degenerates.
     Like every float model it takes a point or an ``(N, 2)`` batch."""
 
@@ -225,7 +247,7 @@ def test_estimate_dx_flags_degenerate_limit():
 
 
 def test_estimate_dx_raises_on_noise():
-    class Jumpy(EuclideanModel):
+    class Jumpy(_FloatOnly, EuclideanModel):
         """Every third distance it evaluates, a point's or a batch row's, is off by 0.5."""
 
         def __init__(self):
