@@ -33,6 +33,15 @@ seeded draws of x, u, v each, and prints
 
     seed<TAB>estimate_dx<TAB>structure#draw<TAB>estimate or the error class raised
 
+Last, it reads the single-point float primitives ``group_product``,
+``ambient_dilate``, ``dilate``, ``distance``, ``homogeneous_norm`` and
+``coordinate_gap`` of six group models (Euclid-2d, H(1), H(2), Engel, C x R
+and a generic Carnot group with a fractional constant) at 20 seeded draws of
+x, y each, coordinates of magnitude 1e-9 to 1e3 with signed zeros among them,
+under a real scale, and on C x R a complex one too, and prints
+
+    seed<TAB>primitives<TAB>model#draw<TAB>operation<TAB>output
+
 Dumps of two source trees compare with ``diff``.
 
 The library is imported from the ``src`` directory next to this script, and
@@ -175,6 +184,44 @@ def dump_estimate_dx(seed: int):
             print(seed, "estimate_dx", f"{name}#{i}", out, sep="\t")
 
 
+def primitive_models() -> dict:
+    """The group models whose single-point primitives the dump reads."""
+    return {"euclidean-2d": EuclideanModel(2), "heisenberg-1": HeisenbergModel(1),
+            "heisenberg-2": HeisenbergModel(2),
+            "engel": CarnotModel(3, *engel_structure_constants()),
+            "cxr": ComplexHeisenbergModel(),
+            "carnot-step3-2x1x2": CarnotModel(3, [2, 1, 2], [[0, 1, 2, 1.0], [0, 2, 3, 1.0],
+                                                               [1, 2, 4, 0.5]])}
+
+
+def signed_point(rng, dim: int) -> np.ndarray:
+    """Coordinates of either sign and magnitude 1e-9 to 1e3, about one in five a signed zero."""
+    p = rng.choice([-1.0, 1.0], dim) * 10.0 ** rng.uniform(-9.0, 3.0, dim)
+    zeros = rng.random(dim) < 0.2
+    p[zeros] = rng.choice([0.0, -0.0], int(zeros.sum()))
+    return p
+
+
+def dump_primitives(seed: int):
+    for name, M in primitive_models().items():
+        rng = np.random.default_rng(seed)
+        for i in range(DRAWS):
+            x, y = signed_point(rng, M.coordinate_dim), signed_point(rng, M.coordinate_dim)
+            scales = {"": float(rng.uniform(0.05, 4.0))}
+            if isinstance(M, ComplexHeisenbergModel):
+                scales["@complex"] = complex(*rng.uniform(-2.0, 2.0, 2))
+            ops = {"group_product": lambda: M.group_product(x, y),
+                   "distance": lambda: M.distance(x, y),
+                   "homogeneous_norm": lambda: M.homogeneous_norm(x),
+                   "coordinate_gap": lambda: M.coordinate_gap(x, y)}
+            for tag, value in scales.items():
+                eps = M.scale_group.scale(value)
+                ops["ambient_dilate" + tag] = lambda eps=eps: M.ambient_dilate(eps, x)
+                ops["dilate" + tag] = lambda eps=eps: M.dilate(x, eps, y)
+            for op, call in ops.items():
+                print(seed, "primitives", f"{name}#{i}", op, flat(call()), sep="\t")
+
+
 def dump_cli(seed: int):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.csv"
@@ -199,6 +246,7 @@ def main(argv: list[str]) -> int:
         dump(seed)
         dump_tangent(seed)
         dump_estimate_dx(seed)
+        dump_primitives(seed)
     for seed in [cli_ops.DEFAULT_SEED, *(s for s in seeds if s != cli_ops.DEFAULT_SEED)]:
         dump_cli(seed)
     return 0

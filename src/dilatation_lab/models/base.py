@@ -85,6 +85,13 @@ def row_dot(a, b):
     return 0.0 + a.dot(b) if a.ndim == 1 and b.ndim == 1 else np.vecdot(a, b)
 
 
+def dot_square(c: list) -> float:
+    """c . c for the Python floats of a single vector, as a Python float: the
+    1-D ``np.dot`` that ``row_dot`` takes, whose sum of squares is never -0.0."""
+    v = np.array(c)
+    return float(v.dot(v))
+
+
 def row_length(v):
     """The Euclidean length of a vector or of each row, as ``np.linalg.norm`` gives it."""
     return np.sqrt(row_dot(v, v))
@@ -106,7 +113,8 @@ class ExactPoint:
     coordinate gap is read off.  Coordinates and ``sumsq`` round correctly; a
     distance need not, as a gauge takes its roots in floats (H(1)'s misses the
     correctly rounded norm on about one point in ten).
-    Mixing with numpy float arrays raises instead of degrading to floats.
+    Mixing with numpy float arrays raises ``columns``' TypeError instead of
+    degrading to floats, in whole-row arithmetic too.
     """
 
     __slots__ = ("num", "den")
@@ -132,6 +140,11 @@ class ExactPoint:
         p.num = tuple(n * (den // d) for n, d in ratios)
         p.den = den
         return p
+
+    def _refuse_floats(self, other):
+        raise TypeError(f"float points do not mix with exact ones, got {self!r}")
+
+    __add__ = __radd__ = __sub__ = __rsub__ = _refuse_floats
 
     def __neg__(self) -> "ExactPoint":
         p = ExactPoint.__new__(ExactPoint)

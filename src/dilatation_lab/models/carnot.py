@@ -18,11 +18,11 @@ their own gauge; on exact points all of them share the integer kernel below,
 ambient dilatation is derived, not declared: delta_eps = delta^e_eps, the
 dilatation based at the identity e.
 
-The float product is compiled once per model from its bracket table into
-one straight-line function (``_compiled_product``), on Python floats for a
-point and on column views for a batch.  Euclidean space writes its three
-float primitives itself, as whole-row numpy arithmetic: the same IEEE
-operations in the same order, one numpy call each.
+The float kernels are generated once per model from its bracket table and
+layer factors (``_compiled_product``): the product, on Python floats for a
+point and on column views for a batch, and for single points the dilate and
+the (-p) . q of a distance.  Euclidean space writes its batch primitives as
+whole-row numpy arithmetic: the same IEEE operations in the same order.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ from dilatation_lab.core.reports import sup
 from dilatation_lab.core.scales import POSITIVE_REALS, Scale
 from dilatation_lab.core.structure import vector_sample_ball
 from dilatation_lab.models.base import (
-    ExactPoint, GroupModel, columns, is_integer, is_real, power, real_array, row_dot, stack)
+    ExactPoint, GroupModel, columns, dot_square, is_integer, is_real, power, real_array, row_dot,
+    stack)
 
 
 def _scale_ratio(value) -> tuple[int, int]:
@@ -56,17 +57,22 @@ def _exact_pair(a: ExactPoint, b):
     return a.num, a.den, b.num, b.den
 
 
-def _compiled_product(dim: int, step: int, entries):
-    """The float BCH product of a bracket table as one straight-line function,
-    generated as ``dataclasses`` generates methods: source text built from the
-    table, each constant written as its ``repr``, which reads back as the same
-    float; a constant 1.0 is left out, since 1.0 * x is x.  Each coordinate
-    holds only its table's terms, on Python floats and on the columns of a
-    batch alike: a_k + b_k, then a bracket sum from its first term in table
-    order, then a 1/12 term if it has a double bracket.
-    A zero sum keeps its IEEE sign: -0.0 + -0.0 stays -0.0 on layer 1."""
-    a = [f"a{i}" for i in range(dim)]
-    b = [f"b{i}" for i in range(dim)]
+def _compiled_product(dim: int, step: int, entries, layer_index, scales):
+    """The float kernels of a bracket table, generated in one ``exec`` as
+    ``dataclasses`` generates methods:
+
+    * ``_product(A, B)``, on Python floats or on the columns of a batch;
+    * ``_inverse_product(X, B)``, (-x) . b on Python floats, for ``distance``;
+    * ``_dilate_point(X, e, Y)``, x . delta_e((-x) . y) on Python floats;
+    * ``_scales(e, pow)``, the layer factors, for ``_dilate``.
+
+    ``scales[i]`` is layer i's factor as source text in e, and
+    ``layer_index`` each coordinate's layer.  Each constant is its ``repr``,
+    which reads back as the same float, and a 1.0 is left out, since 1.0 * x
+    is x.  Each coordinate holds only its table's terms: a_k + b_k, then a
+    bracket sum from its first term in table order, then a 1/12 term if it
+    has a double bracket; a zero sum keeps its IEEE sign, -0.0 + -0.0 stays
+    -0.0 on layer 1."""
 
     def bracket(u, v):
         # the table's terms of [u, v] per coordinate; a None in v is 0 and drops
@@ -79,21 +85,35 @@ def _compiled_product(dim: int, step: int, entries):
                 out[k].append(t if c == 1.0 else f"{c!r} * {t}")
         return [" + ".join(t) for t in out]
 
-    ab = bracket(a, b)
-    z = [f"z{k}" if t else None for k, t in enumerate(ab)]
-    terms = [f"{x} + {y}" + (f" + {w} * 0.5" if w else "") for x, y, w in zip(a, b, z)]
-    if step == 3:
-        terms = [f"{t} + (({p}) - ({q})) * (1.0 / 12.0)" if p else t
-                 for t, p, q in zip(terms, bracket(a, z), bracket(b, z))]
-    source = "\n    ".join([
-        "def _product(A, B):",
-        f"{', '.join(a)}, = A",
-        f"{', '.join(b)}, = B",
-        *(f"{w} = {e}" for w, e in zip(z, ab) if w),
-        f"return [{', '.join(terms)}]"])
+    def product(u, v):
+        # the lines that name the brackets of u . v, and its coordinates
+        uv = bracket(u, v)
+        z = [f"z{k}" if t else None for k, t in enumerate(uv)]
+        terms = [f"{x} + {y}" + (f" + {w} * 0.5" if w else "") for x, y, w in zip(u, v, z)]
+        if step == 3:
+            terms = [f"{t} + (({p}) - ({q})) * (1.0 / 12.0)" if p else t
+                     for t, p, q in zip(terms, bracket(u, z), bracket(v, z))]
+        return [f"{w} = {e}" for w, e in zip(z, uv) if w], terms
+
+    a, b, x, y, t = ([f"{n}{i}" for i in range(dim)] for n in "abxyt")
+    f = [f"f{i}" for i in layer_index]
+    lines, terms = product(a, b)
+    negate = f"{', '.join(a)} = {', '.join('-' + n for n in x)}"
+    inner, scaled = product(a, y)
+    outer, result = product(x, t)
+    functions = [
+        ["def _product(A, B):", f"{', '.join(a)}, = A", f"{', '.join(b)}, = B",
+         *lines, f"return [{', '.join(terms)}]"],
+        ["def _inverse_product(X, B):", f"{', '.join(x)}, = X", f"{', '.join(b)}, = B",
+         negate, *lines, f"return [{', '.join(terms)}]"],
+        ["def _dilate_point(X, e, Y):", f"{', '.join(x)}, = X", f"{', '.join(y)}, = Y",
+         negate, *(f"f{i} = {s}" for i, s in enumerate(scales)), *inner,
+         *(f"{n} = ({c}) * {g}" for n, c, g in zip(t, scaled, f)),
+         *outer, f"return [{', '.join(result)}]"],
+        ["def _scales(e, pow=pow):", f"return {', '.join(scales)},"]]
     namespace = {}
-    exec(source, namespace)
-    return namespace["_product"]
+    exec("\n".join("\n    ".join(source) for source in functions), namespace)
+    return [namespace[n] for n in ("_product", "_inverse_product", "_dilate_point", "_scales")]
 
 
 class CarnotModel(GroupModel):
@@ -105,22 +125,30 @@ class CarnotModel(GroupModel):
     which the compiled float product and ``_exact_bracket`` both walk, so
     [a, a] is exactly 0.
 
-    Points are flat numpy coordinate vectors.  The float formulas ``_product``
-    (compiled from the table at construction) and ``_dilate`` take the
-    ``columns`` of a point or of an ``(N, dim)`` batch and return columns that
-    ``stack`` makes a point or a batch again; ``_dilate`` also takes a per-row
-    scale, whose value is an ``(N, 1)`` array, and ``_norm`` the array
-    itself.  Exact points (``ExactPoint``) take the integer kernel,
-    ``_exact_bracket``, ``_exact_product`` and the expanded ``dilate``, and
-    the gauge ``_exact_norm``.  The group inverse is negation
-    in either arithmetic.  ``dilate`` composes the float formulas, converting
-    its points once; on exact points of every step it is one expanded integer
-    formula, which builds no kernel product, and ``ambient_dilate`` is that
-    formula based at the identity, delta_eps = delta^e_eps.  Subclasses
-    override ``_dilate`` and the gauges; Euclidean space alone overrides
-    ``group_product``, ``ambient_dilate`` and ``dilate``, on float points
-    only.  None overrides the kernel.
+    Points are flat numpy coordinate vectors.  Single float points take the
+    kernels compiled from the table at construction, on Python floats: the
+    product, ``dilate`` under a Python ``float`` scale, and (-p) . q, which the
+    gauge ``_norm`` of ``distance`` reads as those floats.  The rest (batches,
+    a point beside a batch, any other scale) takes ``_product`` and
+    ``_dilate`` on the ``columns`` of a point or of an ``(N, dim)`` batch,
+    which ``stack`` makes a point or a batch again; ``_dilate`` also takes a
+    per-row scale, whose value is an ``(N, 1)`` array.  ``LAYER_SCALES``
+    declares each layer's factor once for both paths.  Exact points
+    (``ExactPoint``) take the integer kernel, ``_exact_bracket``,
+    ``_exact_product`` and the expanded ``dilate``, and the gauge
+    ``_exact_norm``.  The group inverse is negation in either arithmetic.  On
+    exact points of every step ``dilate`` is one expanded integer formula,
+    which builds no kernel product, and ``ambient_dilate`` is that formula
+    based at the identity, delta_eps = delta^e_eps.  Subclasses override
+    ``LAYER_SCALES`` and the gauges, C x R ``_dilate`` for its complex scales,
+    and Euclidean space ``_rows_dilate``, ``group_product`` and
+    ``ambient_dilate`` with whole rows.  None overrides the kernels.
     """
+
+    # each layer's dilatation factor as source text in the scale e: Python's
+    # e ** k, written pow(e, k) so that a per-row scale takes it per element
+    # (power), as numpy's power does not round it; layer 1 is e, e ** 1's value
+    LAYER_SCALES = ("e", "pow(e, 2)", "pow(e, 3)")
 
     def __init__(self, step: int, layers, brackets):
         if not is_integer(step) or step not in (1, 2, 3):
@@ -165,7 +193,8 @@ class CarnotModel(GroupModel):
         self._entries = [(i, j, k, c, n * (self._bracket_den // d))
                          for i, j, k, c, (n, d) in ratios]
         self._layer_index = [int(i) - 1 for i in self.layer_of]
-        self._product = _compiled_product(self.dim, self.step, self._entries)
+        self._product, self._inverse_product, self._dilate_point, self._scales = _compiled_product(
+            self.dim, self.step, self._entries, self._layer_index, self.LAYER_SCALES[:self.step])
         self._check_jacobi()
 
     @property
@@ -180,6 +209,8 @@ class CarnotModel(GroupModel):
     def group_product(self, a, b):
         if type(a) is ExactPoint:
             return self._exact_product(a, b)
+        if type(b) is np.ndarray and a.ndim == b.ndim == 1:
+            return np.array(self._product(a.tolist(), b.tolist()))
         return stack(self._product(columns(a), columns(b)))
 
     def group_inverse(self, a):
@@ -200,8 +231,10 @@ class CarnotModel(GroupModel):
 
         where x_2 is the layer-2 part of x."""
         if type(x) is not ExactPoint:
-            prod = self._product
-            return stack(prod(columns(x), self._dilate(eps, prod(columns(-x), columns(y)))))
+            e = eps.value
+            if type(e) is float and type(y) is np.ndarray and x.ndim == y.ndim == 1:
+                return np.array(self._dilate_point(x.tolist(), e, y.tolist()))
+            return self._rows_dilate(x, eps, y)
         # with eps = p/q, layers 1 and 2 over the denominator 2 h q^2 dx dy;
         # [x,y] is 0 on layer 1
         p, q = _scale_ratio(eps.value)
@@ -233,7 +266,12 @@ class CarnotModel(GroupModel):
     def homogeneous_norm(self, a) -> float:
         if type(a) is ExactPoint:
             return self._exact_norm(a)
-        return self._norm(a)
+        return self._norm(a.tolist() if a.ndim == 1 else a)
+
+    def distance(self, p, q) -> float:
+        if type(p) is np.ndarray and type(q) is np.ndarray and p.ndim == q.ndim == 1:
+            return self._norm(self._inverse_product(p.tolist(), q.tolist()))
+        return super().distance(p, q)
 
     def sample_ball(self, center, radius, count, rng):
         """Around an exact center: the samples around its float value, as exact points."""
@@ -259,26 +297,33 @@ class CarnotModel(GroupModel):
 
     def coordinate_gap(self, p, q) -> float:
         if type(p) is ExactPoint:
-            p, q = p.to_float(), q.to_float()
-        gap = np.abs(p - q)
-        return sup(gap.tolist()) if gap.ndim == 1 else sup(gap, axis=1)
+            A, da, B, db = _exact_pair(p, q)
+            return sup([abs(a / da - b / db) for a, b in zip(A, B)])
+        if type(q) is np.ndarray and p.ndim == q.ndim == 1:
+            return sup([abs(a - b) for a, b in zip(p.tolist(), q.tolist())])
+        return sup(np.abs(p - q), axis=1)
 
     # --- the float formulas and the gauges ----------------------------------
 
+    def _rows_dilate(self, x, eps: Scale, y):
+        prod = self._product
+        return stack(prod(columns(x), self._dilate(eps, prod(columns(-x), columns(y)))))
+
     def _dilate(self, eps: Scale, A):
         e = eps.value
-        if isinstance(e, np.ndarray):  # an (N, 1) per-row scale, one value per row
-            return [a * power(e[:, 0], i + 1) for a, i in zip(A, self._layer_index)]
-        return [a * e ** (i + 1) for a, i in zip(A, self._layer_index)]
+        # an (N, 1) per-row scale takes its layer factors per row, a pow as
+        # Python's ** per element
+        f = self._scales(e[:, 0], power) if isinstance(e, np.ndarray) else self._scales(e)
+        return [a * f[i] for a, i in zip(A, self._layer_index)]
 
     def _norm(self, a) -> float:
-        if a.ndim == 1:
-            # a one-coordinate layer is a Python square, rounded as its length-1
-            # dot is; a longer layer keeps np.dot, whose BLAS sum fuses multiply
-            # and add, as a Python float so that ** is Python's power, not numpy's
-            c = a.tolist()
-            return sup([(c[sl.start] * c[sl.start] if sl.stop - sl.start == 1
-                         else float(row_dot(a[sl], a[sl]))) ** (0.5 / i)
+        if type(a) is list:
+            # a single point's Python floats: a one-coordinate layer is a Python
+            # square, rounded as its length-1 dot is; a longer layer keeps np.dot,
+            # whose BLAS sum fuses multiply and add, as a Python float so that **
+            # is Python's power, not numpy's
+            return sup([(a[sl.start] * a[sl.start] if sl.stop - sl.start == 1
+                         else dot_square(a[sl])) ** (0.5 / i)
                         for i, sl in enumerate(self._slices, start=1)])
         layers = [power(row_dot(b, b), 0.5 / i)
                   for i, b in enumerate((a[:, sl] for sl in self._slices), start=1)]

@@ -32,19 +32,23 @@ class ComplexHeisenbergModel(CarnotModel):
         self.scale_group = COMPLEX_UNITS
         self.name = "complex-heisenberg"
 
+    # a real scale as on H(1); a complex one rotates the plane in _dilate
+    LAYER_SCALES = ("e", "e * e")
+
     def _dilate(self, eps: Scale, A):
         e = eps.value
+        if not (isinstance(e, complex) or isinstance(e, np.ndarray) and e.dtype.kind == "c"):
+            return super()._dilate(eps, A)
         if isinstance(e, np.ndarray):  # an (N, 1) per-row scale, as one value per row
             e = e[:, 0]
+        # (a0 + i a1) e, with the parts in the order of Python's complex product
         a0, a1, a2 = A
-        if isinstance(e, complex) or isinstance(e, np.ndarray) and e.dtype.kind == "c":
-            # (a0 + i a1) e, with the parts in the order of Python's complex product
-            er, ei = e.real, e.imag
-            return [a0 * er - a1 * ei, a0 * ei + a1 * er, (er * er + ei * ei) * a2]
-        return [e * a0, e * a1, e * e * a2]
+        er, ei = e.real, e.imag
+        return [a0 * er - a1 * ei, a0 * ei + a1 * er, (er * er + ei * ei) * a2]
 
     def _norm(self, a) -> float:
-        a0, a1, a2 = columns(a)
+        # a single point's Python floats, or a batch's columns: a Python sum either way
+        a0, a1, a2 = a if type(a) is list else columns(a)
         return cygan_gauge(a0 * a0 + a1 * a1, a2)
 
     def _exact_norm(self, a) -> float:

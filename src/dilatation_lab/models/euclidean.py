@@ -9,14 +9,16 @@ from __future__ import annotations
 import math
 
 from dilatation_lab.core.scales import Scale
-from dilatation_lab.models.base import ExactPoint, float_or_rows, is_integer, row_length
+from dilatation_lab.models.base import ExactPoint, dot_square, is_integer, row_length
 from dilatation_lab.models.carnot import CarnotModel
 
 
 class EuclideanModel(CarnotModel):
     """R^n with the Euclidean distance and linear dilatations: the step-1 Carnot group.
-    Its float primitives add and scale whole rows, one numpy call per operation,
-    bit for bit as the compiled product and ``_dilate`` would on columns."""
+    Its float products, ambient dilatations and batch dilatations add and scale
+    whole rows, one numpy call per operation, bit for bit as the compiled
+    product and ``_dilate`` would on columns; single-point ``dilate`` and
+    ``distance`` take the compiled kernels."""
 
     def __init__(self, n: int):
         if not is_integer(n) or n < 1:
@@ -35,13 +37,13 @@ class EuclideanModel(CarnotModel):
             return super().ambient_dilate(eps, a)
         return a * eps.value
 
-    def dilate(self, x, eps: Scale, y):
-        if type(x) is ExactPoint:
-            return super().dilate(x, eps, y)
+    def _rows_dilate(self, x, eps: Scale, y):
         return x + (-x + y) * eps.value
 
     def _norm(self, a) -> float:
-        return float_or_rows(row_length(a))
+        if type(a) is list:  # a single point's Python floats
+            return math.sqrt(dot_square(a))
+        return row_length(a)
 
     def _exact_norm(self, a) -> float:
         # rounds the exact sum of squares once

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from dilatation_lab.core.scales import Scale
-from dilatation_lab.models.base import is_integer, power, row_dot
+from dilatation_lab.models.base import dot_square, is_integer, power, row_dot
 from dilatation_lab.models.carnot import CarnotModel, heisenberg_structure_constants
 
 
@@ -26,6 +25,10 @@ def cygan_gauge(planar: float, center: float) -> float:
 
 class HeisenbergModel(CarnotModel):
     """H(n) on R^{2n+1}, coordinates [x_1..x_{2n}, xbar], with the Cygan gauge."""
+
+    # delta_eps(x, xbar) = (eps x, eps^2 xbar), with eps^2 as the product e * e,
+    # which rounds apart from CarnotModel's e ** 2
+    LAYER_SCALES = ("e", "e * e")
 
     def __init__(self, n: int):
         if not is_integer(n) or n < 1:
@@ -39,15 +42,10 @@ class HeisenbergModel(CarnotModel):
         n = self.n
         return row_dot(x[..., :n], y[..., n:2 * n]) - row_dot(x[..., n:2 * n], y[..., :n])
 
-    def _dilate(self, eps: Scale, A):
-        e = eps.value
-        if isinstance(e, np.ndarray):  # an (N, 1) per-row scale, one value per row
-            e = e[:, 0]
-        *planar, center = A
-        return [e * a for a in planar] + [e * e * center]
-
     def _norm(self, a) -> float:
         n2 = 2 * self.n
+        if type(a) is list:  # a single point's Python floats
+            return cygan_gauge(dot_square(a[:n2]), a[n2])
         return cygan_gauge(row_dot(a[..., :n2], a[..., :n2]), a.T[n2])
 
     def _exact_norm(self, a) -> float:

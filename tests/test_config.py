@@ -2,6 +2,7 @@
 table for its float product, and ``exactify`` for turning floats exact."""
 
 import ast
+import dis
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,14 @@ def _code(f):
     return c.co_code, c.co_consts, c.co_names, c.co_varnames
 
 
+def _operators(code):
+    """The binary operators of a code object and of the code nested in it."""
+    yield from (i.argrepr for i in dis.get_instructions(code) if i.opname == "BINARY_OP")
+    for const in code.co_consts:
+        if hasattr(const, "co_code"):
+            yield from _operators(const)
+
+
 def _library_subclasses(cls):
     for sub in cls.__subclasses__():
         if sub.__module__.startswith("dilatation_lab."):
@@ -51,9 +60,11 @@ def _library_subclasses(cls):
 
 def test_no_second_copy_of_a_models_algebra():
     # every Carnot model of the capability table, and each one a structure
-    # there is built on, and H(n) for every n, holds the float product compiled
-    # from its bracket table, writing no zero term the table does not have and
-    # no product by a constant 1.0
+    # there is built on, and H(n) for every n, holds the float kernels generated
+    # from its bracket table and its one declaration of the layer factors (the
+    # product, (-p) . q, the single-point dilate and the factors that _dilate
+    # reads), writing no zero term the table does not have and no product by a
+    # constant 1.0
     structures = [make() for make, *_ in CASES.values()]
     models = [m for s in structures for m in (s, getattr(s, "base", None))
               if isinstance(m, CarnotModel)]
@@ -61,16 +72,27 @@ def test_no_second_copy_of_a_models_algebra():
                CarnotModel(2, *heisenberg_structure_constants(2))]
     assert any(isinstance(m, EuclideanModel) for m in models)
     for model in models:
-        compiled = _compiled_product(model.dim, model.step, model._entries)
-        assert _code(model._product) == _code(compiled), model.name
-        consts = compiled.__code__.co_consts
-        assert 0.0 not in consts and 1.0 not in consts, model.name
-    # only Euclidean space writes its float primitives itself, as whole rows
-    primitives = {"group_product", "ambient_dilate", "dilate"}
-    own = {cls.__name__: primitives & set(vars(cls))
-           for cls in _library_subclasses(CarnotModel)}
-    assert own == {"HeisenbergModel": set(), "ComplexHeisenbergModel": set(),
-                   "EuclideanModel": primitives}
+        fresh = _compiled_product(model.dim, model.step, model._entries, model._layer_index,
+                                  model.LAYER_SCALES[:model.step])
+        kernels = [model._product, model._inverse_product, model._dilate_point, model._scales]
+        assert len(fresh) == len(kernels), model.name
+        for kernel, compiled in zip(kernels, fresh):
+            assert _code(kernel) == _code(compiled), (model.name, compiled.__name__)
+            consts = compiled.__code__.co_consts
+            assert 0.0 not in consts and 1.0 not in consts, (model.name, compiled.__name__)
+    # the layer factors have one declaration, LAYER_SCALES, which _dilate reads
+    # through the generated _scales and raises to no power of its own
+    assert "_scales" in CarnotModel._dilate.__code__.co_names
+    assert not {"**", "**="} & set(_operators(CarnotModel._dilate.__code__))
+    declared = {cls.__name__: "LAYER_SCALES" in vars(cls) for cls in _library_subclasses(CarnotModel)}
+    assert declared == {"HeisenbergModel": True, "ComplexHeisenbergModel": True,
+                        "EuclideanModel": False}
+    # only C x R keeps a _dilate, for its complex scales, and only Euclidean space
+    # writes float primitives itself, as whole rows
+    hooks = {"group_product", "ambient_dilate", "dilate", "distance", "_dilate", "_rows_dilate"}
+    own = {cls.__name__: hooks & set(vars(cls)) for cls in _library_subclasses(CarnotModel)}
+    assert own == {"HeisenbergModel": set(), "ComplexHeisenbergModel": {"_dilate"},
+                   "EuclideanModel": {"group_product", "ambient_dilate", "_rows_dilate"}}
     # and its whole-row sum is the compiled product's, bit for bit, signed zeros too
     rng = np.random.default_rng(5)
     for n in (1, 2, 5):

@@ -175,23 +175,28 @@ def test_exact_norm_rounds_exact_values(model, product, degrees):
 
 
 def test_exact_points_refuse_floats():
-    # a float point beside an exact one raises TypeError in either order, on
-    # compiled, whole-row and generic products alike
+    # a float point beside an exact one raises the TypeError that says so, in
+    # either order, on every primitive: on compiled kernels, columns, whole
+    # rows and the integer kernel alike, for a single float point and a batch
     models = [HeisenbergModel(1), HeisenbergModel(2), ComplexHeisenbergModel(), EuclideanModel(2),
               CarnotModel(3, *engel_structure_constants()),
               CarnotModel(2, *heisenberg_structure_constants(2))]
+    mixing = r"do not mix"
     for model in models:
         f = np.random.default_rng(4).uniform(-1.0, 1.0, model.coordinate_dim)
         p, half = model.to_exact(f), model.scale_group.scale(0.5)
-        with pytest.raises(TypeError):
-            f + p
-        for a, b in ((f, p), (p, f)):
-            with pytest.raises(TypeError):
-                model.group_product(a, b)
-            with pytest.raises(TypeError):
-                model.dilate(a, half, b)
-            with pytest.raises(TypeError):
-                model.distance(a, b)
+        for g in (f, np.stack([f, f])):
+            for call in (lambda: g + p, lambda: g - p, lambda: p + g,
+                         lambda: model.group_product(g, p), lambda: model.group_product(p, g),
+                         lambda: model.dilate(g, half, p), lambda: model.dilate(p, half, g),
+                         lambda: model.distance(g, p), lambda: model.distance(p, g),
+                         lambda: model.coordinate_gap(g, p), lambda: model.coordinate_gap(p, g)):
+                with pytest.raises(TypeError, match=mixing):
+                    call()
+        # the gauge takes one point, so it cannot mix: it reads either
+        # arithmetic, and an exact point's gauge is its float value's up to roundoff
+        assert model.homogeneous_norm(f) == pytest.approx(model.homogeneous_norm(p), rel=1e-15)
+        assert model.coordinate_gap(f, f) == model.coordinate_gap(p, p) == 0.0
     cxr = models[2]
     with pytest.raises(TypeError):
         cxr.ambient_dilate(cxr.scale_group.scale(0.5j), cxr.to_exact(np.ones(3)))

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dilatation_lab.core.scales import COMPLEX_UNITS, POSITIVE_REALS as PR
+from dilatation_lab.core.scales import COMPLEX_UNITS, POSITIVE_REALS as PR, RowScale
 from dilatation_lab import models
 from dilatation_lab.errors import ModelError
 from dilatation_lab.models import (
@@ -134,6 +134,25 @@ def test_carnot_step2_reproduces_heisenberg(carnot_h1, heis1):
     for _ in range(50):
         a, b = (rng.uniform(-1, 1, 3) for _ in range(2))
         assert carnot_h1.group_product(a, b).tobytes() == heis1.group_product(a, b).tobytes()
+
+
+def test_each_model_keeps_its_own_rule_for_the_layer_factor():
+    # eps^2 is e * e on H(n) and C x R and e ** 2 on a generic Carnot group; the
+    # two round apart on some scales, and each model keeps its own rule on a
+    # single point (the generated kernel), a batch row (the columns) and under a
+    # per-row scale alike
+    rng = np.random.default_rng(2)
+    e = next(v for v in rng.uniform(0.01, 4.0, 100_000).tolist() if v ** 2 != v * v)
+    y = np.array([0.0, 0.0, 1.0])
+    rules = [(HeisenbergModel(1), e * e), (ComplexHeisenbergModel(), e * e),
+             (CarnotModel(2, *heisenberg_structure_constants(1)), e ** 2)]
+    for model, want in rules:
+        eps = model.scale_group.scale(e)
+        x, X, Y = model.identity(), np.zeros((4, 3)), np.tile(y, (4, 1))
+        per_row = RowScale.of([eps] * 4)
+        centres = [model.dilate(x, eps, y)[2], *model.dilate(X, eps, Y)[:, 2],
+                   *model.dilate(X, per_row, Y)[:, 2], model.ambient_dilate(eps, y)[2]]
+        assert [c.hex() for c in map(float, centres)] == [want.hex()] * 10, model.name
 
 
 def test_carnot_homogeneous_dimension(engel, carnot_h1):
