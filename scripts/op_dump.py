@@ -42,6 +42,14 @@ under a real scale, and on C x R a complex one too, and prints
 
     seed<TAB>primitives<TAB>model#draw<TAB>operation<TAB>output
 
+and their exact counterparts, on the same models and draws turned exact:
+``group_product``, ``distance``, ``homogeneous_norm``, and ``ambient_dilate``
+and ``dilate`` at the exact scales 1, 2^-k (k seeded in 1..12), 3/7, 5/2 and
+-2/3, printing each output's ``repr`` (a point's reduced numerators and
+denominator, a float's shortest round trip) as
+
+    seed<TAB>exact<TAB>model#draw<TAB>operation<TAB>output
+
 Dumps of two source trees compare with ``diff``.
 
 The library is imported from the ``src`` directory next to this script, and
@@ -222,6 +230,23 @@ def dump_primitives(seed: int):
                 print(seed, "primitives", f"{name}#{i}", op, flat(call()), sep="\t")
 
 
+def dump_exact_primitives(seed: int):
+    for name, M in primitive_models().items():
+        rng = np.random.default_rng(seed)
+        for i in range(DRAWS):
+            x, y = (M.to_exact(signed_point(rng, M.coordinate_dim)) for _ in range(2))
+            halving = Fraction(1, 2 ** int(rng.integers(1, 13)))
+            ops = {"group_product": lambda: M.group_product(x, y),
+                   "distance": lambda: M.distance(x, y),
+                   "homogeneous_norm": lambda: M.homogeneous_norm(x)}
+            for value in (Fraction(1), halving, Fraction(3, 7), Fraction(5, 2), Fraction(-2, 3)):
+                eps = Scale(M.scale_group, value)
+                ops[f"ambient_dilate@{value}"] = lambda eps=eps: M.ambient_dilate(eps, x)
+                ops[f"dilate@{value}"] = lambda eps=eps: M.dilate(x, eps, y)
+            for op, call in ops.items():
+                print(seed, "exact", f"{name}#{i}", op, repr(call()), sep="\t")
+
+
 def dump_cli(seed: int):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.csv"
@@ -247,6 +272,7 @@ def main(argv: list[str]) -> int:
         dump_tangent(seed)
         dump_estimate_dx(seed)
         dump_primitives(seed)
+        dump_exact_primitives(seed)
     for seed in [cli_ops.DEFAULT_SEED, *(s for s in seeds if s != cli_ops.DEFAULT_SEED)]:
         dump_cli(seed)
     return 0

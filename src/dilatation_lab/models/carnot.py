@@ -13,15 +13,16 @@ only subadditive up to a constant, which can be estimated empirically.
 
 Every vector group model of the lab is a ``CarnotModel``: Euclidean space is
 step 1 with no brackets, H(n) and C x R are step 2.  The subclasses keep
-their own gauge; on exact points all of them share the integer kernel below,
-``_exact_bracket``, ``_exact_product`` and the expanded ``dilate``.  The
-ambient dilatation is derived, not declared: delta_eps = delta^e_eps, the
-dilatation based at the identity e.
+their own gauge.  The ambient dilatation is derived, not declared:
+delta_eps = delta^e_eps, the dilatation based at the identity e.
 
-The float kernels are generated once per model from its bracket table and
-layer factors (``_compiled_product``): the product, on Python floats for a
-point and on column views for a batch, and for single points the dilate and
-the (-p) . q of a distance.  Euclidean space writes its batch primitives as
+Every kernel is generated once per model, in one ``exec``, from its bracket
+table and layer factors (``_compiled_product``).  On floats: the product, on
+Python floats for a point and on column views for a batch, and for single
+points the dilate, the ambient dilatation and the (-p) . q of a distance.
+On exact points, integer numerators with the table's constants over one
+denominator: the product and the expanded dilate, straight-line code with
+every constant folded in.  Euclidean space writes its batch primitives as
 whole-row numpy arithmetic: the same IEEE operations in the same order.
 """
 
@@ -57,13 +58,14 @@ def _exact_pair(a: ExactPoint, b):
     return a.num, a.den, b.num, b.den
 
 
-def _compiled_product(dim: int, step: int, entries, layer_index, scales):
-    """The float kernels of a bracket table, generated in one ``exec`` as
-    ``dataclasses`` generates methods:
+def _compiled_product(dim: int, step: int, entries, den: int, layer_index, scales) -> dict:
+    """The kernels of a bracket table by name, generated in one ``exec`` as
+    ``dataclasses`` generates methods.  On Python floats:
 
     * ``_product(A, B)``, on Python floats or on the columns of a batch;
-    * ``_inverse_product(X, B)``, (-x) . b on Python floats, for ``distance``;
-    * ``_dilate_point(X, e, Y)``, x . delta_e((-x) . y) on Python floats;
+    * ``_inverse_product(X, B)``, (-x) . b, for ``distance``;
+    * ``_dilate_point(X, e, Y)``, x . delta_e((-x) . y);
+    * ``_ambient_point(e, A)``, delta_e a;
     * ``_scales(e, pow)``, the layer factors, for ``_dilate``.
 
     ``scales[i]`` is layer i's factor as source text in e, and
@@ -72,48 +74,114 @@ def _compiled_product(dim: int, step: int, entries, layer_index, scales):
     is x.  Each coordinate holds only its table's terms: a_k + b_k, then a
     bracket sum from its first term in table order, then a 1/12 term if it
     has a double bracket; a zero sum keeps its IEEE sign, -0.0 + -0.0 stays
-    -0.0 on layer 1."""
+    -0.0 on layer 1.
 
-    def bracket(u, v):
-        # the table's terms of [u, v] per coordinate; a None in v is 0 and drops
-        # its product, as [a, b] does on layer 1, where a graded i < j puts e_i
+    On the integer numerators of exact points each bracket constant is its
+    integer numerator over ``den``, h, and each function builds one point:
+
+    * ``_exact_product(A, da, B, db)``, a + b + [a,b]/2 over 2 h da db on
+      step 2, and + ([a,[a,b]] - [b,[a,b]])/12 over 12 h^2 da^2 db^2 on step 3;
+    * ``_exact_dilate(X, dx, Y, dy, p, q)``, x . delta_eps(x^-1 y) at eps = p/q
+      expanded (x^-1 y = y - x - [x,y]/2 + ...) layer by layer,
+
+        (1-eps) x_1 + eps y_1,
+        (1-eps^2) x_2 + eps^2 y_2 + (eps-eps^2)/2 [x,y],
+        (1-eps^3) x_3 + eps^3 y_3 + ((eps^2-eps^3) [x,y] + (eps-eps^2) [x-y,x_2])/2
+            + (eps (1-eps)^2 [x,[x,y]] - eps^2 (1-eps) [y,[x,y]])/12,
+
+      where x_2 is the layer-2 part of x, over q^step dx dy times 1, 2 h and
+      12 h^2 dx dy on steps 1, 2 and 3."""
+
+    def bracket(u, v, const=3):
+        # the table's terms of [u, v] per coordinate, each constant an entry's
+        # float (3) or integer numerator (4); a None in v is 0 and drops its
+        # product, as [a, b] does on layer 1, where a graded i < j puts e_i
         out = [[] for _ in range(dim)]
-        for i, j, k, c, _ in entries:
+        for entry in entries:
+            i, j, k, c = *entry[:3], entry[const]
             if v[j]:
                 minus = f" - {u[j]} * {v[i]}" if v[i] else ""
                 t = f"({u[i]} * {v[j]}{minus})"
-                out[k].append(t if c == 1.0 else f"{c!r} * {t}")
+                out[k].append(t if c == 1 else f"{c!r} * {t}")
         return [" + ".join(t) for t in out]
 
     def product(u, v):
         # the lines that name the brackets of u . v, and its coordinates
         uv = bracket(u, v)
-        z = [f"z{k}" if t else None for k, t in enumerate(uv)]
         terms = [f"{x} + {y}" + (f" + {w} * 0.5" if w else "") for x, y, w in zip(u, v, z)]
         if step == 3:
             terms = [f"{t} + (({p}) - ({q})) * (1.0 / 12.0)" if p else t
                      for t, p, q in zip(terms, bracket(u, z), bracket(v, z))]
         return [f"{w} = {e}" for w, e in zip(z, uv) if w], terms
 
+    def mul(*factors):
+        # a product's text, its factors of 1 left out
+        return " * ".join(str(f) for f in factors if f != 1)
+
     a, b, x, y, t = ([f"{n}{i}" for i in range(dim)] for n in "abxyt")
+    # the coordinates that [u, v] has terms on, for any u and v
+    z = [f"z{k}" if w else None for k, w in enumerate(bracket(a, b))]
     f = [f"f{i}" for i in layer_index]
+    factors = [f"f{i} = {s}" for i, s in enumerate(scales)]
     lines, terms = product(a, b)
     negate = f"{', '.join(a)} = {', '.join('-' + n for n in x)}"
     inner, scaled = product(a, y)
     outer, result = product(x, t)
+
+    # a . b exactly, over m da db: m (a_k db + b_k da) + s z_k, z = [a, b] over h da db
+    h, ab, xy = den, bracket(a, b, 4), bracket(x, y, 4)
+    m, s, shared = {1: (1, 1, []), 2: (2 * h, 1, []),
+                    3: ("m", "s", [f"s = {6 * h} * da * db", f"m = {2 * h} * s"])}[step]
+    exact = [mul(m, f"({p} * db + {q} * da)") + (f" + {mul(s, w)}" if w else "")
+             for p, q, w in zip(a, b, z)]
+    if step == 3:
+        exact = [f"{n} + db * ({p}) - da * ({q})" if p else n
+                 for n, p, q in zip(exact, bracket(a, z, 4), bracket(b, z, 4))]
+    # delta^x_eps y exactly, over M q^step dx dy with c = p (q - p): coordinate k of
+    # layer i is u_i x_k + v_i y_k + w_i z_k, z = [x, y] over h dx dy, where
+    # u_i = M q^(step-i) (q^i - p^i) dy, v_i = M q^(step-i) p^i dx and
+    # w_i = W q^(step-i) p^(i-2) c, W = M / 2h; step 3 adds the g and c terms
+    M, W, coefficients = {
+        1: (1, 1, ["r = q - p"]),
+        2: (2 * h, 1, ["r = q - p", "c = p * r"]),
+        3: ("n", "w", ["r = q - p", "c = p * r", f"n = {12 * h * h} * dx * dy",
+                       f"w = {6 * h} * dx * dy", f"g = {6 * h} * q * c * dy", "gy = g * dy",
+                       "gx = g * dx", "cy = c * r * dy", "cx = c * p * dx"])}[step]
+    powers = {1: "r", 2: "(q * q - p * p)", 3: "(q * q * q - p * p * p)"}
+    for i in range(1, step + 1):
+        qs, ps = ["q"] * (step - i), ["p"] * i
+        coefficients += [f"u{i} = {mul(M, *qs, powers[i], 'dy')}", f"v{i} = {mul(M, *qs, *ps, 'dx')}",
+                         *([f"w{i} = {mul(W, *qs, *ps[2:], 'c')}"] if i > 1 else [])]
+    dilated = [f"u{i + 1} * {p} + v{i + 1} * {q}" + (f" + w{i + 1} * {w}" if w else "")
+               for i, p, q, w in zip(layer_index, x, y, z)]
+    if step == 3:
+        # g [x-y, x_2] with [x, x_2] over h dx^2, and the /12 terms over h^2 dx^2 dy
+        # and h^2 dx dy^2
+        x2 = [n if i == 1 else None for n, i in zip(x, layer_index)]
+        for g, br in (("+ gy", bracket(x, x2, 4)), ("- gx", bracket(y, x2, 4)),
+                      ("+ cy", bracket(x, z, 4)), ("- cx", bracket(y, z, 4))):
+            dilated = [f"{n} {g} * ({e})" if e else n for n, e in zip(dilated, br)]
     functions = [
         ["def _product(A, B):", f"{', '.join(a)}, = A", f"{', '.join(b)}, = B",
          *lines, f"return [{', '.join(terms)}]"],
         ["def _inverse_product(X, B):", f"{', '.join(x)}, = X", f"{', '.join(b)}, = B",
          negate, *lines, f"return [{', '.join(terms)}]"],
         ["def _dilate_point(X, e, Y):", f"{', '.join(x)}, = X", f"{', '.join(y)}, = Y",
-         negate, *(f"f{i} = {s}" for i, s in enumerate(scales)), *inner,
+         negate, *factors, *inner,
          *(f"{n} = ({c}) * {g}" for n, c, g in zip(t, scaled, f)),
          *outer, f"return [{', '.join(result)}]"],
-        ["def _scales(e, pow=pow):", f"return {', '.join(scales)},"]]
-    namespace = {}
-    exec("\n".join("\n    ".join(source) for source in functions), namespace)
-    return [namespace[n] for n in ("_product", "_inverse_product", "_dilate_point", "_scales")]
+        ["def _ambient_point(e, A):", f"{', '.join(a)}, = A", *factors,
+         f"return [{', '.join(f'{n} * {g}' for n, g in zip(a, f))}]"],
+        ["def _scales(e, pow=pow):", f"return {', '.join(scales)},"],
+        ["def _exact_product(A, da, B, db):", f"{', '.join(a)}, = A", f"{', '.join(b)}, = B",
+         *shared, *(f"{w} = {e}" for w, e in zip(z, ab) if w),
+         f"return ExactPoint([{', '.join(exact)}], {mul(m, 'da', 'db')})"],
+        ["def _exact_dilate(X, dx, Y, dy, p, q):", f"{', '.join(x)}, = X", f"{', '.join(y)}, = Y",
+         *coefficients, *(f"{w} = {e}" for w, e in zip(z, xy) if w),
+         f"return ExactPoint([{', '.join(dilated)}], {mul(M, *['q'] * step, 'dx', 'dy')})"]]
+    kernels = {}
+    exec("\n".join("\n    ".join(source) for source in functions), {"ExactPoint": ExactPoint}, kernels)
+    return kernels
 
 
 class CarnotModel(GroupModel):
@@ -122,27 +190,26 @@ class CarnotModel(GroupModel):
     brackets is a list of entries [i, j, k, c] declaring [e_i, e_j] = ... + c e_k
     with 0-based indices into the full graded basis and c finite.  They add up
     in one table, an entry per pair i < j and output k ([j, i, k, c] adds -c),
-    which the compiled float product and ``_exact_bracket`` both walk, so
-    [a, a] is exactly 0.
+    from which every kernel is generated, with each constant as a float and as
+    an integer numerator over one denominator, so [a, a] is exactly 0.
 
     Points are flat numpy coordinate vectors.  Single float points take the
     kernels compiled from the table at construction, on Python floats: the
-    product, ``dilate`` under a Python ``float`` scale, and (-p) . q, which the
-    gauge ``_norm`` of ``distance`` reads as those floats.  The rest (batches,
-    a point beside a batch, any other scale) takes ``_product`` and
-    ``_dilate`` on the ``columns`` of a point or of an ``(N, dim)`` batch,
-    which ``stack`` makes a point or a batch again; ``_dilate`` also takes a
-    per-row scale, whose value is an ``(N, 1)`` array.  ``LAYER_SCALES``
-    declares each layer's factor once for both paths.  Exact points
-    (``ExactPoint``) take the integer kernel, ``_exact_bracket``,
-    ``_exact_product`` and the expanded ``dilate``, and the gauge
-    ``_exact_norm``.  The group inverse is negation in either arithmetic.  On
-    exact points of every step ``dilate`` is one expanded integer formula,
-    which builds no kernel product, and ``ambient_dilate`` is that formula
-    based at the identity, delta_eps = delta^e_eps.  Subclasses override
-    ``LAYER_SCALES`` and the gauges, C x R ``_dilate`` for its complex scales,
-    and Euclidean space ``_rows_dilate``, ``group_product`` and
-    ``ambient_dilate`` with whole rows.  None overrides the kernels.
+    product, ``dilate`` and ``ambient_dilate`` under a Python ``float`` scale,
+    and (-p) . q, which the gauge ``_norm`` of ``distance`` reads as those
+    floats.  The rest (batches, a point beside a batch, any other scale) takes
+    ``_product`` and ``_dilate`` on the ``columns`` of a point or of an
+    ``(N, dim)`` batch, which ``stack`` makes a point or a batch again;
+    ``_dilate`` also takes a per-row scale, whose value is an ``(N, 1)`` array.
+    ``LAYER_SCALES`` declares each layer's factor once for both paths.  Exact
+    points (``ExactPoint``) take the generated integer kernels
+    ``_exact_product`` and ``_exact_dilate``, each building one point, and the
+    gauge ``_exact_norm``; ``ambient_dilate`` is ``_exact_dilate`` based at the
+    identity, delta_eps = delta^e_eps.  The group inverse is negation in either
+    arithmetic.  Subclasses override ``LAYER_SCALES`` and the gauges, C x R
+    ``_dilate`` for its complex scales, and Euclidean space ``_rows_dilate``,
+    ``group_product`` and ``ambient_dilate`` with whole rows.  None overrides
+    the kernels.
     """
 
     # each layer's dilatation factor as source text in the scale e: Python's
@@ -193,8 +260,8 @@ class CarnotModel(GroupModel):
         self._entries = [(i, j, k, c, n * (self._bracket_den // d))
                          for i, j, k, c, (n, d) in ratios]
         self._layer_index = [int(i) - 1 for i in self.layer_of]
-        self._product, self._inverse_product, self._dilate_point, self._scales = _compiled_product(
-            self.dim, self.step, self._entries, self._layer_index, self.LAYER_SCALES[:self.step])
+        vars(self).update(_compiled_product(self.dim, self.step, self._entries, self._bracket_den,
+                                            self._layer_index, self.LAYER_SCALES[:self.step]))
         self._check_jacobi()
 
     @property
@@ -208,7 +275,7 @@ class CarnotModel(GroupModel):
 
     def group_product(self, a, b):
         if type(a) is ExactPoint:
-            return self._exact_product(a, b)
+            return self._exact_product(*_exact_pair(a, b))
         if type(b) is np.ndarray and a.ndim == b.ndim == 1:
             return np.array(self._product(a.tolist(), b.tolist()))
         return stack(self._product(columns(a), columns(b)))
@@ -217,51 +284,21 @@ class CarnotModel(GroupModel):
         return -a
 
     def ambient_dilate(self, eps: Scale, a):
-        if type(a) is ExactPoint:
-            return self.dilate(ExactPoint((0,) * self.dim), eps, a)
+        e = eps.value
+        if type(a) is ExactPoint:  # delta^e_eps a, from the identity e's numerators
+            return self._exact_dilate((0,) * self.dim, 1, a.num, a.den, *_scale_ratio(e))
+        if type(e) is float and type(a) is np.ndarray and a.ndim == 1:
+            return np.array(self._ambient_point(e, a.tolist()))
         return stack(self._dilate(eps, columns(a)))
 
     def dilate(self, x, eps: Scale, y):
-        """x . delta_eps(x^-1 y); on exact points the expanded form, layer by layer,
-
-            (1-eps) x_1 + eps y_1,
-            (1-eps^2) x_2 + eps^2 y_2 + (eps-eps^2)/2 [x,y],
-            (1-eps^3) x_3 + eps^3 y_3 + ((eps^2-eps^3) [x,y] + (eps-eps^2) [x-y,x_2])/2
-                + (eps (1-eps)^2 [x,[x,y]] - eps^2 (1-eps) [y,[x,y]])/12,
-
-        where x_2 is the layer-2 part of x."""
+        """x . delta_eps(x^-1 y), on exact points in ``_exact_dilate``'s expanded form."""
         if type(x) is not ExactPoint:
             e = eps.value
             if type(e) is float and type(y) is np.ndarray and x.ndim == y.ndim == 1:
                 return np.array(self._dilate_point(x.tolist(), e, y.tolist()))
             return self._rows_dilate(x, eps, y)
-        # with eps = p/q, layers 1 and 2 over the denominator 2 h q^2 dx dy;
-        # [x,y] is 0 on layer 1
-        p, q = _scale_ratio(eps.value)
-        X, dx, Y, dy = _exact_pair(x, y)
-        h, c = self._bracket_den, p * (q - p)
-        s = 2 * h
-        xs = [s * q * (q - p) * dy, s * (q * q - p * p) * dy]
-        ys = [s * q * p * dx, s * p * p * dx]
-        XY = self._exact_bracket(X, Y)
-        terms = zip(self._layer_index, X, Y, XY)
-        if self.step < 3:
-            return ExactPoint([xs[i] * a + ys[i] * b + c * z for i, a, b, z in terms],
-                              s * q * q * dx * dy)
-        # step 3 over 12 h^2 q^3 dx^2 dy^2, which is m times the above; the
-        # last four brackets, the [x-y,x_2] and the /12 terms, are 0 below layer 3
-        m, t = 6 * h * q * dx * dy, 12 * h * h * dx * dy
-        xs = [m * xs[0], m * xs[1], t * (q * q * q - p * p * p) * dy]
-        ys = [m * ys[0], m * ys[1], t * p * p * p * dx]
-        zs = [m * c, m * c, 6 * h * dx * dy * p * c]
-        X2 = [a if i == 1 else 0 for i, a in zip(self._layer_index, X)]
-        br, g = self._exact_bracket, 6 * h * q * c * dy
-        return ExactPoint(
-            [xs[i] * a + ys[i] * b + zs[i] * z + g * (dy * w - dx * v)
-             + c * ((q - p) * dy * u - p * dx * r)
-             for (i, a, b, z), w, v, u, r in zip(terms, br(X, X2), br(Y, X2),
-                                                 br(X, XY), br(Y, XY))],
-            m * s * q * q * dx * dy)
+        return self._exact_dilate(*_exact_pair(x, y), *_scale_ratio(eps.value))
 
     def homogeneous_norm(self, a) -> float:
         if type(a) is ExactPoint:
@@ -332,48 +369,23 @@ class CarnotModel(GroupModel):
     def _exact_norm(self, a) -> float:
         return sup(a.sumsq(sl) ** (0.5 / i) for i, sl in enumerate(self._slices, start=1))
 
-    # --- the exact kernel: integer numerators over one denominator ----------
-
-    def _exact_bracket(self, A, B):
-        out = [0] * self.dim
-        for i, j, k, _, n in self._entries:
-            out[k] += n * (A[i] * B[j] - A[j] * B[i])
-        return out
-
     def _check_jacobi(self):
         # the double brackets of integer basis vectors are integers over h^2,
         # held to JACOBI_TOL = tn / td exactly
+        def br(A, B):
+            out = [0] * self.dim
+            for i, j, k, _, n in self._entries:
+                out[k] += n * (A[i] * B[j] - A[j] * B[i])
+            return out
+
         tn, td = JACOBI_TOL.as_integer_ratio()
         bound = tn * self._bracket_den ** 2
         basis = np.eye(self.dim, dtype=int).tolist()
-        br = self._exact_bracket
         for i, j, k in itertools.combinations(range(self.dim), 3):
             a, b, c = basis[i], basis[j], basis[k]
             res = [x + y + z for x, y, z in zip(br(a, br(b, c)), br(b, br(c, a)), br(c, br(a, b)))]
             if any(abs(r) * td > bound for r in res):
                 raise ModelError(f"Jacobi identity fails on basis triple ({i},{j},{k})")
-
-    def _exact_product(self, a: ExactPoint, b: ExactPoint) -> ExactPoint:
-        A, da, B, db = _exact_pair(a, b)
-        if self.step == 1:
-            if da == db:
-                return ExactPoint([x + y for x, y in zip(A, B)], da)
-            return ExactPoint([x * db + y * da for x, y in zip(A, B)], da * db)
-        h = self._bracket_den
-        AB = self._exact_bracket(A, B)
-        if self.step == 2:
-            # a + b + [a,b]/2 over the denominator 2 h da db
-            s = 2 * h
-            return ExactPoint([s * (x * db + y * da) + z for x, y, z in zip(A, B, AB)],
-                              s * da * db)
-        # a + b + [a,b]/2 + ([a,[a,b]] - [b,[a,b]])/12 over 12 h^2 da^2 db^2
-        s = 6 * h * da * db
-        t = 2 * h * s
-        return ExactPoint(
-            [t * (x * db + y * da) + s * z + db * p - da * q
-             for x, y, z, p, q in zip(A, B, AB, self._exact_bracket(A, AB),
-                                      self._exact_bracket(B, AB))],
-            t * da * db)
 
     def subadditivity_constant(self, samples: int = 200, seed: int = 0) -> float:
         """Empirical sup of |a.b| / (|a| + |b|) over a seeded sample.

@@ -10,7 +10,7 @@ import math
 
 from dilatation_lab.core.scales import Scale
 from dilatation_lab.models.base import ExactPoint, dot_square, is_integer, row_length
-from dilatation_lab.models.carnot import CarnotModel
+from dilatation_lab.models.carnot import CarnotModel, _exact_pair
 
 
 class EuclideanModel(CarnotModel):
@@ -29,7 +29,7 @@ class EuclideanModel(CarnotModel):
 
     def group_product(self, a, b):
         if type(a) is ExactPoint:
-            return self._exact_product(a, b)
+            return self._exact_product(*_exact_pair(a, b))
         return a + b
 
     def ambient_dilate(self, eps: Scale, a):

@@ -13,7 +13,11 @@ from dilatation_lab.models import (
 from dilatation_lab.models.base import columns, stack
 from dilatation_lab.models.carnot import _compiled_product
 
+from conftest import STEP3_HALF
 from test_capabilities import CASES
+
+KERNELS = {"_product", "_inverse_product", "_dilate_point", "_ambient_point", "_scales",
+           "_exact_product", "_exact_dilate"}
 
 PACKAGE = Path(dilatation_lab.__file__).parent
 
@@ -43,12 +47,23 @@ def _code(f):
     return c.co_code, c.co_consts, c.co_names, c.co_varnames
 
 
-def _operators(code):
-    """The binary operators of a code object and of the code nested in it."""
-    yield from (i.argrepr for i in dis.get_instructions(code) if i.opname == "BINARY_OP")
+def _nested(code):
+    """A code object and every code object nested in it."""
+    yield code
     for const in code.co_consts:
         if hasattr(const, "co_code"):
-            yield from _operators(const)
+            yield from _nested(const)
+
+
+def _operators(code):
+    """The binary operators of a code object and of the code nested in it."""
+    return [i.argrepr for c in _nested(code) for i in dis.get_instructions(c)
+            if i.opname == "BINARY_OP"]
+
+
+def _names(code):
+    """The names a code object and the code nested in it read."""
+    return {name for c in _nested(code) for name in c.co_names}
 
 
 def _library_subclasses(cls):
@@ -60,26 +75,39 @@ def _library_subclasses(cls):
 
 def test_no_second_copy_of_a_models_algebra():
     # every Carnot model of the capability table, and each one a structure
-    # there is built on, and H(n) for every n, holds the float kernels generated
-    # from its bracket table and its one declaration of the layer factors (the
-    # product, (-p) . q, the single-point dilate and the factors that _dilate
-    # reads), writing no zero term the table does not have and no product by a
-    # constant 1.0
+    # there is built on, and H(n) for every n, holds the kernels generated from
+    # its bracket table and its one declaration of the layer factors: on floats
+    # the product, (-p) . q, the single-point dilate and ambient dilatation and
+    # the factors that _dilate reads, and on exact points the integer product
+    # and dilate; none writes a zero term the table does not have, nor a product
+    # by a constant 1
     structures = [make() for make, *_ in CASES.values()]
     models = [m for s in structures for m in (s, getattr(s, "base", None))
               if isinstance(m, CarnotModel)]
     models += [HeisenbergModel(2), HeisenbergModel(3),
-               CarnotModel(2, *heisenberg_structure_constants(2))]
+               CarnotModel(2, *heisenberg_structure_constants(2)), CarnotModel(3, *STEP3_HALF)]
     assert any(isinstance(m, EuclideanModel) for m in models)
     for model in models:
-        fresh = _compiled_product(model.dim, model.step, model._entries, model._layer_index,
-                                  model.LAYER_SCALES[:model.step])
-        kernels = [model._product, model._inverse_product, model._dilate_point, model._scales]
-        assert len(fresh) == len(kernels), model.name
-        for kernel, compiled in zip(kernels, fresh):
-            assert _code(kernel) == _code(compiled), (model.name, compiled.__name__)
+        fresh = _compiled_product(model.dim, model.step, model._entries, model._bracket_den,
+                                  model._layer_index, model.LAYER_SCALES[:model.step])
+        assert set(fresh) == KERNELS, model.name
+        for name, compiled in fresh.items():
+            assert _code(getattr(model, name)) == _code(compiled), (model.name, name)
             consts = compiled.__code__.co_consts
-            assert 0.0 not in consts and 1.0 not in consts, (model.name, compiled.__name__)
+            assert 0.0 not in consts and 1.0 not in consts, (model.name, name)
+    # the generated kernels are the only BCH formulas: exact points reach them
+    # through dilate and group_product, which compute nothing themselves, and
+    # outside the generator only the Jacobi check reads the table, with a bracket
+    # of its own for basis vectors
+    for method, kernel in ((CarnotModel.dilate, "_exact_dilate"),
+                           (CarnotModel.group_product, "_exact_product")):
+        assert kernel in method.__code__.co_names
+        assert "_exact_bracket" not in method.__code__.co_names
+        assert not set(_operators(method.__code__)), method.__name__
+    readers = {(cls.__name__, name) for cls in (CarnotModel, *_library_subclasses(CarnotModel))
+               for name, f in vars(cls).items() if hasattr(f, "__code__")
+               if {"_entries", "_bracket_den", "_exact_bracket"} & _names(f.__code__)}
+    assert readers == {("CarnotModel", "__init__"), ("CarnotModel", "_check_jacobi")}
     # the layer factors have one declaration, LAYER_SCALES, which _dilate reads
     # through the generated _scales and raises to no power of its own
     assert "_scales" in CarnotModel._dilate.__code__.co_names

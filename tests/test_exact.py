@@ -6,6 +6,7 @@ written out over ``Fraction`` so that they share no code with the kernel.
 """
 
 import math
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -21,6 +22,7 @@ from dilatation_lab.errors import DomainViolation
 from dilatation_lab.models import (
     CarnotModel, ComplexHeisenbergModel, EuclideanModel, ExactPoint, HeisenbergModel,
     engel_structure_constants, heisenberg_structure_constants)
+from dilatation_lab.models import carnot
 
 from conftest import STEP3_HALF
 
@@ -102,6 +104,12 @@ def _scale(model, value):
     return Scale(model.scale_group, value)
 
 
+def _dilate_by_definition(product, degrees, a, b, s):
+    """x . delta_s(x^-1 y) over Fractions, from the group law and the layer degrees."""
+    moved = product([-c for c in a], b)
+    return product(a, [s ** d * c for d, c in zip(degrees, moved)])
+
+
 @pytest.mark.parametrize("model,product,degrees", MODELS, ids=IDS)
 def test_special_scales_dilate_exactly(model, product, degrees):
     a = [F(c) for c in np.linspace(-0.7, 0.9, model.coordinate_dim)]
@@ -126,9 +134,7 @@ def test_exact_primitives_match_fraction_formulas(model, product, degrees):
         # x . delta_eps(x^-1 y) from the definition, against the expanded form
         for s in (e, *SPECIAL_SCALES):
             eps = _scale(model, s)
-            moved = product([-c for c in a], b)
-            _check(model.dilate(ea, eps, eb),
-                   product(a, [s ** d * c for d, c in zip(degrees, moved)]))
+            _check(model.dilate(ea, eps, eb), _dilate_by_definition(product, degrees, a, b, s))
             assert model.dilate(ea, eps, eb) == model.group_product(
                 ea, model.ambient_dilate(eps, model.group_product(model.group_inverse(ea), eb)))
 
@@ -246,16 +252,42 @@ def test_exact_dilate_builds_one_point(model, product, degrees, monkeypatch):
         made[0] += 1
         init(self, *args)
 
-    def refuse(self, *args):
+    def refuse(*args):
         raise AssertionError("an exact dilate composed kernel calls")
 
     monkeypatch.setattr(ExactPoint, "__init__", counting)
-    monkeypatch.setattr(CarnotModel, "_exact_product", refuse)
+    # the generated product is the model's own attribute, so it is refused there
+    monkeypatch.setattr(model, "_exact_product", refuse)
     for e in (F(1), *SPECIAL_SCALES):
         made[0] = 0
         model.dilate(x, _scale(model, e), y)
         assert made[0] == 1, e
         assert model.ambient_dilate(_scale(model, e), y) == model.dilate(neutral, _scale(model, e), y)
+
+
+def test_a_step3_dilate_over_12h_for_12h_squared_fails_where_h_is_2(monkeypatch):
+    # a generator whose step-3 dilatation folds 12 h in place of 12 h^2 into its
+    # denominator agrees with the definition where the constants are integers
+    # (h = 1, Engel) and fails on STEP3_HALF, whose constant 1/2 makes h = 2
+    generate = exec
+
+    def mutant(source, *namespaces):
+        # n = 12 h^2 dx dy names the denominator's constant; the mutant divides it by h
+        h = math.isqrt(int(re.search(r"n = (\d+) \* dx \* dy", source)[1]) // 12)
+        source, found = re.subn(r"\], n \* ", f"], n // {h} * ", source)
+        assert found == 1
+        generate(source, *namespaces)
+
+    monkeypatch.setattr(carnot, "exec", mutant, raising=False)
+    eps = F(3, 7)
+    for constants, product, degrees, agrees in (
+            (engel_structure_constants(), _step3_product(_engel_bracket), [1, 1, 2, 3], True),
+            (STEP3_HALF, _step3_product(_half_bracket), [1, 1, 2, 3, 3], False)):
+        model = CarnotModel(3, *constants)
+        x, y = np.random.default_rng(2).uniform(-1.0, 1.0, (2, model.dim))
+        got = model.dilate(model.to_exact(x), _scale(model, eps), model.to_exact(y))
+        want = _dilate_by_definition(product, degrees, [F(c) for c in x], [F(c) for c in y], eps)
+        assert (_fractions(got) == want) is agrees, model.name
 
 
 # an exact dilate is one expanded formula on every step, so the sweeps meet
