@@ -38,7 +38,10 @@ Last, it reads the single-point float primitives ``group_product``,
 ``coordinate_gap`` of six group models (Euclid-2d, H(1), H(2), Engel, C x R
 and a generic Carnot group with a fractional constant) at 20 seeded draws of
 x, y each, coordinates of magnitude 1e-9 to 1e3 with signed zeros among them,
-under a real scale, and on C x R a complex one too, and prints
+under a real scale, and on C x R a complex one too, and ``ambient_dilate`` and
+``dilate`` under a per-row scale of four seeded real values that are not powers
+of two (drawn from a second generator, so the other draws stay as they were),
+and prints
 
     seed<TAB>primitives<TAB>model#draw<TAB>operation<TAB>output
 
@@ -61,6 +64,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import sys
 import tempfile
 import warnings
@@ -74,7 +78,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from dilatation_lab import cli  # noqa: E402
-from dilatation_lab.core.scales import Scale  # noqa: E402
+from dilatation_lab.core.scales import RowScale, Scale  # noqa: E402
 from dilatation_lab.core.structure import DilatationStructure, estimate_dx  # noqa: E402
 from dilatation_lab.emergent import InducedStructure, tangent_space  # noqa: E402
 from dilatation_lab.models import (  # noqa: E402
@@ -210,20 +214,26 @@ def signed_point(rng, dim: int) -> np.ndarray:
     return p
 
 
+def row_values(rng) -> list:
+    """Four seeded real scales in [0.05, 4), none a power of two (mantissa 1/2)."""
+    return [v for v in rng.uniform(0.05, 4.0, 16).tolist() if math.frexp(v)[0] != 0.5][:4]
+
+
 def dump_primitives(seed: int):
     for name, M in primitive_models().items():
-        rng = np.random.default_rng(seed)
+        rng, rows = np.random.default_rng(seed), np.random.default_rng([seed, 1])
         for i in range(DRAWS):
             x, y = signed_point(rng, M.coordinate_dim), signed_point(rng, M.coordinate_dim)
-            scales = {"": float(rng.uniform(0.05, 4.0))}
+            sg = M.scale_group
+            scales = {"": sg.scale(float(rng.uniform(0.05, 4.0)))}
             if isinstance(M, ComplexHeisenbergModel):
-                scales["@complex"] = complex(*rng.uniform(-2.0, 2.0, 2))
+                scales["@complex"] = sg.scale(complex(*rng.uniform(-2.0, 2.0, 2)))
+            scales["@rows"] = RowScale.of([sg.scale(v) for v in row_values(rows)])
             ops = {"group_product": lambda: M.group_product(x, y),
                    "distance": lambda: M.distance(x, y),
                    "homogeneous_norm": lambda: M.homogeneous_norm(x),
                    "coordinate_gap": lambda: M.coordinate_gap(x, y)}
-            for tag, value in scales.items():
-                eps = M.scale_group.scale(value)
+            for tag, eps in scales.items():
                 ops["ambient_dilate" + tag] = lambda eps=eps: M.ambient_dilate(eps, x)
                 ops["dilate" + tag] = lambda eps=eps: M.dilate(x, eps, y)
             for op, call in ops.items():

@@ -262,21 +262,20 @@ class CollinearTriple:
         return float(self.alpha / (1 - self.alpha * self.beta))
 
 
-def collinear_triple_from_ratio(M: GroupModel, x, y, alpha: float, beta: float,
-                                N: int = 64) -> CollinearTriple:
+def collinear_triple_from_ratio(M: GroupModel, x, y, alpha: float, beta: float) -> CollinearTriple:
     """Construct the unique triple over (x^alpha, y^beta) via the ratio function."""
     sg = M.scale_group
-    z = ratio_point(M, x, y, sg.scale(alpha), sg.scale(beta), N)
+    z = ratio_point(M, x, y, sg.scale(alpha), sg.scale(beta))
     return CollinearTriple(x, y, z, alpha, beta)
 
 
 def check_collinear(S: DilatationStructure, triple: CollinearTriple,
-                    probes=None, seed: int = 0) -> ConvergenceReport:
+                    probes=None) -> ConvergenceReport:
     """Identity defect of delta^x_alpha delta^y_beta delta^z_gamma on probe points."""
     sg = S.scale_group
     a, b, g = sg.scale(triple.alpha), sg.scale(triple.beta), sg.scale(triple.gamma)
     if probes is None:
-        probes = probe_points(S, triple.x, S.closeness_budget(), seed)
+        probes = probe_points(S, triple.x, S.closeness_budget())
     defects = [S.distance(S.dilate(triple.x, a, S.dilate(triple.y, b, S.dilate(triple.z, g, p))), p)
                for p in probes]
     # reports are scale-indexed; an identity check is scale-free, so wrap the
@@ -383,7 +382,7 @@ def distance_estimates_check(S: DilatationStructure, x, y, eps: Scale,
 # ---------------------------------------------------------------------------
 
 def counterexample_check(M: ComplexHeisenbergModel, eps: float, Y, probes=None,
-                         seed: int = 0, flip: bool = True) -> ConvergenceReport:
+                         flip: bool = True) -> ConvergenceReport:
     """Composite dilatations on C x R with nu(eps mu) = 1.
 
     With mu = -1/eps (so eps mu = -1) the composite delta^X_eps delta^Y_mu,
@@ -405,7 +404,7 @@ def counterexample_check(M: ComplexHeisenbergModel, eps: float, Y, probes=None,
         raise DomainViolation("the construction needs a real eps in (0,1)")
     sg = M.scale_group
     if probes is None:
-        probes = probe_points(M, M.identity(), 1.0, seed)
+        probes = probe_points(M, M.identity(), 1.0)
 
     (y, neutral, *us), (e,), _ = exactify(M, [Y, M.identity(), *probes], [sg.scale(eps)])
     mu = Scale(sg, -1 / e.value if flip else 1 / e.value)
@@ -432,7 +431,7 @@ def counterexample_check(M: ComplexHeisenbergModel, eps: float, Y, probes=None,
 # ---------------------------------------------------------------------------
 
 def geometric_affinity_check(S: DilatationStructure, T, triple_samples,
-                             probes=None, seed: int = 0) -> ConvergenceReport:
+                             probes=None) -> ConvergenceReport:
     """Does T preserve collinear triples with their exponents?
 
     For each sampled triple the image triple ((Tx)^a, (Ty)^b, (Tz)^g) is run
@@ -446,7 +445,7 @@ def geometric_affinity_check(S: DilatationStructure, T, triple_samples,
     for triple in triple_samples:
         image = CollinearTriple(T(triple.x), T(triple.y), T(triple.z),
                                 triple.alpha, triple.beta)
-        rep = check_collinear(S, image, probes=probes, seed=seed)
+        rep = check_collinear(S, image, probes=probes)
         defects.append(rep.defect[0])
         pts.append((triple.x, triple.y))
     sg = S.scale_group

@@ -90,10 +90,10 @@ def _trend(values, floor, last_ok=True) -> list:
     return [*checks[:-1], *(ok and last_ok for ok in checks[-1:])]
 
 
-def nonincreasing(defects, floor: float = DEFECT_FLOOR) -> Verdict:
+def nonincreasing(defects) -> Verdict:
     """No value grows by more than the jitter factor; a NaN fails.  Values at or below
-    the floor count as zero, so roundoff wiggle in an exact identity does not fail."""
-    return _first_break("nonincreasing", _trend(defects, floor))
+    DEFECT_FLOOR count as zero, so roundoff wiggle in an exact identity does not fail."""
+    return _first_break("nonincreasing", _trend(defects, DEFECT_FLOOR))
 
 
 def settles(increments) -> Verdict:

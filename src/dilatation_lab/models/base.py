@@ -22,8 +22,9 @@ single point would.  The helpers below keep that so: products that are
 written coordinate by coordinate run on Python floats for a single point and
 on column views for a batch; dot products go through ``np.vecdot`` for rows
 and ``np.dot`` for single points, summed from +0.0 either way; fractional
-powers, and the integer powers of a per-row scale, use Python's ``**`` per
-element, which ``np.power`` does not match.
+powers use Python's ``**`` per element, which ``np.power`` does not match.
+Layer factors are products, never powers, so a per-row scale takes them as a
+single point does.
 """
 
 from __future__ import annotations

@@ -7,9 +7,10 @@ nilpotent brackets; through step three it is exactly
 
     a . b = a + b + [a,b]/2 + [a,[a,b]]/12 - [b,[a,b]]/12.
 
-Dilatations act as eps^i on the i-th layer.  The shipped homogeneous gauge
-is the max-type quasi-norm max_i |a_i|^{1/i}; it is exactly homogeneous but
-only subadditive up to a constant, which can be estimated empirically.
+Dilatations act as eps^i, the product eps * ... * eps, on the i-th layer of
+every model.  The shipped homogeneous gauge is the max-type quasi-norm
+max_i |a_i|^{1/i}; it is exactly homogeneous but only subadditive up to a
+constant, which can be estimated empirically.
 
 Every vector group model of the lab is a ``CarnotModel``: Euclidean space is
 step 1 with no brackets, H(n) and C x R are step 2.  The subclasses keep
@@ -17,13 +18,14 @@ their own gauge.  The ambient dilatation is derived, not declared:
 delta_eps = delta^e_eps, the dilatation based at the identity e.
 
 Every kernel is generated once per model, in one ``exec``, from its bracket
-table and layer factors (``_compiled_product``).  On floats: the product, on
-Python floats for a point and on column views for a batch, and for single
-points the dilate, the ambient dilatation and the (-p) . q of a distance.
-On exact points, integer numerators with the table's constants over one
-denominator: the product and the expanded dilate, straight-line code with
-every constant folded in.  Euclidean space writes its batch primitives as
-whole-row numpy arithmetic: the same IEEE operations in the same order.
+table and step (``_compiled_product``).  On floats: the product, on Python
+floats for a point and on column views for a batch, the layer factors e,
+e * e and e * e * e, and for single points the dilate and the (-p) . q of a
+distance.  On exact points, integer numerators with the table's constants
+over one denominator: the product and the expanded dilate, straight-line
+code with every constant folded in.  Euclidean space writes its batch
+primitives as whole-row numpy arithmetic: the same IEEE operations in the
+same order.
 """
 
 from __future__ import annotations
@@ -58,18 +60,19 @@ def _exact_pair(a: ExactPoint, b):
     return a.num, a.den, b.num, b.den
 
 
-def _compiled_product(dim: int, step: int, entries, den: int, layer_index, scales) -> dict:
+def _compiled_product(dim: int, step: int, entries, den: int, layer_index) -> dict:
     """The kernels of a bracket table by name, generated in one ``exec`` as
     ``dataclasses`` generates methods.  On Python floats:
 
     * ``_product(A, B)``, on Python floats or on the columns of a batch;
     * ``_inverse_product(X, B)``, (-x) . b, for ``distance``;
     * ``_dilate_point(X, e, Y)``, x . delta_e((-x) . y);
-    * ``_ambient_point(e, A)``, delta_e a;
-    * ``_scales(e, pow)``, the layer factors, for ``_dilate``.
+    * ``_scales(e)``, the layer factors, for ``_dilate``.
 
-    ``scales[i]`` is layer i's factor as source text in e, and
-    ``layer_index`` each coordinate's layer.  Each constant is its ``repr``,
+    Layer i's factor is e^i written as products, e, e * e and e * e * e, the
+    one rule of every model: a product rounds alike on a Python float and on
+    each element of a numpy column, so a per-row scale takes the same text.
+    ``layer_index`` is each coordinate's layer.  Each constant is its ``repr``,
     which reads back as the same float, and a 1.0 is left out, since 1.0 * x
     is x.  Each coordinate holds only its table's terms: a_k + b_k, then a
     bracket sum from its first term in table order, then a 1/12 term if it
@@ -122,6 +125,7 @@ def _compiled_product(dim: int, step: int, entries, den: int, layer_index, scale
     # the coordinates that [u, v] has terms on, for any u and v
     z = [f"z{k}" if w else None for k, w in enumerate(bracket(a, b))]
     f = [f"f{i}" for i in layer_index]
+    scales = [" * ".join(["e"] * i) for i in range(1, step + 1)]
     factors = [f"f{i} = {s}" for i, s in enumerate(scales)]
     lines, terms = product(a, b)
     negate = f"{', '.join(a)} = {', '.join('-' + n for n in x)}"
@@ -170,9 +174,7 @@ def _compiled_product(dim: int, step: int, entries, den: int, layer_index, scale
          negate, *factors, *inner,
          *(f"{n} = ({c}) * {g}" for n, c, g in zip(t, scaled, f)),
          *outer, f"return [{', '.join(result)}]"],
-        ["def _ambient_point(e, A):", f"{', '.join(a)}, = A", *factors,
-         f"return [{', '.join(f'{n} * {g}' for n, g in zip(a, f))}]"],
-        ["def _scales(e, pow=pow):", f"return {', '.join(scales)},"],
+        ["def _scales(e):", f"return {', '.join(scales)},"],
         ["def _exact_product(A, da, B, db):", f"{', '.join(a)}, = A", f"{', '.join(b)}, = B",
          *shared, *(f"{w} = {e}" for w, e in zip(z, ab) if w),
          f"return ExactPoint([{', '.join(exact)}], {mul(m, 'da', 'db')})"],
@@ -194,28 +196,22 @@ class CarnotModel(GroupModel):
     an integer numerator over one denominator, so [a, a] is exactly 0.
 
     Points are flat numpy coordinate vectors.  Single float points take the
-    kernels compiled from the table at construction, on Python floats: the
-    product, ``dilate`` and ``ambient_dilate`` under a Python ``float`` scale,
-    and (-p) . q, which the gauge ``_norm`` of ``distance`` reads as those
-    floats.  The rest (batches, a point beside a batch, any other scale) takes
-    ``_product`` and ``_dilate`` on the ``columns`` of a point or of an
+    kernels compiled from the table at construction, on Python floats:
+    ``dilate`` under a Python ``float`` scale, and (-p) . q, which the gauge
+    ``_norm`` of ``distance`` reads as those floats.  The rest (products,
+    ambient dilatations, batches, a point beside a batch, any other scale)
+    takes ``_product`` and ``_dilate`` on the ``columns`` of a point or of an
     ``(N, dim)`` batch, which ``stack`` makes a point or a batch again;
-    ``_dilate`` also takes a per-row scale, whose value is an ``(N, 1)`` array.
-    ``LAYER_SCALES`` declares each layer's factor once for both paths.  Exact
-    points (``ExactPoint``) take the generated integer kernels
-    ``_exact_product`` and ``_exact_dilate``, each building one point, and the
-    gauge ``_exact_norm``; ``ambient_dilate`` is ``_exact_dilate`` based at the
-    identity, delta_eps = delta^e_eps.  The group inverse is negation in either
-    arithmetic.  Subclasses override ``LAYER_SCALES`` and the gauges, C x R
-    ``_dilate`` for its complex scales, and Euclidean space ``_rows_dilate``,
-    ``group_product`` and ``ambient_dilate`` with whole rows.  None overrides
-    the kernels.
+    ``_dilate`` also takes a per-row scale, whose value is an ``(N, 1)`` array,
+    with the same generated layer factors.  Exact points (``ExactPoint``) take
+    the generated integer kernels ``_exact_product`` and ``_exact_dilate``,
+    each building one point, and the gauge ``_exact_norm``; ``ambient_dilate``
+    is ``_exact_dilate`` based at the identity, delta_eps = delta^e_eps.  The
+    group inverse is negation in either arithmetic.  Subclasses override the
+    gauges, C x R ``_dilate`` for its complex scales, and Euclidean space
+    ``_rows_dilate``, ``group_product`` and ``ambient_dilate`` with whole rows.
+    None overrides the kernels.
     """
-
-    # each layer's dilatation factor as source text in the scale e: Python's
-    # e ** k, written pow(e, k) so that a per-row scale takes it per element
-    # (power), as numpy's power does not round it; layer 1 is e, e ** 1's value
-    LAYER_SCALES = ("e", "pow(e, 2)", "pow(e, 3)")
 
     def __init__(self, step: int, layers, brackets):
         if not is_integer(step) or step not in (1, 2, 3):
@@ -261,7 +257,7 @@ class CarnotModel(GroupModel):
                          for i, j, k, c, (n, d) in ratios]
         self._layer_index = [int(i) - 1 for i in self.layer_of]
         vars(self).update(_compiled_product(self.dim, self.step, self._entries, self._bracket_den,
-                                            self._layer_index, self.LAYER_SCALES[:self.step]))
+                                            self._layer_index))
         self._check_jacobi()
 
     @property
@@ -276,19 +272,14 @@ class CarnotModel(GroupModel):
     def group_product(self, a, b):
         if type(a) is ExactPoint:
             return self._exact_product(*_exact_pair(a, b))
-        if type(b) is np.ndarray and a.ndim == b.ndim == 1:
-            return np.array(self._product(a.tolist(), b.tolist()))
         return stack(self._product(columns(a), columns(b)))
 
     def group_inverse(self, a):
         return -a
 
     def ambient_dilate(self, eps: Scale, a):
-        e = eps.value
         if type(a) is ExactPoint:  # delta^e_eps a, from the identity e's numerators
-            return self._exact_dilate((0,) * self.dim, 1, a.num, a.den, *_scale_ratio(e))
-        if type(e) is float and type(a) is np.ndarray and a.ndim == 1:
-            return np.array(self._ambient_point(e, a.tolist()))
+            return self._exact_dilate((0,) * self.dim, 1, a.num, a.den, *_scale_ratio(eps.value))
         return stack(self._dilate(eps, columns(a)))
 
     def dilate(self, x, eps: Scale, y):
@@ -348,9 +339,8 @@ class CarnotModel(GroupModel):
 
     def _dilate(self, eps: Scale, A):
         e = eps.value
-        # an (N, 1) per-row scale takes its layer factors per row, a pow as
-        # Python's ** per element
-        f = self._scales(e[:, 0], power) if isinstance(e, np.ndarray) else self._scales(e)
+        # an (N, 1) per-row scale takes its layer factors per row
+        f = self._scales(e[:, 0] if isinstance(e, np.ndarray) else e)
         return [a * f[i] for a, i in zip(A, self._layer_index)]
 
     def _norm(self, a) -> float:

@@ -32,9 +32,6 @@ class ComplexHeisenbergModel(CarnotModel):
         self.scale_group = COMPLEX_UNITS
         self.name = "complex-heisenberg"
 
-    # a real scale as on H(1); a complex one rotates the plane in _dilate
-    LAYER_SCALES = ("e", "e * e")
-
     def _dilate(self, eps: Scale, A):
         e = eps.value
         if not (isinstance(e, complex) or isinstance(e, np.ndarray) and e.dtype.kind == "c"):

@@ -26,10 +26,6 @@ def cygan_gauge(planar: float, center: float) -> float:
 class HeisenbergModel(CarnotModel):
     """H(n) on R^{2n+1}, coordinates [x_1..x_{2n}, xbar], with the Cygan gauge."""
 
-    # delta_eps(x, xbar) = (eps x, eps^2 xbar), with eps^2 as the product e * e,
-    # which rounds apart from CarnotModel's e ** 2
-    LAYER_SCALES = ("e", "e * e")
-
     def __init__(self, n: int):
         if not is_integer(n) or n < 1:
             raise ValueError(f"Heisenberg index n must be an integer of at least 1, got {n!r}")

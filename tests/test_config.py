@@ -16,8 +16,8 @@ from dilatation_lab.models.carnot import _compiled_product
 from conftest import STEP3_HALF
 from test_capabilities import CASES
 
-KERNELS = {"_product", "_inverse_product", "_dilate_point", "_ambient_point", "_scales",
-           "_exact_product", "_exact_dilate"}
+# the five point kernels a model compiles from its table, beside _scales, its layer factors
+KERNELS = {"_product", "_inverse_product", "_dilate_point", "_exact_product", "_exact_dilate"}
 
 PACKAGE = Path(dilatation_lab.__file__).parent
 
@@ -76,11 +76,10 @@ def _library_subclasses(cls):
 def test_no_second_copy_of_a_models_algebra():
     # every Carnot model of the capability table, and each one a structure
     # there is built on, and H(n) for every n, holds the kernels generated from
-    # its bracket table and its one declaration of the layer factors: on floats
-    # the product, (-p) . q, the single-point dilate and ambient dilatation and
-    # the factors that _dilate reads, and on exact points the integer product
-    # and dilate; none writes a zero term the table does not have, nor a product
-    # by a constant 1
+    # its bracket table and its step: on floats the product, (-p) . q, the
+    # single-point dilate and the layer factors that _dilate reads, and on exact
+    # points the integer product and dilate; none writes a zero term the table
+    # does not have, nor a product by a constant 1, nor calls a power
     structures = [make() for make, *_ in CASES.values()]
     models = [m for s in structures for m in (s, getattr(s, "base", None))
               if isinstance(m, CarnotModel)]
@@ -89,12 +88,14 @@ def test_no_second_copy_of_a_models_algebra():
     assert any(isinstance(m, EuclideanModel) for m in models)
     for model in models:
         fresh = _compiled_product(model.dim, model.step, model._entries, model._bracket_den,
-                                  model._layer_index, model.LAYER_SCALES[:model.step])
-        assert set(fresh) == KERNELS, model.name
+                                  model._layer_index)
+        assert set(fresh) == KERNELS | {"_scales"}, model.name
         for name, compiled in fresh.items():
             assert _code(getattr(model, name)) == _code(compiled), (model.name, name)
             consts = compiled.__code__.co_consts
             assert 0.0 not in consts and 1.0 not in consts, (model.name, name)
+            assert not {"pow", "power"} & _names(compiled.__code__), (model.name, name)
+            assert not {"**", "**="} & set(_operators(compiled.__code__)), (model.name, name)
     # the generated kernels are the only BCH formulas: exact points reach them
     # through dilate and group_product, which compute nothing themselves, and
     # outside the generator only the Jacobi check reads the table, with a bracket
@@ -108,13 +109,15 @@ def test_no_second_copy_of_a_models_algebra():
                for name, f in vars(cls).items() if hasattr(f, "__code__")
                if {"_entries", "_bracket_den", "_exact_bracket"} & _names(f.__code__)}
     assert readers == {("CarnotModel", "__init__"), ("CarnotModel", "_check_jacobi")}
-    # the layer factors have one declaration, LAYER_SCALES, which _dilate reads
-    # through the generated _scales and raises to no power of its own
+    # the layer factors are written once, by the generator from the step, and
+    # _dilate reads them through the generated _scales: no class declares its
+    # own, and no _dilate raises to a power or calls one
     assert "_scales" in CarnotModel._dilate.__code__.co_names
-    assert not {"**", "**="} & set(_operators(CarnotModel._dilate.__code__))
-    declared = {cls.__name__: "LAYER_SCALES" in vars(cls) for cls in _library_subclasses(CarnotModel)}
-    assert declared == {"HeisenbergModel": True, "ComplexHeisenbergModel": True,
-                        "EuclideanModel": False}
+    carnot_classes = (CarnotModel, *_library_subclasses(CarnotModel))
+    assert not [cls.__name__ for cls in carnot_classes if "LAYER_SCALES" in vars(cls)]
+    for dilate in (vars(cls)["_dilate"] for cls in carnot_classes if "_dilate" in vars(cls)):
+        assert not {"pow", "power"} & _names(dilate.__code__), dilate.__qualname__
+        assert not {"**", "**="} & set(_operators(dilate.__code__)), dilate.__qualname__
     # only C x R keeps a _dilate, for its complex scales, and only Euclidean space
     # writes float primitives itself, as whole rows
     hooks = {"group_product", "ambient_dilate", "dilate", "distance", "_dilate", "_rows_dilate"}

@@ -136,23 +136,34 @@ def test_carnot_step2_reproduces_heisenberg(carnot_h1, heis1):
         assert carnot_h1.group_product(a, b).tobytes() == heis1.group_product(a, b).tobytes()
 
 
-def test_each_model_keeps_its_own_rule_for_the_layer_factor():
-    # eps^2 is e * e on H(n) and C x R and e ** 2 on a generic Carnot group; the
-    # two round apart on some scales, and each model keeps its own rule on a
-    # single point (the generated kernel), a batch row (the columns) and under a
-    # per-row scale alike
+def test_every_model_takes_one_layer_factor_rule(engel):
+    # layer i of a dilatation is e^i as the product e * ... * e on every Carnot
+    # model: at a scale where e ** 2 != e * e and e ** 3 != e * e * e, a generic
+    # model built from H(1)'s table dilates as H(1) bit for bit, C x R's centre
+    # reads e * e and Engel's layer 3 e * e * e, on a single point (the generated
+    # kernel), on batch rows (the columns), under a per-row scale and in
+    # ambient_dilate alike
     rng = np.random.default_rng(2)
-    e = next(v for v in rng.uniform(0.01, 4.0, 100_000).tolist() if v ** 2 != v * v)
-    y = np.array([0.0, 0.0, 1.0])
-    rules = [(HeisenbergModel(1), e * e), (ComplexHeisenbergModel(), e * e),
-             (CarnotModel(2, *heisenberg_structure_constants(1)), e ** 2)]
-    for model, want in rules:
+    e = next(v for v in rng.uniform(0.01, 4.0, 100_000).tolist()
+             if v ** 2 != v * v and v ** 3 != v * v * v)
+
+    def paths(model, x, y):
         eps = model.scale_group.scale(e)
-        x, X, Y = model.identity(), np.zeros((4, 3)), np.tile(y, (4, 1))
         per_row = RowScale.of([eps] * 4)
-        centres = [model.dilate(x, eps, y)[2], *model.dilate(X, eps, Y)[:, 2],
-                   *model.dilate(X, per_row, Y)[:, 2], model.ambient_dilate(eps, y)[2]]
-        assert [c.hex() for c in map(float, centres)] == [want.hex()] * 10, model.name
+        X, Y = np.tile(x, (4, 1)), np.tile(y, (4, 1))
+        return [model.dilate(x, eps, y), *model.dilate(X, eps, Y), *model.dilate(X, per_row, Y),
+                model.ambient_dilate(eps, y), *model.ambient_dilate(per_row, Y)]
+
+    h1, generic = HeisenbergModel(1), CarnotModel(2, *heisenberg_structure_constants(1))
+    centre = np.array([0.0, 0.0, 1.0])
+    for x, y in [(h1.identity(), centre), *rng.uniform(-2.0, 2.0, (8, 2, 3))]:
+        assert [p.tobytes() for p in paths(generic, x, y)] == [p.tobytes() for p in paths(h1, x, y)]
+    for model in (h1, generic, ComplexHeisenbergModel()):
+        assert [float(p[2]).hex() for p in paths(model, model.identity(), centre)] == \
+            [(e * e).hex()] * 14, model.name
+    top = np.array([0.0, 0.0, 0.0, 1.0])
+    assert [float(p[3]).hex() for p in paths(engel, engel.identity(), top)] == \
+        [(e * e * e).hex()] * 14
 
 
 def test_carnot_homogeneous_dimension(engel, carnot_h1):

@@ -7,8 +7,9 @@ from dilatation_lab.core.scales import POSITIVE_REALS as PR
 from dilatation_lab.core.structure import (
     Ball, approx_difference, approx_inverse, approx_sum, estimate_dx,
     rescaled_distance)
+from dilatation_lab.config import JITTER_FACTOR
 from dilatation_lab.errors import DomainViolation, NonConvergent
-from dilatation_lab.models import EuclideanModel
+from dilatation_lab.models import EuclideanModel, PullbackModel
 from dilatation_lab.models.base import float_or_rows
 
 HALF = PR.scale(0.5)
@@ -205,6 +206,26 @@ def test_estimate_dx_symmetric(heis1, metric_pullback_1d):
     a, _ = estimate_dx(metric_pullback_1d, x, p, q, grid)
     b, _ = estimate_dx(metric_pullback_1d, x, q, p, grid)
     assert abs(a - b) <= 1e-9
+
+
+def test_estimate_dx_rejects_a_converging_limit_on_a_coarse_grid_start():
+    # a finding of the Cauchy rule, pinned so that a change of the rule shows
+    # here: on the metric pullback (floats only) at the draw scripts/op_dump.py
+    # labels pullback-metric#4 at seed 0, the rescaled distances converge, their
+    # differences (2.3e-4, 2.1e-5, 4.4e-5, 3.1e-5, 1.7e-5, ...) shrinking by about
+    # half from the third on, but the one early rise past JITTER_FACTOR on the
+    # coarse start of the grid k = 2..12 makes estimate_dx raise
+    S = PullbackModel(EuclideanModel(2), transport="metric")
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        x, u, v = rng.uniform(-0.2, 0.2, (3, 2))
+    grid = PR.grid(range(2, 13))
+    with pytest.raises(NonConvergent, match="do not settle"):
+        estimate_dx(S, x, u, v, grid)
+    values = [rescaled_distance(S, x, e, u, v) for e in grid]
+    diffs = [abs(a - b) for a, b in zip(values, values[1:])]
+    assert diffs[1] < diffs[0] and diffs[2] > JITTER_FACTOR * diffs[1]
+    assert all(0.45 * a < b < 0.7 * a for a, b in zip(diffs[2:], diffs[3:]))
 
 
 def test_estimate_dx_validates_grid(euclid2):
