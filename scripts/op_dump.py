@@ -53,6 +53,14 @@ denominator, a float's shortest round trip) as
 
     seed<TAB>exact<TAB>model#draw<TAB>operation<TAB>output
 
+Then it runs the single-point loops ``menelaos_iterate``, ``banach_oracle``
+(started at x) and ``distance_estimates_check`` on that generic Carnot group
+with a fractional constant, which no workload or config builds, at 20 seeded
+draws of x, y in the box [-0.3, 0.3] and real scales eps, mu in [0.15, 0.85],
+and prints each result with its floats as hex as
+
+    seed<TAB>loops<TAB>model#draw<TAB>operation<TAB>output
+
 Dumps of two source trees compare with ``diff``.
 
 The library is imported from the ``src`` directory next to this script, and
@@ -77,7 +85,7 @@ sys.dont_write_bytecode = True
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from dilatation_lab import cli  # noqa: E402
+from dilatation_lab import affine, cli  # noqa: E402
 from dilatation_lab.core.scales import RowScale, Scale  # noqa: E402
 from dilatation_lab.core.structure import DilatationStructure, estimate_dx  # noqa: E402
 from dilatation_lab.emergent import InducedStructure, tangent_space  # noqa: E402
@@ -257,6 +265,25 @@ def dump_exact_primitives(seed: int):
                 print(seed, "exact", f"{name}#{i}", op, repr(call()), sep="\t")
 
 
+def dump_loops(seed: int):
+    name = "carnot-step3-2x1x2"
+    M = primitive_models()[name]
+    rng = np.random.default_rng(seed)
+    for i in range(DRAWS):
+        x, y = rng.uniform(-0.3, 0.3, (2, M.coordinate_dim))
+        eps, mu = (M.scale_group.scale(float(v)) for v in rng.uniform(0.15, 0.85, 2))
+        ops = {"menelaos_iterate": lambda: affine.menelaos_iterate(M, x, eps, y, mu),
+               "banach_oracle": lambda: affine.banach_oracle(M, x, eps, y, mu, x),
+               "distance_estimates_check":
+                   lambda: affine.distance_estimates_check(M, x, y, eps, mu)}
+        for op, call in ops.items():
+            try:
+                out = call()
+            except Exception as err:  # a raising loop is dumped too
+                out = err
+            print(seed, "loops", f"{name}#{i}", op, flat(out), sep="\t")
+
+
 def dump_cli(seed: int):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.csv"
@@ -283,6 +310,7 @@ def main(argv: list[str]) -> int:
         dump_estimate_dx(seed)
         dump_primitives(seed)
         dump_exact_primitives(seed)
+        dump_loops(seed)
     for seed in [cli_ops.DEFAULT_SEED, *(s for s in seeds if s != cli_ops.DEFAULT_SEED)]:
         dump_cli(seed)
     return 0

@@ -66,20 +66,21 @@ def _menelaos_walk(S: DilatationStructure, x, eps: Scale, y, mu: Scale, tol: flo
     NaN gap never is.  Returns the base point, the step count and the last
     gap.  Five steps in a row that do not shrink the gap, NaN steps included,
     or max_iter steps, raise MaxIterExceeded.
-    ``on_step(x_next, y_next)``, if given, sees each step's pair before its gap.
+    The strands step in ``S.single_point_kernels``' working form.  ``on_step(d)``,
+    if given, sees each step's distance between the strands before its gap.
     """
-    xn, yn = x, y
-    gap = S.coordinate_gap(x, y)
+    (xn, yn), (eps, mu), dilate, distance, gap_of, back = S.single_point_kernels([x, y], [eps, mu])
+    gap = gap_of(xn, yn)
     stall = 0
     iterations = 0
     while not gap <= tol:
         if iterations >= max_iter:
             raise MaxIterExceeded(f"no convergence after {max_iter} iterations")
-        y_next = S.dilate(xn, eps, yn)
-        x_next = S.dilate(y_next, mu, xn)
+        y_next = dilate(xn, eps, yn)
+        x_next = dilate(y_next, mu, xn)
         if on_step is not None:
-            on_step(x_next, y_next)
-        gap_next = S.coordinate_gap(x_next, y_next)
+            on_step(distance(x_next, y_next))
+        gap_next = gap_of(x_next, y_next)
         if not gap_next < gap:
             stall += 1
             if stall >= 5:
@@ -89,7 +90,7 @@ def _menelaos_walk(S: DilatationStructure, x, eps: Scale, y, mu: Scale, tol: flo
             stall = 0
         xn, yn, gap = x_next, y_next, gap_next
         iterations += 1
-    return xn, iterations, gap
+    return back(xn), iterations, gap
 
 
 def menelaos_iterate(S: DilatationStructure, x, eps: Scale, y, mu: Scale,
@@ -115,9 +116,8 @@ def menelaos_iterate(S: DilatationStructure, x, eps: Scale, y, mu: Scale,
     rate_floor = max(RATE_FLOOR, RATE_FLOOR_FACTOR * max(1.0, d_metric))
     rates: list[float] = []
 
-    def read_rate(x_next, y_next):
+    def read_rate(d_next):
         nonlocal d_metric
-        d_next = S.distance(x_next, y_next)
         if d_metric > rate_floor and d_next > 0:
             rates.append(d_next / d_metric)
         d_metric = d_next
@@ -139,14 +139,18 @@ def banach_oracle(S: DilatationStructure, x, eps: Scale, y, mu: Scale, u0,
     """Independent fixed-point oracle: iterate u -> delta^x_eps delta^y_mu u.
 
     The composite contracts distances by the factor nu(eps mu) < 1, so plain
-    iteration converges to the same w as the paired iteration.
+    iteration converges to the same w as the paired iteration.  The iterates
+    step in ``S.single_point_kernels``' working form; a NaN step raises at once.
     """
     contraction("Banach iteration of the composite", eps * mu)
-    u = u0
-    for _ in range(max_iter):
-        nxt = S.dilate(x, eps, S.dilate(y, mu, u))
-        if S.distance(nxt, u) <= tol:
-            return nxt
+    (x, y, u), (eps, mu), dilate, distance, _, back = S.single_point_kernels([x, y, u0], [eps, mu])
+    for step in range(1, max_iter + 1):
+        nxt = dilate(x, eps, dilate(y, mu, u))
+        d = distance(nxt, u)
+        if d <= tol:
+            return back(nxt)
+        if not d > tol:  # neither within tol nor beyond it: a NaN
+            raise MaxIterExceeded(f"Banach step {step} moved the iterate by a NaN distance")
         u = nxt
     raise MaxIterExceeded(f"no fixed point after {max_iter} iterations")
 

@@ -54,6 +54,12 @@ class DilatationStructure:
     ``(N, dim)`` batch of rows, and each row of the result equals, bit for
     bit, the result for that row alone.  ``sample_ball``, the exact
     conversions and exact points are single-point only.
+
+    A loop that steps one point at a time converts it once with the hook
+    ``single_point_kernels``; its default is the structure's own methods on
+    points as given.  An override must compute what those methods would, bit
+    for bit, and apply only while they are its class's own, so that a
+    subclass override or a wrapper set on the instance still sees every call.
     """
 
     name: str = "abstract"
@@ -88,6 +94,10 @@ class DilatationStructure:
         agreement: metrics with fractional-power gauges blow roundoff-scale
         coordinate gaps up past any usable tolerance."""
         return self.distance(p, q)
+
+    def single_point_kernels(self, points, scales):
+        """(points, scales, dilate, distance, coordinate_gap, back) in working form."""
+        return points, scales, self.dilate, self.distance, self.coordinate_gap, lambda p: p
 
     def point_from_json(self, obj):
         raise NotImplementedError

@@ -39,7 +39,7 @@ from dilatation_lab.config import JACOBI_TOL
 from dilatation_lab.errors import ModelError
 from dilatation_lab.core.reports import sup
 from dilatation_lab.core.scales import POSITIVE_REALS, Scale
-from dilatation_lab.core.structure import vector_sample_ball
+from dilatation_lab.core.structure import float_points, vector_sample_ball
 from dilatation_lab.models.base import (
     ExactPoint, GroupModel, columns, dot_square, is_integer, is_real, power, real_array, row_dot,
     stack)
@@ -51,6 +51,10 @@ def _scale_ratio(value) -> tuple[int, int]:
         return value.as_integer_ratio()
     except AttributeError:
         raise TypeError(f"exact points take a real rational scale, got {value!r}") from None
+
+
+def _list_gap(p: list, q: list) -> float:
+    return sup([abs(a - b) for a, b in zip(p, q)])
 
 
 def _exact_pair(a: ExactPoint, b):
@@ -328,8 +332,19 @@ class CarnotModel(GroupModel):
             A, da, B, db = _exact_pair(p, q)
             return sup([abs(a / da - b / db) for a, b in zip(A, B)])
         if type(q) is np.ndarray and p.ndim == q.ndim == 1:
-            return sup([abs(a - b) for a, b in zip(p.tolist(), q.tolist())])
+            return _list_gap(p.tolist(), q.tolist())
         return sup(np.abs(p - q), axis=1)
+
+    def single_point_kernels(self, points, scales):
+        """1-D float points as lists and ``float`` scales as floats, under the kernels
+        that CarnotModel's ``dilate``, ``distance`` and ``coordinate_gap`` run."""
+        if (float_points(points) and all(p.ndim == 1 for p in points)
+                and all(type(e.value) is float for e in scales)
+                and all(getattr(getattr(self, name), "__func__", None) is vars(CarnotModel)[name]
+                        for name in ("dilate", "distance", "coordinate_gap"))):
+            return ([p.tolist() for p in points], [e.value for e in scales], self._dilate_point,
+                    lambda p, q: self._norm(self._inverse_product(p, q)), _list_gap, np.array)
+        return super().single_point_kernels(points, scales)
 
     # --- the float formulas and the gauges ----------------------------------
 

@@ -1,5 +1,6 @@
 """Menelaos fixed points, the h/g inversion, collinear triples, diagnostics."""
 
+import dataclasses
 import math
 import warnings
 from collections import Counter
@@ -8,13 +9,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import STEP3_HALF
 from dilatation_lab.config import ENVELOPE_ABS_SLACK, ENVELOPE_SLACK
 from dilatation_lab.core.scales import DYADIC_POWERS as DP, POSITIVE_REALS as PR
 from dilatation_lab.core.structure import approx_difference, approx_sum, exactify
 from dilatation_lab.errors import DomainViolation, MaxIterExceeded
 from dilatation_lab.models import (
-    CarnotModel, DyadicBoundaryModel, ExactPoint, HeisenbergModel, engel_structure_constants,
-    heisenberg_structure_constants)
+    CarnotModel, ComplexHeisenbergModel, DyadicBoundaryModel, EuclideanModel, ExactPoint,
+    HeisenbergModel, engel_structure_constants, heisenberg_structure_constants)
 from dilatation_lab.affine import (
     CollinearTriple, banach_oracle, barycentric_defect, check_collinear,
     collinear_triple_from_ratio, collinearity_defect, counterexample_check,
@@ -133,6 +135,106 @@ def test_banach_max_iter(euclid1):
     with pytest.raises(MaxIterExceeded):
         banach_oracle(euclid1, np.zeros(1), PR.scale(0.9999), np.ones(1),
                       PR.scale(0.9999), np.array([50.0]), tol=1e-15, max_iter=3)
+
+
+def _counted(model, names=("dilate", "distance", "coordinate_gap")) -> Counter:
+    """Wrap the named methods on the instance, counting calls; the instance
+    wrapper makes every loop take the structure's own methods."""
+    calls = Counter()
+
+    def counted(name, method):
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+        return wrapper
+
+    for name in names:
+        setattr(model, name, counted(name, getattr(model, name)))
+    return calls
+
+
+def _bits(value):
+    """Every float of a loop's result as hex, arrays as their bytes."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.tobytes()
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    if isinstance(value, ExactPoint):
+        return repr(value)
+    if dataclasses.is_dataclass(value):
+        return {f.name: _bits(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    return value
+
+
+def _loops(model, x, y, eps, mu):
+    """The three single-point loops at one draw, bit for bit."""
+    return _bits([menelaos_iterate(model, x, eps, y, mu),
+                  distance_estimates_check(model, x, y, eps, mu),
+                  banach_oracle(model, x, eps, y, mu, x)])
+
+
+VIEW_MODELS = {
+    "euclid-2d": lambda: EuclideanModel(2), "H(1)": lambda: HeisenbergModel(1),
+    "H(2)": lambda: HeisenbergModel(2),
+    "engel": lambda: CarnotModel(3, *engel_structure_constants()),
+    "CxR": ComplexHeisenbergModel, "step3-half": lambda: CarnotModel(3, *STEP3_HALF)}
+
+
+@pytest.mark.parametrize("make", VIEW_MODELS.values(), ids=VIEW_MODELS.keys())
+def test_single_point_kernels_step_bit_for_bit(make):
+    # the loops on the generated kernels against the same model with its
+    # primitives wrapped on the instance, which keeps them on its methods
+    model, default = make(), make()
+    _counted(default)
+    rng = np.random.default_rng(36)
+    for _ in range(5):
+        x, y = rng.uniform(-0.3, 0.3, (2, model.coordinate_dim))
+        eps, mu = (PR.scale(float(v)) for v in rng.uniform(0.15, 0.85, 2))
+        assert model.single_point_kernels([x, y], [eps, mu])[2] == model._dilate_point
+        assert default.single_point_kernels([x, y], [eps, mu])[2] is default.dilate
+        assert _loops(model, x, y, eps, mu) == _loops(default, x, y, eps, mu)
+
+
+def test_banach_reads_a_subclass_distance():
+    class Blind(HeisenbergModel):
+        def distance(self, p, q):
+            return 0.0  # every step looks converged
+
+    model = Blind(1)
+    x, y, u0 = model.point([0.1, 0.0], 0.0), model.point([0.0, 0.2], 0.1), np.zeros(3)
+    got = banach_oracle(model, x, HALF, y, HALF, u0)
+    assert _bits(got) == _bits(model.dilate(x, HALF, model.dilate(y, HALF, u0)))
+
+
+def test_complex_scales_and_exact_points_take_the_structure_methods(cxheis, heis1):
+    # neither has a working form of its own: the loops run the methods, as before
+    x, y = cxheis.point(0.1 + 0.2j, 0.05), cxheis.point(-0.2j, 0.1)
+    eps, mu = cxheis.scale_group.scale(0.3 + 0.4j), cxheis.scale_group.scale(0.5)
+    X, Y = (heis1.to_exact(heis1.point(*p)) for p in (([0.1, 0.0], 0.0), ([0.0, 0.2], 0.1)))
+    e, m = heis1.to_exact_scale(HALF), heis1.to_exact_scale(PR.scale(0.25))
+    for make, points, scales in ((ComplexHeisenbergModel, (x, y), (eps, mu)),
+                                 (lambda: HeisenbergModel(1), (X, Y), (e, m))):
+        model, default = make(), make()
+        _counted(default)
+        assert model.single_point_kernels(list(points), list(scales))[2] == model.dilate
+        p, q = points
+        assert _loops(model, p, q, *scales) == _loops(default, p, q, *scales)
+
+
+@pytest.mark.parametrize("nan_at", ["u0", "x"])
+def test_banach_stops_at_a_nan_step(nan_at):
+    # a NaN distance is within no tol: the first step raises, not the 10,000th
+    model = HeisenbergModel(1)
+    calls = _counted(model, ["dilate"])
+    args = {"x": model.point([0.1, 0.0], 0.0), "y": model.point([0.0, 0.2], 0.1),
+            "u0": np.zeros(3)}
+    args[nan_at] = model.point([math.nan, 0.0], 0.0)
+    for S in (model, HeisenbergModel(1)):
+        with pytest.raises(MaxIterExceeded, match="step 1 moved the iterate by a NaN"):
+            banach_oracle(S, args["x"], HALF, args["y"], HALF, args["u0"])
+    assert calls["dilate"] == 2
 
 
 # --- h and g -----------------------------------------------------------------------
@@ -487,28 +589,19 @@ def test_distance_estimates_match_the_menelaos_point():
                          ids=["H(1)", "Engel"])
 def test_distance_estimates_skip_the_menelaos_diagnostics(make):
     # no probe draw and no step distances: the four distances of the two
-    # envelopes, whatever the number of steps (two dilatations a step)
+    # envelopes, whatever the number of steps; an instance wrapper sees every
+    # step of the walk, two dilatations and one gap a step
     model = make()
     x, y = model.sample_ball(model.origin(), 0.2, 2, np.random.default_rng(3))
-    calls = Counter()
-
-    def counted(name):
-        method = getattr(model, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return method(*args)
-        return wrapper
-
-    for name in ("sample_ball", "distance", "dilate"):
-        setattr(model, name, counted(name))
+    calls = _counted(model, ("sample_ball", "distance", "dilate", "coordinate_gap"))
     steps = []
     for e, m in ((0.2, 0.3), (0.85, 0.9)):
+        eps, mu = PR.scale(e), PR.scale(m)
+        n = menelaos_iterate(make(), x, eps, y, mu).iterations
         calls.clear()
-        distance_estimates_check(model, x, y, PR.scale(e), PR.scale(m))
-        assert calls["sample_ball"] == 0
-        assert calls["distance"] == 4
-        steps.append((calls["dilate"] - 2) // 2)
+        distance_estimates_check(model, x, y, eps, mu)
+        assert calls == {"distance": 4, "dilate": 2 * n + 2, "coordinate_gap": n + 1}
+        steps.append(n)
     assert steps[0] < steps[1]
 
 
