@@ -54,10 +54,12 @@ denominator, a float's shortest round trip) as
     seed<TAB>exact<TAB>model#draw<TAB>operation<TAB>output
 
 Then it runs the single-point loops ``menelaos_iterate``, ``banach_oracle``
-(started at x) and ``distance_estimates_check`` on that generic Carnot group
-with a fractional constant, which no workload or config builds, at 20 seeded
-draws of x, y in the box [-0.3, 0.3] and real scales eps, mu in [0.15, 0.85],
-and prints each result with its floats as hex as
+(started at x) and ``distance_estimates_check``, the ratio point
+``ratio_point(x, y, eps, mu)`` and the truncated product ``g_map`` of y at
+eps mu (its point and ``truncation_bound``, N = 64) on that generic Carnot
+group with a fractional constant, which no workload or config builds, at 20
+seeded draws of x, y in the box [-0.3, 0.3] and real scales eps, mu in
+[0.15, 0.85], and prints each result with its floats as hex as
 
     seed<TAB>loops<TAB>model#draw<TAB>operation<TAB>output
 
@@ -275,7 +277,9 @@ def dump_loops(seed: int):
         ops = {"menelaos_iterate": lambda: affine.menelaos_iterate(M, x, eps, y, mu),
                "banach_oracle": lambda: affine.banach_oracle(M, x, eps, y, mu, x),
                "distance_estimates_check":
-                   lambda: affine.distance_estimates_check(M, x, y, eps, mu)}
+                   lambda: affine.distance_estimates_check(M, x, y, eps, mu),
+               "ratio_point": lambda: affine.ratio_point(M, x, y, eps, mu),
+               "g_map": lambda: affine.g_map(M, eps * mu, y, 64)}
         for op, call in ops.items():
             try:
                 out = call()

@@ -26,7 +26,7 @@ from dilatation_lab.config import (
 from dilatation_lab.errors import DomainViolation, MaxIterExceeded
 from dilatation_lab.core.reports import (
     ConvergenceReport, Verdict, beyond, make_report, sup, within, within_envelopes)
-from dilatation_lab.core.scales import Scale, contraction
+from dilatation_lab.core.scales import RowScale, Scale, contraction
 from dilatation_lab.core.structure import DilatationStructure, Rows, exactify
 from dilatation_lab.emergent import check_affine_map, lin_defect
 from dilatation_lab.models.base import GroupModel
@@ -124,12 +124,12 @@ def menelaos_iterate(S: DilatationStructure, x, eps: Scale, y, mu: Scale,
 
     w, iterations, gap = _menelaos_walk(S, x, eps, y, mu, tol, max_iter, read_rate)
     observed = statistics.median(rates) if rates else float("nan")
-    # one probe at a time: a 3-row batch of the coordinate-wise C x R and Engel
-    # products costs more than three single points, and this check runs on both
-    em = eps * mu
-    probe_defect = sup(
-        S.coordinate_gap(S.dilate(x, eps, S.dilate(y, mu, p)), S.dilate(w, em, p))
-        for p in S.sample_ball(w, S.closeness_budget(), 3, np.random.default_rng(0)))
+    # one probe at a time, in the kernels' working form: a 3-row batch of the
+    # coordinate-wise C x R and Engel products costs more than three single points
+    probes = S.sample_ball(w, S.closeness_budget(), 3, np.random.default_rng(0))
+    (xk, yk, wk, *ps), (e, m, em), dilate, _, gap_of, _ = S.single_point_kernels(
+        [x, y, w, *probes], [eps, mu, eps * mu])
+    probe_defect = sup(gap_of(dilate(xk, e, dilate(yk, m, p)), dilate(wk, em, p)) for p in ps)
     return MenelaosResult(w, iterations, gap, observed, rates, probe_defect)
 
 
@@ -175,19 +175,21 @@ def g_map(M: GroupModel, eps: Scale, y, N: int) -> GMapResult:
 
     Extending the truncation from N to any longer product moves the result by
     at most nu(eps)^{N+1} / (1 - nu(eps)) times |y|, which is attached to the
-    result as its error bound.  On a float y the N dilatations are one
-    ``ambient_dilate`` call, the powers eps^k a per-row scale (``Rows``).
+    result as its error bound.  The powers eps^k are scale values, multiplied as
+    ``Scale * Scale`` does; on a float y their N dilatations are one per-row
+    ``ambient_dilate`` call, and ``M.product_of`` folds the N products.
     """
     contraction("g_eps", eps)
     if N < 1:
         raise ValueError("truncation order N must be at least 1")
-    powers = [eps]
+    group, e = eps.group, eps.value
+    values = [e]
     for _ in range(N - 1):
-        powers.append(powers[-1] * eps)
+        values.append(group.combine(values[-1], e))
     rows = Rows([y])
-    out = y
-    for term in rows.map(lambda e: M.ambient_dilate(e, y), rows.scale_column(powers)):
-        out = M.group_product(out, term)
+    powers = (RowScale(group, np.array(values).reshape(-1, 1)) if rows.batched
+              else [Scale(group, v) for v in values])
+    out = M.product_of(y, rows.map(lambda p: M.ambient_dilate(p, y), powers))
     nu = eps.nu
     bound = nu ** (N + 1) / (1.0 - nu) * M.homogeneous_norm(y)
     return GMapResult(out, bound)

@@ -55,11 +55,12 @@ class DilatationStructure:
     bit, the result for that row alone.  ``sample_ball``, the exact
     conversions and exact points are single-point only.
 
-    A loop that steps one point at a time converts it once with the hook
-    ``single_point_kernels``; its default is the structure's own methods on
-    points as given.  An override must compute what those methods would, bit
-    for bit, and apply only while they are its class's own, so that a
-    subclass override or a wrapper set on the instance still sees every call.
+    Single-point loops and checks convert their points once with the hook
+    ``single_point_kernels``, and a group model folds products with
+    ``product_of``; each defaults to the structure's own methods on points as
+    given.  An override must compute what those methods would, bit for bit,
+    and apply only while they are its class's own, so that a subclass
+    override or a wrapper set on the instance still sees every call.
     """
 
     name: str = "abstract"
@@ -135,15 +136,17 @@ def exactify(S: DilatationStructure, points, scales) -> tuple[list, list, bool]:
 # sampling helper for models whose carrier is a numpy coordinate vector
 # ---------------------------------------------------------------------------
 
-def _lattice_offsets(dim: int) -> list[np.ndarray]:
-    offs = [np.zeros(dim)]
-    e0 = np.zeros(dim)
-    e0[0] = 1.0
-    e1 = np.zeros(dim)
-    e1[min(1, dim - 1)] = 1.0
+def _lattice_offsets(dim: int):
+    """The seven lattice directions 0, +-e0, +-e1, +-diag, each built when asked for."""
+    yield np.zeros(dim)
+    for i in (0, min(1, dim - 1)):
+        e = np.zeros(dim)
+        e[i] = 1.0
+        yield e
+        yield -e
     diag = np.ones(dim) / np.sqrt(dim)
-    offs += [e0, -e0, e1, -e1, diag, -diag]
-    return offs
+    yield diag
+    yield -diag
 
 
 def vector_sample_ball(model, center, radius: float, count: int, rng) -> list:
@@ -169,9 +172,7 @@ def vector_sample_ball(model, center, radius: float, count: int, rng) -> list:
             f"no candidate inside the ball of radius {radius} on {model.name} "
             f"after 60 halvings")
 
-    for off in _lattice_offsets(dim):
-        if len(pts) >= count:
-            return pts
+    for _, off in zip(range(count), _lattice_offsets(dim)):
         pts.append(shrink(off * (radius * 0.5)))
     while len(pts) < count:
         off = rng.uniform(-radius, radius, size=dim)

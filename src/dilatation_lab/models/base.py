@@ -212,6 +212,13 @@ class GroupModel(DilatationStructure):
     def homogeneous_norm(self, a) -> float:
         raise NotImplementedError
 
+    def product_of(self, a, terms):
+        """a . t_1 . ... . t_n left to right, one ``group_product`` per point or batch
+        row of ``terms``; an override matches it bit for bit."""
+        for t in terms:
+            a = self.group_product(a, t)
+        return a
+
     # --- induced structure --------------------------------------------------
 
     def distance(self, p, q) -> float:

@@ -340,11 +340,26 @@ class CarnotModel(GroupModel):
         that CarnotModel's ``dilate``, ``distance`` and ``coordinate_gap`` run."""
         if (float_points(points) and all(p.ndim == 1 for p in points)
                 and all(type(e.value) is float for e in scales)
-                and all(getattr(getattr(self, name), "__func__", None) is vars(CarnotModel)[name]
-                        for name in ("dilate", "distance", "coordinate_gap"))):
+                and self._own("dilate", "distance", "coordinate_gap")):
             return ([p.tolist() for p in points], [e.value for e in scales], self._dilate_point,
                     lambda p, q: self._norm(self._inverse_product(p, q)), _list_gap, np.array)
         return super().single_point_kernels(points, scales)
+
+    def product_of(self, a, terms):
+        """A 1-D float point times the rows of a float batch: ``_product`` folded
+        over their Python floats, as CarnotModel's ``group_product`` takes them."""
+        if (float_points([a, terms]) and a.ndim == 1 and terms.ndim == 2
+                and self._own("group_product")):
+            out = a.tolist()
+            for t in terms.tolist():
+                out = self._product(out, t)
+            return np.array(out)
+        return super().product_of(a, terms)
+
+    def _own(self, *names) -> bool:
+        """True while each named method is CarnotModel's own, not overridden or wrapped."""
+        return all(getattr(getattr(self, name), "__func__", None) is vars(CarnotModel)[name]
+                   for name in names)
 
     # --- the float formulas and the gauges ----------------------------------
 

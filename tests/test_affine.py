@@ -284,6 +284,34 @@ def test_g_map_truncation_tail_bound(heis1):
             assert heis1.distance(a, b) <= bound + 1e-12
 
 
+@pytest.mark.parametrize("make", VIEW_MODELS.values(), ids=VIEW_MODELS.keys())
+def test_g_map_folds_through_an_instance_group_product(make):
+    # a group_product wrapped on the instance sees each of the N terms, and the
+    # fold on the generated kernel gives the same bits
+    model, counted = make(), make()
+    calls = _counted(counted, ["group_product"])
+    rng = np.random.default_rng(37)
+    for N in (1, 7, 64):
+        y = rng.uniform(-0.3, 0.3, model.coordinate_dim)
+        eps = model.scale_group.scale(float(rng.uniform(0.15, 0.85)))
+        calls.clear()
+        assert _bits(g_map(model, eps, y, N)) == _bits(g_map(counted, eps, y, N))
+        assert calls["group_product"] == N
+
+
+def test_g_map_folds_through_a_subclass_group_product():
+    calls = []
+
+    class Counted(HeisenbergModel):
+        def group_product(self, a, b):
+            calls.append(1)
+            return super().group_product(a, b)
+
+    y = HeisenbergModel(1).point([0.1, -0.2], 0.05)
+    assert _bits(g_map(Counted(1), HALF, y, 64)) == _bits(g_map(HeisenbergModel(1), HALF, y, 64))
+    assert len(calls) == 64
+
+
 def test_g_inverts_h(euclid1, heis1):
     # exact rational arithmetic: the roundtrip residue is exactly
     # delta_{eps^{N+1}}(x), far below the stated tail bound

@@ -577,15 +577,21 @@ def _chain_inputs(M, seed):
     return y, sg.scale(0.35 + 0.1 * seed) * sg.scale(0.6)
 
 
-@pytest.mark.parametrize("index", range(7))
+@pytest.mark.parametrize("index", range(9))
 def test_g_map_is_the_one_power_at_a_time_loop(index):
+    # the six shipped models, then exact H(1) points and scales (6), a generic
+    # step-3 model with a fractional constant (7) and C x R under a complex
+    # scale at every seed (8)
     from conftest import conical_models
-    exact = index == 6  # exact H(1) points and scales
-    M = conical_models()[1 if exact else index]
+    exact = index == 6
+    M = [*conical_models(), HeisenbergModel(1), CarnotModel(3, *STEP3_HALF),
+         ComplexHeisenbergModel()][index]
     for seed in range(3):
         y, eps = _chain_inputs(M, seed)
         if exact:
             y, eps = M.to_exact(y), M.to_exact_scale(eps)
+        if index == 8:
+            eps = COMPLEX_UNITS.scale(cmath.rect(0.4 + 0.1 * seed, 0.7 + seed))
         for N in (1, 2, 7, 64):
             got = g_map(M, eps, y, N).point
             assert _bits(got) == _bits(_g_map_one_power_at_a_time(M, eps, y, N)), (seed, N)
