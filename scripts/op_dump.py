@@ -63,6 +63,16 @@ seeded draws of x, y in the box [-0.3, 0.3] and real scales eps, mu in
 
     seed<TAB>loops<TAB>model#draw<TAB>operation<TAB>output
 
+and whether ``menelaos_iterate`` warns that a structure looks nonlinear, on the
+cubic pullback and the six conical models (Euclid-2d, H(1), H(2), Engel, C x R
+and the dyadic words), at 20 seeded draws of x, y with coordinates in
+[-0.05, 0.05] (dyadic words in the ball of radius 2^-5) and real scales eps, mu
+in [0.15, 0.85] (dyadic ones 2^-1 or 2^-2), as
+
+    seed<TAB>menelaos-warning<TAB>structure#draw<TAB>warned or silent<TAB>probe defect
+
+with the probe defect as hex, or the error class the call raised.
+
 Dumps of two source trees compare with ``diff``.
 
 The library is imported from the ``src`` directory next to this script, and
@@ -92,8 +102,8 @@ from dilatation_lab.core.scales import RowScale, Scale  # noqa: E402
 from dilatation_lab.core.structure import DilatationStructure, estimate_dx  # noqa: E402
 from dilatation_lab.emergent import InducedStructure, tangent_space  # noqa: E402
 from dilatation_lab.models import (  # noqa: E402
-    CarnotModel, ComplexHeisenbergModel, EuclideanModel, HeisenbergModel, PullbackModel,
-    engel_structure_constants)
+    CarnotModel, ComplexHeisenbergModel, DyadicBoundaryModel, EuclideanModel, HeisenbergModel,
+    PullbackModel, engel_structure_constants)
 from dilatation_lab.models.base import ExactPoint  # noqa: E402
 import cli_ops  # noqa: E402
 import workloads  # noqa: E402
@@ -288,6 +298,40 @@ def dump_loops(seed: int):
             print(seed, "loops", f"{name}#{i}", op, flat(out), sep="\t")
 
 
+def warning_structures() -> dict:
+    """The cubic pullback, which is not linear, and the six conical models."""
+    models = primitive_models()
+    return {"pullback-cubic": PullbackModel(EuclideanModel(2)),
+            **{name: models[name] for name in ("euclidean-2d", "heisenberg-1", "heisenberg-2",
+                                                "engel", "cxr")},
+            "dyadic-64": DyadicBoundaryModel(64)}
+
+
+def menelaos_draw(S, rng):
+    """x, y near the origin and contracting scales eps, mu, seeded."""
+    if isinstance(S, DyadicBoundaryModel):
+        x, y = (S.point(int(t) << 5) for t in rng.integers(0, 1 << 59, 2))
+        return x, y, *(S.scale_group.scale(int(k)) for k in rng.integers(1, 3, 2))
+    x, y = rng.uniform(-0.05, 0.05, (2, len(S.origin())))
+    return x, y, *(S.scale_group.scale(float(v)) for v in rng.uniform(0.15, 0.85, 2))
+
+
+def dump_menelaos_warning(seed: int):
+    for name, S in warning_structures().items():
+        rng = np.random.default_rng(seed)
+        for i in range(DRAWS):
+            x, y, eps, mu = menelaos_draw(S, rng)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    res = affine.menelaos_iterate(S, x, eps, y, mu)
+                except Exception as err:  # the class only: its message quotes the values
+                    out = f"raised {type(err).__name__}"
+                else:
+                    out = ("warned" if caught else "silent") + "\t" + flat(res.probe_defect)
+            print(seed, "menelaos-warning", f"{name}#{i}", out, sep="\t")
+
+
 def dump_cli(seed: int):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.csv"
@@ -304,8 +348,8 @@ def main(argv: list[str]) -> int:
     if not argv:
         print("usage: python scripts/op_dump.py SEED [SEED ...]", file=sys.stderr)
         return 2
-    # menelaos_iterate warns when a float spot check looks nonlinear; the
-    # benchmark ignores it, and so does the dump
+    # menelaos_iterate warns when its probe defect fails the CLI's rule; the
+    # benchmark ignores it, and so does the dump outside its own section
     warnings.filterwarnings("ignore", message=".*looks nonlinear near the inputs")
     seeds = [int(seed) for seed in argv]
     for seed in seeds:
@@ -315,6 +359,7 @@ def main(argv: list[str]) -> int:
         dump_primitives(seed)
         dump_exact_primitives(seed)
         dump_loops(seed)
+        dump_menelaos_warning(seed)
     for seed in [cli_ops.DEFAULT_SEED, *(s for s in seeds if s != cli_ops.DEFAULT_SEED)]:
         dump_cli(seed)
     return 0

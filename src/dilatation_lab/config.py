@@ -9,7 +9,7 @@ EXACT_IDENTITY_TOL = 1e-9         # identities that hold exactly, on unit-scale 
 LIMIT_TOL = 1e-6                  # limits read off a finite grid: A3, estimated tangent distances
 CAUCHY_DIFFERENCE_TOL = 1e-2      # A4 without closed forms: gap to one refinement deeper
 DERIVATIVE_TOL = 1e-4             # final residual of a derivative estimate
-MENELAOS_PROBE_TOL = 1e-8         # probe defect the CLI's menelaos command accepts
+MENELAOS_PROBE_TOL = 1e-8         # Menelaos probe defect the CLI verdict and the warning accept
 COUNTEREXAMPLE_SEPARATION = 1e-6  # the C x R composite must miss the translation by more
 ENVELOPE_SLACK = 1e-9             # relative slack of the Menelaos distance envelopes
 ENVELOPE_ABS_SLACK = 1e-15        # and their absolute slack, for envelopes that vanish
@@ -18,11 +18,9 @@ CAUCHY_SHRINK = 1.3               # settling: each increment shrinks by at least
 DECAY_FACTOR = 0.1                # dying out: the last value below this times the first
 DEFECT_FLOOR = 1e-12              # defects at or below this count as zero
 TOLERANCE_FLOOR_FRACTION = 0.01   # so do harness defects below this fraction of the tolerance
-LINEARITY_WARN_TOL = 1e-6         # Menelaos inputs with a larger linearity defect warn
 FIXED_POINT_TOL = 1e-12           # stopping rule for fixed-point iterations
 MAX_ITER = 10_000                 # iteration budget for contractions
-RATE_FLOOR = 1e-8                 # Menelaos rates are read only from distances above
-RATE_FLOOR_FACTOR = 1e-5          # max(RATE_FLOOR, RATE_FLOOR_FACTOR * max(1, start distance))
+RATE_FLOOR_FACTOR = 1e-5          # Menelaos rates read only above this times max(1, start distance)
 CHART_BALL_SLACK = 1e-12          # roundoff a point may lie past a chart ball's radius
 JACOBI_TOL = 1e-12                # largest Jacobi residual of declared Carnot brackets
 SAMPLE_COUNT = 64                 # random sample size for sup-over-compacts approximations

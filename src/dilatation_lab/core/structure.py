@@ -28,8 +28,8 @@ class Ball:
     """A metric ball, used to describe sampling regions."""
 
     def __init__(self, center, radius: float):
-        if radius <= 0:
-            raise ValueError("ball radius must be positive")
+        if not 0 < radius < np.inf:  # a NaN radius fails both comparisons
+            raise ValueError(f"ball radius must be positive and finite, got {radius!r}")
         self.center = center
         self.radius = float(radius)
 
@@ -117,7 +117,7 @@ def exactify(S: DilatationStructure, points, scales) -> tuple[list, list, bool]:
     sidesteps the roundoff blowup of fractional-power gauges.  A model
     without exact arithmetic (no ``to_exact``), or a complex scale, leaves
     them in floats.  A float point with a NaN or infinite coordinate has no
-    exact value: it raises DomainViolation, naming the point.
+    exact value: ``require_finite`` raises DomainViolation, naming the point.
     """
     if not hasattr(S, "to_exact"):
         return points, scales, False
@@ -125,11 +125,15 @@ def exactify(S: DilatationStructure, points, scales) -> tuple[list, list, bool]:
         exact_scales = [S.to_exact_scale(e) for e in scales]
     except ValueError:
         return points, scales, False
+    require_finite(points)
+    return [S.to_exact(p) for p in points], exact_scales, True
+
+
+def require_finite(points) -> None:
+    """A float point with a NaN or infinite coordinate raises DomainViolation, naming it."""
     for p in points:
         if isinstance(p, np.ndarray) and not np.isfinite(p).all():
-            raise DomainViolation(f"the point {p.tolist()} has a non-finite coordinate, "
-                                  f"which has no exact value")
-    return [S.to_exact(p) for p in points], exact_scales, True
+            raise DomainViolation(f"the point {p.tolist()} has a non-finite coordinate")
 
 
 # ---------------------------------------------------------------------------

@@ -210,7 +210,7 @@ def lin_defect(S: DilatationStructure, x, y, z, eps: Scale, mu: Scale) -> float:
 
 def _lin_scan(S: DilatationStructure, x, y, z, eps_grid, quantity: str) -> ConvergenceReport:
     """Lin(x, delta^x_eps y, z; eps, eps) / eps^2 over the grid, in exact arithmetic
-    where S has it (``exactify``), as ``menelaos_iterate`` reads ``lin_defect``."""
+    where S has it (``exactify``)."""
     (x, y, z), grid, _ = exactify(S, [x, y, z], eps_grid)
     values = [lin_defect(S, x, S.dilate(x, e, y), z, e, e) / (eps.nu * eps.nu)
               for eps, e in zip(eps_grid, grid)]

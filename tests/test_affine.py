@@ -9,8 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import STEP3_HALF
-from dilatation_lab.config import ENVELOPE_ABS_SLACK, ENVELOPE_SLACK
+from conftest import STEP3_HALF, conical_models
+from dilatation_lab.config import ENVELOPE_ABS_SLACK, ENVELOPE_SLACK, MENELAOS_PROBE_TOL
 from dilatation_lab.core.scales import DYADIC_POWERS as DP, POSITIVE_REALS as PR
 from dilatation_lab.core.structure import approx_difference, approx_sum, exactify
 from dilatation_lab.errors import DomainViolation, MaxIterExceeded
@@ -74,17 +74,44 @@ def test_menelaos_warns_on_nonlinear_structure(cubic_pullback):
     with pytest.warns(UserWarning):
         menelaos_iterate(cubic_pullback, np.zeros(2), HALF,
                          np.array([0.2, 0.1]), HALF)
+    # it warns exactly when the probe defect fails the CLI menelaos verdict's rule
+    rng = np.random.default_rng(38)
+    warned, failed = [], []
+    for _ in range(20):
+        x, y = rng.uniform(-0.05, 0.05, (2, 2))
+        eps, mu = (PR.scale(float(v)) for v in rng.uniform(0.15, 0.85, 2))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = menelaos_iterate(cubic_pullback, x, eps, y, mu)
+        warned.append(len(caught))
+        failed.append(int(res.probe_defect > MENELAOS_PROBE_TOL))
+        assert all(f"looks nonlinear near the inputs (probe defect {res.probe_defect:.3g})"
+                   in str(w.message) for w in caught)
+    assert warned == failed
 
 
-def test_menelaos_does_not_warn_on_engel(engel):
-    # dilatations of a Carnot group commute exactly; in floats the cube root
-    # of the max gauge read third-layer roundoff as a 1e-6 linearity defect
+@pytest.mark.parametrize("model", conical_models(), ids=lambda m: m.name)
+def test_menelaos_does_not_warn_on_conical_models(model):
+    # dilatations of a conical group commute exactly, and their probe defect
+    # stays at roundoff; the dyadic words probe exactly
     rng = np.random.default_rng(0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for _ in range(20):
-            x, y = rng.uniform(-0.5, 0.5, 4), rng.uniform(-0.5, 0.5, 4)
-            menelaos_iterate(engel, x, HALF, y, PR.scale(0.25))
+            if isinstance(model, DyadicBoundaryModel):
+                x, y = (model.point(int.from_bytes(rng.bytes(8), "little")) for _ in range(2))
+                eps, mu = (DP.scale(int(k)) for k in rng.integers(1, 4, 2))
+            else:
+                x, y = rng.uniform(-0.5, 0.5, (2, model.coordinate_dim))
+                eps, mu = (PR.scale(float(v)) for v in rng.uniform(0.15, 0.85, 2))
+            menelaos_iterate(model, x, eps, y, mu)
+
+
+def test_menelaos_refuses_a_non_finite_point_under_a_complex_scale(cxheis):
+    # a complex scale has no exact value, yet a NaN point is still named
+    eps = cxheis.scale_group.scale(complex(0.3, 0.4))
+    with pytest.raises(DomainViolation, match=r"non-finite coordinate"):
+        menelaos_iterate(cxheis, np.array([math.nan, 0.0, 0.0]), eps, np.zeros(3), eps)
 
 
 def test_menelaos_on_exact_inputs(heis1):
@@ -195,6 +222,22 @@ def test_single_point_kernels_step_bit_for_bit(make):
         assert model.single_point_kernels([x, y], [eps, mu])[2] == model._dilate_point
         assert default.single_point_kernels([x, y], [eps, mu])[2] is default.dilate
         assert _loops(model, x, y, eps, mu) == _loops(default, x, y, eps, mu)
+
+
+@pytest.mark.parametrize("make", VIEW_MODELS.values(), ids=VIEW_MODELS.keys())
+def test_menelaos_on_floats_builds_no_exact_point(make, monkeypatch):
+    # the probe defect is the one reading of the Menelaos property: float
+    # inputs take no exact conversion on the way
+    def refuse(cls, coords):
+        raise AssertionError("an exact point was built")
+
+    model = make()
+    monkeypatch.setattr(ExactPoint, "from_floats", classmethod(refuse))
+    rng = np.random.default_rng(38)
+    for _ in range(20):
+        x, y = rng.uniform(-0.3, 0.3, (2, model.coordinate_dim))
+        eps, mu = (PR.scale(float(v)) for v in rng.uniform(0.15, 0.85, 2))
+        menelaos_iterate(model, x, eps, y, mu)
 
 
 def test_banach_reads_a_subclass_distance():

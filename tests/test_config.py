@@ -42,6 +42,21 @@ def test_config_holds_the_thresholds():
     assert _small_float_literals(PACKAGE / "config.py")
 
 
+def test_every_threshold_is_read():
+    # no setting that does nothing: each name config.py binds, its thresholds
+    # and default_ks, is imported by some module of the package
+    tree = ast.parse((PACKAGE / "config.py").read_text())
+    assigned = {t.id for node in tree.body if isinstance(node, ast.Assign)
+                for t in node.targets if isinstance(t, ast.Name)}
+    assigned |= {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    imported = {alias.name for path in PACKAGE.rglob("*.py")
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom) and node.module == "dilatation_lab.config"
+                for alias in node.names}
+    assert len(assigned) == 21  # 20 thresholds and default_ks
+    assert assigned - imported == set()
+
+
 def _code(f):
     c = f.__code__
     return c.co_code, c.co_consts, c.co_names, c.co_varnames

@@ -27,6 +27,14 @@ def test_unknown_axiom_rejected(euclid2):
         verify_axiom(euclid2, "A7", Ball(euclid2.origin(), 0.2), PR.grid(GRID))
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -0.2])
+def test_a_ball_needs_a_positive_finite_radius(euclid2, radius):
+    # a NaN radius compares False with 0, so it once slipped through to the
+    # sampler: 60 halvings on Euclid-2d, a bare ValueError on dyadic words
+    with pytest.raises(ValueError, match="positive and finite"):
+        Ball(euclid2.origin(), radius)
+
+
 @pytest.mark.parametrize("axiom", AXIOMS)
 def test_verify_axiom_needs_two_samples_and_two_scales(euclid2, axiom):
     # one sample pairs only with itself, and one scale shows no trend
