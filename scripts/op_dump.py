@@ -33,6 +33,12 @@ seeded draws of x, u, v each, and prints
 
     seed<TAB>estimate_dx<TAB>structure#draw<TAB>estimate or the error class raised
 
+It reads ``pansu_derivative(S, S, f, x, u, grid)``, grid k = 3..10, for the
+identity on Euclid-2d and on H(1) and for the cubic chart map t + t^3 on
+Euclid-2d, at 10 seeded draws of x, u in [-0.3, 0.3] each, and prints
+
+    seed<TAB>pansu<TAB>map#draw<TAB>the derivative value q or the error class raised
+
 Last, it reads the single-point float primitives ``group_product``,
 ``ambient_dilate``, ``dilate``, ``distance``, ``homogeneous_norm`` and
 ``coordinate_gap`` of six group models (Euclid-2d, H(1), H(2), Engel, C x R
@@ -100,10 +106,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from dilatation_lab import affine, cli  # noqa: E402
 from dilatation_lab.core.scales import RowScale, Scale  # noqa: E402
 from dilatation_lab.core.structure import DilatationStructure, estimate_dx  # noqa: E402
-from dilatation_lab.emergent import InducedStructure, tangent_space  # noqa: E402
+from dilatation_lab.emergent import (  # noqa: E402
+    InducedStructure, pansu_derivative, tangent_space)
+from dilatation_lab.errors import NonlinearityWarning  # noqa: E402
 from dilatation_lab.models import (  # noqa: E402
-    CarnotModel, ComplexHeisenbergModel, DyadicBoundaryModel, EuclideanModel, HeisenbergModel,
-    PullbackModel, engel_structure_constants)
+    CarnotModel, ComplexHeisenbergModel, CubicChart, DyadicBoundaryModel, EuclideanModel,
+    HeisenbergModel, PullbackModel, engel_structure_constants)
 from dilatation_lab.models.base import ExactPoint  # noqa: E402
 import cli_ops  # noqa: E402
 import workloads  # noqa: E402
@@ -214,6 +222,30 @@ def dump_estimate_dx(seed: int):
             except Exception as err:  # the class only: its message quotes the values
                 out = f"raised {type(err).__name__}"
             print(seed, "estimate_dx", f"{name}#{i}", out, sep="\t")
+
+
+PANSU_DRAWS = 10
+
+
+def pansu_maps() -> dict:
+    """Each map whose derivative the dump reads, with its structure: f is opaque
+    to ``pansu_derivative``, so its candidates run in floats."""
+    return {"identity-euclidean-2d": (EuclideanModel(2), lambda p: p),
+            "identity-heisenberg-1": (HeisenbergModel(1), lambda p: p),
+            "cubic-euclidean-2d": (EuclideanModel(2), CubicChart().forward)}
+
+
+def dump_pansu(seed: int):
+    for name, (S, f) in pansu_maps().items():
+        rng = np.random.default_rng(seed)
+        grid = S.scale_group.grid(range(3, 11))
+        for i in range(PANSU_DRAWS):
+            x, u = rng.uniform(-0.3, 0.3, (2, len(S.origin())))
+            try:
+                out = flat(pansu_derivative(S, S, f, x, u, grid)[0])
+            except Exception as err:  # the class only: its message quotes the values
+                out = f"raised {type(err).__name__}"
+            print(seed, "pansu", f"{name}#{i}", out, sep="\t")
 
 
 def primitive_models() -> dict:
@@ -350,12 +382,13 @@ def main(argv: list[str]) -> int:
         return 2
     # menelaos_iterate warns when its probe defect fails the CLI's rule; the
     # benchmark ignores it, and so does the dump outside its own section
-    warnings.filterwarnings("ignore", message=".*looks nonlinear near the inputs")
+    warnings.filterwarnings("ignore", category=NonlinearityWarning)
     seeds = [int(seed) for seed in argv]
     for seed in seeds:
         dump(seed)
         dump_tangent(seed)
         dump_estimate_dx(seed)
+        dump_pansu(seed)
         dump_primitives(seed)
         dump_exact_primitives(seed)
         dump_loops(seed)

@@ -23,7 +23,7 @@ import numpy as np
 from dilatation_lab.config import (
     COUNTEREXAMPLE_SEPARATION, ENVELOPE_ABS_SLACK, ENVELOPE_SLACK, EXACT_IDENTITY_TOL,
     FIXED_POINT_TOL, MAX_ITER, MENELAOS_PROBE_TOL, RATE_FLOOR_FACTOR)
-from dilatation_lab.errors import DomainViolation, MaxIterExceeded
+from dilatation_lab.errors import DomainViolation, MaxIterExceeded, NonlinearityWarning
 from dilatation_lab.core.reports import (
     ConvergenceReport, Verdict, beyond, make_report, sup, within, within_envelopes)
 from dilatation_lab.core.scales import RowScale, Scale, contraction
@@ -100,8 +100,8 @@ def menelaos_iterate(S: DilatationStructure, x, eps: Scale, y, mu: Scale,
     iteration, whose two strands contract toward the common fixed point at
     the exact per-step rate nu(eps mu).  The result records the step rates and
     the probe defect, the dilatation identity read on three probe points near w.
-    A probe defect the CLI's menelaos verdict fails warns that the structure looks
-    nonlinear; a float point with a non-finite coordinate raises DomainViolation.
+    A probe defect the CLI's menelaos verdict fails warns (NonlinearityWarning);
+    a float point with a non-finite coordinate raises DomainViolation.
     """
     contraction("the Menelaos composite", eps, mu)
     require_finite([x, y])
@@ -127,7 +127,8 @@ def menelaos_iterate(S: DilatationStructure, x, eps: Scale, y, mu: Scale,
     probe_defect = sup(gap_of(dilate(xk, e, dilate(yk, m, p)), dilate(wk, em, p)) for p in ps)
     if not within([probe_defect], MENELAOS_PROBE_TOL):
         warnings.warn(f"{S.name} looks nonlinear near the inputs (probe defect "
-                      f"{probe_defect:.3g}); the composite may not be a dilatation", stacklevel=2)
+                      f"{probe_defect:.3g}); the composite may not be a dilatation",
+                      NonlinearityWarning, stacklevel=2)
     return MenelaosResult(w, iterations, gap, observed, rates, probe_defect)
 
 

@@ -13,8 +13,7 @@ MENELAOS_PROBE_TOL = 1e-8         # Menelaos probe defect the CLI verdict and th
 COUNTEREXAMPLE_SEPARATION = 1e-6  # the C x R composite must miss the translation by more
 ENVELOPE_SLACK = 1e-9             # relative slack of the Menelaos distance envelopes
 ENVELOPE_ABS_SLACK = 1e-15        # and their absolute slack, for envelopes that vanish
-JITTER_FACTOR = 1.5               # non-increasing: each entry at most this times the last
-CAUCHY_SHRINK = 1.3               # settling: each increment shrinks by at least this factor
+JITTER_FACTOR = 1.5               # growth allowed per entry, times the grid's ratio in contracting
 DECAY_FACTOR = 0.1                # dying out: the last value below this times the first
 DEFECT_FLOOR = 1e-12              # defects at or below this count as zero
 TOLERANCE_FLOOR_FRACTION = 0.01   # so do harness defects below this fraction of the tolerance

@@ -7,8 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from dilatation_lab.config import (
-    CAUCHY_SHRINK, DECAY_FACTOR, DEFECT_FLOOR, EXACT_IDENTITY_TOL, JITTER_FACTOR)
+from dilatation_lab.config import DECAY_FACTOR, DEFECT_FLOOR, JITTER_FACTOR
 from dilatation_lab.core.scales import Scale, decreasing
 
 
@@ -96,18 +95,16 @@ def nonincreasing(defects) -> Verdict:
     return _first_break("nonincreasing", _trend(defects, DEFECT_FLOOR))
 
 
-def settles(increments) -> Verdict:
-    """Each increment above the floor is at most the one before it (inf for the
-    first) over CAUCHY_SHRINK, plus the floor; a NaN never settles."""
-    return _first_break("settles", [b <= DEFECT_FLOOR or b <= a / CAUCHY_SHRINK + DEFECT_FLOOR
-                                    for a, b in zip([math.inf, *increments], increments)])
-
-
-def settles_or_agrees(increments) -> Verdict:
-    """Every increment within EXACT_IDENTITY_TOL, or else ``settles``: candidates that
-    agree to an identity's tolerance have settled, whatever roundoff amplified by
-    1/eps does to their last digits.  A failure is ``settles``'s verdict."""
-    return within(increments, EXACT_IDENTITY_TOL) or settles(increments)
+def contracts(increments, nus) -> Verdict:
+    """The increments of a limit read off the grid of these nus shrink as a first-order
+    limit's do: from index max(1, n // 2) on, each is at most the one before times
+    JITTER_FACTOR * nus[i] / nus[i - 1], plus the floor.  The first half is not judged,
+    so one rise on a coarse grid start does not decide; a NaN anywhere fails."""
+    start = max(1, len(increments) // 2)
+    return _first_break("contracts", [
+        b <= JITTER_FACTOR * nus[i] / nus[i - 1] * a + DEFECT_FLOOR if i >= start
+        else not math.isnan(b)
+        for i, (a, b) in enumerate(zip([math.inf, *increments], increments))])
 
 
 def dies_out(values) -> Verdict:

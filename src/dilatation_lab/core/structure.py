@@ -20,7 +20,7 @@ import numpy as np
 from dilatation_lab.config import DEFECT_FLOOR, EXACT_IDENTITY_TOL
 from dilatation_lab.errors import DomainViolation, NonConvergent
 from dilatation_lab.core.reports import (
-    ConvergenceReport, beyond, make_report, nonincreasing, sup, within)
+    ConvergenceReport, beyond, contracts, make_report, sup, within)
 from dilatation_lab.core.scales import RowScale, Scale, ScaleGroup, not_expanding, trend_grid
 
 
@@ -28,8 +28,7 @@ class Ball:
     """A metric ball, used to describe sampling regions."""
 
     def __init__(self, center, radius: float):
-        if not 0 < radius < np.inf:  # a NaN radius fails both comparisons
-            raise ValueError(f"ball radius must be positive and finite, got {radius!r}")
+        require_radius(radius)
         self.center = center
         self.radius = float(radius)
 
@@ -66,7 +65,6 @@ class DilatationStructure:
     name: str = "abstract"
     scale_group: ScaleGroup
     domain_radius_A: float = 2.0
-    codomain_radius_B: float = 4.0
 
     # --- required surface -------------------------------------------------
 
@@ -136,6 +134,12 @@ def require_finite(points) -> None:
             raise DomainViolation(f"the point {p.tolist()} has a non-finite coordinate")
 
 
+def require_radius(radius: float) -> None:
+    """A ball radius that is not positive and finite raises ValueError, naming it."""
+    if not 0 < radius < np.inf:  # a NaN radius fails both comparisons
+        raise ValueError(f"ball radius must be positive and finite, got {radius!r}")
+
+
 # ---------------------------------------------------------------------------
 # sampling helper for models whose carrier is a numpy coordinate vector
 # ---------------------------------------------------------------------------
@@ -162,6 +166,7 @@ def vector_sample_ball(model, center, radius: float, count: int, rng) -> list:
     outside after 60 halvings raises DomainViolation: the model's distance
     does not shrink with the offset there, as a homogeneous norm would.
     """
+    require_radius(radius)
     center = np.asarray(center, dtype=float)
     dim = center.shape[0]
     pts = []
@@ -320,7 +325,7 @@ def estimate_dx(S: DilatationStructure, x, u, v, eps_grid) -> tuple[float, Conve
     The estimate is the finest-grid rescaled distance, read in the exact
     arithmetic of S where it has one (``exactify``), else in one float call over
     the grid (``Rows.over_grid``); the report records the gap of each grid value
-    to it.  Successive differences must not grow beyond the jitter factor,
+    to it.  Successive differences must contract (``contracts``),
     otherwise the sweep raises NonConvergent.  A vanishing limit for distinct
     u, v flags the structure as degenerate; only then is their coordinate gap read.
     """
@@ -331,7 +336,7 @@ def estimate_dx(S: DilatationStructure, x, u, v, eps_grid) -> tuple[float, Conve
     rows = Rows.over_grid([x, u, v], grid)
     values = rows.floats(lambda e: rescaled_distance(S, x, e, u, v), rows.scale_column(grid))
     diffs = [abs(a - b) for a, b in zip(values, values[1:])]
-    if not nonincreasing(diffs):
+    if not contracts(diffs, [e.nu for e in eps_grid]):
         raise NonConvergent(f"rescaled distances do not settle on {S.name}: diffs={diffs}")
     estimate = values[-1]
     verdict = (beyond([estimate], DEFECT_FLOOR)

@@ -18,8 +18,7 @@ import numpy as np
 from dilatation_lab.config import DERIVATIVE_TOL, EXACT_IDENTITY_TOL, MIN_PAIRED_SAMPLES, default_ks
 from dilatation_lab.errors import NonConvergent
 from dilatation_lab.core.reports import (
-    ConvergenceReport, converges, dies_out, make_report, nonincreasing, settles,
-    settles_or_agrees, sup, within)
+    ConvergenceReport, contracts, converges, dies_out, make_report, nonincreasing, sup, within)
 from dilatation_lab.core.structure import (
     DilatationStructure, Rows, approx_difference, approx_inverse, approx_sum,
     estimate_dx, exactify, rescaled_distance)
@@ -36,7 +35,7 @@ def tangent_limit(S: DilatationStructure, x, u, v, which: str,
     """Limit of the sum/difference/inverse composite along a scale grid.
 
     The limit is taken as the finest-grid composite after a Cauchy check:
-    successive coordinate gaps must settle (``settles``).  Models with exact
+    successive coordinate gaps must contract (``contracts``).  Models with exact
     tangent operations supply the reference instead; the defect column then
     records the distance to the limit and the numeric path double-checks the
     closed form.  On float points one composite call covers the whole grid, as
@@ -51,7 +50,7 @@ def tangent_limit(S: DilatationStructure, x, u, v, which: str,
     rows = Rows.over_grid([x, *args], eps_grid)
     points = rows.map(lambda e: op(S, x, e, *args), rows.scale_column(eps_grid))
     increments = rows.floats(S.coordinate_gap, points[:-1], points[1:])
-    if not (verdict := settles(increments)):
+    if not (verdict := contracts(increments, [e.nu for e in eps_grid])):
         raise NonConvergent(f"tangent {which} composites do not settle on {S.name}: {increments}")
     exact = getattr(S, f"tangent_{which}", None)
     limit = rows.row(points, -1) if exact is None else exact(x, *args)
@@ -76,7 +75,6 @@ class AnchoredStructure(DilatationStructure):
         self.anchor = (x, *scales)
         self.scale_group = base.scale_group
         self.domain_radius_A = base.domain_radius_A
-        self.codomain_radius_B = base.codomain_radius_B
         self.name = name
 
     def _anchor(self, like):
@@ -289,8 +287,8 @@ def pansu_derivative(Ssrc: DilatationStructure, Sdst: DilatationStructure, f, x,
     Estimates Q^x(u) = lim delta^{f(x)}_{eps^-1} f(delta^x_eps u) over the
     grid, then recomputes the defining residual
     (1/eps) d(f(delta^x_eps u), delta^{f(x)}_eps Q^x(u)) with the estimate.
-    Candidates that neither settle nor agree to EXACT_IDENTITY_TOL
-    (``settles_or_agrees``) raise NonConvergent, a finding (f is not
+    Candidates that neither agree to EXACT_IDENTITY_TOL nor contract
+    (``contracts``) raise NonConvergent, a finding (f is not
     differentiable at x along u), not a crash; the residuals decide the verdict.
     """
     trend_grid("pansu_derivative", eps_grid)
@@ -298,7 +296,8 @@ def pansu_derivative(Ssrc: DilatationStructure, Sdst: DilatationStructure, f, x,
     images = [f(Ssrc.dilate(x, eps, u)) for eps in eps_grid]
     candidates = [Sdst.dilate(fx, eps.inverse(), fu) for eps, fu in zip(eps_grid, images)]
     increments = [Sdst.coordinate_gap(a, b) for a, b in zip(candidates, candidates[1:])]
-    if not settles_or_agrees(increments):
+    if not (within(increments, EXACT_IDENTITY_TOL)
+            or contracts(increments, [e.nu for e in eps_grid])):
         raise NonConvergent(f"derivative candidates do not settle along u: {increments}")
     # estimate at one refinement past the grid so every residual row,
     # including the last, measures the estimate against fresh data

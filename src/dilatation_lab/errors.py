@@ -28,3 +28,8 @@ class ModelError(DilatationLabError):
 
 class ConfigError(DilatationLabError):
     """An experiment configuration failed validation."""
+
+
+class NonlinearityWarning(UserWarning):
+    """A Menelaos composite's probe defect fails the CLI's rule: the structure
+    looks nonlinear near the inputs, so the composite may not be a dilatation."""

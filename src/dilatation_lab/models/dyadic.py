@@ -25,6 +25,7 @@ import math
 
 from dilatation_lab.errors import DomainViolation, ModelError, PrecisionExhausted
 from dilatation_lab.core.scales import DYADIC_POWERS, Scale, contraction
+from dilatation_lab.core.structure import require_radius
 from dilatation_lab.models.base import GroupModel, is_integer
 
 
@@ -172,6 +173,7 @@ class DyadicBoundaryModel(GroupModel):
     # --- sampling ----------------------------------------------------------------
 
     def sample_ball(self, center, radius, count, rng):
+        require_radius(radius)
         m = 0 if radius >= 1.0 else math.ceil(-math.log2(radius))
         m = min(m, self.precision - 1)
         step = 1 << m

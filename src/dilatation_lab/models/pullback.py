@@ -65,11 +65,10 @@ class CubicChart:
 class PullbackModel(DilatationStructure):
     """A Euclidean base seen through the cubic chart, in one of the two transports."""
 
-    # the chart ball; the domain constants are inherited from it, not from
+    # the chart ball; the domain constant A is inherited from it, not from
     # the usual normalization A > 1
     radius = 0.5
     domain_radius_A = radius / 2.0
-    codomain_radius_B = radius
 
     def __init__(self, base: EuclideanModel, chart: str = "cubic",
                  transport: str = "dilatation"):

@@ -13,7 +13,7 @@ from conftest import STEP3_HALF, conical_models
 from dilatation_lab.config import ENVELOPE_ABS_SLACK, ENVELOPE_SLACK, MENELAOS_PROBE_TOL
 from dilatation_lab.core.scales import DYADIC_POWERS as DP, POSITIVE_REALS as PR
 from dilatation_lab.core.structure import approx_difference, approx_sum, exactify
-from dilatation_lab.errors import DomainViolation, MaxIterExceeded
+from dilatation_lab.errors import DomainViolation, MaxIterExceeded, NonlinearityWarning
 from dilatation_lab.models import (
     CarnotModel, ComplexHeisenbergModel, DyadicBoundaryModel, EuclideanModel, ExactPoint,
     HeisenbergModel, engel_structure_constants, heisenberg_structure_constants)
@@ -71,7 +71,7 @@ def test_menelaos_stops_a_contraction_that_stalls(euclid1):
 
 
 def test_menelaos_warns_on_nonlinear_structure(cubic_pullback):
-    with pytest.warns(UserWarning):
+    with pytest.warns(NonlinearityWarning, match="looks nonlinear near the inputs"):
         menelaos_iterate(cubic_pullback, np.zeros(2), HALF,
                          np.array([0.2, 0.1]), HALF)
     # it warns exactly when the probe defect fails the CLI menelaos verdict's rule
@@ -85,7 +85,8 @@ def test_menelaos_warns_on_nonlinear_structure(cubic_pullback):
             res = menelaos_iterate(cubic_pullback, x, eps, y, mu)
         warned.append(len(caught))
         failed.append(int(res.probe_defect > MENELAOS_PROBE_TOL))
-        assert all(f"looks nonlinear near the inputs (probe defect {res.probe_defect:.3g})"
+        assert all(w.category is NonlinearityWarning
+                   and f"looks nonlinear near the inputs (probe defect {res.probe_defect:.3g})"
                    in str(w.message) for w in caught)
     assert warned == failed
 

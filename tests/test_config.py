@@ -53,7 +53,7 @@ def test_every_threshold_is_read():
                 for node in ast.walk(ast.parse(path.read_text()))
                 if isinstance(node, ast.ImportFrom) and node.module == "dilatation_lab.config"
                 for alias in node.names}
-    assert len(assigned) == 21  # 20 thresholds and default_ks
+    assert len(assigned) == 20  # 19 thresholds and default_ks
     assert assigned - imported == set()
 
 

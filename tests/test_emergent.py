@@ -86,7 +86,7 @@ def test_tangent_sum_heisenberg_is_group_product(heis1):
 
 def test_float_tangent_limits_settle_on_heisenberg(heis1):
     # the Cauchy rule reads coordinate gaps, which halve with the scale; the
-    # Cygan fourth root would show them shrinking by less than CAUCHY_SHRINK
+    # Cygan fourth root would show them shrinking by less than the grid's ratio
     rng = np.random.default_rng(5)
     x, u, v = (rng.uniform(-0.3, 0.3, 3) for _ in range(3))
     grid = PR.grid(range(3, 11))
@@ -96,6 +96,23 @@ def test_float_tangent_limits_settle_on_heisenberg(heis1):
         assert heis1.coordinate_gap(lim, exact(x, u, v)) == 0.0
         increments = rep.metadata["cauchy_increments"]
         assert all(b < a for a, b in zip(increments, increments[1:]))
+
+
+@pytest.mark.parametrize("model, raising", [("heis1", 19), ("engel", 20), ("cxheis", 19)])
+def test_float_tangent_limits_do_not_settle_on_a_deep_grid(model, raising, request):
+    # past eps = 2^-12 the float composites' roundoff, times 1/eps, outgrows
+    # their first-order gaps: the tail of the coordinate gaps stops contracting,
+    # and tangent_limit raises on almost every seed
+    S = request.getfixturevalue(model)
+    grid = S.scale_group.grid(range(2, 21))
+    raised = 0
+    for seed in range(20):
+        x, u, v = np.random.default_rng(seed).uniform(-0.2, 0.2, (3, len(S.origin())))
+        try:
+            tangent_limit(S, x, u, v, "sum", grid)
+        except NonConvergent:
+            raised += 1
+    assert raised == raising
 
 
 def test_tangent_group_laws_via_exact_ops(heis1, engel, cubic_pullback):

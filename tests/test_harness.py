@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dilatation_lab.affine import probe_points
 from dilatation_lab.config import EXACT_IDENTITY_TOL, LIMIT_TOL
 from dilatation_lab.core.harness import AXIOMS, verify_all_axioms, verify_axiom
 from dilatation_lab.core.scales import POSITIVE_REALS as PR
@@ -33,6 +34,20 @@ def test_a_ball_needs_a_positive_finite_radius(euclid2, radius):
     # sampler: 60 halvings on Euclid-2d, a bare ValueError on dyadic words
     with pytest.raises(ValueError, match="positive and finite"):
         Ball(euclid2.origin(), radius)
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -1])
+@pytest.mark.parametrize("model", ["euclid2", "heis1", "dyadic", "cubic_pullback"])
+def test_sample_ball_needs_a_positive_finite_radius(model, radius, request):
+    # called directly, without a Ball, the sampler checks the radius itself; it
+    # once raised a bare ValueError on dyadic words, 60 halvings later on
+    # Euclid-2d, or sampled a ball of radius 0 or +inf
+    S = request.getfixturevalue(model)
+    named = f"positive and finite, got {radius!r}"
+    with pytest.raises(ValueError, match=named):
+        S.sample_ball(S.origin(), radius, 9, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=named):
+        probe_points(S, S.origin(), radius)
 
 
 @pytest.mark.parametrize("axiom", AXIOMS)

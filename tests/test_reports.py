@@ -21,10 +21,10 @@ from dilatation_lab.affine import (
     CollinearTriple, check_collinear, collinear_triple_from_ratio, counterexample_check,
     distance_estimates_check, geometric_affinity_check, reversed_collinear_search)
 from dilatation_lab.core.harness import verify_axiom
-from dilatation_lab.config import CAUCHY_SHRINK, DEFECT_FLOOR, FIXED_POINT_TOL, MAX_ITER
+from dilatation_lab.config import DEFECT_FLOOR, FIXED_POINT_TOL, JITTER_FACTOR, MAX_ITER
 from dilatation_lab.core.reports import (
-    Verdict, beyond, converges, dies_out, make_report, nonincreasing, settles, settles_or_agrees,
-    sup, within, within_envelopes)
+    Verdict, beyond, contracts, converges, dies_out, make_report, nonincreasing, sup, within,
+    within_envelopes)
 from dilatation_lab.core.scales import POSITIVE_REALS as PR
 from dilatation_lab.core.structure import Ball, Rows, estimate_dx
 from dilatation_lab.emergent import (
@@ -191,7 +191,7 @@ def test_reports_holds_the_sup_rule():
     assert _own_sup_rules(PACKAGE / "core" / "reports.py")
 
 
-SETTLING_FACTORS = {"CAUCHY_SHRINK", "JITTER_FACTOR", "DECAY_FACTOR"}
+SETTLING_FACTORS = {"JITTER_FACTOR", "DECAY_FACTOR"}
 ORDER_RULE = "strictly decreasing in nu"
 
 
@@ -212,7 +212,7 @@ def _raises(path, text):
 
 
 def test_settling_and_grid_order_rules_have_one_home_each():
-    # nonincreasing, settles and dies_out read the sequence factors; trend_grid
+    # nonincreasing, contracts and dies_out read the sequence factors; trend_grid
     # and every report check a grid's order through core.scales.decreasing
     modules = {str(path.relative_to(PACKAGE)): path for path in sorted(PACKAGE.rglob("*.py"))}
     reads = {name: lines for name, path in modules.items()
@@ -279,7 +279,8 @@ def test_the_rules_break_at_the_first_value_that_breaks_them():
     assert beyond([2.0, 0.5, NAN], 1.0) == Verdict(False, "beyond", 1.0, 1)
     assert beyond([2.0, 3.0], 1.0) and not beyond([NAN], 1.0)
     assert nonincreasing([1.0, 1.5, 2.3]) == Verdict(False, "nonincreasing", None, 2)
-    assert settles([1.0, 0.5, 0.5]) == Verdict(False, "settles", None, 2)
+    assert contracts([1.0, 0.5, 0.5], [1.0, 0.5, 0.25, 0.125]) == \
+        Verdict(False, "contracts", None, 2)
     for rule in (within, beyond):
         with pytest.raises(ValueError, match=EMPTY):
             rule([], 1.0)
@@ -347,26 +348,62 @@ def test_a_nan_coordinate_gives_a_nan_gauge():
     assert math.isnan(engel.distance(engel.origin(), p))
 
 
-def test_settles_keeps_the_cauchy_rule():
-    assert settles([]) and settles([1e9]) and settles([math.inf])
-    assert settles([1.0, 1.0 / CAUCHY_SHRINK + DEFECT_FLOOR])
-    assert not settles([1.0, 1.0 / CAUCHY_SHRINK + 2 * DEFECT_FLOOR])
+def _nus(ks):
+    return [e.nu for e in PR.grid(ks)]
+
+
+DEFAULT_NUS = _nus(range(2, 13))  # the default grid: 11 scales, 10 increments
+
+
+def test_contracts_fails_at_a_nan_and_passes_at_the_floor():
+    assert contracts([], DEFAULT_NUS) and contracts([1e9], DEFAULT_NUS)
+    assert contracts([math.inf], DEFAULT_NUS)
+    halving = [2.0 ** -i for i in range(10)]
+    assert contracts(halving, DEFAULT_NUS)
+    for i in range(10):
+        values = [*halving[:i], NAN, *halving[i + 1:]]
+        assert contracts(values, DEFAULT_NUS) == Verdict(False, "contracts", None, i)
     # at or below the floor an increment always passes, and the next is held to it
-    assert settles([1e-9, DEFECT_FLOOR, 1e-13, 0.0])
-    assert not settles([1.0, DEFECT_FLOOR, 1e-9])
-    for values in ([NAN], [1.0, NAN], [NAN, 0.0], [1.0, 0.5, NAN, 0.1]):
-        assert settles(values).broke_at == _nan_at(values)
+    assert contracts([1e-9, 1e-11, DEFECT_FLOOR, 1e-13, 0.0, DEFECT_FLOOR], DEFAULT_NUS)
+    assert contracts([1.0] * 5 + [DEFECT_FLOOR] * 5, DEFAULT_NUS)
+    assert not contracts([1.0] * 5 + [DEFECT_FLOOR, 1e-9, 0.0, 0.0, 0.0], DEFAULT_NUS)
+    # a flat second half is no limit
+    assert contracts([1.0] * 10, DEFAULT_NUS).broke_at == 5
+    assert contracts([*halving[:6], *[halving[5]] * 4], DEFAULT_NUS).broke_at == 6
+
+
+def test_contracts_does_not_judge_the_first_half():
+    # the differences of the pinned metric-pullback draw (test_operators): one
+    # early rise on the coarse start of the grid, then halving
+    diffs = [2.3e-4, 2.1e-5, 4.4e-5, *(3.1e-5 * 0.5 ** i for i in range(7))]
+    assert diffs[2] > JITTER_FACTOR * diffs[1] and contracts(diffs, DEFAULT_NUS)
+    # the same rise in the second half breaks the rule where it falls
+    late = [*diffs[:6], 4 * diffs[6], *diffs[7:]]
+    assert contracts(late, DEFAULT_NUS) == Verdict(False, "contracts", None, 6)
+    # on two increments the second is judged
+    assert not contracts([1.0, 1.0], DEFAULT_NUS) and contracts([1.0, 0.5], DEFAULT_NUS)
+
+
+def test_contracts_takes_its_bound_from_the_grid():
+    # the jitter factor times the grid's own ratio, plus the floor
+    assert contracts([1.0, JITTER_FACTOR * 0.5 + DEFECT_FLOOR], DEFAULT_NUS)
+    assert not contracts([1.0, JITTER_FACTOR * 0.5 + 2 * DEFECT_FLOOR], DEFAULT_NUS)
+    # on k = 2, 4, 6, ... the scale falls fourfold per step: a tail that only
+    # halves is slower than a first-order limit there
+    halving = [2.0 ** -i for i in range(10)]
+    quartering = _nus(range(2, 24, 2))
+    assert contracts(halving, quartering).broke_at == 5
+    assert contracts([4.0 ** -i for i in range(10)], quartering)
+    # on a non-geometric grid each step is held to its own ratio: 1/4, then 1/8
+    ks = [2, 3, 5, 8, 12]
+    assert contracts([1.0, 1.0, 0.3, 0.05], _nus(ks))
+    assert contracts([1.0, 1.0, 0.3, 0.06], _nus(ks)).broke_at == 3
+    assert contracts([1.0, 1.0, 0.4, 0.05], _nus(ks)).broke_at == 2
 
 
 def test_derivative_candidates_that_agree_have_settled():
-    # settles_or_agrees, pansu_derivative's rule alone: every increment within
-    # EXACT_IDENTITY_TOL, or else settles
-    roundoff = [1e-15, 2e-14, 3e-12, 1.3e-11]
-    assert not settles(roundoff) and settles_or_agrees(roundoff)
-    assert settles_or_agrees([1.0, 0.5]) and not settles_or_agrees([1e-16, 2e-9])
-    assert not settles_or_agrees([1e-16, NAN])
     # the float identity map on H(1): roundoff times 1/eps grows the increments
-    # from 1e-16 to 1.3e-11, so settles alone raised NonConvergent here
+    # from 1e-16 to 1.3e-11, so they pass on agreeing to EXACT_IDENTITY_TOL
     grid = PR.grid(range(3, 11))
     for seed in range(6):
         rng = np.random.default_rng(seed)
