@@ -13,6 +13,7 @@ and the valuation counterexample on C x R.
 
 from __future__ import annotations
 
+import math
 import statistics
 import warnings
 from dataclasses import dataclass, field
@@ -109,15 +110,9 @@ def menelaos_iterate(S: DilatationStructure, x, eps: Scale, y, mu: Scale,
     # contraction rates are read from metric distances, but only while they
     # sit safely above the resolution floor of the gauge
     rate_floor = RATE_FLOOR_FACTOR * max(1.0, d_metric)
-    rates: list[float] = []
-
-    def read_rate(d_next):
-        nonlocal d_metric
-        if d_metric > rate_floor and d_next > 0:
-            rates.append(d_next / d_metric)
-        d_metric = d_next
-
-    w, iterations, gap = _menelaos_walk(S, x, eps, y, mu, tol, max_iter, read_rate)
+    steps: list[float] = []
+    w, iterations, gap = _menelaos_walk(S, x, eps, y, mu, tol, max_iter, steps.append)
+    rates = [b / a for a, b in zip([d_metric, *steps], steps) if a > rate_floor and b > 0]
     observed = statistics.median(rates) if rates else float("nan")
     # one probe at a time, in the kernels' working form: a 3-row batch of the
     # coordinate-wise C x R and Engel products costs more than three single points
@@ -252,8 +247,8 @@ class CollinearTriple:
 
     def __post_init__(self):
         a, b = float(self.alpha), float(self.beta)
-        if a <= 0 or b <= 0:
-            raise ValueError("exponents must be positive")
+        if not (0 < a < math.inf and 0 < b < math.inf):
+            raise ValueError(f"exponents must be finite and positive, got {a!r} and {b!r}")
         if 1.0 in (a, b) or a * b == 1.0:
             raise ValueError("all three exponents must differ from 1")
 

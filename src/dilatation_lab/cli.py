@@ -52,18 +52,13 @@ def _config_hash(config: dict) -> str:
 
 # field parsers, keyed by field name: each takes (model, value)
 
-def _integer(model, value):
-    if not is_integer(value):
-        raise ValueError(f"must be an integer, got {value!r}")
-    return int(value)
-
-
 def _at_least(least):
     def parse(model, value):
-        n = _integer(model, value)
-        if n < least:
+        if not is_integer(value):
+            raise ValueError(f"must be an integer, got {value!r}")
+        if value < least:
             raise ValueError(f"must be at least {least}, got {value!r}")
-        return n
+        return int(value)
     return parse
 
 
@@ -123,7 +118,7 @@ _PARSERS = {
     **dict.fromkeys(("eps", "mu"), _contraction),
     "seed": _at_least(0),
     **dict.fromkeys(("sample_count", "N"), _at_least(1)),
-    "max_iter": _integer,
+    "max_iter": _at_least(0),
     "ks": _grid,
     "map": _map,
 }

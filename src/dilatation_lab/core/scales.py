@@ -12,6 +12,7 @@ ship with the lab:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Number, Real
 from typing import Any
@@ -130,8 +131,8 @@ class PositiveReals(ScaleGroup):
     identity_value = 1.0
 
     def validate(self, value):
-        if not value > 0:  # a string or any other non-real raises TypeError here
-            raise ValueError(f"scale must be a positive real, got {value!r}")
+        if not 0 < value < math.inf:  # a string or any other non-real raises TypeError here
+            raise ValueError(f"scale must be a finite positive real, got {value!r}")
         return value
 
     def nu_of(self, value) -> float:
@@ -183,8 +184,8 @@ class ComplexUnits(ScaleGroup):
     identity_value = complex(1.0)
 
     def validate(self, value):
-        if not isinstance(value, Number) or value == 0:
-            raise ValueError(f"scale must be a nonzero complex number, got {value!r}")
+        if not isinstance(value, Number) or not 0 < abs(value) < math.inf:
+            raise ValueError(f"scale must be a finite nonzero complex number, got {value!r}")
         return value if isinstance(value, Real) else complex(value)
 
     def nu_of(self, value) -> float:
@@ -200,8 +201,8 @@ COMPLEX_UNITS = ComplexUnits()
 
 
 def decreasing(eps_grid) -> None:
-    """Raise ValueError unless the grid refines: strictly decreasing in nu."""
-    if any(b.nu >= a.nu for a, b in zip(eps_grid, eps_grid[1:])):
+    """Raise ValueError unless the grid refines: strictly decreasing in nu, which a NaN is not."""
+    if any(not b.nu < a.nu for a, b in zip(eps_grid, eps_grid[1:])):
         raise ValueError("scale grid must be strictly decreasing in nu")
 
 

@@ -213,7 +213,7 @@ class CarnotModel(GroupModel):
     is ``_exact_dilate`` based at the identity, delta_eps = delta^e_eps.  The
     group inverse is negation in either arithmetic.  Subclasses override the
     gauges, C x R ``_dilate`` for its complex scales, and Euclidean space
-    ``_rows_dilate``, ``group_product`` and ``ambient_dilate`` with whole rows.
+    ``_rows_dilate`` and ``group_product`` with whole rows, for batched distances.
     None overrides the kernels.
     """
 
@@ -331,9 +331,7 @@ class CarnotModel(GroupModel):
         if type(p) is ExactPoint:
             A, da, B, db = _exact_pair(p, q)
             return sup([abs(a / da - b / db) for a, b in zip(A, B)])
-        if type(q) is np.ndarray and p.ndim == q.ndim == 1:
-            return _list_gap(p.tolist(), q.tolist())
-        return sup(np.abs(p - q), axis=1)
+        return sup(np.abs(p - q), axis=None if p.ndim == q.ndim == 1 else 1)
 
     def single_point_kernels(self, points, scales):
         """1-D float points as lists and ``float`` scales as floats, under the kernels

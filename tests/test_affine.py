@@ -433,6 +433,13 @@ def test_collinear_triple_validation(euclid1):
     assert t.ratio_norm == pytest.approx(2.0 / 3.0)
 
 
+def test_collinear_triple_needs_finite_exponents():
+    # a NaN exponent passed a <= 0 and gave a NaN ratio_norm; an infinite one gave gamma 0.0
+    for a, b in [(math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5), (0.5, math.inf)]:
+        with pytest.raises(ValueError, match="finite and positive"):
+            CollinearTriple(np.zeros(1), np.ones(1), np.ones(1), a, b)
+
+
 def test_check_collinear_euclid_closed_form(euclid1):
     # z from the classical ratio relation, gamma = 4
     t = CollinearTriple(np.array([0.0]), np.array([1.0]), np.array([1.0 / 3.0]),

@@ -252,6 +252,18 @@ def test_bad_parameter_values_are_errors(tmp_path):
     assert run(missing, quiet=True) == 1
 
 
+def test_a_negative_iteration_budget_is_a_config_error(tmp_path, capsys):
+    # max_iter = -3 ran, and exited 2 with "no convergence after -3 iterations"
+    config = {"model": {"model": "euclidean", "n": 1}, "command": "menelaos",
+              "x": [0.0], "y": [1.0], "eps": 0.5, "mu": 0.5}
+    assert run(write_config(tmp_path, "c.json", {**config, "max_iter": -3}), quiet=True) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "ConfigError" in err and "max_iter" in err
+    # a budget of 0 is valid: coincident points converge in 0 steps
+    coincident = {**config, "y": [0.0], "max_iter": 0}
+    assert run(write_config(tmp_path, "z.json", coincident), quiet=True) == 0
+
+
 def test_bad_model_is_an_error(tmp_path):
     cfg = write_config(tmp_path, "c.json", {
         "model": {"model": "carnot", "step": 9, "layers": [1], "brackets": []},

@@ -17,6 +17,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from dilatation_lab.core.scales import RowScale
 from dilatation_lab.models import (
     CarnotModel, ComplexHeisenbergModel, ExactPoint, HeisenbergModel, engel_structure_constants)
 
@@ -136,6 +137,30 @@ def test_float_kernels_are_within_their_roundings_of_the_exact_value(name, kerne
     model = MODELS[name]()
     assert max(_roundings(model, kernel)) == C[name][KERNELS.index(kernel)]
     assert all(r <= n / (1 - n * U) for r, n in ratios(model, kernel, 37))
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_batch_dilate_under_a_per_row_scale_is_within_the_point_bound(name):
+    # the batch path (``_rows_dilate``: the product and ``_dilate`` on columns, with
+    # per-row layer factors) on _cases' draws of (x, y, e), all rows in one call;
+    # each row is held to ``_dilate_point``'s counts and bound
+    model = MODELS[name]()
+    rng = np.random.default_rng(37)
+    draws = [(_draw(rng, model.dim), _draw(rng, model.dim), float(rng.uniform(0.05, 4.0)))
+             for _ in range(DRAWS)]
+    X, Y = (np.array([d[i] for d in draws]) for i in (0, 1))
+    eps = RowScale.of([model.scale_group.scale(e) for *_, e in draws])
+    counts = _roundings(model, "_dilate_point")
+    assert max(counts) == C[name][KERNELS.index("_dilate_point")]
+    for got, (x, y, e) in zip(model.dilate(X, eps, Y).tolist(), draws):
+        P, Q = ExactPoint.from_floats(x), ExactPoint.from_floats(y)
+        exact = model._exact_dilate(P.num, P.den, Q.num, Q.den, *e.as_integer_ratio())
+        inner = _abs_product(model, map(F, x), map(F, y))
+        scaled = [F(e) ** (i + 1) * b for i, b in zip(model._layer_index, inner)]
+        bound = _abs_product(model, map(F, x), scaled)
+        for g, t, b, n in zip(got, _fractions(exact), bound, counts):
+            assert b or g == 0
+            assert (abs(F(g) - t) / (U * b) if b else 0) <= n / (1 - n * U), (x, y, e)
 
 
 def test_the_bound_sees_a_dropped_bracket_term():

@@ -11,14 +11,14 @@ import dilatation_lab
 from dilatation_lab.core.harness import AXIOMS, verify_axiom
 from dilatation_lab.core.reports import make_report, within
 from dilatation_lab.core.scales import (
-    COMPLEX_UNITS, DYADIC_POWERS, POSITIVE_REALS, RowScale, contraction, decreasing,
+    COMPLEX_UNITS, DYADIC_POWERS, POSITIVE_REALS, RowScale, Scale, contraction, decreasing,
     not_expanding)
 from dilatation_lab.core.structure import Ball, estimate_dx
 from dilatation_lab.emergent import (
     LIMIT_OPS, check_affine_map, inflin_scan, metric_tangent_scan, pansu_derivative,
     plin1_scan, tangent_limit)
 from dilatation_lab.errors import DomainViolation, NonConvergent
-from dilatation_lab.models import HeisenbergModel
+from dilatation_lab.models import ComplexHeisenbergModel, HeisenbergModel
 
 PACKAGE = Path(dilatation_lab.__file__).parent
 
@@ -142,6 +142,34 @@ def test_decreasing_refuses_a_grid_that_does_not_refine():
     # a report checks its grid with the same rule
     with pytest.raises(ValueError, match=ORDER):
         make_report(BAD_GRIDS["repeated"], [0.0] * 4, within([0.0] * 4, 1e-9), {})
+
+
+def test_scale_groups_refuse_non_finite_values():
+    # an infinite scale reached Fraction in to_exact_scale (OverflowError), and a
+    # NaN one keyed the A1 image cache (KeyError) or gave a NaN A2 defect
+    inf, nan = math.inf, math.nan
+    for group, value in [(POSITIVE_REALS, inf), (POSITIVE_REALS, nan), (COMPLEX_UNITS, nan),
+                         (COMPLEX_UNITS, complex(inf, 0.0)), (COMPLEX_UNITS, complex(0.0, nan))]:
+        with pytest.raises(ValueError, match="finite"):
+            group.scale(value)
+    for group, value in [(POSITIVE_REALS, Fraction(1, 3)), (POSITIVE_REALS, 3),
+                         (COMPLEX_UNITS, 0.5j), (COMPLEX_UNITS, Fraction(1, 3)),
+                         (COMPLEX_UNITS, -2)]:
+        assert group.scale(value).value == value
+
+
+def test_a_nan_valuation_does_not_refine_a_grid():
+    # a Scale built directly skips validate; the order rule still refuses its NaN
+    nan = math.nan
+    H, C = HeisenbergModel(1), ComplexHeisenbergModel()
+    for model, head in [(H, Scale(POSITIVE_REALS, nan)),
+                        (C, Scale(COMPLEX_UNITS, complex(nan, 0.0)))]:
+        sg = model.scale_group
+        for grid in ([head, sg.scale(0.5), sg.scale(0.25)], [sg.scale(0.5), head, sg.scale(0.25)]):
+            with pytest.raises(ValueError, match=ORDER):
+                decreasing(grid)
+            with pytest.raises(ValueError, match=ORDER):
+                verify_axiom(model, "A1", Ball(model.origin(), 0.1), grid)
 
 
 class _Counting:
