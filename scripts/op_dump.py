@@ -59,6 +59,15 @@ denominator, a float's shortest round trip) as
 
     seed<TAB>exact<TAB>model#draw<TAB>operation<TAB>output
 
+Then it runs the exact sweeps that no workload centres off the identity: exact
+A1 and exact-mode A4 on the five coordinate models (Euclid-2d, H(1), H(2),
+Engel and C x R), each at 3 seeded regions of radius 0.2 whose centres fill the
+box [-0.3, 0.3], 8 samples and the grid k = 2..12, and A1 on the induced
+structure of H(1) at a seeded x and scale 2^-3, and prints each report, its
+defects as hex, as
+
+    seed<TAB>exact-sweeps<TAB>structure#draw<TAB>axiom<TAB>report
+
 Then it runs the single-point loops ``menelaos_iterate``, ``banach_oracle``
 (started at x) and ``distance_estimates_check``, the ratio point
 ``ratio_point(x, y, eps, mu)`` and the truncated product ``g_map`` of y at
@@ -104,8 +113,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from dilatation_lab import affine, cli  # noqa: E402
+from dilatation_lab.core.harness import verify_axiom  # noqa: E402
 from dilatation_lab.core.scales import RowScale, Scale  # noqa: E402
-from dilatation_lab.core.structure import DilatationStructure, estimate_dx  # noqa: E402
+from dilatation_lab.core.structure import Ball, DilatationStructure, estimate_dx  # noqa: E402
 from dilatation_lab.emergent import (  # noqa: E402
     InducedStructure, pansu_derivative, tangent_space)
 from dilatation_lab.errors import NonlinearityWarning  # noqa: E402
@@ -309,6 +319,30 @@ def dump_exact_primitives(seed: int):
                 print(seed, "exact", f"{name}#{i}", op, repr(call()), sep="\t")
 
 
+SWEEP_DRAWS = 3
+
+
+def sweep_structures() -> dict:
+    """The coordinate models whose exact sweeps the dump reads off the identity."""
+    models = primitive_models()
+    return {name: models[name] for name in ("euclidean-2d", "heisenberg-1", "heisenberg-2",
+                                             "engel", "cxr")}
+
+
+def dump_exact_sweeps(seed: int):
+    sweeps = [(name, S, axiom) for name, S in sweep_structures().items() for axiom in ("A1", "A4")]
+    H = HeisenbergModel(1)
+    x = np.random.default_rng([seed, 2]).uniform(-0.3, 0.3, 3)
+    sweeps.append(("induced-heisenberg-1", InducedStructure(H, x, H.scale_group.contraction(3)),
+                   "A1"))
+    for name, S, axiom in sweeps:
+        rng = np.random.default_rng(seed)
+        for i in range(SWEEP_DRAWS):
+            region = Ball(rng.uniform(-0.3, 0.3, len(S.origin())), 0.2)
+            rep = verify_axiom(S, axiom, region, S.scale_group.grid(range(2, 13)), 8, seed=i)
+            print(seed, "exact-sweeps", f"{name}#{i}", axiom, flat(rep), sep="\t")
+
+
 def dump_loops(seed: int):
     name = "carnot-step3-2x1x2"
     M = primitive_models()[name]
@@ -391,6 +425,7 @@ def main(argv: list[str]) -> int:
         dump_pansu(seed)
         dump_primitives(seed)
         dump_exact_primitives(seed)
+        dump_exact_sweeps(seed)
         dump_loops(seed)
         dump_menelaos_warning(seed)
     for seed in [cli_ops.DEFAULT_SEED, *(s for s in seeds if s != cli_ops.DEFAULT_SEED)]:

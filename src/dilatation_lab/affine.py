@@ -180,7 +180,7 @@ def g_map(M: GroupModel, eps: Scale, y, N: int) -> GMapResult:
     values = [e]
     for _ in range(N - 1):
         values.append(group.combine(values[-1], e))
-    rows = Rows([y])
+    rows = Rows.scaled([y])
     powers = (RowScale(group, np.array(values).reshape(-1, 1)) if rows.batched
               else [Scale(group, v) for v in values])
     out = M.product_of(y, rows.map(lambda p: M.ambient_dilate(p, y), powers))
@@ -308,7 +308,7 @@ def reversed_collinear_search(M: HeisenbergModel, X, Y, Z, grid_lo: float = 1.01
     if probes is None:
         probes = probe_points(M, X, M.closeness_budget(), seed)
     alphas = np.linspace(grid_lo, grid_hi, resolution).tolist()
-    rows = Rows(probes)
+    rows = Rows.scaled(probes)
 
     def per_pair(scales):
         """One scale per (b', probe) row, from one scale per b'."""

@@ -22,6 +22,14 @@ import numpy as np
 from dilatation_lab.errors import DomainViolation
 
 
+def _float_range(value) -> bool:
+    """True when a positive real rounds to a positive finite float, its valuation's type."""
+    try:
+        return 0.0 < float(value) < math.inf
+    except OverflowError:
+        return False
+
+
 class ScaleGroup:
     """Abstract commutative scale group with valuation nu.
 
@@ -131,7 +139,10 @@ class PositiveReals(ScaleGroup):
     identity_value = 1.0
 
     def validate(self, value):
-        if not 0 < value < math.inf:  # a string or any other non-real raises TypeError here
+        # a string or any other non-real raises TypeError at the comparison; a bool
+        # is no scale, and an int or Fraction beyond float range has no valuation
+        if not 0 < value < math.inf or type(value) is not float and (
+                isinstance(value, bool) or not _float_range(value)):
             raise ValueError(f"scale must be a finite positive real, got {value!r}")
         return value
 
@@ -184,7 +195,8 @@ class ComplexUnits(ScaleGroup):
     identity_value = complex(1.0)
 
     def validate(self, value):
-        if not isinstance(value, Number) or not 0 < abs(value) < math.inf:
+        if (not isinstance(value, Number) or isinstance(value, bool)
+                or not 0 < abs(value) < math.inf or not _float_range(abs(value))):
             raise ValueError(f"scale must be a finite nonzero complex number, got {value!r}")
         return value if isinstance(value, Real) else complex(value)
 
@@ -201,9 +213,12 @@ COMPLEX_UNITS = ComplexUnits()
 
 
 def decreasing(eps_grid) -> None:
-    """Raise ValueError unless the grid refines: strictly decreasing in nu, which a NaN is not."""
-    if any(not b.nu < a.nu for a, b in zip(eps_grid, eps_grid[1:])):
-        raise ValueError("scale grid must be strictly decreasing in nu")
+    """Raise ValueError unless the grid refines: strictly decreasing in nu, which a NaN
+    is not, from a finite first nu, which a ``Scale`` built directly need not have."""
+    nus = [e.nu for e in eps_grid]
+    if nus[:1] == [math.inf] or any(not b < a for a, b in zip(nus, nus[1:])):
+        raise ValueError(f"scale grid must be strictly decreasing in nu from a finite one, "
+                         f"got nu={nus}")
 
 
 def trend_grid(what: str, eps_grid) -> None:

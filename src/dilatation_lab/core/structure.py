@@ -25,10 +25,12 @@ from dilatation_lab.core.scales import RowScale, Scale, ScaleGroup, not_expandin
 
 
 class Ball:
-    """A metric ball, used to describe sampling regions."""
+    """A metric ball, used to describe sampling regions; a float centre with a NaN
+    or infinite coordinate raises DomainViolation (``require_finite``)."""
 
     def __init__(self, center, radius: float):
         require_radius(radius)
+        require_finite([center])
         self.center = center
         self.radius = float(radius)
 
@@ -51,8 +53,9 @@ class DilatationStructure:
     On models whose points are float coordinate arrays, ``dilate``,
     ``distance``, ``coordinate_gap`` and ``tangent_distance`` also take an
     ``(N, dim)`` batch of rows, and each row of the result equals, bit for
-    bit, the result for that row alone.  ``sample_ball``, the exact
-    conversions and exact points are single-point only.
+    bit, the result for that row alone; so do a group model's exact
+    primitives on an ``ExactRows`` batch.  ``sample_ball`` and the exact
+    conversions are single-point only.
 
     Single-point loops and checks convert their points once with the hook
     ``single_point_kernels``, and a group model folds products with
@@ -199,20 +202,40 @@ def float_points(points) -> bool:
                                 for p in points)
 
 
+def _stacker(points):
+    """How these points stack into a batch: ``np.stack`` for float arrays, the
+    ``stack`` of their one type for exact points (``ExactPoint``), else None."""
+    if float_points(points):
+        return np.stack
+    kind = type(points[0]) if points else None
+    if hasattr(kind, "stack") and all(type(p) is kind for p in points):
+        return kind.stack
+    return None
+
+
 class Rows:
     """Evaluation of one function over many tuples of points.
 
     When every point is a float array, each tuple position is stacked into an
-    ``(N, dim)`` batch and the function runs once over all rows; otherwise
-    (exact or dyadic points) it runs once per row.  Either way it is the same
-    function, and a batch row equals the value of its own row.  A sweep that
-    pairs each sample with the next one lays its rows out with ``pairs``, so a
-    map that is the same on every row of a block, such as a dilatation based at
-    the block's point, is evaluated once for both points of a pair (``images``).
+    ``(N, dim)`` batch, and exact points into an ``ExactRows`` batch, and the
+    function runs once over all rows; otherwise (dyadic points) it runs once
+    per row.  Either way it is the same function, and a batch row equals the
+    value of its own row.  A per-row scale holds floats, so rows that take one
+    (``scaled``) batch float points only.  A sweep that pairs each sample with
+    the next one lays its rows out with ``pairs``, so a map that is the same on
+    every row of a block, such as a dilatation based at the block's point, is
+    evaluated once for both points of a pair (``images``).
     """
 
     def __init__(self, points, batch: bool = True):
-        self.batched = batch and float_points(points)
+        self.stack = _stacker(points) if batch else None
+        self.batched = self.stack is not None
+
+    @classmethod
+    def scaled(cls, points, batch: bool = True) -> "Rows":
+        """Rows that take a per-row scale (``scale_column``): a batch of float
+        points; exact points go one row at a time."""
+        return cls(points, batch and float_points(points))
 
     @classmethod
     def pairs(cls, bases, pts, batch: bool = True):
@@ -232,13 +255,13 @@ class Rows:
 
     @classmethod
     def over_grid(cls, points, eps_grid) -> "Rows":
-        """A row per scale of the grid at fixed points; a per-row scale holds one
-        value type, so a grid that mixes types goes one scale at a time."""
-        return cls(points, batch=len({type(e.value) for e in eps_grid}) == 1)
+        """A row per scale of the grid at fixed points, ``scaled``; a per-row scale
+        holds one value type, so a grid that mixes types goes one scale at a time."""
+        return cls.scaled(points, len({type(e.value) for e in eps_grid}) == 1)
 
     def column(self, points):
         """The points of one tuple position, stacked when batched."""
-        return np.stack(points) if self.batched else list(points)
+        return self.stack(points) if self.batched else list(points)
 
     def scale_column(self, scales: list[Scale]):
         """The scales of one tuple position, one validated ``Scale`` per row.
@@ -252,16 +275,14 @@ class Rows:
 
     def row(self, col, i: int):
         """Row i of a column, as a point of its own rather than a view into the batch."""
-        return col[i].copy() if self.batched else col[i]
+        return col[i].copy() if isinstance(col, np.ndarray) else col[i]
 
     def rotate(self, col, block: int):
         """Each block of ``block`` consecutive rows shifted up by one row, its
         first row moving to the block's end; no row leaves its block."""
-        if self.batched:
-            blocks = col.reshape(-1, block, *col.shape[1:])
-            return np.roll(blocks, -1, axis=1).reshape(col.shape)
-        return [p for i in range(0, len(col), block)
-                for p in (*col[i + 1:i + block], col[i])]
+        n = range(len(col))
+        order = [j for i in n[::block] for j in (*n[i + 1:i + block], i)]
+        return col[order] if self.batched else [col[j] for j in order]
 
     def map(self, f, *cols):
         """f on every row: an array from one call, or a list of per-row values."""

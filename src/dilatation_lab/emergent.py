@@ -21,10 +21,10 @@ from dilatation_lab.core.reports import (
     ConvergenceReport, contracts, converges, dies_out, make_report, nonincreasing, sup, within)
 from dilatation_lab.core.structure import (
     DilatationStructure, Rows, approx_difference, approx_inverse, approx_sum,
-    estimate_dx, exactify, rescaled_distance)
+    estimate_dx, exactify, require_finite, rescaled_distance)
 from dilatation_lab.core.scales import (
     Scale, contraction, decreasing, not_expanding, reference_scale, trend_grid)
-from dilatation_lab.models.base import ExactPoint
+from dilatation_lab.models.base import EXACT_TYPES
 
 LIMIT_OPS = {"sum": approx_sum, "difference": approx_difference,
              "inverse": approx_inverse}
@@ -40,11 +40,13 @@ def tangent_limit(S: DilatationStructure, x, u, v, which: str,
     records the distance to the limit and the numeric path double-checks the
     closed form.  On float points one composite call covers the whole grid, as
     a per-row scale over the single x, u, v, and the gaps and the defects are
-    one call each (``Rows``); each value is the one its scale alone gives.
+    one call each (``Rows``); each value is the one its scale alone gives.  A
+    non-finite point raises DomainViolation before any work (``require_finite``).
     """
     if which not in LIMIT_OPS:
         raise ValueError(f"which must be one of {sorted(LIMIT_OPS)}, got {which!r}")
     trend_grid("tangent_limit", eps_grid)
+    require_finite([x, u, v])
     op = LIMIT_OPS[which]
     args = (u,) if which == "inverse" else (u, v)
     rows = Rows.over_grid([x, *args], eps_grid)
@@ -79,7 +81,7 @@ class AnchoredStructure(DilatationStructure):
 
     def _anchor(self, like):
         """The anchor in the arithmetic of the query point like."""
-        return self._exact_anchor if type(like) is ExactPoint else self.anchor
+        return self._exact_anchor if type(like) in EXACT_TYPES else self.anchor
 
     @cached_property
     def _exact_anchor(self):
@@ -290,8 +292,10 @@ def pansu_derivative(Ssrc: DilatationStructure, Sdst: DilatationStructure, f, x,
     Candidates that neither agree to EXACT_IDENTITY_TOL nor contract
     (``contracts``) raise NonConvergent, a finding (f is not
     differentiable at x along u), not a crash; the residuals decide the verdict.
+    A non-finite x or u raises DomainViolation before any work (``require_finite``).
     """
     trend_grid("pansu_derivative", eps_grid)
+    require_finite([x, u])
     fx = f(x)
     images = [f(Ssrc.dilate(x, eps, u)) for eps in eps_grid]
     candidates = [Sdst.dilate(fx, eps.inverse(), fu) for eps, fu in zip(eps_grid, images)]

@@ -24,11 +24,13 @@ on column views for a batch; dot products go through ``np.vecdot`` for rows
 and ``np.dot`` for single points, summed from +0.0 either way; fractional
 powers use Python's ``**`` per element, which ``np.power`` does not match.
 Layer factors are products, never powers, so a per-row scale takes them as a
-single point does.
+single point does.  Exact primitives take an ``ExactPoint`` or an
+``ExactRows`` batch alike, a batch row ``==`` the single point's result.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from numbers import Integral, Real
@@ -115,7 +117,9 @@ class ExactPoint:
     distance need not, as a gauge takes its roots in floats (H(1)'s misses the
     correctly rounded norm on about one point in ten).
     Mixing with numpy float arrays raises ``columns``' TypeError instead of
-    degrading to floats, in whole-row arithmetic too.
+    degrading to floats, in whole-row arithmetic too.  Points ``stack`` into
+    an ``ExactRows`` batch, which the exact kernels take as a float batch is
+    taken: a single point is their one-row batch.
     """
 
     __slots__ = ("num", "den")
@@ -132,15 +136,28 @@ class ExactPoint:
         self.den = den
 
     @classmethod
+    def _over(cls, num: tuple, den: int) -> "ExactPoint":
+        """num / den as given, with no gcd: for numerators already in lowest terms,
+        or for a point that is only read, which rounds alike in any terms."""
+        p = cls.__new__(cls)
+        p.num = num
+        p.den = den
+        return p
+
+    @classmethod
     def from_floats(cls, coords) -> "ExactPoint":
         """The exact value of float coordinates (every float is a dyadic rational)."""
         ratios = [float(c).as_integer_ratio() for c in coords]
         den = math.lcm(*(d for _, d in ratios))
         # over the lcm of reduced denominators the numerators share no factor
-        p = cls.__new__(cls)
-        p.num = tuple(n * (den // d) for n, d in ratios)
-        p.den = den
-        return p
+        return cls._over(tuple(n * (den // d) for n, d in ratios), den)
+
+    @staticmethod
+    def stack(points) -> "ExactRows":
+        """The batch of these points over the lcm of their denominators: each is in
+        lowest terms, so the batch is too, with no gcd."""
+        den = math.lcm(*(p.den for p in points))
+        return ExactRows._over([tuple([n * (den // p.den) for n in p.num]) for p in points], den)
 
     def _refuse_floats(self, other):
         raise TypeError(f"float points do not mix with exact ones, got {self!r}")
@@ -148,10 +165,7 @@ class ExactPoint:
     __add__ = __radd__ = __sub__ = __rsub__ = _refuse_floats
 
     def __neg__(self) -> "ExactPoint":
-        p = ExactPoint.__new__(ExactPoint)
-        p.num = tuple(-n for n in self.num)
-        p.den = self.den
-        return p
+        return ExactPoint._over(tuple([-n for n in self.num]), self.den)
 
     def __eq__(self, other):
         if type(other) is not ExactPoint:
@@ -172,6 +186,71 @@ class ExactPoint:
     def to_float(self) -> np.ndarray:
         """Every coordinate correctly rounded to a float."""
         return np.array([n / self.den for n in self.num])
+
+
+class ExactRows:
+    """A batch of exact points: integer numerator rows, tuples, over one shared
+    positive denominator, ``rows[k][i] / den``.
+
+    The batch is kept in lowest terms by one gcd over the denominator and every
+    numerator, so its denominator is the lcm of its rows' reduced ones, and two
+    batches of the same rationals are ``==``.  Row k (``batch[k]``) is the
+    ``ExactPoint`` of that row, reduced on its own; a list of indices picks a
+    batch.  Like a float ``(N, dim)`` batch it has ``len`` rows and ``ndim`` 2,
+    and it refuses to mix with floats.
+    """
+
+    __slots__ = ("rows", "den")
+    __array_ufunc__ = None
+    ndim = 2
+
+    def __init__(self, rows: list[tuple], den: int):
+        if den <= 0:
+            raise ValueError(f"the denominator must be positive, got {den}")
+        g = math.gcd(den, *itertools.chain.from_iterable(rows))
+        if g != 1:
+            rows = [tuple([n // g for n in r]) for r in rows]
+            den //= g
+        self.rows = list(rows)
+        self.den = den
+
+    @classmethod
+    def _over(cls, rows: list, den: int) -> "ExactRows":
+        """Rows of tuples over den as given, with no gcd: for a batch in lowest terms."""
+        b = cls.__new__(cls)
+        b.rows = rows
+        b.den = den
+        return b
+
+    _refuse_floats = ExactPoint._refuse_floats
+    __add__ = __radd__ = __sub__ = __rsub__ = _refuse_floats
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, k):
+        if isinstance(k, list):
+            return ExactRows([self.rows[i] for i in k], self.den)
+        return ExactPoint(self.rows[k], self.den)
+
+    def __neg__(self) -> "ExactRows":
+        return ExactRows._over([tuple([-n for n in r]) for r in self.rows], self.den)
+
+    def __eq__(self, other):
+        if type(other) is not ExactRows:
+            return NotImplemented
+        return self.den == other.den and self.rows == other.rows
+
+    def __repr__(self):
+        return f"ExactRows({[list(r) for r in self.rows]}, {self.den})"
+
+    def unreduced(self) -> list[ExactPoint]:
+        """Each row as a point over the batch's denominator, not reduced, for a gauge
+        to read: its coordinates and sums of squares round as the reduced row's."""
+        return [ExactPoint._over(r, self.den) for r in self.rows]
+
+
+EXACT_TYPES = (ExactPoint, ExactRows)
 
 
 class GroupModel(DilatationStructure):
@@ -222,9 +301,12 @@ class GroupModel(DilatationStructure):
     # --- induced structure --------------------------------------------------
 
     def distance(self, p, q) -> float:
-        """|p^-1 q|; 0.0, the norm of the identity, for equal exact points."""
+        """|p^-1 q|; 0.0, the norm of the identity, for equal exact points, and on
+        every row for equal exact batches."""
         if type(p) is ExactPoint and p == q:
             return 0.0
+        if type(p) is ExactRows and p == q:
+            return np.zeros(len(p))
         return self.homogeneous_norm(self.group_product(self.group_inverse(p), q))
 
     def origin(self):

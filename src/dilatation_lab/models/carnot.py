@@ -22,8 +22,9 @@ table and step (``_compiled_product``).  On floats: the product, on Python
 floats for a point and on column views for a batch, the layer factors e,
 e * e and e * e * e, and for single points the dilate and the (-p) . q of a
 distance.  On exact points, integer numerators with the table's constants
-over one denominator: the product and the expanded dilate, straight-line
-code with every constant folded in.  Euclidean space writes its batch
+over one denominator: the product and the expanded dilate, each one list
+comprehension over the rows of an exact batch with every constant folded in,
+a single point its one-row batch.  Euclidean space writes its batch
 primitives as whole-row numpy arithmetic: the same IEEE operations in the
 same order.
 """
@@ -41,8 +42,8 @@ from dilatation_lab.core.reports import sup
 from dilatation_lab.core.scales import POSITIVE_REALS, Scale
 from dilatation_lab.core.structure import float_points, vector_sample_ball
 from dilatation_lab.models.base import (
-    ExactPoint, GroupModel, columns, dot_square, is_integer, is_real, power, real_array, row_dot,
-    stack)
+    EXACT_TYPES, ExactPoint, ExactRows, GroupModel, columns, dot_square, is_integer, is_real,
+    power, real_array, row_dot, stack)
 
 
 def _scale_ratio(value) -> tuple[int, int]:
@@ -57,11 +58,36 @@ def _list_gap(p: list, q: list) -> float:
     return sup([abs(a - b) for a, b in zip(p, q)])
 
 
-def _exact_pair(a: ExactPoint, b):
-    """The numerators and denominators of a and b; TypeError if b is not exact."""
-    if type(b) is not ExactPoint:
-        raise TypeError(f"exact points do not mix with floats, got {b!r}")
-    return a.num, a.den, b.num, b.den
+def _numerators(p) -> list:
+    """The numerator rows of an exact point or batch; TypeError for anything else."""
+    if type(p) is ExactPoint:
+        return [p.num]
+    if type(p) is ExactRows:
+        return p.rows
+    raise TypeError(f"exact points do not mix with floats, got {p!r}")
+
+
+def _exact_operands(a, b):
+    """The numerator rows and denominators of exact a and b, a single point's row
+    repeated beside a batch, as a float point is beside a float batch."""
+    A, B = _numerators(a), _numerators(b)
+    if len(A) != len(B):
+        if len(A) == 1:
+            A = A * len(B)
+        elif len(B) == 1:
+            B = B * len(A)
+        else:
+            raise ValueError(f"batches of {len(A)} and {len(B)} rows do not pair")
+    return A, a.den, B, b.den
+
+
+def _exact_call(kernel, a, b, *scale):
+    """An exact kernel on a and b: one point when both are single, else one batch,
+    either brought to lowest terms by one gcd."""
+    rows, den = kernel(*_exact_operands(a, b), *scale)
+    if type(a) is type(b) is ExactPoint:
+        return ExactPoint(rows[0], den)
+    return ExactRows(rows, den)
 
 
 def _compiled_product(dim: int, step: int, entries, den: int, layer_index) -> dict:
@@ -84,7 +110,11 @@ def _compiled_product(dim: int, step: int, entries, den: int, layer_index) -> di
     -0.0 on layer 1.
 
     On the integer numerators of exact points each bracket constant is its
-    integer numerator over ``den``, h, and each function builds one point:
+    integer numerator over ``den``, h.  Each function takes two lists of
+    numerator rows of equal length, each over its one denominator, and returns
+    the list of result rows, one per pair, and their one denominator, not
+    reduced; the coefficients of the scale and the denominators are computed
+    once per call, the brackets once per row:
 
     * ``_exact_product(A, da, B, db)``, a + b + [a,b]/2 over 2 h da db on
       step 2, and + ([a,[a,b]] - [b,[a,b]])/12 over 12 h^2 da^2 db^2 on step 3;
@@ -124,6 +154,14 @@ def _compiled_product(dim: int, step: int, entries, den: int, layer_index) -> di
     def mul(*factors):
         # a product's text, its factors of 1 left out
         return " * ".join(str(f) for f in factors if f != 1)
+
+    def rows(terms, u, v, uv, pair):
+        # the terms' rows, one per pair of numerator rows zipped from the pair of
+        # arguments, with the brackets uv of the pair bound once per row
+        names, brackets = [w for w in z if w], [e for w, e in zip(z, uv) if w]
+        bind = f" for {', '.join(names)}, in [({', '.join(brackets)},)]" if names else ""
+        return (f"[({', '.join(terms)},) for ({', '.join(u)},), ({', '.join(v)},)"
+                f" in zip({pair}){bind}]")
 
     a, b, x, y, t = ([f"{n}{i}" for i in range(dim)] for n in "abxyt")
     # the coordinates that [u, v] has terms on, for any u and v
@@ -179,14 +217,12 @@ def _compiled_product(dim: int, step: int, entries, den: int, layer_index) -> di
          *(f"{n} = ({c}) * {g}" for n, c, g in zip(t, scaled, f)),
          *outer, f"return [{', '.join(result)}]"],
         ["def _scales(e):", f"return {', '.join(scales)},"],
-        ["def _exact_product(A, da, B, db):", f"{', '.join(a)}, = A", f"{', '.join(b)}, = B",
-         *shared, *(f"{w} = {e}" for w, e in zip(z, ab) if w),
-         f"return ExactPoint([{', '.join(exact)}], {mul(m, 'da', 'db')})"],
-        ["def _exact_dilate(X, dx, Y, dy, p, q):", f"{', '.join(x)}, = X", f"{', '.join(y)}, = Y",
-         *coefficients, *(f"{w} = {e}" for w, e in zip(z, xy) if w),
-         f"return ExactPoint([{', '.join(dilated)}], {mul(M, *['q'] * step, 'dx', 'dy')})"]]
+        ["def _exact_product(A, da, B, db):", *shared,
+         f"return {rows(exact, a, b, ab, 'A, B')}, {mul(m, 'da', 'db')}"],
+        ["def _exact_dilate(X, dx, Y, dy, p, q):", *coefficients,
+         f"return {rows(dilated, x, y, xy, 'X, Y')}, {mul(M, *['q'] * step, 'dx', 'dy')}"]]
     kernels = {}
-    exec("\n".join("\n    ".join(source) for source in functions), {"ExactPoint": ExactPoint}, kernels)
+    exec("\n".join("\n    ".join(source) for source in functions), {}, kernels)
     return kernels
 
 
@@ -207,9 +243,11 @@ class CarnotModel(GroupModel):
     takes ``_product`` and ``_dilate`` on the ``columns`` of a point or of an
     ``(N, dim)`` batch, which ``stack`` makes a point or a batch again;
     ``_dilate`` also takes a per-row scale, whose value is an ``(N, 1)`` array,
-    with the same generated layer factors.  Exact points (``ExactPoint``) take
-    the generated integer kernels ``_exact_product`` and ``_exact_dilate``,
-    each building one point, and the gauge ``_exact_norm``; ``ambient_dilate``
+    with the same generated layer factors.  Exact points (``ExactPoint``) and
+    exact batches (``ExactRows``) take the generated integer kernels
+    ``_exact_product`` and ``_exact_dilate``, one call per batch and a single
+    point as a one-row batch, a point beside a batch repeated on every row
+    (``_exact_call``), and the gauge ``_exact_norm`` per row; ``ambient_dilate``
     is ``_exact_dilate`` based at the identity, delta_eps = delta^e_eps.  The
     group inverse is negation in either arithmetic.  Subclasses override the
     gauges, C x R ``_dilate`` for its complex scales, and Euclidean space
@@ -274,30 +312,33 @@ class CarnotModel(GroupModel):
         return np.zeros(self.coordinate_dim)
 
     def group_product(self, a, b):
-        if type(a) is ExactPoint:
-            return self._exact_product(*_exact_pair(a, b))
+        if type(a) in EXACT_TYPES:
+            return _exact_call(self._exact_product, a, b)
         return stack(self._product(columns(a), columns(b)))
 
     def group_inverse(self, a):
         return -a
 
     def ambient_dilate(self, eps: Scale, a):
-        if type(a) is ExactPoint:  # delta^e_eps a, from the identity e's numerators
-            return self._exact_dilate((0,) * self.dim, 1, a.num, a.den, *_scale_ratio(eps.value))
+        if type(a) in EXACT_TYPES:  # delta^e_eps a, based at the identity e
+            return _exact_call(self._exact_dilate, ExactPoint((0,) * self.dim), a,
+                               *_scale_ratio(eps.value))
         return stack(self._dilate(eps, columns(a)))
 
     def dilate(self, x, eps: Scale, y):
         """x . delta_eps(x^-1 y), on exact points in ``_exact_dilate``'s expanded form."""
-        if type(x) is not ExactPoint:
+        if type(x) not in EXACT_TYPES:
             e = eps.value
             if type(e) is float and type(y) is np.ndarray and x.ndim == y.ndim == 1:
                 return np.array(self._dilate_point(x.tolist(), e, y.tolist()))
             return self._rows_dilate(x, eps, y)
-        return self._exact_dilate(*_exact_pair(x, y), *_scale_ratio(eps.value))
+        return _exact_call(self._exact_dilate, x, y, *_scale_ratio(eps.value))
 
     def homogeneous_norm(self, a) -> float:
         if type(a) is ExactPoint:
             return self._exact_norm(a)
+        if type(a) is ExactRows:
+            return np.array([self._exact_norm(p) for p in a.unreduced()])
         return self._norm(a.tolist() if a.ndim == 1 else a)
 
     def distance(self, p, q) -> float:
@@ -328,9 +369,10 @@ class CarnotModel(GroupModel):
         return ExactPoint.from_floats(p)
 
     def coordinate_gap(self, p, q) -> float:
-        if type(p) is ExactPoint:
-            A, da, B, db = _exact_pair(p, q)
-            return sup([abs(a / da - b / db) for a, b in zip(A, B)])
+        if type(p) in EXACT_TYPES:
+            A, da, B, db = _exact_operands(p, q)
+            gaps = [sup([abs(a / da - b / db) for a, b in zip(r, s)]) for r, s in zip(A, B)]
+            return gaps[0] if type(p) is type(q) is ExactPoint else np.array(gaps)
         return sup(np.abs(p - q), axis=None if p.ndim == q.ndim == 1 else 1)
 
     def single_point_kernels(self, points, scales):

@@ -9,8 +9,8 @@ from __future__ import annotations
 import math
 
 from dilatation_lab.core.scales import Scale
-from dilatation_lab.models.base import ExactPoint, dot_square, is_integer, row_length
-from dilatation_lab.models.carnot import CarnotModel, _exact_pair
+from dilatation_lab.models.base import EXACT_TYPES, dot_square, is_integer, row_length
+from dilatation_lab.models.carnot import CarnotModel, _exact_call
 
 
 class EuclideanModel(CarnotModel):
@@ -27,8 +27,8 @@ class EuclideanModel(CarnotModel):
         self.name = f"euclidean-{self.n}d"
 
     def group_product(self, a, b):
-        if type(a) is ExactPoint:
-            return self._exact_product(*_exact_pair(a, b))
+        if type(a) in EXACT_TYPES:
+            return _exact_call(self._exact_product, a, b)
         return a + b
 
     def _rows_dilate(self, x, eps: Scale, y):

@@ -292,7 +292,7 @@ UNUSABLE_NUMBERS = {
     "x-huge": ({"model": CARNOT, **MENELAOS, "x": [10 ** 400, 0, 0]},
                "int too large to convert to float"),
     "eps-huge": ({"model": CARNOT, **MENELAOS, "eps": 10 ** 400},
-                 "int too large to convert to float"),
+                 "scale must be a finite positive real, got 1000"),
     "menelaos-x-nan": ({"model": H1, **MENELAOS, "x": [NAN, 0.0, 0.0]},
                        "expected finite real numbers"),
     "linscan-x-nan": ({"model": H1, **LINSCAN, "x": [NAN, 0.0, 0.0], "y": [0.0, 1.0, 0.0],

@@ -34,6 +34,28 @@ def test_tangent_inverse_euclid(euclid1):
     assert np.allclose(lim, [-3.0])
 
 
+@pytest.mark.parametrize("where", ["tangent_limit-x", "tangent_limit-v", "pansu-u", "ball"])
+def test_a_non_finite_point_is_refused_before_any_work(where, monkeypatch):
+    # a NaN u once made tangent_limit and pansu_derivative raise NonConvergent,
+    # a finding about the structure, and a NaN ball centre cost 60 halvings
+    # before the sampler blamed the structure; none may reach a primitive now
+    H = HeisenbergModel(1)
+    calls = []
+    for name in ("dilate", "distance", "coordinate_gap", "group_product"):
+        monkeypatch.setattr(H, name, lambda *args, f=getattr(H, name): calls.append(1) or f(*args))
+    bad, good = np.array([math.nan, 0.0, 0.0]), H.point([0.1, 0.0], 0.01)
+    with pytest.raises(DomainViolation, match="non-finite coordinate"):
+        if where == "tangent_limit-x":
+            tangent_limit(H, bad, good, good, "difference", GRID)
+        elif where == "tangent_limit-v":
+            tangent_limit(H, good, good, np.array([0.0, math.inf, 0.0]), "sum", GRID)
+        elif where == "pansu-u":
+            pansu_derivative(H, H, lambda p: p, good, bad, GRID)
+        else:
+            verify_axiom(H, "A1", Ball(bad, 0.5), GRID, 4)
+    assert calls == []
+
+
 def test_tangent_limit_needs_two_scales(heis1):
     # one composite, or none, shows no limit: there is no increment to settle
     u, v = heis1.point([0.1, 0.0], 0.0), heis1.point([0.0, 0.1], 0.0)

@@ -20,7 +20,7 @@ from dilatation_lab.core.structure import Ball
 from dilatation_lab.emergent import inflin_scan
 from dilatation_lab.errors import DomainViolation
 from dilatation_lab.models import (
-    CarnotModel, ComplexHeisenbergModel, EuclideanModel, ExactPoint, HeisenbergModel,
+    CarnotModel, ComplexHeisenbergModel, EuclideanModel, ExactPoint, ExactRows, HeisenbergModel,
     engel_structure_constants, heisenberg_structure_constants)
 from dilatation_lab.models import carnot
 
@@ -232,9 +232,12 @@ def test_equal_points_are_at_the_norm_of_the_identity(model, product, degrees):
 
 
 def _off_by_one(method):
+    # one added to the first coordinate, of a point or of every row of a batch
     def mutant(self, *args):
         out = method(self, *args)
-        return ExactPoint([out.num[0] + 1, *out.num[1:]], out.den)
+        if type(out) is ExactRows:
+            return ExactRows([(r[0] + out.den, *r[1:]) for r in out.rows], out.den)
+        return ExactPoint([out.num[0] + out.den, *out.num[1:]], out.den)
     return mutant
 
 

@@ -10,7 +10,7 @@ from dilatation_lab.config import EXACT_IDENTITY_TOL, LIMIT_TOL
 from dilatation_lab.core.harness import AXIOMS, verify_all_axioms, verify_axiom
 from dilatation_lab.core.scales import POSITIVE_REALS as PR
 from dilatation_lab.core.structure import Ball, DilatationStructure, vector_sample_ball
-from dilatation_lab.models import EuclideanModel, ExactPoint, PullbackModel
+from dilatation_lab.models import EuclideanModel, ExactPoint, ExactRows, PullbackModel
 
 GRID = range(2, 13)
 
@@ -239,21 +239,27 @@ def test_exact_a1_and_a4_construct_few_exact_points(engel, euclid2, heis1, cxhei
     # A1 evaluates its eps-independent terms once, exact A4 shares delta^x_eps u
     # between the composite and the closed form and takes delta^x_eps v from
     # the next row, and equal exact points are at distance 0.0 without a
-    # product; an exact dilate builds one point, not three, so every model
-    # below makes the same count
-    init = ExactPoint.__init__
-    made = [0]
+    # product; an exact dilate builds one point, not three, and the rows of a
+    # sweep are one batch, so every model below makes the same count: one
+    # reduced batch per kernel call (A1 47 dilates, A4 11 x 4 calls) and one
+    # for the rotated samples, where the sweeps built 6,945 and 8,448 points
+    made = {ExactPoint: 0, ExactRows: 0}
 
-    def counting(self, *args, **kwargs):
-        made[0] += 1
-        init(self, *args, **kwargs)
+    def counting(cls):
+        init = cls.__init__
 
-    monkeypatch.setattr(ExactPoint, "__init__", counting)
+        def count(self, *args):
+            made[cls] += 1
+            init(self, *args)
+        return count
+
+    for cls in made:
+        monkeypatch.setattr(cls, "__init__", counting(cls))
     for model in (engel, euclid2, heis1, cxheis):
-        for axiom, ceiling in (("A1", 8_865), ("A4", 8_448)):
-            made[0] = 0
+        for axiom, batches in (("A1", 48), ("A4", 56)):
+            made.update({ExactPoint: 0, ExactRows: 0})
             verify_axiom(model, axiom, Ball(model.origin(), 0.5), PR.grid(GRID), 64, seed=0)
-            assert made[0] <= ceiling, (model.name, axiom)
+            assert made == {ExactPoint: 0, ExactRows: batches}, (model.name, axiom)
 
 
 # each sweep below reads a pair (u, v) only through delta^x_eps u and
@@ -264,7 +270,7 @@ SWEEP_DILATES = {
     "heis1-A3": ("heis1", "A3", "auto", 1, True),
     "heis1-A4-cauchy": ("heis1", "A4", "cauchy", 2, True),
     "heis1-ConeProperty": ("heis1", "ConeProperty", "auto", 1, True),
-    "heis1-A4-exact": ("heis1", "A4", "auto", 2, False),
+    "heis1-A4-exact": ("heis1", "A4", "auto", 2, True),
     "dyadic-A3": ("dyadic", "A3", "auto", 1, False),
     "dyadic-A4-exact": ("dyadic", "A4", "auto", 2, False),
     "dyadic-A4-cauchy": ("dyadic", "A4", "cauchy", 2, False),
@@ -292,20 +298,22 @@ def test_sweeps_dilate_each_row_once_per_image(case, request, monkeypatch):
 # A1 dilates each row once at the unit scale, once per distinct scale value of
 # the grid and of {eps mu} (k = 2..14 for k = 2..12 and mu = 2^-2, 13 values)
 # and, per grid scale, twice more and once per base: 24 (1 + 13) + 11 (2 * 24
-# + 3) = 897 exact rows on 3 bases x 8 samples, 1 + 13 + 3 * 11 = 47 batched
-# calls (1,137 and 57 when every scale evaluated delta^x_{eps mu} y afresh)
-@pytest.mark.parametrize("fixture, samples, calls", [
-    ("engel", 8, 897), ("engel", 2, 249), ("cubic_pullback", 8, 47)])
-def test_a1_dilates_each_row_once_per_scale_value(fixture, samples, calls, request,
+# + 3) = 897 rows on 3 bases x 8 samples, in 1 + 13 + 3 * 11 = 47 batched
+# calls, exact and float alike (1,137 rows and 57 calls when every scale
+# evaluated delta^x_{eps mu} y afresh)
+@pytest.mark.parametrize("fixture, samples, rows", [
+    ("engel", 8, 897), ("engel", 2, 249), ("cubic_pullback", 8, 897)])
+def test_a1_dilates_each_row_once_per_scale_value(fixture, samples, rows, request,
                                                    monkeypatch):
     S = request.getfixturevalue(fixture)
     made = []
     dilate = S.dilate
-    monkeypatch.setattr(S, "dilate", lambda x, eps, y: made.append(eps) or dilate(x, eps, y))
+    monkeypatch.setattr(S, "dilate", lambda x, eps, y: made.append(
+        len(y) if np.ndim(y) == 2 else 1) or dilate(x, eps, y))
     radius = 0.05 if fixture == "cubic_pullback" else 0.2
     rep = verify_axiom(S, "A1", Ball(S.origin(), radius), PR.grid(GRID), samples, seed=0)
     assert rep.metadata["arithmetic"] == ("float" if fixture == "cubic_pullback" else "exact")
-    assert len(made) == calls
+    assert len(made) == 47 and sum(made) == rows
 
 
 # --- the smallest input the harness accepts still rejects a broken structure --

@@ -94,8 +94,10 @@ def _abs_product(model, a, b):
     return out
 
 
-def _fractions(p: ExactPoint) -> list:
-    return [F(n, p.den) for n in p.num]
+def _fractions(out) -> list:
+    """The one row of an exact kernel's (rows, den) as Fractions."""
+    (row,), den = out
+    return [F(n, den) for n in row]
 
 
 def _draw(rng, dim: int) -> list:
@@ -110,15 +112,15 @@ def _cases(model, kernel: str, rng):
         X, Y = ExactPoint.from_floats(x), ExactPoint.from_floats(y)
         bound = _abs_product(model, map(F, x), map(F, y))
         if kernel == "_product":
-            yield model._product(x, y), model._exact_product(X.num, X.den, Y.num, Y.den), bound
+            yield model._product(x, y), model._exact_product([X.num], X.den, [Y.num], Y.den), bound
         elif kernel == "_inverse_product":  # (-x) . y
             yield (model._inverse_product(x, y),
-                   model._exact_product((-X).num, X.den, Y.num, Y.den), bound)
+                   model._exact_product([(-X).num], X.den, [Y.num], Y.den), bound)
         else:  # x . delta_e((-x) . y), layer i of the inner product scaled by e^i
             e = float(rng.uniform(0.05, 4.0))
             scaled = [F(e) ** (i + 1) * b for i, b in zip(model._layer_index, bound)]
             yield (model._dilate_point(x, e, y),
-                   model._exact_dilate(X.num, X.den, Y.num, Y.den, *e.as_integer_ratio()),
+                   model._exact_dilate([X.num], X.den, [Y.num], Y.den, *e.as_integer_ratio()),
                    _abs_product(model, map(F, x), scaled))
 
 
@@ -154,7 +156,7 @@ def test_batch_dilate_under_a_per_row_scale_is_within_the_point_bound(name):
     assert max(counts) == C[name][KERNELS.index("_dilate_point")]
     for got, (x, y, e) in zip(model.dilate(X, eps, Y).tolist(), draws):
         P, Q = ExactPoint.from_floats(x), ExactPoint.from_floats(y)
-        exact = model._exact_dilate(P.num, P.den, Q.num, Q.den, *e.as_integer_ratio())
+        exact = model._exact_dilate([P.num], P.den, [Q.num], Q.den, *e.as_integer_ratio())
         inner = _abs_product(model, map(F, x), map(F, y))
         scaled = [F(e) ** (i + 1) * b for i, b in zip(model._layer_index, inner)]
         bound = _abs_product(model, map(F, x), scaled)

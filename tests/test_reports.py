@@ -31,7 +31,7 @@ from dilatation_lab.emergent import (
     LIMIT_OPS, check_affine_map, inflin_scan, metric_tangent_scan, pansu_derivative,
     plin1_scan, shift_isometry_defect, tangent_limit)
 from dilatation_lab.errors import DomainViolation, MaxIterExceeded, NonConvergent
-from dilatation_lab.models.base import ExactPoint
+from dilatation_lab.models.base import ExactRows
 from dilatation_lab.models import (
     CarnotModel, ComplexHeisenbergModel, EuclideanModel, HeisenbergModel, PullbackModel,
     engel_structure_constants, heisenberg_structure_constants)
@@ -441,7 +441,7 @@ def test_a_nan_increment_never_settles(monkeypatch):
 def test_axiom_a1_fails_on_a_nan_residual(monkeypatch, place):
     # A1 joins four sups per scale: delta^x_1 y = y once, then the base
     # point, composition and inverse residuals at each scale; the first
-    # exact distance of the chosen sup is NaN
+    # exact distance of the chosen sup, the first row of its exact batch, is NaN
     E = EuclideanModel(2)
     distance, row_sup, sups, hit = E.distance, Rows.sup, [], []
 
@@ -450,9 +450,9 @@ def test_axiom_a1_fails_on_a_nan_residual(monkeypatch, place):
         return row_sup(self, f, *cols)
 
     def nan_in_place(p, q):
-        if type(p) is ExactPoint and len(sups) == place and not hit:
+        if type(p) is ExactRows and len(sups) == place and not hit:
             hit.append(p)
-            return NAN
+            return np.array([NAN, *distance(p, q)[1:]])
         return distance(p, q)
 
     monkeypatch.setattr(Rows, "sup", counted_sup)

@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -156,6 +157,34 @@ def test_scale_groups_refuse_non_finite_values():
                          (COMPLEX_UNITS, 0.5j), (COMPLEX_UNITS, Fraction(1, 3)),
                          (COMPLEX_UNITS, -2)]:
         assert group.scale(value).value == value
+
+
+def test_scale_values_without_a_float_valuation_are_refused():
+    # a bool is no scale, and an int or a Fraction beyond float range has no
+    # float valuation: 10**400 once passed and raised a bare OverflowError in nu
+    for group, value in [(POSITIVE_REALS, True), (POSITIVE_REALS, 10 ** 400),
+                         (POSITIVE_REALS, Fraction(10 ** 400, 3)),
+                         (POSITIVE_REALS, Fraction(1, 10 ** 400)),
+                         (COMPLEX_UNITS, True), (COMPLEX_UNITS, -10 ** 400)]:
+        with pytest.raises(ValueError, match=re.escape(f"got {value!r}"[:20])):
+            group.scale(value)
+    assert POSITIVE_REALS.scale(10 ** 300).nu == 1e300
+    assert POSITIVE_REALS.scale(Fraction(1, 10 ** 300)).nu == 1e-300
+
+
+@pytest.mark.parametrize("head", ["true", "huge", "inf"])
+@pytest.mark.parametrize("axiom", ["A1", "A2"])
+def test_a1_and_a2_refuse_a_bad_head_with_a_value_error(head, axiom):
+    # each head once reached Fraction in to_exact_scale or float in nu as a bare
+    # OverflowError, or passed as a scale; an infinite one built directly
+    # passes validate and is refused by the grid's order rule, at its first nu
+    H = HeisenbergModel(1)
+    make = {"true": lambda: POSITIVE_REALS.scale(True),
+            "huge": lambda: POSITIVE_REALS.scale(10 ** 400),
+            "inf": lambda: Scale(POSITIVE_REALS, math.inf)}[head]
+    with pytest.raises(ValueError, match="finite"):
+        grid = [make(), POSITIVE_REALS.scale(0.5), POSITIVE_REALS.scale(0.25)]
+        verify_axiom(H, axiom, Ball(H.origin(), 0.1), grid, 4)
 
 
 def test_a_nan_valuation_does_not_refine_a_grid():
